@@ -14,16 +14,16 @@ symbol, which would stall the norm decay that the sweep is measuring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 import logging
 import time
 
 import numpy as np
 
-from .grid import Field, GridSpec, l2_norm, zero_field
+from .grid import Field, GridSpec, l2_norm
 from .multipliers import MultiplierPlan, apply_plan, plan_S_nu
 from .reports import EstimateReport
-from .symbols import NuVector, eval_p_nu, potential_pair_check
+from .symbols import NuVector, potential_pair_check
 
 logger = logging.getLogger(__name__)
 
@@ -391,13 +391,7 @@ def bs_decay_sweep(
     W = build_W(V)
     report = EstimateReport(
         estimate="bs_decay",
-        grid={
-            "n": spec.n,
-            "box_time": spec.box_time,
-            "box_space": spec.box_space,
-            "pts_time": spec.pts_time,
-            "pts_space": spec.pts_space,
-        },
+        grid=spec.as_dict(),
         params={"nu_values": list(map(float, nu_list)), "lambda_rule": lambda_rule,
                 "tol": tol, "seed": seed},
     )

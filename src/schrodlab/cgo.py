@@ -65,8 +65,9 @@ class WavePacket:
     nu: NuVector
 
     def __post_init__(self):
-        if self.nu.aligned_axis is None:
-            raise ValueError("wave packets require an axis-aligned nu")
+        # u_sharp is repeated along axis -1, so only that axis solves the equation
+        if self.nu.aligned_axis != self.nu.n - 1:
+            raise ValueError("wave packets require nu aligned with the last axis")
         self.psi = np.asarray(self.psi, dtype=complex)
 
     def norm(self, spec: GridSpec) -> float:
@@ -114,7 +115,6 @@ def wave_packet_usharp(packet: WavePacket, spec: GridSpec) -> Field:
     modes = packet.psi[None] * np.exp(-1j * t * sq[None])
     # sum_xi psi e^{i x . xi} on the lattice x_j = -L + j dx:
     # e^{i x . xi} = e^{-i L sum xi} e^{2 pi i j k / N}, an inverse DFT.
-    phase = np.exp(-1j * (-spec.box_space) * 0.0)  # placeholder, folded below
     shift = np.ones_like(packet.psi, dtype=complex)
     for c in mesh:
         shift = shift * np.exp(1j * (-spec.box_space) * c)
@@ -266,13 +266,7 @@ def remainder_decay_sweep(
     spec = V.field.spec
     report = EstimateReport(
         estimate="cgo_remainder",
-        grid={
-            "n": spec.n,
-            "box_time": spec.box_time,
-            "box_space": spec.box_space,
-            "pts_time": spec.pts_time,
-            "pts_space": spec.pts_space,
-        },
+        grid=spec.as_dict(),
         params={"nu_values": list(map(float, nu_list)), "packet_width": packet_width,
                 "tol": tol, "rho_cap": rho_cap},
     )

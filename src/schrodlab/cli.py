@@ -15,7 +15,6 @@ written bytes are identical run to run.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 import json
 import logging
 import pathlib
@@ -26,30 +25,21 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .birman_schwinger import (
-    Potential,
-    bs_decay_sweep,
-    build_W,
-    cusp_potential,
-    gaussian_potential,
-)
+from .birman_schwinger import Potential, bs_decay_sweep, cusp_potential, gaussian_potential
 from .cgo import NoConvergence, NotContractive, build_cgo, gaussian_packet_on_hyperplane
 from .counterexample import (
     build_dispersion_profile,
     build_gaussian_trace,
     build_loglog_trace,
     embedding_ratio_sweep,
-    local_smoothing_check,
 )
-from .estimates import run_sweep, standard_family
+from .estimates import run_sweep
 from .forward import evolve, integral_identity_check
-from .grid import Field, GridSpec, save_field
-from .kernels import eval_K_sigma, eval_K_sigma_quadrature
+from .grid import GridSpec, save_field
+from .kernels import kernel_table
 from .reconstruction import reconstruct_potential
 from .reports import EstimateReport, config_hash, write_report
 from .symbols import NuVector
-
-logger = logging.getLogger(__name__)
 
 EXIT_PASS = 0
 EXIT_VERDICT = 1
@@ -59,15 +49,6 @@ EXIT_NONCONVERGENCE = 3
 
 class ConfigError(Exception):
     """Configuration problem, reported with the offending key path."""
-
-
-def parallel_map(fn, items, workers: int = 1):
-    """Order-preserving map; sequential unless workers > 1."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -116,27 +97,26 @@ def build_grid(cfg: dict) -> GridSpec:
 def build_potential(cfg: dict, spec: GridSpec) -> Potential:
     p = require(cfg, "potential", dict)
     kind = require(p, "kind", str, "potential")
+    if kind not in ("gaussian", "cusp"):
+        raise ConfigError(f"potential.kind: unknown kind {kind!r}")
     window = p.get("window")
-    window = tuple(window) if window else None
+    shared = {"amplitude": float(p.get("amplitude", 1.0)),
+              "window": tuple(window) if window else None,
+              "pair": tuple(p.get("pair", (2, 2)))}
     if kind == "gaussian":
-        return gaussian_potential(
-            spec,
-            amplitude=float(p.get("amplitude", 1.0)),
-            width=float(p.get("width", 0.5)),
-            window=window,
-            pair=tuple(p.get("pair", (2, 2))),
-        )
-    if kind == "cusp":
-        return cusp_potential(
-            spec,
-            alpha=float(p.get("alpha", 0.75)),
-            amplitude=float(p.get("amplitude", 1.0)),
-            center=float(p.get("center", 0.0)),
-            cutoff=float(p.get("cutoff", 1.0)),
-            window=window,
-            pair=tuple(p.get("pair", (2, 2))),
-        )
-    raise ConfigError(f"potential.kind: unknown kind {kind!r}")
+        return gaussian_potential(spec, width=float(p.get("width", 0.5)), **shared)
+    return cusp_potential(spec, alpha=float(p.get("alpha", 0.75)),
+                          center=float(p.get("center", 0.0)),
+                          cutoff=float(p.get("cutoff", 1.0)), **shared)
+
+
+def gaussian_state(spec: GridSpec, center, width: float, modulation) -> np.ndarray:
+    """Modulated Gaussian initial state on the spatial lattice."""
+    x = spec.x_axis()
+    mesh = np.meshgrid(*([x] * spec.n), indexing="ij")
+    return np.exp(
+        -sum((c - c0) ** 2 for c, c0 in zip(mesh, center)) / (2.0 * width**2)
+    ) * np.exp(1j * sum(m * c for m, c in zip(modulation, mesh)))
 
 
 def out_dir(cfg: dict, override: str | None) -> pathlib.Path:
@@ -145,36 +125,19 @@ def out_dir(cfg: dict, override: str | None) -> pathlib.Path:
     return d
 
 
-def stamp(report: EstimateReport, cfg: dict) -> EstimateReport:
+def emit(report: EstimateReport, cfg: dict, directory: pathlib.Path,
+         name: str, fmt: str) -> None:
+    """Stamp the report with the config hash and version, then write it."""
     report.params["config_hash"] = config_hash(cfg)
     report.params["version"] = __version__
-    return report
-
-
-def emit(report: EstimateReport, cfg: dict, directory: pathlib.Path,
-         name: str, fmt: str) -> pathlib.Path:
-    stamp(report, cfg)
     path = directory / f"{name}.{fmt}"
     write_report(report, path, fmt)
     click.echo(f"wrote {path}")
-    return path
 
 
 # ---------------------------------------------------------------------------
 # CLI skeleton
 # ---------------------------------------------------------------------------
-
-
-def common_options(fn):
-    fn = click.option("--config", "config_path", required=True,
-                      type=click.Path(), help="YAML or JSON config file")(fn)
-    fn = click.option("--output", "output_override", default=None,
-                      help="override the config output directory")(fn)
-    fn = click.option("--format", "fmt", default="json",
-                      type=click.Choice(["json", "csv"]))(fn)
-    fn = click.option("--dry-run", is_flag=True,
-                      help="print the resolved config and exit")(fn)
-    return fn
 
 
 def run_guarded(fn):
@@ -184,20 +147,32 @@ def run_guarded(fn):
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    except (NotContractive, NoConvergence) as exc:
+    except RuntimeError as exc:
+        if not (isinstance(exc, (NotContractive, NoConvergence))
+                or "converge" in str(exc).lower()):
+            raise
         click.echo(f"non-convergence: {exc}", err=True)
         sys.exit(EXIT_NONCONVERGENCE)
-    except RuntimeError as exc:
-        if "converge" in str(exc).lower():
-            click.echo(f"non-convergence: {exc}", err=True)
-            sys.exit(EXIT_NONCONVERGENCE)
-        raise
     sys.exit(code)
 
 
-def dry_run_exit(cfg: dict):
-    click.echo(json.dumps(cfg, indent=2, sort_keys=True, default=str))
-    sys.exit(EXIT_PASS)
+def run_experiment(experiment, config_path, output_override, fmt, dry_run) -> int:
+    """Load the config, run the experiment, write its report and artifacts."""
+    cfg = load_config(config_path)
+    if dry_run:
+        click.echo(json.dumps(cfg, indent=2, sort_keys=True, default=str))
+        return EXIT_PASS
+    stem, report, ok, artifacts = experiment(cfg)
+    directory = out_dir(cfg, output_override)
+    emit(report, cfg, directory, stem, fmt)
+    for name, value in artifacts.items():
+        path = directory / name
+        if path.suffix == ".slf":
+            save_field(value, path)
+        else:
+            np.save(path, value)
+        click.echo(f"wrote {path}")
+    return EXIT_PASS if ok else EXIT_VERDICT
 
 
 @click.group()
@@ -207,278 +182,216 @@ def main():
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
 
 
+def command(name: str):
+    """Register ``experiment(cfg)`` as the subcommand ``name``.
+
+    The experiment returns ``(report stem, EstimateReport, passed, artifacts)``
+    where ``artifacts`` maps file names (``.npy`` arrays, ``.slf`` fields)
+    to the values written beside the report.
+    """
+    def register(experiment):
+        @main.command(name, help=experiment.__doc__)
+        @click.option("--config", "config_path", required=True,
+                      type=click.Path(), help="YAML or JSON config file")
+        @click.option("--output", "output_override", default=None,
+                      help="override the config output directory")
+        @click.option("--format", "fmt", default="json", type=click.Choice(["json", "csv"]))
+        @click.option("--dry-run", is_flag=True, help="print the resolved config and exit")
+        def invoke(config_path, output_override, fmt, dry_run):
+            run_guarded(lambda: run_experiment(experiment, config_path,
+                                               output_override, fmt, dry_run))
+        return experiment
+    return register
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
-@main.command("verify-strichartz")
-@common_options
-def verify_strichartz(config_path, output_override, fmt, dry_run):
+@command("verify-strichartz")
+def verify_strichartz(cfg):
     """Measure nu-uniform Strichartz / gain / dispersive ratios."""
-    def body():
-        cfg = load_config(config_path)
-        if dry_run:
-            dry_run_exit(cfg)
-        build_grid(cfg)  # validates
-        estimate = cfg.get("estimate", "strichartz")
-        if estimate not in ("strichartz", "gain", "dispersive"):
-            raise ConfigError(f"estimate: unknown estimate {estimate!r}")
-        if estimate == "strichartz":
-            require(cfg, "pairs", list)
-        report = run_sweep(estimate, cfg)
-        directory = out_dir(cfg, output_override)
-        emit(report, cfg, directory, f"{estimate}_sweep", fmt)
-        return EXIT_PASS if report.verdict in ("pass", "recorded") else EXIT_VERDICT
-    run_guarded(body)
+    build_grid(cfg)  # validates
+    estimate = cfg.get("estimate", "strichartz")
+    if estimate not in ("strichartz", "gain", "dispersive"):
+        raise ConfigError(f"estimate: unknown estimate {estimate!r}")
+    if estimate == "strichartz":
+        require(cfg, "pairs", list)
+    report = run_sweep(estimate, cfg)
+    return f"{estimate}_sweep", report, report.verdict in ("pass", "recorded"), {}
 
 
-@main.command("kernel-table")
-@common_options
-def kernel_table_cmd(config_path, output_override, fmt, dry_run):
+@command("kernel-table")
+def kernel_table_cmd(cfg):
     """Tabulate the resolvent kernel, closed form vs quadrature."""
-    def body():
-        cfg = load_config(config_path)
-        if dry_run:
-            dry_run_exit(cfg)
-        sigmas = require(cfg, "sigmas", list)
-        xcfg = require(cfg, "x", dict)
-        xs = np.linspace(float(require(xcfg, "min", (int, float), "x")),
-                         float(require(xcfg, "max", (int, float), "x")),
-                         int(require(xcfg, "count", int, "x")))
-        tol = float(cfg.get("tol", 1e-6))
-        workers = int(cfg.get("workers", 1))
-
-        def row(sigma):
-            out = []
-            for x in xs:
-                closed = eval_K_sigma(sigma, x)
-                quad = eval_K_sigma_quadrature(sigma, x)
-                out.append({
-                    "sigma": float(sigma), "x": float(x), "seed": 0,
-                    "closed": closed.value.real, "quadrature": quad.value.real,
-                    "ratio": abs(closed.value - quad.value),
-                })
-            return out
-        report = EstimateReport(
-            estimate="kernel_table", grid={}, params={"sigmas": sigmas, "tol": tol},
-            ceiling=tol,
-        )
-        for chunk in parallel_map(row, sigmas, workers):
-            report.samples.extend(chunk)
-        directory = out_dir(cfg, output_override)
-        emit(report, cfg, directory, "kernel_table", fmt)
-        return EXIT_PASS if report.verdict == "pass" else EXIT_VERDICT
-    run_guarded(body)
+    sigmas = require(cfg, "sigmas", list)
+    xcfg = require(cfg, "x", dict)
+    xs = np.linspace(float(require(xcfg, "min", (int, float), "x")),
+                     float(require(xcfg, "max", (int, float), "x")),
+                     int(require(xcfg, "count", int, "x")))
+    tol = float(cfg.get("tol", 1e-6))  # report ceiling; the quadrature runs at 1e-9
+    report = EstimateReport(
+        estimate="kernel_table", grid={}, params={"sigmas": sigmas, "tol": tol},
+        ceiling=tol,
+    )
+    table = kernel_table(sigmas, xs)
+    for closed, quad in zip(table[::2], table[1::2]):
+        report.samples.append({
+            "sigma": float(closed.parameter[0]), "x": float(closed.argument), "seed": 0,
+            "closed": closed.value.real, "quadrature": quad.value.real,
+            "ratio": abs(closed.value - quad.value),
+        })
+    return "kernel_table", report, report.verdict == "pass", {}
 
 
-@main.command("bs-norm-sweep")
-@common_options
-def bs_norm_sweep(config_path, output_override, fmt, dry_run):
+@command("bs-norm-sweep")
+def bs_norm_sweep(cfg):
     """Operator-norm decay of the sandwiched multiplier over nu."""
-    def body():
-        cfg = load_config(config_path)
-        if dry_run:
-            dry_run_exit(cfg)
-        spec = build_grid(cfg)
-        V = build_potential(cfg, spec)
-        nu_values = require(cfg, "nu_values", list)
-        report = bs_decay_sweep(
-            V, nu_values,
-            lambda_rule=cfg.get("lambda_rule", "sqrt_nu"),
-            tol=float(cfg.get("tol", 1e-3)),
-            seed=int(cfg.get("seed", 0)),
-        )
-        if any(not s["converged"] for s in report.samples):
-            raise NoConvergence("power iteration hit the iteration cap")
-        directory = out_dir(cfg, output_override)
-        emit(report, cfg, directory, "bs_norm_sweep", fmt)
-        decay_ok = True
-        if len(report.samples) >= 2:
-            decay_ok = report.samples[-1]["ratio"] <= 0.5 * report.samples[0]["ratio"]
-        return EXIT_PASS if decay_ok else EXIT_VERDICT
-    run_guarded(body)
+    spec = build_grid(cfg)
+    V = build_potential(cfg, spec)
+    nu_values = require(cfg, "nu_values", list)
+    report = bs_decay_sweep(
+        V, nu_values,
+        lambda_rule=cfg.get("lambda_rule", "sqrt_nu"),
+        tol=float(cfg.get("tol", 1e-3)),
+        seed=int(cfg.get("seed", 0)),
+    )
+    if any(not s["converged"] for s in report.samples):
+        raise NoConvergence("power iteration hit the iteration cap")
+    if any(not s["starts_agree"] for s in report.samples):
+        raise NoConvergence("power iteration starts disagree")
+    decay_ok = True
+    if len(report.samples) >= 2:
+        decay_ok = report.samples[-1]["ratio"] <= 0.5 * report.samples[0]["ratio"]
+    return "bs_norm_sweep", report, decay_ok, {}
 
 
-@main.command("cgo-build")
-@common_options
-def cgo_build(config_path, output_override, fmt, dry_run):
+@command("cgo-build")
+def cgo_build(cfg):
     """Construct a CGO solution and record its diagnostics."""
-    def body():
-        cfg = load_config(config_path)
-        if dry_run:
-            dry_run_exit(cfg)
-        spec = build_grid(cfg)
-        V = build_potential(cfg, spec)
-        nu_mag = float(require(cfg, "nu", (int, float)))
-        packet_cfg = cfg.get("packet", {})
-        nu = NuVector([0.0] * (spec.n - 1) + [nu_mag])
-        packet = gaussian_packet_on_hyperplane(
-            spec, nu,
-            center=float(packet_cfg.get("center", 0.0)),
-            width=float(packet_cfg.get("width", 2.0)),
-        )
-        tol = float(cfg.get("tol", 1e-8))
-        sol = build_cgo(V, packet, tol=tol, rho_cap=float(cfg.get("rho_cap", 0.9)))
-        directory = out_dir(cfg, output_override)
-        report = EstimateReport(
-            estimate="cgo_build",
-            grid=dict(cfg["grid"]),
-            params={"nu": nu_mag, "tol": tol, "packet": dict(packet_cfg),
-                    "rho": sol.rho, "terms": sol.terms},
-            ceiling=tol,
-        )
-        report.samples.append({"seed": 0, "ratio": sol.residuals["fixed_point"],
-                               "kind": "fixed_point"})
-        report.samples.append({"seed": 0, "ratio": sol.residuals["remainder_equation"],
-                               "kind": "remainder_equation"})
-        emit(report, cfg, directory, "cgo_build", fmt)
-        save_field(sol.uflat, directory / "uflat.slf")
-        save_field(sol.usharp, directory / "usharp.slf")
-        click.echo(f"wrote {directory / 'uflat.slf'} and usharp.slf")
-        return EXIT_PASS if report.verdict == "pass" else EXIT_VERDICT
-    run_guarded(body)
+    spec = build_grid(cfg)
+    V = build_potential(cfg, spec)
+    nu_mag = float(require(cfg, "nu", (int, float)))
+    packet_cfg = cfg.get("packet", {})
+    nu = NuVector([0.0] * (spec.n - 1) + [nu_mag])
+    packet = gaussian_packet_on_hyperplane(
+        spec, nu,
+        center=float(packet_cfg.get("center", 0.0)),
+        width=float(packet_cfg.get("width", 2.0)),
+    )
+    tol = float(cfg.get("tol", 1e-8))
+    sol = build_cgo(V, packet, tol=tol, rho_cap=float(cfg.get("rho_cap", 0.9)))
+    report = EstimateReport(
+        estimate="cgo_build",
+        grid=dict(cfg["grid"]),
+        params={"nu": nu_mag, "tol": tol, "packet": dict(packet_cfg),
+                "rho": sol.rho, "terms": sol.terms},
+        ceiling=tol,
+    )
+    for kind in ("fixed_point", "remainder_equation"):
+        report.samples.append({"seed": 0, "ratio": sol.residuals[kind], "kind": kind})
+    artifacts = {"uflat.slf": sol.uflat, "usharp.slf": sol.usharp}
+    return "cgo_build", report, report.verdict == "pass", artifacts
 
 
-@main.command("forward-evolve")
-@common_options
-def forward_evolve(config_path, output_override, fmt, dry_run):
+@command("forward-evolve")
+def forward_evolve(cfg):
     """Evolve an initial state under a potential; export the final state."""
-    def body():
-        cfg = load_config(config_path)
-        if dry_run:
-            dry_run_exit(cfg)
-        spec = build_grid(cfg)
-        V = build_potential(cfg, spec)
-        T = float(require(cfg, "T", (int, float)))
-        steps = int(cfg.get("steps", 256))
-        init = cfg.get("initial", {})
-        width = float(init.get("width", 0.5))
-        center = np.asarray(init.get("center", [0.0] * spec.n), dtype=float)
-        mod = np.asarray(init.get("modulation", [0.0] * spec.n), dtype=float)
-        x = spec.x_axis()
-        mesh = np.meshgrid(*([x] * spec.n), indexing="ij")
-        f = np.exp(
-            -sum((c - c0) ** 2 for c, c0 in zip(mesh, center)) / (2.0 * width**2)
-        ) * np.exp(1j * sum(m * c for m, c in zip(mod, mesh)))
-        traj = evolve(V, f, T, steps)
-        directory = out_dir(cfg, output_override)
-        report = EstimateReport(
-            estimate="forward_evolve", grid=dict(cfg["grid"]),
-            params={"T": T, "steps": steps, "initial": dict(init)},
-            ceiling=1e-8,
-        )
-        report.samples.append({"seed": 0, "ratio": traj.mass_drift(), "kind": "mass_drift"})
-        emit(report, cfg, directory, "forward_evolve", fmt)
-        np.save(directory / "final_state.npy", traj.final)
-        click.echo(f"wrote {directory / 'final_state.npy'}")
-        return EXIT_PASS if report.verdict == "pass" else EXIT_VERDICT
-    run_guarded(body)
+    spec = build_grid(cfg)
+    V = build_potential(cfg, spec)
+    T = float(require(cfg, "T", (int, float)))
+    steps = int(cfg.get("steps", 256))
+    init = cfg.get("initial", {})
+    f = gaussian_state(
+        spec,
+        center=np.asarray(init.get("center", [0.0] * spec.n), dtype=float),
+        width=float(init.get("width", 0.5)),
+        modulation=np.asarray(init.get("modulation", [0.0] * spec.n), dtype=float),
+    )
+    traj = evolve(V, f, T, steps)
+    report = EstimateReport(
+        estimate="forward_evolve", grid=dict(cfg["grid"]),
+        params={"T": T, "steps": steps, "initial": dict(init)},
+        ceiling=1e-8,
+    )
+    report.samples.append({"seed": 0, "ratio": traj.mass_drift(), "kind": "mass_drift"})
+    return "forward_evolve", report, report.verdict == "pass", {"final_state.npy": traj.final}
 
 
-@main.command("identity-check")
-@common_options
-def identity_check(config_path, output_override, fmt, dry_run):
+@command("identity-check")
+def identity_check(cfg):
     """Two-sided verification of the bilinear integral identity."""
-    def body():
-        cfg = load_config(config_path)
-        if dry_run:
-            dry_run_exit(cfg)
-        spec = build_grid(cfg)
-        V1 = build_potential(cfg, spec)
-        T = float(require(cfg, "T", (int, float)))
-        steps = int(cfg.get("steps", 256))
-        tol = float(cfg.get("tol", 1e-4))
-        seed = int(cfg.get("seed", 0))
-        rng = np.random.default_rng(seed)
-        x = spec.x_axis()
-        mesh = np.meshgrid(*([x] * spec.n), indexing="ij")
+    spec = build_grid(cfg)
+    V1 = build_potential(cfg, spec)
+    T = float(require(cfg, "T", (int, float)))
+    steps = int(cfg.get("steps", 256))
+    tol = float(cfg.get("tol", 1e-4))
+    seed = int(cfg.get("seed", 0))
+    rng = np.random.default_rng(seed)
 
-        def packet():
-            c = rng.uniform(-0.3, 0.3, size=spec.n)
-            w = rng.uniform(0.3, 0.7)
-            m = rng.uniform(-2, 2, size=spec.n)
-            return np.exp(
-                -sum((a - b) ** 2 for a, b in zip(mesh, c)) / (2.0 * w**2)
-            ) * np.exp(1j * sum(mm * a for mm, a in zip(m, mesh)))
+    def packet():
+        c = rng.uniform(-0.3, 0.3, size=spec.n)
+        w = rng.uniform(0.3, 0.7)
+        m = rng.uniform(-2, 2, size=spec.n)
+        return gaussian_state(spec, c, w, m)
 
-        report = EstimateReport(
-            estimate="identity_check", grid=dict(cfg["grid"]),
-            params={"T": T, "steps": steps, "tol": tol, "seed": seed},
-            ceiling=tol,
+    report = EstimateReport(
+        estimate="identity_check", grid=dict(cfg["grid"]),
+        params={"T": T, "steps": steps, "tol": tol, "seed": seed},
+        ceiling=tol,
+    )
+    for k in range(int(cfg.get("trials", 3))):
+        out = integral_identity_check(V1, None, packet(), packet(), T, steps)
+        report.samples.append(
+            {"seed": seed, "trial": k, "ratio": out["normalized_residual"]}
         )
-        for k in range(int(cfg.get("trials", 3))):
-            out = integral_identity_check(V1, None, packet(), packet(), T, steps)
-            report.samples.append(
-                {"seed": seed, "trial": k, "ratio": out["normalized_residual"]}
-            )
-        directory = out_dir(cfg, output_override)
-        emit(report, cfg, directory, "identity_check", fmt)
-        return EXIT_PASS if report.verdict == "pass" else EXIT_VERDICT
-    run_guarded(body)
+    return "identity_check", report, report.verdict == "pass", {}
 
 
-@main.command("reconstruct")
-@common_options
-def reconstruct(config_path, output_override, fmt, dry_run):
+@command("reconstruct")
+def reconstruct(cfg):
     """Born reconstruction of a potential from final-state data."""
-    def body():
-        cfg = load_config(config_path)
-        if dry_run:
-            dry_run_exit(cfg)
-        spec = build_grid(cfg)
-        V = build_potential(cfg, spec)
-        T = float(require(cfg, "T", (int, float)))
-        radius = float(cfg.get("freq_radius", 8.0))
-        steps = int(cfg.get("steps", 256))
-        tol = float(cfg.get("tol", 0.2))
-        reference = V.field.data[spec.pts_time // 2]
-        est, rep = reconstruct_potential(V, radius, T, steps, reference=reference)
-        report = EstimateReport(
-            estimate="reconstruct", grid=dict(cfg["grid"]),
-            params={"T": T, "steps": steps, "freq_radius": radius,
-                    "n_samples": rep["n_samples"], "n_not_born": rep["n_not_born"]},
-            ceiling=tol,
-        )
-        report.samples.append({"seed": 0, "ratio": rep.get("relative_l2_error", 0.0)})
-        directory = out_dir(cfg, output_override)
-        emit(report, cfg, directory, "reconstruct", fmt)
-        np.save(directory / "potential_estimate.npy", est)
-        click.echo(f"wrote {directory / 'potential_estimate.npy'}")
-        return EXIT_PASS if report.verdict == "pass" else EXIT_VERDICT
-    run_guarded(body)
+    spec = build_grid(cfg)
+    V = build_potential(cfg, spec)
+    T = float(require(cfg, "T", (int, float)))
+    radius = float(cfg.get("freq_radius", 8.0))
+    steps = int(cfg.get("steps", 256))
+    tol = float(cfg.get("tol", 0.2))
+    reference = V.field.data[spec.pts_time // 2]
+    est, rep = reconstruct_potential(V, radius, T, steps, reference=reference)
+    report = EstimateReport(
+        estimate="reconstruct", grid=dict(cfg["grid"]),
+        params={"T": T, "steps": steps, "freq_radius": radius,
+                "n_samples": rep["n_samples"], "n_not_born": rep["n_not_born"]},
+        ceiling=tol,
+    )
+    report.samples.append({"seed": 0, "ratio": rep.get("relative_l2_error", 0.0)})
+    return "reconstruct", report, report.verdict == "pass", {"potential_estimate.npy": est}
 
 
-@main.command("counterexample-sweep")
-@common_options
-def counterexample_sweep(config_path, output_override, fmt, dry_run):
+@command("counterexample-sweep")
+def counterexample_sweep(cfg):
     """Divergence of the endpoint embedding ratio over the rho family."""
-    def body():
-        cfg = load_config(config_path)
-        if dry_run:
-            dry_run_exit(cfg)
-        rho_values = require(cfg, "rho_values", list)
-        family = cfg.get("family", "shifted")
-        if family not in ("shifted", "unscaled", "control"):
-            raise ConfigError(f"family: unknown family {family!r}")
-        threshold = float(cfg.get("growth_threshold", 1.15))
-        trace_pts = int(cfg.get("trace_points", 1 << 15))
-        trace = (build_gaussian_trace(points=trace_pts) if family == "control"
-                 else build_loglog_trace(points=trace_pts))
-        profile = build_dispersion_profile()
-        report = embedding_ratio_sweep(rho_values, family, trace=trace, profile=profile)
-        ratios = report.ratios
-        if family == "control":
-            ok = len(ratios) < 2 or max(ratios) <= 2.0 * min(ratios)
-        else:
-            increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
-            ok = len(ratios) < 2 or (increasing and ratios[-1] / ratios[0] >= threshold)
-        report.params["growth_threshold"] = threshold
-        report.params["verdict_growth"] = "pass" if ok else "fail"
-        directory = out_dir(cfg, output_override)
-        emit(report, cfg, directory, f"counterexample_{family}", fmt)
-        return EXIT_PASS if ok else EXIT_VERDICT
-    run_guarded(body)
+    rho_values = require(cfg, "rho_values", list)
+    family = cfg.get("family", "shifted")
+    if family not in ("shifted", "unscaled", "control"):
+        raise ConfigError(f"family: unknown family {family!r}")
+    threshold = float(cfg.get("growth_threshold", 1.15))
+    trace_pts = int(cfg.get("trace_points", 1 << 15))
+    trace = (build_gaussian_trace(points=trace_pts) if family == "control"
+             else build_loglog_trace(points=trace_pts))
+    profile = build_dispersion_profile()
+    report = embedding_ratio_sweep(rho_values, family, trace=trace, profile=profile)
+    ratios = report.ratios
+    if family == "control":
+        ok = len(ratios) < 2 or max(ratios) <= 2.0 * min(ratios)
+    else:
+        increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
+        ok = len(ratios) < 2 or (increasing and ratios[-1] / ratios[0] >= threshold)
+    report.params["growth_threshold"] = threshold
+    report.params["verdict_growth"] = "pass" if ok else "fail"
+    return f"counterexample_{family}", report, ok, {}
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ import time
 import numpy as np
 from scipy.special import j0
 
-from .grid import Field, GridSpec, l2_norm
+from .grid import Field, GridSpec
 from .multipliers import plan_S_nu
 from .reports import EstimateReport
 from .symbols import NuVector
@@ -481,8 +481,7 @@ def local_smoothing_check(
     mask = window & ball
     report = EstimateReport(
         estimate="local_smoothing",
-        grid={"n": spec.n, "box_time": spec.box_time, "box_space": spec.box_space,
-              "pts_time": spec.pts_time, "pts_space": spec.pts_space},
+        grid=spec.as_dict(),
         params={"nu_values": list(map(float, nu_list)), "T": T, "R": R},
     )
     for mag in nu_list:

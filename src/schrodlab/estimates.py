@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from .grid import Field, GridSpec, gaussian_packet, l2_norm, mixed_norm
-from .multipliers import MultiplierPlan, apply_plan, apply_U_s, plan_S_nu, u_s_multiplier
+from .multipliers import MultiplierPlan, apply_plan, apply_U_s, plan_S_nu
 from .reports import EstimateReport
 from .symbols import ExponentPair, NuVector
 

@@ -19,7 +19,7 @@ their agreement is a genuine two-sided check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 import hashlib
 import logging
 

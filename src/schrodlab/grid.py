@@ -14,19 +14,19 @@ Design notes
   operations.
 * Infinity exponents are computed as lattice maxima.
 * Fields serialize to a small binary container (little-endian header plus
-  interleaved re/im doubles) and to CSV for small slices.
+  interleaved re/im doubles).
 """
 
 from __future__ import annotations
 
-import io
 import struct
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from .symbols import as_exponent
 
 __all__ = [
     "GridSpec",
@@ -44,25 +44,12 @@ __all__ = [
     "load_field",
     "field_to_bytes",
     "field_from_bytes",
-    "field_to_csv",
 ]
 
 _MAGIC = b"SLF1"
 
 PHYSICAL = "physical"
 FREQUENCY = "frequency"
-
-
-def _exp_value(p) -> float:
-    """Normalize a Lebesgue exponent (Fraction, int, float, inf, or "inf")."""
-    if p in ("inf", "oo"):
-        return math.inf
-    if isinstance(p, Fraction):
-        return float(p)
-    p = float(p)
-    if p < 1.0:
-        raise ValueError(f"Lebesgue exponent must be >= 1, got {p}")
-    return p
 
 
 @dataclass(frozen=True)
@@ -102,6 +89,11 @@ class GridSpec:
             raise ValueError(
                 f"grid of {self.total_points} points exceeds budget {self.max_points}"
             )
+
+    def as_dict(self) -> dict:
+        """The lattice parameters as echoed in report ``grid`` blocks."""
+        return {"n": self.n, "box_time": self.box_time, "box_space": self.box_space,
+                "pts_time": self.pts_time, "pts_space": self.pts_space}
 
     # -- lattice geometry -------------------------------------------------
 
@@ -249,8 +241,8 @@ def mixed_norm(f: Field, q, r) -> float:
         raise ValueError("mixed_norm expects a physical-rep field")
     if np.isnan(f.data).any():
         raise ValueError("field contains NaN")
-    qv = _exp_value(q)
-    rv = _exp_value(r)
+    qv = float(as_exponent(q))
+    rv = float(as_exponent(r))
     a = np.abs(f.data)
     spec = f.spec
     space_axes = tuple(range(1, spec.n + 1))
@@ -440,21 +432,3 @@ def save_field(f: Field, path) -> None:
 def load_field(path) -> Field:
     with open(path, "rb") as fh:
         return field_from_bytes(fh.read())
-
-
-def field_to_csv(f: Field, path, max_points: int = 1 << 16) -> None:
-    """Write (t, x..., re, im) rows; refuses grids above ``max_points``."""
-    spec = f.spec
-    if spec.total_points > max_points:
-        raise ValueError("grid too large for CSV export; use the binary container")
-    t = spec.t_axis()
-    x = spec.x_axis()
-    with open(path, "w", newline="") as fh:
-        cols = ["t"] + [f"x{j + 1}" for j in range(spec.n)] + ["re", "im"]
-        fh.write(",".join(cols) + "\n")
-        it = np.ndindex(spec.shape)
-        for idx in it:
-            coords = [t[idx[0]]] + [x[idx[1 + j]] for j in range(spec.n)]
-            z = f.data[idx]
-            row = [f"{c:.17g}" for c in coords] + [f"{z.real:.17g}", f"{z.imag:.17g}"]
-            fh.write(",".join(row) + "\n")

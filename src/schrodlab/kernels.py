@@ -156,7 +156,7 @@ def quadratic_phase_integral(a: float, c: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def eval_K_s(s: float, y: float, tol: float = 1e-10) -> KernelSample:
+def eval_K_s(s: float, y: float) -> KernelSample:
     """``K_s(y) = int e^{i y eta + i s eta^2} 1(s eta < 0) e^{s eta} d eta``."""
     s = float(s)
     y = float(y)
@@ -172,7 +172,7 @@ def eval_K_s(s: float, y: float, tol: float = 1e-10) -> KernelSample:
     return KernelSample((s,), y, complex(val), "quadrature", None, err)
 
 
-def eval_K_st(s: float, t: float, y: float, tol: float = 1e-10) -> KernelSample:
+def eval_K_st(s: float, t: float, y: float) -> KernelSample:
     """Two-time kernel with phase (s - t) eta^2 and decay (s + t) eta.
 
     Requires s t > 0 (the operator pairing uses same-sign times); s = -t is
@@ -195,7 +195,7 @@ def eval_K_st(s: float, t: float, y: float, tol: float = 1e-10) -> KernelSample:
     return KernelSample((s, t), y, complex(val), "quadrature", None, err)
 
 
-def oscillatory_tail(y: float, s: float, tol: float = 1e-10) -> complex:
+def oscillatory_tail(y: float, s: float) -> complex:
     """``int_{-inf}^{y} e^{i xi^2 / s} e^{xi} d xi`` for s != 0.
 
     Satisfies the uniform bound |value| <~ e^y |s|^{1/2}.

@@ -18,11 +18,10 @@ is still unitary and the operators remain exactly diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import math
 
 import numpy as np
 
-from .grid import FREQUENCY, PHYSICAL, Field, GridSpec
+from .grid import PHYSICAL, Field, GridSpec
 from .symbols import NuVector
 
 __all__ = [

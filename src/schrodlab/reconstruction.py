@@ -17,7 +17,7 @@ exact in integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 import logging
 import time
@@ -27,7 +27,6 @@ import numpy as np
 from .birman_schwinger import Potential
 from .forward import evolve
 from .grid import GridSpec
-from .reports import EstimateReport
 
 logger = logging.getLogger(__name__)
 

@@ -8,10 +8,10 @@ byte; runtimes are surfaced through logging instead.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 logger = logging.getLogger(__name__)
@@ -31,9 +31,11 @@ def config_hash(config: dict) -> str:
 class EstimateReport:
     """A sweep record: parameter grid, per-sample ratios, verdict.
 
-    ``verdict`` is "pass" iff max_ratio <= ceiling (vacuously "pass" for an
-    empty sweep); ``samples`` records every parameter/seed combination so a
-    sweep can be replayed sample by sample.
+    ``verdict`` is "pass" iff every ratio is finite and max_ratio <= ceiling
+    (vacuously "pass" for an empty sweep, "fail" for samples without a
+    ratio; a non-finite ratio fails even without a ceiling); ``samples``
+    records every parameter/seed combination so a sweep can be replayed
+    sample by sample.
     """
 
     estimate: str
@@ -49,16 +51,22 @@ class EstimateReport:
 
     @property
     def max_ratio(self) -> float | None:
+        """Largest ratio; NaN if any ratio is NaN, wherever it sits."""
         r = self.ratios
-        return max(r) if r else None
+        if not r:
+            return None
+        return math.nan if any(math.isnan(x) for x in r) else max(r)
 
     @property
     def verdict(self) -> str:
         if not self.samples:
             return "pass"  # vacuous
+        r = self.ratios
+        if not all(math.isfinite(x) for x in r):
+            return "fail"
         if self.ceiling is None:
             return "recorded"
-        return "pass" if self.max_ratio <= self.ceiling else "fail"
+        return "pass" if r and max(r) <= self.ceiling else "fail"
 
     def to_dict(self) -> dict:
         return {

@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "INF",
-    "Exponent",
     "ExponentPair",
     "NuVector",
     "ScalingMap",
@@ -37,8 +36,6 @@ __all__ = [
 
 #: Marker for an infinite Lebesgue exponent.
 INF = math.inf
-
-Exponent = object  # Fraction | int | float('inf')
 
 
 def as_exponent(p) -> "Fraction | float":

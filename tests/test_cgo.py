@@ -27,6 +27,8 @@ class TestWavePacket:
     def test_requires_axis_aligned_nu(self):
         with pytest.raises(ValueError):
             WavePacket(np.ones(16), NuVector([3.0, 4.0]))
+        with pytest.raises(ValueError):
+            WavePacket(np.ones(16), NuVector([16.0, 0.0]))
 
     def test_band_cut(self):
         packet = gaussian_packet_on_hyperplane(SPEC, NU, width=50.0)

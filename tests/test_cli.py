@@ -1,10 +1,13 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
 import json
+import pathlib
+import re
 
 import pytest
 from click.testing import CliRunner
 
+from schrodlab import cli
 from schrodlab.cli import (
     EXIT_CONFIG,
     EXIT_NONCONVERGENCE,
@@ -13,9 +16,11 @@ from schrodlab.cli import (
     build_grid,
     load_config,
     main,
-    parallel_map,
     require,
 )
+from schrodlab.reports import EstimateReport
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 GRID = ("grid:\n  n: 2\n  box_time: 3.141592653589793\n"
         "  box_space: 3.141592653589793\n  pts_time: 16\n  pts_space: 16\n")
@@ -51,10 +56,6 @@ class TestHelpers:
             build_grid({"grid": {"n": 2, "box_time": 1.0, "box_space": 1.0,
                                  "pts_time": 12, "pts_space": 16}})
 
-    def test_parallel_map_order(self):
-        assert parallel_map(lambda x: x * x, [3, 1, 2], workers=2) == [9, 1, 4]
-        assert parallel_map(lambda x: x + 1, [5], workers=1) == [6]
-
 
 class TestExitCodes:
     def test_missing_config_file(self, runner):
@@ -85,6 +86,38 @@ class TestExitCodes:
                     f"output_dir: {tmp_path}/out\n")
         res = runner.invoke(main, ["cgo-build", "--config", cfg])
         assert res.exit_code == EXIT_NONCONVERGENCE
+
+    def test_disagreeing_starts_exit(self, runner, tmp_path, monkeypatch):
+        def sweep(V, nu_values, **kwargs):
+            report = EstimateReport("bs_decay", {}, {})
+            report.samples.append({"nu": 8.0, "ratio": 0.07, "converged": True,
+                                   "starts_agree": False, "seed": 0})
+            return report
+
+        monkeypatch.setattr(cli, "bs_decay_sweep", sweep)
+        cfg = write(tmp_path, "bs.yaml", GRID +
+                    "potential: {kind: gaussian, amplitude: 1.0, width: 0.5}\n"
+                    f"nu_values: [8]\noutput_dir: {tmp_path}/out\n")
+        res = runner.invoke(main, ["bs-norm-sweep", "--config", cfg])
+        assert res.exit_code == EXIT_NONCONVERGENCE
+        assert not (tmp_path / "out" / "bs_norm_sweep.json").exists()
+
+
+class TestRunAllScript:
+    """scripts/run_all.sh, the command registry and configs/ stay in step."""
+
+    RUNS = re.findall(r"^run\s+(\S+)\s+(\S+)\s*$",
+                      (ROOT / "scripts" / "run_all.sh").read_text(), re.M)
+
+    def test_every_command_and_config_is_run(self):
+        assert {cmd for cmd, _ in self.RUNS} == set(main.commands)
+        committed = {f"configs/{p.name}" for p in (ROOT / "configs").glob("*.yaml")}
+        assert {cfg for _, cfg in self.RUNS} == committed
+
+    @pytest.mark.parametrize("command,config", RUNS)
+    def test_dry_run(self, runner, command, config):
+        res = runner.invoke(main, [command, "--config", str(ROOT / config), "--dry-run"])
+        assert res.exit_code == EXIT_PASS, res.output
 
 
 class TestCommands:

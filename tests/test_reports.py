@@ -1,6 +1,7 @@
 """Report container semantics, serialization, determinism."""
 
 import json
+import math
 
 import pytest
 
@@ -44,6 +45,20 @@ class TestVerdicts:
     def test_vacuous_pass(self):
         rep = EstimateReport("gain", {}, {})
         assert rep.verdict == "pass"
+        assert rep.max_ratio is None
+
+    @pytest.mark.parametrize("ratios", [[0.5, math.nan], [math.nan, 0.5], [0.5, math.inf]])
+    def test_non_finite_ratio_fails_in_any_position(self, ratios):
+        for ceiling in (2.0, None):
+            rep = EstimateReport("gain", {}, {}, ceiling=ceiling)
+            rep.samples = [{"seed": 0, "ratio": r} for r in ratios]
+            assert rep.verdict == "fail"
+            assert not math.isfinite(rep.max_ratio)
+
+    def test_samples_without_ratio_fail(self):
+        rep = EstimateReport("gain", {}, {}, ceiling=1.0)
+        rep.samples.append({"seed": 0})
+        assert rep.verdict == "fail"
         assert rep.max_ratio is None
 
 
