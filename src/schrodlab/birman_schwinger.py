@@ -71,7 +71,8 @@ class Potential:
         a, b = self.pair
         verdict, _ = potential_pair_check(a, b, self.field.spec.n)
         if not verdict:
-            raise ValueError(f"exponent pair {self.pair} fails the admissibility relation")
+            raise ValueError(f"pair {self.pair} fails the admissibility relation "
+                             f"2 - 2/a = n/b (n = {self.field.spec.n})")
 
     def support_leak(self) -> float:
         """Largest |V| sample outside the declared time window."""
@@ -92,8 +93,7 @@ class Potential:
         with the lattice spacing.
         """
         spec = self.field.spec
-        x = spec.x_axis()
-        mesh = np.meshgrid(*([x] * spec.n), indexing="ij")
+        mesh = spec.spatial_mesh()
         rad = np.sqrt(sum(c**2 for c in mesh))
         far = np.abs(self.field.data) * (rad > self.radius)
         worst = 0.0
@@ -139,8 +139,7 @@ def gaussian_potential(
     """Spatial Gaussian bump, constant in time inside the window."""
     if window is None:
         window = (-0.5 * spec.box_time, 0.5 * spec.box_time)
-    x = spec.x_axis()
-    mesh = np.meshgrid(*([x] * spec.n), indexing="ij")
+    mesh = spec.spatial_mesh()
     bump = amplitude * np.exp(-sum(c**2 for c in mesh) / (2.0 * width**2))
     data = _time_window_mask(spec, window) * bump[None]
     f = Field(spec, "physical", data.astype(complex))
@@ -166,8 +165,7 @@ def cusp_potential(
         raise ValueError("alpha out of the integrable range")
     if window is None:
         window = (-0.5 * spec.box_time, 0.5 * spec.box_time)
-    x = spec.x_axis()
-    mesh = np.meshgrid(*([x] * spec.n), indexing="ij")
+    mesh = spec.spatial_mesh()
     rad = np.sqrt(sum((c - center) ** 2 for c in mesh))
     rad = np.maximum(rad, 0.25 * spec.dx)  # keep samples finite at the tip
     bump = amplitude * rad ** (-alpha) * (rad <= cutoff)
@@ -201,16 +199,11 @@ def apply_BS(
 
 
 def _adjoint_plan(plan: MultiplierPlan) -> MultiplierPlan:
-    """Plan applying the L2 adjoint S_nu^* (conjugate symbol)."""
-    adj = MultiplierPlan(
-        spec=plan.spec,
-        symbol=np.conj(plan.symbol),
-        tau_offset=plan.tau_offset,
-        xi_n_offset=plan.xi_n_offset,
-        nu=plan.nu,
-        eps_floor_rel=plan.eps_floor_rel,
-    )
-    return adj
+    """Plan applying the L2 adjoint S_nu^* (conjugate symbol).
+
+    A named function so that bench/tracing.py can count adjoint plans.
+    """
+    return plan.adjoint()
 
 
 def apply_BS_adjoint(
@@ -324,8 +317,7 @@ def split_W(W: FactorW, lam: float, radius: float) -> tuple[FactorW, FactorW]:
     if lam < 0.0 or radius <= 0.0:
         raise ValueError("split_W wants lam >= 0 and radius > 0")
     spec = W.field.spec
-    x = spec.x_axis()
-    mesh = np.meshgrid(*([x] * spec.n), indexing="ij")
+    mesh = spec.spatial_mesh()
     rad = np.sqrt(sum(c**2 for c in mesh))[None]
     inside = rad <= radius
     mag = np.abs(W.field.data)

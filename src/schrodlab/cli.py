@@ -74,7 +74,8 @@ def require(cfg: dict, key: str, kind=None, path: str = ""):
     if key not in cfg:
         raise ConfigError(f"missing config key: {here}")
     value = cfg[key]
-    if kind is not None and not isinstance(value, kind):
+    # bool subclasses int, but YAML true is never a count or a size
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise ConfigError(f"config key {here} has wrong type (want {kind})")
     return value
 
@@ -103,17 +104,19 @@ def build_potential(cfg: dict, spec: GridSpec) -> Potential:
     shared = {"amplitude": float(p.get("amplitude", 1.0)),
               "window": tuple(window) if window else None,
               "pair": tuple(p.get("pair", (2, 2)))}
-    if kind == "gaussian":
-        return gaussian_potential(spec, width=float(p.get("width", 0.5)), **shared)
-    return cusp_potential(spec, alpha=float(p.get("alpha", 0.75)),
-                          center=float(p.get("center", 0.0)),
-                          cutoff=float(p.get("cutoff", 1.0)), **shared)
+    try:
+        if kind == "gaussian":
+            return gaussian_potential(spec, width=float(p.get("width", 0.5)), **shared)
+        return cusp_potential(spec, alpha=float(p.get("alpha", 0.75)),
+                              center=float(p.get("center", 0.0)),
+                              cutoff=float(p.get("cutoff", 1.0)), **shared)
+    except ValueError as exc:  # window, alpha and pair are checked on construction
+        raise ConfigError(f"potential: {exc}") from exc
 
 
 def gaussian_state(spec: GridSpec, center, width: float, modulation) -> np.ndarray:
     """Modulated Gaussian initial state on the spatial lattice."""
-    x = spec.x_axis()
-    mesh = np.meshgrid(*([x] * spec.n), indexing="ij")
+    mesh = spec.spatial_mesh()
     return np.exp(
         -sum((c - c0) ** 2 for c, c0 in zip(mesh, center)) / (2.0 * width**2)
     ) * np.exp(1j * sum(m * c for m, c in zip(modulation, mesh)))

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import j0
 
 from .grid import Field, GridSpec
-from .multipliers import plan_S_nu
+from .multipliers import plan_S, plan_S_nu
 from .reports import EstimateReport
 from .symbols import NuVector
 
@@ -287,21 +287,13 @@ class RhoFamilyMember:
     def bourgain_norm(self) -> float:
         """The weighted frequency norm, exactly rho-independent.
 
-        shifted family against |sigma + i rho|^{1/2} and unscaled or
-        control against <sigma>^{1/2} both collapse to
-        ||g||-type norms times ||f_rho||_2 = ||1_{<1}||_2.
+        The shifted family against |sigma + i rho|^{1/2} and the unscaled
+        or control family against <sigma>^{1/2} both collapse to
+        ||g||_{H^{1/2}} ||f_rho||_2: substituting sigma = rho s turns
+        |rho s + i rho| |ghat_rho|^2 dsigma into |s + i| |ghat|^2 ds, and
+        |s + i| = <s>.
         """
-        tr = self.trace
-        if self.family == "shifted":
-            # int |rho s + i rho| |ghat_rho|^2 dsigma = int |s + i| |ghat|^2 ds
-            n = tr.g.size
-            ghat = np.fft.fft(tr.g) * tr.dt / np.sqrt(2.0 * np.pi)
-            s = 2.0 * np.pi * np.fft.fftfreq(n, d=tr.dt)
-            w = np.abs(s + 1j)
-            val = np.sqrt((w * np.abs(ghat) ** 2).sum() * (s[1] - s[0]))
-        else:
-            val = tr.h_half_norm
-        return float(val * self.f_norm)
+        return float(self.trace.h_half_norm * self.f_norm)
 
     def pointwise_floor(self, profile_eval=_ball_profile) -> float:
         """Fitted constant c in |u_rho| >= c rho^{n/2} log log (18 rho).
@@ -361,49 +353,34 @@ def build_u_rho(rho: float, trace: LogLogTrace, spec: GridSpec) -> Field:
 def bourgain_norm(
     u: Field,
     weight: str = "homogeneous",
-    s: float = 0.5,
     nu: NuVector | None = None,
     rho: float | None = None,
-    b: float = 0.5,
-    tau_offset: bool = True,
-    xin_offset: bool = False,
 ) -> float:
     """Weighted L^2 norm of the space-time Fourier transform.
 
-    weights: ``homogeneous`` |p_nu|^s (needs nu); ``shifted``
-    |Re p + i rho|^{1/2} (needs rho); ``inhomogeneous`` <Re p>^b.
-    Offsets shift the frequency lattice off the characteristic set the
-    same way the multiplier plans do.
+    weights: ``homogeneous`` |p_nu|^{1/2} (needs nu); ``shifted``
+    |Re p + i rho|^{1/2} (needs rho); ``inhomogeneous`` <Re p>^{1/2}.
+    Coefficients and symbols come from the multiplier plans, on the
+    lattice offset by half a bin in tau.
     """
     spec = u.spec
     if weight == "homogeneous":
         if nu is None:
             raise ValueError("homogeneous weight needs nu")
-        plan = plan_S_nu(spec, nu, offset_tau=tau_offset, offset_xin=xin_offset)
-        coeffs = plan.to_freq(u)
-        w = np.abs(plan.symbol) ** s
+        plan = plan_S_nu(spec, nu)
+        w = np.abs(plan.symbol) ** 0.5
     else:
-        toff = 0.5 * spec.dtau if tau_offset else 0.0
-        mesh = spec.meshgrid_freq(tau_offset=toff)
-        re_p = mesh[0] - sum(c**2 for c in mesh[1:])
+        plan = plan_S(spec, offset_xin=False, offset_tau=True)
+        re_p = plan.symbol.real
         if weight == "shifted":
             if rho is None:
                 raise ValueError("shifted weight needs rho")
             w = np.abs(re_p + 1j * rho) ** 0.5
         elif weight == "inhomogeneous":
-            w = (1.0 + re_p**2) ** (b / 2.0)
+            w = (1.0 + re_p**2) ** 0.25
         else:
             raise ValueError(f"unknown weight {weight!r}")
-        if tau_offset:
-            t = spec.t_axis().reshape((spec.pts_time,) + (1,) * spec.n)
-            data = u.data * np.exp(-1j * toff * t) if u.rep == "physical" else None
-            if data is None:
-                raise ValueError("offset weights need a physical-representation field")
-            coeffs = np.fft.fftn(data, norm="ortho")
-        else:
-            coeffs = (
-                np.fft.fftn(u.data, norm="ortho") if u.rep == "physical" else u.data
-            )
+    coeffs = plan.to_freq(u)
     scale = np.sqrt(spec.cell_volume)
     return float(np.sqrt((np.abs(w * coeffs) ** 2).sum()) * scale)
 
@@ -474,8 +451,7 @@ def local_smoothing_check(
         raise ValueError("local_smoothing_check wants at least one field")
     spec = fields[0].spec
     t_ax = spec.t_axis()
-    x = spec.x_axis()
-    mesh = np.meshgrid(*([x] * spec.n), indexing="ij")
+    mesh = spec.spatial_mesh()
     ball = (sum(c**2 for c in mesh) < R**2)[None]
     window = ((t_ax > 0.0) & (t_ax < T)).reshape((spec.pts_time,) + (1,) * spec.n)
     mask = window & ball
@@ -489,7 +465,7 @@ def local_smoothing_check(
         comp = float(mag) ** 0.25 / (T**0.25 * R**0.25)
         for k, u in enumerate(fields):
             local = np.sqrt((np.abs(u.data[mask]) ** 2).sum() * spec.cell_volume)
-            denom = bourgain_norm(u, "homogeneous", 0.5, nu=nu)
+            denom = bourgain_norm(u, "homogeneous", nu=nu)
             report.samples.append(
                 {"nu": float(mag), "field": k, "ratio": comp * local / denom, "seed": 0}
             )

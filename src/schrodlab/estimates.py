@@ -52,7 +52,6 @@ def gain_ratio(f: Field, nu: NuVector, plan: MultiplierPlan | None = None) -> fl
         plan = plan_S_nu(f.spec, nu)
     u = apply_plan(plan, f)
     spec = f.spec
-    x = spec.x_axis()
     weight = spec.dt * spec.dx ** (spec.n - 1)
     # slab L^2 norms over time x hyperplane, per lattice plane s
     def slab_norms(g: Field) -> np.ndarray:
@@ -101,9 +100,7 @@ def dispersive_ratio(
     if l1 == 0.0:
         raise ValueError("dispersive_ratio rejects phi = 0")
     if drop_cutoff:
-        xi = [spec.xi_axis().reshape([spec.pts_space if j == k else 1 for k in range(spec.n)])
-              for j in range(spec.n)]
-        sq = sum(c**2 for c in xi)
+        sq = sum(c**2 for c in spec.spatial_mesh(frequency=True))
         out = np.fft.ifftn(np.fft.fftn(phi, norm="ortho") * np.exp(1j * s * sq), norm="ortho")
     else:
         out = apply_U_s(spec, phi, s)
@@ -235,8 +232,7 @@ def run_sweep(estimate: str, config: dict) -> EstimateReport:
         s_values = config.get("s_values", [0.01, 0.1, 1.0, 10.0])
         rng = np.random.default_rng(seed)
         width = float(config.get("width", 0.25)) * spec.box_space
-        x = spec.x_axis()
-        mesh = np.meshgrid(*([x] * spec.n), indexing="ij")
+        mesh = spec.spatial_mesh()
         phi = np.exp(-sum(c**2 for c in mesh) / (2.0 * width**2)).astype(complex)
         for s in s_values:
             ratio = dispersive_ratio(spec, phi, float(s))

@@ -100,9 +100,7 @@ def sample_potential(V: Potential | None, t: float) -> np.ndarray | float:
 
 
 def _freq_sq(spec: GridSpec) -> np.ndarray:
-    xi = spec.xi_axis()
-    mesh = np.meshgrid(*([xi] * spec.n), indexing="ij")
-    return sum(c**2 for c in mesh)
+    return sum(c**2 for c in spec.spatial_mesh(frequency=True))
 
 
 def evolve(

@@ -153,6 +153,15 @@ class GridSpec:
             axes.append(self.xi_axis(off))
         return np.meshgrid(*axes, indexing="ij", sparse=True)
 
+    def spatial_mesh(self, frequency: bool = False):
+        """Broadcastable (x_1, ..., x_n) arrays of one time slice.
+
+        With ``frequency`` the arrays are (xi_1, ..., xi_n) instead, on
+        the dual lattice without offset.
+        """
+        axis = self.xi_axis() if frequency else self.x_axis()
+        return np.meshgrid(*([axis] * self.n), indexing="ij", sparse=True)
+
 
 @dataclass
 class Field:

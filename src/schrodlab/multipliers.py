@@ -17,6 +17,7 @@ is still unitary and the operators remain exactly diagonal.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +53,16 @@ class MultiplierPlan:
 
     ``symbol`` is p or p_nu evaluated on the (possibly offset) dual
     lattice; ``dropped`` flags modes with |symbol| below the floor, which
-    the application zeroes and reports.
+    the application zeroes and reports.  Two arrays are cached once per
+    plan and shared by every transform and by the adjoint:
+
+    * ``modulation``: the half-bin offset phase e^{-i(tau_off t + xi_n_off
+      x_n)} (``None`` without offsets).  It is kept as a full-grid array
+      built by one ``exp`` of the summed phase; broadcasting two separable
+      1-D factors instead rounds differently and moves report bytes.
+    * ``denom``: the symbol with ``inf`` on floored modes, so that
+      ``coeffs / denom`` is the reciprocal on retained modes and exactly 0
+      on floored ones.
     """
 
     spec: GridSpec
@@ -65,46 +75,48 @@ class MultiplierPlan:
     eps_floor: float = field(init=False)
     dropped: np.ndarray = field(init=False)
     dropped_count: int = field(init=False)
+    denom: np.ndarray = field(init=False)
+    modulation: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
         scale = float(np.abs(self.symbol).max())
         self.eps_floor = self.eps_floor_rel * scale
         self.dropped = np.abs(self.symbol) < self.eps_floor
         self.dropped_count = int(self.dropped.sum())
+        self.denom = np.where(self.dropped, np.inf, self.symbol)
+        self.modulation = None
+        if self.tau_offset != 0.0 or self.xi_n_offset != 0.0:
+            spec = self.spec
+            t = spec.t_axis().reshape((-1,) + (1,) * spec.n)
+            x = spec.x_axis().reshape((1,) * spec.n + (-1,))
+            phase = np.zeros(spec.shape)
+            if self.tau_offset != 0.0:
+                phase = phase + self.tau_offset * t
+            if self.xi_n_offset != 0.0:
+                phase = phase + self.xi_n_offset * x
+            self.modulation = np.exp(-1j * phase)
+
+    def adjoint(self) -> "MultiplierPlan":
+        """The plan of the L^2 adjoint: conjugate symbol, same lattice and floor."""
+        adj = copy.copy(self)
+        adj.symbol = np.conj(self.symbol)
+        adj.denom = np.conj(self.denom)
+        return adj
 
     # -- modulated (offset-lattice) transforms ---------------------------
-
-    def _modulation(self) -> np.ndarray | None:
-        spec = self.spec
-        if self.tau_offset == 0.0 and self.xi_n_offset == 0.0:
-            return None
-        phase = np.zeros(spec.shape)
-        if self.tau_offset != 0.0:
-            t = spec.t_axis().reshape((-1,) + (1,) * spec.n)
-            phase = phase + self.tau_offset * t
-        if self.xi_n_offset != 0.0:
-            x = spec.x_axis().reshape((1,) * spec.n + (-1,))
-            phase = phase + self.xi_n_offset * x
-        return np.exp(-1j * phase)
 
     def to_freq(self, f: Field) -> np.ndarray:
         """Coefficients of f on this plan's (offset) frequency lattice."""
         if f.rep != PHYSICAL:
             raise ValueError("plan transforms expect a physical-rep field")
-        mod = self._modulation()
-        data = f.data if mod is None else f.data * mod
+        data = f.data if self.modulation is None else f.data * self.modulation
         return np.fft.fftn(data, norm="ortho")
 
     def from_freq(self, coeffs: np.ndarray) -> Field:
         data = np.fft.ifftn(coeffs, norm="ortho")
-        mod = self._modulation()
-        if mod is not None:
-            data = data * np.conj(mod)
+        if self.modulation is not None:
+            data = data * np.conj(self.modulation)
         return Field(self.spec, PHYSICAL, data)
-
-    def freq_axes(self):
-        """Broadcastable (tau, xi_1..xi_n) arrays of this plan's lattice."""
-        return self.spec.meshgrid_freq(self.tau_offset, self.xi_n_offset)
 
 
 def plan_S(
@@ -154,11 +166,7 @@ def plan_S_nu(
 
 def apply_plan(plan: MultiplierPlan, f: Field) -> Field:
     """Apply the reciprocal symbol 1/p on retained modes (floored modes -> 0)."""
-    coeffs = plan.to_freq(f)
-    out = np.zeros_like(coeffs)
-    keep = ~plan.dropped
-    out[keep] = coeffs[keep] / plan.symbol[keep]
-    return plan.from_freq(out)
+    return plan.from_freq(plan.to_freq(f) / plan.denom)
 
 
 def apply_symbol(plan: MultiplierPlan, f: Field) -> Field:
@@ -196,13 +204,11 @@ def equation_residual(plan: MultiplierPlan, f: Field) -> float:
     Dropped modes of f are excluded (they cannot be inverted).
     """
     coeffs = plan.to_freq(f)
-    keep = ~plan.dropped
-    retained = np.where(keep, coeffs, 0.0)
+    retained = np.where(plan.dropped, 0.0, coeffs)
     norm = float(np.linalg.norm(retained))
     if norm == 0.0:
         raise ValueError("f vanishes on retained modes")
-    sol = np.where(keep, retained / plan.symbol, 0.0)
-    resid = sol * plan.symbol - retained
+    resid = coeffs / plan.denom * plan.symbol - retained
     return float(np.linalg.norm(resid)) / norm
 
 
@@ -211,40 +217,28 @@ def equation_residual(plan: MultiplierPlan, f: Field) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _spatial_axes(spec: GridSpec, xi_n_offset: float):
-    axes = []
-    for j in range(spec.n):
-        off = xi_n_offset if j == spec.n - 1 else 0.0
-        ax = spec.xi_axis(off)
-        shape = [1] * spec.n
-        shape[j] = spec.pts_space
-        axes.append(ax.reshape(shape))
-    return axes
+def _u_s_symbol(s: float, phase: np.ndarray, xin: np.ndarray) -> np.ndarray:
+    """i sign(s) e^{i s phase} 1(s xi_n < 0) e^{s xi_n}, the one U_s symbol.
+
+    ``phase`` is |xi|^2 for U_s itself and |xi|^2 - tau for the integrand
+    of the time-slice representation of S.
+    """
+    damp = np.where(s * xin < 0.0, np.exp(-np.abs(s * xin)), 0.0)
+    return 1j * np.sign(s) * np.exp(1j * s * phase) * damp
 
 
-def u_s_multiplier(spec: GridSpec, s: float, xi_n_offset: float = 0.0) -> np.ndarray:
+def u_s_multiplier(spec: GridSpec, s: float) -> np.ndarray:
     """The spatial symbol i sign(s) e^{i s |xi|^2} 1(s xi_n < 0) e^{s xi_n}."""
     if s == 0.0:
         raise ValueError("U_s requires s != 0")
-    xi = _spatial_axes(spec, xi_n_offset)
-    sq = sum(c**2 for c in xi)
-    xin = xi[-1]
-    damp = np.where(s * xin < 0.0, np.exp(-np.abs(s * xin)), 0.0)
-    return 1j * np.sign(s) * np.exp(1j * s * sq) * damp
+    xi = spec.spatial_mesh(frequency=True)
+    return _u_s_symbol(s, sum(c**2 for c in xi), xi[-1])
 
 
-def apply_U_s(
-    spec: GridSpec, phi: np.ndarray, s: float, xi_n_offset: float = 0.0
-) -> np.ndarray:
+def apply_U_s(spec: GridSpec, phi: np.ndarray, s: float) -> np.ndarray:
     """Apply U_s to a spatial slice (plain ndarray of shape (pts_space,)*n)."""
-    mult = u_s_multiplier(spec, s, xi_n_offset)
-    if xi_n_offset != 0.0:
-        x = spec.x_axis().reshape((1,) * (spec.n - 1) + (-1,))
-        mod = np.exp(-1j * xi_n_offset * x)
-        coeffs = np.fft.fftn(phi * mod, norm="ortho")
-        return np.fft.ifftn(coeffs * mult, norm="ortho") * np.conj(mod)
     coeffs = np.fft.fftn(phi, norm="ortho")
-    return np.fft.ifftn(coeffs * mult, norm="ortho")
+    return np.fft.ifftn(coeffs * u_s_multiplier(spec, s), norm="ortho")
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +271,18 @@ def _s_panels(s_lo: float, s_hi: float, quad_pts: int, nodes_per_panel: int = 10
     return _gauss_legendre_panels(edges, nodes_per_panel)
 
 
+def _s_node_sum(
+    plan: MultiplierPlan, nodes: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """sum_k w_k [U_{s_k} symbol] e^{-i tau s_k} per lattice mode of the plan."""
+    tau, *xi = plan.spec.meshgrid_freq(plan.tau_offset, plan.xi_n_offset)
+    phase = sum(c**2 for c in xi) - tau
+    factor = np.zeros(plan.spec.shape, dtype=np.complex128)
+    for s, w in zip(nodes, weights):
+        factor = factor + w * _u_s_symbol(s, phase, xi[-1])
+    return factor
+
+
 def propagator_factor(
     plan: MultiplierPlan, s_max: float, quad_pts: int = 2000
 ) -> np.ndarray:
@@ -286,23 +292,12 @@ def propagator_factor(
     This is the mode-wise content of the time-slice representation
     S f(t,.) = int U_s[f(t-s,.)] ds; it converges to 1/p as s_max grows.
     """
-    spec = plan.spec
-    axes = plan.freq_axes()
-    tau = axes[0]
-    xi = axes[1:]
-    sq = sum(c**2 for c in xi)
-    xin = xi[-1]
-    factor = np.zeros(spec.shape, dtype=np.complex128)
-
+    nodes, weights = [], []
     for sign in (+1.0, -1.0):
         s_nodes, s_weights = _s_panels(1e-9, s_max, quad_pts // 2)
-        s_nodes = sign * s_nodes
-        s_weights = sign * s_weights  # orientation
-        for s, w in zip(s_nodes, s_weights):
-            damp = np.where(s * xin < 0.0, np.exp(-np.abs(s * xin)), 0.0)
-            integrand = 1j * np.sign(s) * np.exp(1j * s * (sq - tau)) * damp
-            factor = factor + abs(w) * integrand
-    return factor
+        nodes.append(sign * s_nodes)
+        weights.append(s_weights)
+    return _s_node_sum(plan, np.concatenate(nodes), np.concatenate(weights))
 
 
 def apply_S_via_propagator(
@@ -334,20 +329,10 @@ def apply_S_dyadic(
     """The dyadic piece S_j: the s-integral restricted to 2^{j-1} < |s| <= 2^j."""
     if plan is None:
         plan = plan_S(f.spec)
-    spec = plan.spec
-    axes = plan.freq_axes()
-    tau = axes[0]
-    xi = axes[1:]
-    sq = sum(c**2 for c in xi)
-    xin = xi[-1]
-    factor = np.zeros(spec.shape, dtype=np.complex128)
-    lo, hi = 2.0 ** (j - 1), 2.0**j
-    for sign in (+1.0, -1.0):
-        nodes, weights = _gauss_legendre_panels(
-            np.linspace(lo, hi, max(2, quad_pts // 20)), 10
-        )
-        for s, w in zip(sign * nodes, weights):
-            damp = np.where(s * xin < 0.0, np.exp(-np.abs(s * xin)), 0.0)
-            factor = factor + w * 1j * np.sign(s) * np.exp(1j * s * (sq - tau)) * damp
+    nodes, weights = _gauss_legendre_panels(
+        np.linspace(2.0 ** (j - 1), 2.0**j, max(2, quad_pts // 20)), 10
+    )
+    factor = _s_node_sum(plan, np.concatenate([nodes, -nodes]),
+                         np.concatenate([weights, weights]))
     coeffs = plan.to_freq(f)
     return plan.from_freq(coeffs * factor)

@@ -98,8 +98,7 @@ def lattice_parametrization(xi, shift: int = 0):
 
 
 def _plane_wave(spec: GridSpec, freq) -> np.ndarray:
-    x = spec.x_axis()
-    mesh = np.meshgrid(*([x] * spec.n), indexing="ij")
+    mesh = spec.spatial_mesh()
     phase = sum(float(f) * c for f, c in zip(freq, mesh))
     return np.exp(1j * phase)
 
@@ -200,8 +199,7 @@ def reconstruct_potential(
 
     # assemble the band-limited estimate on the lattice
     est = np.zeros((spec.pts_space,) * spec.n, dtype=complex)
-    x = spec.x_axis()
-    mesh = np.meshgrid(*([x] * spec.n), indexing="ij")
+    mesh = spec.spatial_mesh()
     for xi, c in coeffs.items():
         phase = sum(k * spec.dxi * m for k, m in zip(xi, mesh))
         est += c * np.exp(1j * phase)

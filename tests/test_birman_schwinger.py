@@ -18,6 +18,7 @@ from schrodlab.birman_schwinger import (
     split_W,
 )
 from schrodlab.grid import Field, GridSpec, l2_norm
+from schrodlab.multipliers import plan_S_nu
 from schrodlab.symbols import NuVector
 
 SPEC = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=16, pts_space=16)
@@ -97,6 +98,24 @@ class TestOperator:
         v, u = rand_field(seed=1), rand_field(seed=2)
         av = apply_BS(v, W, W, NU)
         astar_u = apply_BS_adjoint(u, W, W, NU)
+        lhs = np.vdot(u.data, av.data)
+        rhs = np.vdot(astar_u.data, v.data)
+        assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), 1.0)
+
+    @pytest.mark.parametrize("plan", [
+        plan_S_nu(SPEC, NU, offset_tau=False, offset_xin=False),
+        plan_S_nu(SPEC, NU, offset_tau=True, offset_xin=True, eps_floor_rel=0.05),
+    ], ids=["lattice_zeros", "offset_raised_floor"])
+    def test_adjoint_pairing_with_floored_modes(self, plan):
+        assert plan.dropped_count > 0
+        adj = plan.adjoint()
+        assert adj.dropped is plan.dropped
+        assert adj.eps_floor == plan.eps_floor
+        assert adj.modulation is plan.modulation
+        W = build_W(gaussian_potential(SPEC))
+        v, u = rand_field(seed=3), rand_field(seed=4)
+        av = apply_BS(v, W, W, NU, plan)
+        astar_u = apply_BS_adjoint(u, W, W, NU, plan)
         lhs = np.vdot(u.data, av.data)
         rhs = np.vdot(astar_u.data, v.data)
         assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), 1.0)

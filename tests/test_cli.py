@@ -72,6 +72,24 @@ class TestExitCodes:
         res = runner.invoke(main, ["verify-strichartz", "--config", cfg])
         assert res.exit_code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("key", ["n", "box_time"])  # an int and a float key
+    def test_bool_grid_number(self, runner, tmp_path, key):
+        # YAML true must not pass as the number 1
+        text = re.sub(rf"{key}: \S+", f"{key}: true", GRID)
+        cfg = write(tmp_path, "c.yaml", text + "estimate: gain\n")
+        res = runner.invoke(main, ["verify-strichartz", "--config", cfg,
+                                   "--output", str(tmp_path)])
+        assert res.exit_code == EXIT_CONFIG
+        assert f"grid.{key}" in res.output
+
+    def test_inadmissible_potential_pair(self, runner, tmp_path):
+        cfg = write(tmp_path, "c.yaml", GRID + "potential: {kind: gaussian, pair: [2, 3]}\n"
+                    "nu_values: [4, 8]\n")
+        res = runner.invoke(main, ["bs-norm-sweep", "--config", cfg,
+                                   "--output", str(tmp_path)])
+        assert res.exit_code == EXIT_CONFIG
+        assert "potential: pair (2, 3)" in res.output
+
     def test_dry_run(self, runner, tmp_path):
         cfg = write(tmp_path, "g.yaml", GRID + "estimate: gain\nnu_values: [2]\n")
         res = runner.invoke(main, ["verify-strichartz", "--config", cfg, "--dry-run"])

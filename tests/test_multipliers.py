@@ -79,6 +79,18 @@ class TestApply:
         plan = plan_S_nu(SPEC, NU)
         assert equation_residual(plan, rand_field(seed=3)) < 1e-12
 
+    def test_floored_modes_come_out_zero(self):
+        # exact lattice zeros of the symbol are floored, not divided by
+        plan = plan_S(SPEC, offset_xin=False, offset_tau=False)
+        assert plan.dropped_count > 0
+        f = rand_field(seed=11)
+        coeffs = plan.to_freq(f)
+        assert np.all((coeffs / plan.denom)[plan.dropped] == 0.0)
+        out = apply_plan(plan, f)
+        assert np.isfinite(out.data).all()
+        kept = np.where(plan.dropped, 0.0, coeffs / np.where(plan.dropped, 1.0, plan.symbol))
+        assert np.array_equal(out.data, plan.from_freq(kept).data)
+
     def test_linearity(self):
         plan = plan_S(SPEC)
         f, g = rand_field(seed=4), rand_field(seed=5)
