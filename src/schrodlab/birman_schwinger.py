@@ -388,7 +388,7 @@ def bs_decay_sweep(
                 "tol": tol, "seed": seed},
     )
     for mag in nu_list:
-        nu = NuVector([0.0] * (spec.n - 1) + [float(mag)])
+        nu = NuVector.along_last_axis(mag, spec.n)
         lam = float(mag) ** 0.25 if lambda_rule == "sqrt_nu" else float("inf")
         est, diag = op_norm(W, W, nu, tol=tol, seed=seed)
         sharp, flat = split_W(W, lam, V.radius)

@@ -272,7 +272,7 @@ def remainder_decay_sweep(
     )
     W = build_W(V)
     for mag in nu_list:
-        nu = NuVector([0.0] * (spec.n - 1) + [float(mag)])
+        nu = NuVector.along_last_axis(mag, spec.n)
         packet = gaussian_packet_on_hyperplane(spec, nu, width=packet_width)
         psi_norm = packet.norm(spec)
         sol = build_cgo(V, packet, tol=tol, rho_cap=rho_cap)

@@ -80,6 +80,25 @@ def require(cfg: dict, key: str, kind=None, path: str = ""):
     return value
 
 
+def number(cfg: dict, key: str, kind, default, path: str = ""):
+    """Optional numeric key (a list element-wise) as ``kind``; absent or null gives ``default``.
+
+    As in ``require``, a YAML boolean is rejected, never read as 0 or 1.
+    """
+    value = cfg.get(key)
+    if value is None:
+        return default
+    items = value if isinstance(value, list) else [value]
+    try:
+        if any(isinstance(v, bool) for v in items):
+            raise TypeError(key)
+        out = [kind(v) for v in items]
+    except (TypeError, ValueError):
+        here = f"{path}.{key}" if path else key
+        raise ConfigError(f"config key {here} has wrong type (want {kind.__name__})") from None
+    return out if isinstance(value, list) else out[0]
+
+
 def build_grid(cfg: dict) -> GridSpec:
     g = require(cfg, "grid", dict)
     try:
@@ -89,7 +108,7 @@ def build_grid(cfg: dict) -> GridSpec:
             box_space=float(require(g, "box_space", (int, float), "grid")),
             pts_time=require(g, "pts_time", int, "grid"),
             pts_space=require(g, "pts_space", int, "grid"),
-            max_points=int(g.get("max_points", 1 << 24)),
+            max_points=number(g, "max_points", int, 1 << 24, "grid"),
         )
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
@@ -100,16 +119,17 @@ def build_potential(cfg: dict, spec: GridSpec) -> Potential:
     kind = require(p, "kind", str, "potential")
     if kind not in ("gaussian", "cusp"):
         raise ConfigError(f"potential.kind: unknown kind {kind!r}")
-    window = p.get("window")
-    shared = {"amplitude": float(p.get("amplitude", 1.0)),
+    window = number(p, "window", float, None, "potential")
+    shared = {"amplitude": number(p, "amplitude", float, 1.0, "potential"),
               "window": tuple(window) if window else None,
               "pair": tuple(p.get("pair", (2, 2)))}
     try:
         if kind == "gaussian":
-            return gaussian_potential(spec, width=float(p.get("width", 0.5)), **shared)
-        return cusp_potential(spec, alpha=float(p.get("alpha", 0.75)),
-                              center=float(p.get("center", 0.0)),
-                              cutoff=float(p.get("cutoff", 1.0)), **shared)
+            return gaussian_potential(spec, width=number(p, "width", float, 0.5, "potential"),
+                                      **shared)
+        return cusp_potential(spec, alpha=number(p, "alpha", float, 0.75, "potential"),
+                              center=number(p, "center", float, 0.0, "potential"),
+                              cutoff=number(p, "cutoff", float, 1.0, "potential"), **shared)
     except ValueError as exc:  # window, alpha and pair are checked on construction
         raise ConfigError(f"potential: {exc}") from exc
 
@@ -215,13 +235,13 @@ def command(name: str):
 @command("verify-strichartz")
 def verify_strichartz(cfg):
     """Measure nu-uniform Strichartz / gain / dispersive ratios."""
-    build_grid(cfg)  # validates
+    spec = build_grid(cfg)
     estimate = cfg.get("estimate", "strichartz")
     if estimate not in ("strichartz", "gain", "dispersive"):
         raise ConfigError(f"estimate: unknown estimate {estimate!r}")
     if estimate == "strichartz":
         require(cfg, "pairs", list)
-    report = run_sweep(estimate, cfg)
+    report = run_sweep(estimate, cfg, spec)
     return f"{estimate}_sweep", report, report.verdict in ("pass", "recorded"), {}
 
 
@@ -233,7 +253,7 @@ def kernel_table_cmd(cfg):
     xs = np.linspace(float(require(xcfg, "min", (int, float), "x")),
                      float(require(xcfg, "max", (int, float), "x")),
                      int(require(xcfg, "count", int, "x")))
-    tol = float(cfg.get("tol", 1e-6))  # report ceiling; the quadrature runs at 1e-9
+    tol = number(cfg, "tol", float, 1e-6)  # report ceiling; the quadrature runs at 1e-9
     report = EstimateReport(
         estimate="kernel_table", grid={}, params={"sigmas": sigmas, "tol": tol},
         ceiling=tol,
@@ -257,8 +277,8 @@ def bs_norm_sweep(cfg):
     report = bs_decay_sweep(
         V, nu_values,
         lambda_rule=cfg.get("lambda_rule", "sqrt_nu"),
-        tol=float(cfg.get("tol", 1e-3)),
-        seed=int(cfg.get("seed", 0)),
+        tol=number(cfg, "tol", float, 1e-3),
+        seed=number(cfg, "seed", int, 0),
     )
     if any(not s["converged"] for s in report.samples):
         raise NoConvergence("power iteration hit the iteration cap")
@@ -277,14 +297,13 @@ def cgo_build(cfg):
     V = build_potential(cfg, spec)
     nu_mag = float(require(cfg, "nu", (int, float)))
     packet_cfg = cfg.get("packet", {})
-    nu = NuVector([0.0] * (spec.n - 1) + [nu_mag])
     packet = gaussian_packet_on_hyperplane(
-        spec, nu,
-        center=float(packet_cfg.get("center", 0.0)),
-        width=float(packet_cfg.get("width", 2.0)),
+        spec, NuVector.along_last_axis(nu_mag, spec.n),
+        center=number(packet_cfg, "center", float, 0.0, "packet"),
+        width=number(packet_cfg, "width", float, 2.0, "packet"),
     )
-    tol = float(cfg.get("tol", 1e-8))
-    sol = build_cgo(V, packet, tol=tol, rho_cap=float(cfg.get("rho_cap", 0.9)))
+    tol = number(cfg, "tol", float, 1e-8)
+    sol = build_cgo(V, packet, tol=tol, rho_cap=number(cfg, "rho_cap", float, 0.9))
     report = EstimateReport(
         estimate="cgo_build",
         grid=dict(cfg["grid"]),
@@ -304,14 +323,11 @@ def forward_evolve(cfg):
     spec = build_grid(cfg)
     V = build_potential(cfg, spec)
     T = float(require(cfg, "T", (int, float)))
-    steps = int(cfg.get("steps", 256))
+    steps = number(cfg, "steps", int, 256)
     init = cfg.get("initial", {})
-    f = gaussian_state(
-        spec,
-        center=np.asarray(init.get("center", [0.0] * spec.n), dtype=float),
-        width=float(init.get("width", 0.5)),
-        modulation=np.asarray(init.get("modulation", [0.0] * spec.n), dtype=float),
-    )
+    f = gaussian_state(spec, number(init, "center", float, [0.0] * spec.n, "initial"),
+                       number(init, "width", float, 0.5, "initial"),
+                       number(init, "modulation", float, [0.0] * spec.n, "initial"))
     traj = evolve(V, f, T, steps)
     report = EstimateReport(
         estimate="forward_evolve", grid=dict(cfg["grid"]),
@@ -328,9 +344,9 @@ def identity_check(cfg):
     spec = build_grid(cfg)
     V1 = build_potential(cfg, spec)
     T = float(require(cfg, "T", (int, float)))
-    steps = int(cfg.get("steps", 256))
-    tol = float(cfg.get("tol", 1e-4))
-    seed = int(cfg.get("seed", 0))
+    steps = number(cfg, "steps", int, 256)
+    tol = number(cfg, "tol", float, 1e-4)
+    seed = number(cfg, "seed", int, 0)
     rng = np.random.default_rng(seed)
 
     def packet():
@@ -344,7 +360,7 @@ def identity_check(cfg):
         params={"T": T, "steps": steps, "tol": tol, "seed": seed},
         ceiling=tol,
     )
-    for k in range(int(cfg.get("trials", 3))):
+    for k in range(number(cfg, "trials", int, 3)):
         out = integral_identity_check(V1, None, packet(), packet(), T, steps)
         report.samples.append(
             {"seed": seed, "trial": k, "ratio": out["normalized_residual"]}
@@ -358,9 +374,9 @@ def reconstruct(cfg):
     spec = build_grid(cfg)
     V = build_potential(cfg, spec)
     T = float(require(cfg, "T", (int, float)))
-    radius = float(cfg.get("freq_radius", 8.0))
-    steps = int(cfg.get("steps", 256))
-    tol = float(cfg.get("tol", 0.2))
+    radius = number(cfg, "freq_radius", float, 8.0)
+    steps = number(cfg, "steps", int, 256)
+    tol = number(cfg, "tol", float, 0.2)
     reference = V.field.data[spec.pts_time // 2]
     est, rep = reconstruct_potential(V, radius, T, steps, reference=reference)
     report = EstimateReport(
@@ -380,8 +396,8 @@ def counterexample_sweep(cfg):
     family = cfg.get("family", "shifted")
     if family not in ("shifted", "unscaled", "control"):
         raise ConfigError(f"family: unknown family {family!r}")
-    threshold = float(cfg.get("growth_threshold", 1.15))
-    trace_pts = int(cfg.get("trace_points", 1 << 15))
+    threshold = number(cfg, "growth_threshold", float, 1.15)
+    trace_pts = number(cfg, "trace_points", int, 1 << 15)
     trace = (build_gaussian_trace(points=trace_pts) if family == "control"
              else build_loglog_trace(points=trace_pts))
     profile = build_dispersion_profile()

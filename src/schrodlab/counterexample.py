@@ -461,7 +461,7 @@ def local_smoothing_check(
         params={"nu_values": list(map(float, nu_list)), "T": T, "R": R},
     )
     for mag in nu_list:
-        nu = NuVector([0.0] * (spec.n - 1) + [float(mag)])
+        nu = NuVector.along_last_axis(mag, spec.n)
         comp = float(mag) ** 0.25 / (T**0.25 * R**0.25)
         for k, u in enumerate(fields):
             local = np.sqrt((np.abs(u.data[mask]) ** 2).sum() * spec.cell_volume)

@@ -166,13 +166,14 @@ def standard_family(
 # ---------------------------------------------------------------------------
 
 
-def run_sweep(estimate: str, config: dict) -> EstimateReport:
+def run_sweep(estimate: str, config: dict, spec: GridSpec | None = None) -> EstimateReport:
     """Run a named ratio sweep; deterministic given config['seed'].
 
-    Supported estimates: ``gain``, ``strichartz``, ``dispersive``.
+    Supported estimates: ``gain``, ``strichartz``, ``dispersive``.  ``spec``
+    is the grid built from ``config['grid']``, which the report echoes.
     """
     t0 = time.time()
-    spec = GridSpec(**config["grid"])
+    spec = spec or GridSpec(**config["grid"])
     seed = int(config.get("seed", 0))
     ceiling = config.get("ceiling")
     report = EstimateReport(
@@ -189,7 +190,7 @@ def run_sweep(estimate: str, config: dict) -> EstimateReport:
         rng = np.random.default_rng(seed)
         fields = standard_family(spec, rng, family_count, min_xi_n=min_xin)
         for mag in nu_values:
-            nu = NuVector([0.0] * (spec.n - 1) + [float(mag)])
+            nu = NuVector.along_last_axis(mag, spec.n)
             # xi_n offset on by default: the xi_n = 0 lattice plane has a
             # nu-independent symbol and would swamp the compensated ratio.
             plan = plan_S_nu(
@@ -211,7 +212,7 @@ def run_sweep(estimate: str, config: dict) -> EstimateReport:
         for q, r in pairs:
             pair = ExponentPair(q, r, spec.n)
             for mag in nu_values:
-                nu = NuVector([0.0] * (spec.n - 1) + [float(mag)])
+                nu = NuVector.along_last_axis(mag, spec.n)
                 plan = plan_S_nu(
                     spec, nu,
                     offset_tau=bool(config.get("offset_tau", True)),

@@ -20,7 +20,6 @@ their agreement is a genuine two-sided check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import hashlib
 import logging
 
 import numpy as np
@@ -32,7 +31,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "Trajectory",
-    "ItfSample",
     "sample_potential",
     "evolve",
     "itf_map",
@@ -64,23 +62,6 @@ class Trajectory:
         return float(np.abs(self.mass - self.mass[0]).max() / self.mass[0])
 
 
-@dataclass
-class ItfSample:
-    """One application of the initial-to-final-state map."""
-
-    probe: np.ndarray
-    final: np.ndarray
-    potential_hash: str
-    T: float
-    steps: int
-
-
-def _potential_hash(V: Potential | None) -> str:
-    if V is None:
-        return "free"
-    return hashlib.sha256(V.field.data.tobytes()).hexdigest()[:16]
-
-
 def sample_potential(V: Potential | None, t: float) -> np.ndarray | float:
     """Potential slice at time t, linearly interpolated on the lattice.
 
@@ -94,7 +75,6 @@ def sample_potential(V: Potential | None, t: float) -> np.ndarray | float:
     pos = min(max(pos, 0.0), float(spec.pts_time - 1))
     i0 = int(np.floor(pos))
     frac = pos - i0
-    i0 = min(max(i0, 0), spec.pts_time - 1)
     i1 = min(i0 + 1, spec.pts_time - 1)
     return (1.0 - frac) * V.field.data[i0] + frac * V.field.data[i1]
 
@@ -149,17 +129,17 @@ def evolve(
     return traj
 
 
-def itf_map(V: Potential, probes, T: float, steps: int = 256) -> list[ItfSample]:
-    """Apply the initial-to-final-state map to each probe."""
-    probes = list(probes)
-    if not probes:
+def itf_map(V: Potential, probes, T: float, steps: int = 256) -> np.ndarray:
+    """Apply the initial-to-final-state map f -> u(T) to each probe.
+
+    Returns the final states stacked along a leading probe axis.  Each
+    final slice is copied out of its trajectory, so the result owns its
+    memory and no trajectory outlives its ``evolve`` call.
+    """
+    finals = [evolve(V, f, T, steps).final.copy() for f in probes]
+    if not finals:
         raise ValueError("itf_map wants at least one probe")
-    vh = _potential_hash(V)
-    out = []
-    for f in probes:
-        traj = evolve(V, f, T, steps)
-        out.append(ItfSample(np.asarray(f, complex), traj.final, vh, T, steps))
-    return out
+    return np.stack(finals)
 
 
 def integral_identity_check(
@@ -197,14 +177,11 @@ def integral_identity_check(
             [np.fft.ifftn(ghat * np.exp(-1j * free_sq * (t - T))) for t in ts]
         )
 
-    ts = u1.times
     integrand = np.empty(steps + 1, dtype=complex)
-    for k, t in enumerate(ts):
-        v1t = sample_potential(V1, t)
-        v2t = sample_potential(V2, t) if V2 is not None else 0.0
-        integrand[k] = ((v1t - v2t) * u1.slices[k] * np.conj(v2_slices[k])).sum() * vol
-    dt = T / steps
-    rhs = np.trapezoid(integrand, dx=dt)
+    for k, t in enumerate(u1.times):
+        dv = sample_potential(V1, t) - sample_potential(V2, t)  # None samples as 0
+        integrand[k] = (dv * u1.slices[k] * np.conj(v2_slices[k])).sum() * vol
+    rhs = np.trapezoid(integrand, dx=T / steps)
 
     resid = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs))

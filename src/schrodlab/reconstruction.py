@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from .birman_schwinger import Potential
-from .forward import evolve
+from .forward import itf_map
 from .grid import GridSpec
 
 logger = logging.getLogger(__name__)
@@ -117,31 +117,28 @@ def born_sample(
     steps: int = 256,
     shift: int = 0,
     born_threshold: float = 0.5,
-    _final_cache: dict | None = None,
+    u_final: np.ndarray | None = None,
 ) -> FreqSample:
     """Estimate the Fourier coefficient of V at the lattice target xi.
 
     The returned amplitude approximates the coefficient c_xi(tau) in
     V(t, x) = sum_xi c_xi(t) e^{i xi.x} averaged against the time window
     (up to the O(V^2) Born correction).  ``born_ok`` is False when
-    ||V||_inf * T exceeds ``born_threshold``.
+    ||V||_inf * T exceeds ``born_threshold``.  ``u_final`` is the probe's
+    final state from ``itf_map``; when None the probe is evolved here.
     """
     spec = V.field.spec
-    tau, eta, kappa = lattice_parametrization(xi, shift)
+    _, eta, kappa = lattice_parametrization(xi, shift)
     # frequencies in physical units (lattice index * dxi)
     eta_f = tuple(e * spec.dxi for e in eta)
     kappa_f = tuple(k * spec.dxi for k in kappa)
-    tau_f = (sum(f * f for f in eta_f) - sum(f * f for f in kappa_f))
-
-    f = _plane_wave(spec, eta_f)
-    if _final_cache is not None and eta in _final_cache:
-        u_final = _final_cache[eta]
-    else:
-        u_final = evolve(V, f, T, steps).final
-        if _final_cache is not None:
-            _final_cache[eta] = u_final
     sq_eta = sum(f * f for f in eta_f)
     sq_kappa = sum(f * f for f in kappa_f)
+    tau_f = sq_eta - sq_kappa
+
+    f = _plane_wave(spec, eta_f)
+    if u_final is None:
+        u_final = itf_map(V, [f], T, steps)[0]
     free_final = f * np.exp(-1j * sq_eta * T)
 
     g = _plane_wave(spec, kappa_f)
@@ -181,21 +178,20 @@ def reconstruct_potential(
     t0 = time.time()
     spec = V.field.spec
     kmax = int(np.floor(freq_radius))
-    rng = range(-kmax, kmax + 1)
-    cache: dict = {}
-    coeffs = {}
-    n_not_born = 0
     targets = [
-        idx
+        tuple(k - kmax for k in idx)
         for idx in np.ndindex(*((2 * kmax + 1,) * spec.n))
         if sum((k - kmax) ** 2 for k in idx) <= freq_radius**2
     ]
-    for idx in targets:
-        xi = tuple(k - kmax for k in idx)
-        s = born_sample(V, xi, T, steps, _final_cache=cache)
-        coeffs[xi] = s.amplitude
-        if not s.born_ok:
-            n_not_born += 1
+    # each distinct probe e^{i eta.x} is evolved once, in one itf_map call
+    etas = [lattice_parametrization(xi)[1] for xi in targets]
+    row = {eta: k for k, eta in enumerate(dict.fromkeys(etas))}
+    finals = itf_map(V, (_plane_wave(spec, [e * spec.dxi for e in eta]) for eta in row),
+                     T, steps)
+    samples = {xi: born_sample(V, xi, T, steps, u_final=finals[row[eta]])
+               for xi, eta in zip(targets, etas)}
+    coeffs = {xi: s.amplitude for xi, s in samples.items()}
+    n_not_born = sum(not s.born_ok for s in samples.values())
 
     # assemble the band-limited estimate on the lattice
     est = np.zeros((spec.pts_space,) * spec.n, dtype=complex)

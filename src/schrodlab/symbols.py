@@ -40,6 +40,8 @@ INF = math.inf
 
 def as_exponent(p) -> "Fraction | float":
     """Coerce to an exact exponent: a Fraction in [1, oo) or INF."""
+    if isinstance(p, bool):  # Fraction(True) would read YAML true as 1
+        raise ValueError(f"Lebesgue exponent must be a number, got {p!r}")
     if p in ("inf", "oo") or (isinstance(p, float) and math.isinf(p)):
         return INF
     q = Fraction(p)
@@ -183,6 +185,11 @@ class NuVector:
 
     def __neg__(self) -> "NuVector":
         return NuVector(tuple(-c for c in self.components))
+
+    @classmethod
+    def along_last_axis(cls, magnitude, n: int) -> "NuVector":
+        """nu = magnitude * e_n, the drift axis that ``WavePacket`` requires."""
+        return cls([0.0] * (n - 1) + [float(magnitude)])
 
 
 def eval_p_nu(tau, xi, nu: NuVector):

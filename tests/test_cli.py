@@ -82,6 +82,19 @@ class TestExitCodes:
         assert res.exit_code == EXIT_CONFIG
         assert f"grid.{key}" in res.output
 
+    @pytest.mark.parametrize("line,key", [
+        ("steps: true\npotential: {kind: gaussian}\n", "steps"),
+        ("potential: {kind: gaussian, width: true}\n", "potential.width"),
+    ], ids=["steps", "potential.width"])
+    def test_bool_optional_number(self, runner, tmp_path, line, key):
+        # an optional count or size read as 1 would still run and exit 0
+        cfg = write(tmp_path, "c.yaml", GRID + "T: 0.1\n" + line)
+        res = runner.invoke(main, ["forward-evolve", "--config", cfg,
+                                   "--output", str(tmp_path)])
+        assert res.exit_code == EXIT_CONFIG
+        assert f"config key {key} has wrong type" in res.output
+        assert not (tmp_path / "forward_evolve.json").exists()
+
     def test_inadmissible_potential_pair(self, runner, tmp_path):
         cfg = write(tmp_path, "c.yaml", GRID + "potential: {kind: gaussian, pair: [2, 3]}\n"
                     "nu_values: [4, 8]\n")
@@ -149,6 +162,16 @@ class TestCommands:
         assert report["verdict"] == "pass"
         assert "config_hash" in report["params"]
         assert "version" in report["params"]
+
+    def test_unknown_grid_key_ignored(self, runner, tmp_path):
+        # the grid block is parsed once, by build_grid; the report echoes it
+        cfg = write(tmp_path, "g.yaml", GRID + "  note: x\n"
+                    "estimate: gain\nnu_values: [4]\nfamily: 1\nseed: 0\n"
+                    + f"output_dir: {tmp_path}/out\n")
+        res = runner.invoke(main, ["verify-strichartz", "--config", cfg])
+        assert res.exit_code == EXIT_PASS, res.output
+        report = json.loads((tmp_path / "out" / "gain_sweep.json").read_text())
+        assert report["grid"]["note"] == "x"
 
     def test_kernel_table_pass_and_csv(self, runner, tmp_path):
         cfg = write(tmp_path, "k.yaml",

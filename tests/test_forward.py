@@ -96,12 +96,15 @@ class TestEvolve:
 
 
 class TestItfMap:
-    def test_hash_and_shapes(self):
+    def test_stacked_finals_own_their_memory(self):
         V = potential()
-        samples = itf_map(V, [packet(5), packet(6)], T=0.2, steps=32)
-        assert len(samples) == 2
-        assert samples[0].potential_hash == samples[1].potential_hash
-        assert samples[0].final.shape == (32, 32)
+        probes = [packet(5), packet(6)]
+        finals = itf_map(V, probes, T=0.2, steps=32)
+        assert finals.shape == (2, 32, 32)
+        # no view into a trajectory: each (steps + 1)-slice array is freed
+        assert finals.base is None and finals.flags.owndata
+        for f, u in zip(probes, finals):
+            assert np.array_equal(u, evolve(V, f, T=0.2, steps=32).final)
 
     def test_empty_probes_rejected(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,15 @@
 """Plane-wave probing and low-frequency potential recovery."""
 
 from fractions import Fraction
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schrodlab import forward
 from schrodlab.birman_schwinger import Potential, gaussian_potential
+from schrodlab.forward import itf_map
 from schrodlab.grid import Field, GridSpec
 from schrodlab.reconstruction import (
     born_sample,
@@ -89,14 +92,13 @@ class TestBornSample:
         s = born_sample(V, (1, 0), T=0.5, steps=32, born_threshold=0.5)
         assert not s.born_ok
 
-    def test_cache_reused(self):
+    def test_given_final_state_matches_own_evolution(self):
         V = small_potential()
-        cache = {}
-        born_sample(V, (2, 0), T=0.5, steps=32, _final_cache=cache)
-        assert len(cache) == 1
-        # same eta: (2,0) and shifting xi_2 keeps eta_1 component
-        born_sample(V, (2, 0), T=0.5, steps=32, _final_cache=cache)
-        assert len(cache) == 1
+        _, eta, _ = lattice_parametrization((2, 1))
+        probe = np.exp(1j * sum(e * SPEC.dxi * c for e, c in zip(eta, SPEC.spatial_mesh())))
+        u_final = itf_map(V, [probe], T=0.5, steps=32)[0]
+        given = born_sample(V, (2, 1), T=0.5, steps=32, u_final=u_final)
+        assert given == born_sample(V, (2, 1), T=0.5, steps=32)
 
 
 class TestReconstruction:
@@ -120,3 +122,35 @@ class TestReconstruction:
                                               steps=64, reference=ref)
             errs.append(report["relative_l2_error"])
         assert errs[1] < errs[0]
+
+    def test_each_distinct_probe_evolved_once(self, monkeypatch):
+        V = small_potential()
+        evolved = []
+        evolve = forward.evolve
+
+        def counting(V, f, *args, **kwargs):
+            evolved.append(f)
+            return evolve(V, f, *args, **kwargs)
+
+        monkeypatch.setattr(forward, "evolve", counting)
+        _, report = reconstruct_potential(V, freq_radius=3.0, T=0.5, steps=8)
+        # 29 targets |xi| <= 3 share 11 distinct probes eta = -floor(xi / 2)
+        assert report["n_samples"] == 29
+        assert len(evolved) == 11
+        assert len({f.tobytes() for f in evolved}) == 11
+
+    def test_peak_memory_independent_of_probe_count(self):
+        # 17 distinct probes at |xi| <= 4; a run that kept each probe's
+        # trajectory alive would peak near 17 trajectories
+        spec = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=8, pts_space=32)
+        V = gaussian_potential(spec, amplitude=0.05, width=0.7,
+                               window=(-np.pi, np.pi - 1e-9))
+        steps = 64
+        trajectory = (steps + 1) * spec.pts_space**2 * 16
+        tracemalloc.start()
+        try:
+            reconstruct_potential(V, freq_radius=4.0, T=0.5, steps=steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * trajectory

@@ -30,6 +30,11 @@ class TestExponents:
         with pytest.raises(ValueError):
             as_exponent("1/2")
 
+    def test_rejects_bool(self):
+        # Fraction(True) == 1: YAML true must not pass as the exponent 1
+        with pytest.raises(ValueError):
+            as_exponent(True)
+
     def test_conjugate(self):
         assert conjugate_exponent(Fraction(4, 3)) == Fraction(4)
         assert conjugate_exponent(2) == Fraction(2)
@@ -119,6 +124,11 @@ class TestSymbols:
         assert nu.magnitude == 3.0
         assert nu.aligned_axis == 1
         assert (-nu).components == (0.0, 3.0)
+
+    def test_nu_along_last_axis(self):
+        nu = NuVector.along_last_axis(4, 3)
+        assert nu.components == (0.0, 0.0, 4.0)
+        assert nu.aligned_axis == 2
 
     def test_characteristic_set(self):
         # p vanishes (real and imaginary parts) exactly on tau = |xi'|^2,
