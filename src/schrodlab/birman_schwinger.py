@@ -27,6 +27,9 @@ from .symbols import NuVector, potential_pair_check
 
 logger = logging.getLogger(__name__)
 
+# power-iteration cap of op_norm; reaching it flags non-convergence
+_MAX_ITER = 200
+
 __all__ = [
     "Potential",
     "FactorW",
@@ -252,13 +255,13 @@ def op_norm(
     tol: float = 1e-3,
     plan: MultiplierPlan | None = None,
     seed: int = 0,
-    max_iter: int = 200,
 ) -> tuple[float, dict]:
     """Estimate ||M_{W1} S_nu M_{W2}|| by power iteration on A* A.
 
     Runs two independently seeded iterations; they must agree within 2%
     or ``diagnostics['starts_agree']`` is False.  Non-convergence within
-    ``max_iter`` is flagged, with the last iterate still returned.
+    ``_MAX_ITER`` (200) iterations is flagged, with the last iterate still
+    returned.
     """
     spec = W1.field.spec
     if plan is None:
@@ -274,7 +277,7 @@ def op_norm(
             return 0.0, 0, True
         v = v * (1.0 / nrm)
         est = 0.0
-        for it in range(1, max_iter + 1):
+        for it in range(1, _MAX_ITER + 1):
             av = apply_BS(v, W1, W2, nu, plan)
             w = apply_BS_adjoint(av, W1, W2, nu, plan, adj)
             new = l2_norm(av)  # sqrt of the Rayleigh quotient of A*A
@@ -285,7 +288,7 @@ def op_norm(
             if est > 0.0 and abs(new - est) <= tol * est:
                 return new, it, True
             est = new
-        return est, max_iter, False
+        return est, _MAX_ITER, False
 
     e1, it1, conv1 = one_start(seed)
     e2, it2, conv2 = one_start(seed + 1)
@@ -367,16 +370,15 @@ def piecewise_time_approx(W: FactorW, m: int) -> tuple[FactorW, float]:
 def bs_decay_sweep(
     V: Potential,
     nu_list,
-    lambda_rule: str = "sqrt_nu",
     tol: float = 1e-3,
     seed: int = 0,
 ) -> EstimateReport:
     """Operator-norm estimates of M_W S_nu M_W over a nu sweep.
 
-    ``lambda_rule = 'sqrt_nu'`` annotates each sample with the splitting
-    threshold lam = |nu|^{1/4} (lam^2 = |nu|^{1/2}) used by the decay
-    argument; the annotation records the split sizes but the norm is that
-    of the full operator.
+    Each sample is annotated with the splitting threshold lam = |nu|^{1/4}
+    (lam^2 = |nu|^{1/2}, the ``sqrt_nu`` rule) used by the decay argument;
+    the annotation records the split sizes but the norm is that of the full
+    operator.
     """
     t0 = time.time()
     spec = V.field.spec
@@ -384,12 +386,12 @@ def bs_decay_sweep(
     report = EstimateReport(
         estimate="bs_decay",
         grid=spec.as_dict(),
-        params={"nu_values": list(map(float, nu_list)), "lambda_rule": lambda_rule,
+        params={"nu_values": list(map(float, nu_list)), "lambda_rule": "sqrt_nu",
                 "tol": tol, "seed": seed},
     )
     for mag in nu_list:
         nu = NuVector.along_last_axis(mag, spec.n)
-        lam = float(mag) ** 0.25 if lambda_rule == "sqrt_nu" else float("inf")
+        lam = float(mag) ** 0.25
         est, diag = op_norm(W, W, nu, tol=tol, seed=seed)
         sharp, flat = split_W(W, lam, V.radius)
         report.samples.append(

@@ -253,29 +253,28 @@ def build_cgo(
 def remainder_decay_sweep(
     V: Potential,
     nu_list,
-    packet_width: float = 2.0,
     tol: float = 1e-8,
-    rho_cap: float = 0.9,
 ) -> EstimateReport:
     """Table of ||W u_flat||_2 / ||psi|| per nu; the decay diagnostic.
 
     Also records the leading-term ratio ||W u_sharp||_2 / ||psi||, which
-    should stay bounded across the sweep.
+    should stay bounded across the sweep.  Each nu uses the default packet
+    (width 2) and contraction cap (0.9) of :func:`build_cgo`.
     """
     t0 = time.time()
     spec = V.field.spec
     report = EstimateReport(
         estimate="cgo_remainder",
         grid=spec.as_dict(),
-        params={"nu_values": list(map(float, nu_list)), "packet_width": packet_width,
-                "tol": tol, "rho_cap": rho_cap},
+        params={"nu_values": list(map(float, nu_list)), "packet_width": 2.0,
+                "tol": tol, "rho_cap": 0.9},
     )
     W = build_W(V)
     for mag in nu_list:
         nu = NuVector.along_last_axis(mag, spec.n)
-        packet = gaussian_packet_on_hyperplane(spec, nu, width=packet_width)
+        packet = gaussian_packet_on_hyperplane(spec, nu)
         psi_norm = packet.norm(spec)
-        sol = build_cgo(V, packet, tol=tol, rho_cap=rho_cap)
+        sol = build_cgo(V, packet, tol=tol)
         wflat = l2_norm(Field(spec, "physical", W.field.data * sol.uflat.data))
         wsharp = l2_norm(Field(spec, "physical", W.field.data * sol.usharp.data))
         report.samples.append(

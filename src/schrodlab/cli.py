@@ -38,17 +38,13 @@ from .forward import evolve, integral_identity_check
 from .grid import GridSpec, save_field
 from .kernels import kernel_table
 from .reconstruction import reconstruct_potential
-from .reports import EstimateReport, config_hash, write_report
+from .reports import ConfigError, EstimateReport, config_hash, number, require, write_report
 from .symbols import NuVector
 
 EXIT_PASS = 0
 EXIT_VERDICT = 1
 EXIT_CONFIG = 2
 EXIT_NONCONVERGENCE = 3
-
-
-class ConfigError(Exception):
-    """Configuration problem, reported with the offending key path."""
 
 
 # ---------------------------------------------------------------------------
@@ -62,41 +58,12 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     text = p.read_text()
     try:
-        if p.suffix == ".json":
-            return json.loads(text)
-        return yaml.safe_load(text)
+        cfg = json.loads(text) if p.suffix == ".json" else yaml.safe_load(text)
     except (yaml.YAMLError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
-
-
-def require(cfg: dict, key: str, kind=None, path: str = ""):
-    here = f"{path}.{key}" if path else key
-    if key not in cfg:
-        raise ConfigError(f"missing config key: {here}")
-    value = cfg[key]
-    # bool subclasses int, but YAML true is never a count or a size
-    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
-        raise ConfigError(f"config key {here} has wrong type (want {kind})")
-    return value
-
-
-def number(cfg: dict, key: str, kind, default, path: str = ""):
-    """Optional numeric key (a list element-wise) as ``kind``; absent or null gives ``default``.
-
-    As in ``require``, a YAML boolean is rejected, never read as 0 or 1.
-    """
-    value = cfg.get(key)
-    if value is None:
-        return default
-    items = value if isinstance(value, list) else [value]
-    try:
-        if any(isinstance(v, bool) for v in items):
-            raise TypeError(key)
-        out = [kind(v) for v in items]
-    except (TypeError, ValueError):
-        here = f"{path}.{key}" if path else key
-        raise ConfigError(f"config key {here} has wrong type (want {kind.__name__})") from None
-    return out if isinstance(value, list) else out[0]
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} is not a mapping of keys to values")
+    return cfg
 
 
 def build_grid(cfg: dict) -> GridSpec:
@@ -108,7 +75,7 @@ def build_grid(cfg: dict) -> GridSpec:
             box_space=float(require(g, "box_space", (int, float), "grid")),
             pts_time=require(g, "pts_time", int, "grid"),
             pts_space=require(g, "pts_space", int, "grid"),
-            max_points=number(g, "max_points", int, 1 << 24, "grid"),
+            max_points=number(g, "max_points", int, GridSpec.max_points, "grid"),
         )
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
@@ -179,9 +146,17 @@ def run_guarded(fn):
     sys.exit(code)
 
 
-def run_experiment(experiment, config_path, output_override, fmt, dry_run) -> int:
-    """Load the config, run the experiment, write its report and artifacts."""
+def run_experiment(experiment, keys, config_path, output_override, fmt, dry_run) -> int:
+    """Load the config, run the experiment, write its report and artifacts.
+
+    A top-level key outside ``keys`` is rejected before anything runs,
+    ``--dry-run`` included.
+    """
     cfg = load_config(config_path)
+    unknown = sorted(str(k) for k in set(cfg) - keys)
+    if unknown:
+        raise ConfigError(f"unknown config key: {unknown[0]} "
+                          f"(known keys: {', '.join(sorted(keys))})")
     if dry_run:
         click.echo(json.dumps(cfg, indent=2, sort_keys=True, default=str))
         return EXIT_PASS
@@ -205,13 +180,17 @@ def main():
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
 
 
-def command(name: str):
+def command(name: str, *keys: str):
     """Register ``experiment(cfg)`` as the subcommand ``name``.
 
-    The experiment returns ``(report stem, EstimateReport, passed, artifacts)``
-    where ``artifacts`` maps file names (``.npy`` arrays, ``.slf`` fields)
-    to the values written beside the report.
+    ``keys`` are the top-level config keys the experiment reads; every
+    command also takes ``output_dir``.  The experiment returns ``(report
+    stem, EstimateReport, passed, artifacts)`` where ``artifacts`` maps file
+    names (``.npy`` arrays, ``.slf`` fields) to the values written beside
+    the report.
     """
+    known = frozenset(keys) | {"output_dir"}
+
     def register(experiment):
         @main.command(name, help=experiment.__doc__)
         @click.option("--config", "config_path", required=True,
@@ -221,7 +200,7 @@ def command(name: str):
         @click.option("--format", "fmt", default="json", type=click.Choice(["json", "csv"]))
         @click.option("--dry-run", is_flag=True, help="print the resolved config and exit")
         def invoke(config_path, output_override, fmt, dry_run):
-            run_guarded(lambda: run_experiment(experiment, config_path,
+            run_guarded(lambda: run_experiment(experiment, known, config_path,
                                                output_override, fmt, dry_run))
         return experiment
     return register
@@ -232,20 +211,19 @@ def command(name: str):
 # ---------------------------------------------------------------------------
 
 
-@command("verify-strichartz")
+@command("verify-strichartz", "grid", "estimate", "seed", "nu_values", "pairs", "family",
+         "min_xi_n", "s_values", "width", "ceiling")
 def verify_strichartz(cfg):
     """Measure nu-uniform Strichartz / gain / dispersive ratios."""
     spec = build_grid(cfg)
     estimate = cfg.get("estimate", "strichartz")
     if estimate not in ("strichartz", "gain", "dispersive"):
         raise ConfigError(f"estimate: unknown estimate {estimate!r}")
-    if estimate == "strichartz":
-        require(cfg, "pairs", list)
     report = run_sweep(estimate, cfg, spec)
     return f"{estimate}_sweep", report, report.verdict in ("pass", "recorded"), {}
 
 
-@command("kernel-table")
+@command("kernel-table", "sigmas", "x", "tol")
 def kernel_table_cmd(cfg):
     """Tabulate the resolvent kernel, closed form vs quadrature."""
     sigmas = require(cfg, "sigmas", list)
@@ -268,18 +246,14 @@ def kernel_table_cmd(cfg):
     return "kernel_table", report, report.verdict == "pass", {}
 
 
-@command("bs-norm-sweep")
+@command("bs-norm-sweep", "grid", "potential", "nu_values", "tol", "seed")
 def bs_norm_sweep(cfg):
     """Operator-norm decay of the sandwiched multiplier over nu."""
     spec = build_grid(cfg)
     V = build_potential(cfg, spec)
     nu_values = require(cfg, "nu_values", list)
-    report = bs_decay_sweep(
-        V, nu_values,
-        lambda_rule=cfg.get("lambda_rule", "sqrt_nu"),
-        tol=number(cfg, "tol", float, 1e-3),
-        seed=number(cfg, "seed", int, 0),
-    )
+    report = bs_decay_sweep(V, nu_values, tol=number(cfg, "tol", float, 1e-3),
+                            seed=number(cfg, "seed", int, 0))
     if any(not s["converged"] for s in report.samples):
         raise NoConvergence("power iteration hit the iteration cap")
     if any(not s["starts_agree"] for s in report.samples):
@@ -290,7 +264,7 @@ def bs_norm_sweep(cfg):
     return "bs_norm_sweep", report, decay_ok, {}
 
 
-@command("cgo-build")
+@command("cgo-build", "grid", "potential", "nu", "packet", "tol", "rho_cap")
 def cgo_build(cfg):
     """Construct a CGO solution and record its diagnostics."""
     spec = build_grid(cfg)
@@ -317,7 +291,7 @@ def cgo_build(cfg):
     return "cgo_build", report, report.verdict == "pass", artifacts
 
 
-@command("forward-evolve")
+@command("forward-evolve", "grid", "potential", "T", "steps", "initial")
 def forward_evolve(cfg):
     """Evolve an initial state under a potential; export the final state."""
     spec = build_grid(cfg)
@@ -338,7 +312,7 @@ def forward_evolve(cfg):
     return "forward_evolve", report, report.verdict == "pass", {"final_state.npy": traj.final}
 
 
-@command("identity-check")
+@command("identity-check", "grid", "potential", "T", "steps", "trials", "tol", "seed")
 def identity_check(cfg):
     """Two-sided verification of the bilinear integral identity."""
     spec = build_grid(cfg)
@@ -368,7 +342,7 @@ def identity_check(cfg):
     return "identity_check", report, report.verdict == "pass", {}
 
 
-@command("reconstruct")
+@command("reconstruct", "grid", "potential", "T", "freq_radius", "steps", "tol")
 def reconstruct(cfg):
     """Born reconstruction of a potential from final-state data."""
     spec = build_grid(cfg)
@@ -389,7 +363,8 @@ def reconstruct(cfg):
     return "reconstruct", report, report.verdict == "pass", {"potential_estimate.npy": est}
 
 
-@command("counterexample-sweep")
+@command("counterexample-sweep", "rho_values", "family", "growth_threshold",
+         "trace_points")
 def counterexample_sweep(cfg):
     """Divergence of the endpoint embedding ratio over the rho family."""
     rho_values = require(cfg, "rho_values", list)

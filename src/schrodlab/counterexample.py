@@ -43,6 +43,13 @@ from .symbols import NuVector
 
 logger = logging.getLogger(__name__)
 
+# traces are sampled on (-1/2, 1/2); the log log cutoff chi runs from 1
+# inside 1/(2e) to 0 beyond 1/e, and the control bump has width 0.3
+_HALF_WIDTH = 0.5
+_INNER = 1.0 / (2.0 * math.e)
+_OUTER = 1.0 / math.e
+_CONTROL_WIDTH = 0.3
+
 __all__ = [
     "LogLogTrace",
     "RhoFamilyMember",
@@ -111,68 +118,46 @@ def _h_half_norm(g: np.ndarray, dt: float) -> float:
     return float(np.sqrt((weight * np.abs(ghat) ** 2).sum() * (sigma[1] - sigma[0])))
 
 
-def build_loglog_trace(
-    points: int = 1 << 15,
-    half_width: float = 0.5,
-    inner: float | None = None,
-    outer: float | None = None,
-) -> LogLogTrace:
+def _sampled_trace(points: int, evaluate, **params) -> LogLogTrace:
+    """Sample ``evaluate`` on (-1/2, 1/2), offset by half a cell."""
+    dt = 2.0 * _HALF_WIDTH / points
+    t = -_HALF_WIDTH + dt * (np.arange(points) + 0.5)
+    g = evaluate(t)
+    return LogLogTrace(
+        t=t, g=g, dt=dt, h_half_norm=_h_half_norm(g, dt),
+        params={"points": points, "half_width": _HALF_WIDTH, **params},
+        evaluate=evaluate,
+    )
+
+
+def build_loglog_trace(points: int = 1 << 15) -> LogLogTrace:
     """Sample g(t) = chi(t) log log (1/|t|) on an offset lattice.
 
     The lattice is offset by half a cell so t = 0 (where g diverges) is
-    never sampled; ``inner``/``outer`` are the cutoff radii, defaulting
-    to 1/(2e) and 1/e.
+    never sampled; the cutoff radii are 1/(2e) and 1/e.
     """
-    if inner is None:
-        inner = 1.0 / (2.0 * math.e)
-    if outer is None:
-        outer = 1.0 / math.e
-    if not 0.0 < inner < outer:
-        raise ValueError("need 0 < inner < outer")
-    dt = 2.0 * half_width / points
-    t = -half_width + dt * (np.arange(points) + 0.5)
-
     def evaluate(tt):
         tt = np.asarray(tt, dtype=float)
         r = np.abs(tt)
         out = np.zeros_like(r)
-        core = (r > 0.0) & (r < outer)
+        core = (r > 0.0) & (r < _OUTER)
         out[core] = np.log(np.log(1.0 / r[core]))
         chi = np.ones_like(r)
-        band = (r > inner) & (r < outer)
-        chi[band] = _smooth_step((r[band] - inner) / (outer - inner))
-        chi[r >= outer] = 0.0
+        band = (r > _INNER) & (r < _OUTER)
+        chi[band] = _smooth_step((r[band] - _INNER) / (_OUTER - _INNER))
+        chi[r >= _OUTER] = 0.0
         return out * chi
 
-    g = evaluate(t)
-    return LogLogTrace(
-        t=t, g=g, dt=dt, h_half_norm=_h_half_norm(g, dt),
-        params={"points": points, "half_width": half_width,
-                "inner": inner, "outer": outer, "kind": "loglog"},
-        evaluate=evaluate,
-    )
+    return _sampled_trace(points, evaluate, inner=_INNER, outer=_OUTER, kind="loglog")
 
 
-def build_gaussian_trace(
-    points: int = 1 << 15,
-    half_width: float = 0.5,
-    width: float = 0.3,
-) -> LogLogTrace:
+def build_gaussian_trace(points: int = 1 << 15) -> LogLogTrace:
     """Smooth control trace: a Gaussian bump of comparable support."""
-    dt = 2.0 * half_width / points
-    t = -half_width + dt * (np.arange(points) + 0.5)
-
     def evaluate(tt):
         tt = np.asarray(tt, dtype=float)
-        return np.exp(-(tt**2) / (2.0 * width**2))
+        return np.exp(-(tt**2) / (2.0 * _CONTROL_WIDTH**2))
 
-    g = evaluate(t)
-    return LogLogTrace(
-        t=t, g=g, dt=dt, h_half_norm=_h_half_norm(g, dt),
-        params={"points": points, "half_width": half_width,
-                "width": width, "kind": "gaussian"},
-        evaluate=evaluate,
-    )
+    return _sampled_trace(points, evaluate, width=_CONTROL_WIDTH, kind="gaussian")
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +165,9 @@ def build_gaussian_trace(
 # ---------------------------------------------------------------------------
 
 
-def _ball_profile(s: float, y: np.ndarray, r_nodes: int = 480) -> np.ndarray:
-    """P(s, y) = 2 pi int_0^1 J_0(y r) e^{i s r^2} r dr (n = 2, radial)."""
-    nodes, weights = np.polynomial.legendre.leggauss(r_nodes)
+def _ball_profile(s: float, y: np.ndarray) -> np.ndarray:
+    """P(s, y) = 2 pi int_0^1 J_0(y r) e^{i s r^2} r dr (n = 2, radial; 480 nodes)."""
+    nodes, weights = np.polynomial.legendre.leggauss(480)
     r = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
     phase = np.exp(1j * s * r**2) * r * w
@@ -212,24 +197,21 @@ class DispersionProfile:
         return out
 
 
-def build_dispersion_profile(
-    u_switch: float = 80.0,
-    samples: int = 70,
-    n: int = 2,
-    r_prime: float = 4.0,
-) -> DispersionProfile:
-    """Tabulate h(u) by radial quadrature of the evolved ball packet."""
-    if (n, r_prime) != (2, 4.0):
-        raise NotImplementedError("profile tabulated for n = 2, r' = 4")
-    u_grid = np.concatenate([[0.0], np.geomspace(0.05, u_switch, samples - 1)])
+def build_dispersion_profile() -> DispersionProfile:
+    """Tabulate h(u) for (n, r') = (2, 4) by radial quadrature of the evolved ball packet.
+
+    The table has 70 samples on [0, 80]; beyond u = 80 the tail
+    c |u|^{-1/2} takes over (exponent n (1/2 - 1/r') = 1/2).
+    """
+    u_grid = np.concatenate([[0.0], np.geomspace(0.05, 80.0, 69)])
     vals = np.empty_like(u_grid)
     for k, s in enumerate(u_grid):
         ymax = 2.0 * s + 40.0
         y = np.arange(0.0, ymax, 0.2) + 0.1
         p = _ball_profile(s, y)
         integral = ((np.abs(p) ** 4) * y).sum() * 0.2 * 2.0 * np.pi
-        vals[k] = (2.0 * np.pi) ** (-n / 2.0) * integral**0.25
-    exponent = n * (0.5 - 1.0 / r_prime)
+        vals[k] = (2.0 * np.pi) ** -1.0 * integral**0.25
+    exponent = 0.5
     c = vals[-1] * u_grid[-1] ** exponent
     return DispersionProfile(u_grid, vals, exponent, c)
 
@@ -241,19 +223,16 @@ def build_dispersion_profile(
 
 @dataclass
 class RhoFamilyMember:
-    """Semi-analytic member: norms reduce to quadratures over the trace."""
+    """Semi-analytic member in n = 2: norms reduce to quadratures over the trace."""
 
     rho: float
     family: str  # "shifted" | "unscaled" | "control"
     trace: LogLogTrace
-    n: int = 2
 
     @property
     def f_norm(self) -> float:
-        """||f_rho||_2 = ||1_{<1}||_2, exactly rho-independent."""
-        # volume of the unit ball in R^n
-        vol = math.pi ** (self.n / 2.0) / math.gamma(self.n / 2.0 + 1.0)
-        return math.sqrt(vol)
+        """||f_rho||_2 = ||1_{<1}||_2 = sqrt(pi) in R^2, exactly rho-independent."""
+        return math.sqrt(math.pi)
 
     def mixed_norm(self, profile: DispersionProfile) -> float:
         """|| u_rho ||_{L^4 L^4} via the factorized 1-D quadrature.
@@ -295,7 +274,7 @@ class RhoFamilyMember:
         """
         return float(self.trace.h_half_norm * self.f_norm)
 
-    def pointwise_floor(self, profile_eval=_ball_profile) -> float:
+    def pointwise_floor(self) -> float:
         """Fitted constant c in |u_rho| >= c rho^{n/2} log log (18 rho).
 
         Samples the factorized field on the concentration window
@@ -309,8 +288,8 @@ class RhoFamilyMember:
             xs = np.linspace(0.0, 1.0 / (6.0 * rho), 4)
             # |y| = |rho x + 4 rho^2 t e_n| <= rho |x| + 4 rho^2 |t|
             ys = rho * xs + 4.0 * rho**2 * abs(tt)
-            p = np.abs(profile_eval(rho**2 * tt, ys))
-            amp = g_here * (2.0 * np.pi) ** (-self.n / 2.0) * p.min()
+            p = np.abs(_ball_profile(rho**2 * tt, ys))
+            amp = g_here * (2.0 * np.pi) ** -1.0 * p.min()
             worst = min(worst, amp / lower)
         return float(worst)
 
@@ -400,7 +379,6 @@ def embedding_ratio_sweep(
     family: str = "shifted",
     trace: LogLogTrace | None = None,
     profile: DispersionProfile | None = None,
-    n: int = 2,
 ) -> EstimateReport:
     """ratio(rho) = mixed norm / Bourgain norm over the rho family."""
     t0 = time.time()
@@ -410,12 +388,12 @@ def embedding_ratio_sweep(
         profile = build_dispersion_profile()
     report = EstimateReport(
         estimate="embedding_ratio",
-        grid={"semi_analytic": True, "n": n},
+        grid={"semi_analytic": True, "n": 2},
         params={"rho_values": list(map(float, rho_list)), "family": family,
                 "trace": dict(trace.params)},
     )
     for rho in rho_list:
-        member = RhoFamilyMember(float(rho), family, trace, n)
+        member = RhoFamilyMember(float(rho), family, trace)
         mixed = member.mixed_norm(profile)
         bourg = member.bourgain_norm()
         report.samples.append(

@@ -23,7 +23,7 @@ import numpy as np
 
 from .grid import Field, GridSpec, gaussian_packet, l2_norm, mixed_norm
 from .multipliers import MultiplierPlan, apply_plan, apply_U_s, plan_S_nu
-from .reports import EstimateReport
+from .reports import ConfigError, EstimateReport, number, require
 from .symbols import ExponentPair, NuVector
 
 logger = logging.getLogger(__name__)
@@ -166,58 +166,63 @@ def standard_family(
 # ---------------------------------------------------------------------------
 
 
+def _read_pairs(config: dict, n: int) -> list[ExponentPair]:
+    """The ``pairs`` entries as admissible exponent pairs, or a ConfigError naming ``pairs``."""
+    pairs = []
+    for entry in require(config, "pairs", list):
+        try:
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                raise ValueError("want [q, r]")
+            pair = ExponentPair(entry[0], entry[1], n)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"pairs: bad entry {entry!r}: {exc}") from None
+        if not pair.admissible:
+            raise ConfigError(f"pairs: {entry!r} is not admissible for n = {n}")
+        pairs.append(pair)
+    return pairs
+
+
 def run_sweep(estimate: str, config: dict, spec: GridSpec | None = None) -> EstimateReport:
     """Run a named ratio sweep; deterministic given config['seed'].
 
     Supported estimates: ``gain``, ``strichartz``, ``dispersive``.  ``spec``
     is the grid built from ``config['grid']``, which the report echoes.
+    Every key is read as the CLI reads it: a YAML boolean or an
+    inadmissible ``pairs`` entry raises ConfigError naming the key.
     """
     t0 = time.time()
     spec = spec or GridSpec(**config["grid"])
-    seed = int(config.get("seed", 0))
-    ceiling = config.get("ceiling")
+    seed = number(config, "seed", int, 0)
     report = EstimateReport(
         estimate=estimate,
         grid=dict(config["grid"]),
         params={k: v for k, v in config.items() if k not in ("grid",)},
-        ceiling=ceiling,
+        ceiling=number(config, "ceiling", float, None),
     )
+    rng = np.random.default_rng(seed)
 
     if estimate == "gain":
-        nu_values = config.get("nu_values", [2, 4, 8, 16, 32])
-        family_count = int(config.get("family", 5))
-        min_xin = config.get("min_xi_n", 1.0)
-        rng = np.random.default_rng(seed)
-        fields = standard_family(spec, rng, family_count, min_xi_n=min_xin)
+        nu_values = number(config, "nu_values", float, [2, 4, 8, 16, 32])
+        fields = standard_family(spec, rng, number(config, "family", int, 5),
+                                 min_xi_n=number(config, "min_xi_n", float, 1.0))
         for mag in nu_values:
             nu = NuVector.along_last_axis(mag, spec.n)
-            # xi_n offset on by default: the xi_n = 0 lattice plane has a
+            # xi_n offset on: the xi_n = 0 lattice plane has a
             # nu-independent symbol and would swamp the compensated ratio.
-            plan = plan_S_nu(
-                spec, nu,
-                offset_tau=bool(config.get("offset_tau", True)),
-                offset_xin=bool(config.get("offset_xin", True)),
-            )
+            plan = plan_S_nu(spec, nu, offset_tau=True, offset_xin=True)
             for k, f in enumerate(fields):
                 ratio = gain_ratio(f, nu, plan)
                 report.samples.append(
                     {"nu": float(mag), "field": k, "seed": seed, "ratio": ratio}
                 )
     elif estimate == "strichartz":
-        nu_values = config.get("nu_values", [2, 4, 8, 16, 32, 64])
-        pairs = config["pairs"]  # list of [q, r]
-        family_count = int(config.get("family", 4))
-        rng = np.random.default_rng(seed)
-        fields = standard_family(spec, rng, family_count)
-        for q, r in pairs:
-            pair = ExponentPair(q, r, spec.n)
+        nu_values = number(config, "nu_values", float, [2, 4, 8, 16, 32, 64])
+        pairs = _read_pairs(config, spec.n)
+        fields = standard_family(spec, rng, number(config, "family", int, 4))
+        for pair in pairs:
             for mag in nu_values:
                 nu = NuVector.along_last_axis(mag, spec.n)
-                plan = plan_S_nu(
-                    spec, nu,
-                    offset_tau=bool(config.get("offset_tau", True)),
-                    offset_xin=bool(config.get("offset_xin", False)),
-                )
+                plan = plan_S_nu(spec, nu, offset_tau=True, offset_xin=False)
                 for k, f in enumerate(fields):
                     ratio = strichartz_ratio(f, pair, nu, plan)
                     report.samples.append(
@@ -230,14 +235,13 @@ def run_sweep(estimate: str, config: dict, spec: GridSpec | None = None) -> Esti
                         }
                     )
     elif estimate == "dispersive":
-        s_values = config.get("s_values", [0.01, 0.1, 1.0, 10.0])
-        rng = np.random.default_rng(seed)
-        width = float(config.get("width", 0.25)) * spec.box_space
+        s_values = number(config, "s_values", float, [0.01, 0.1, 1.0, 10.0])
+        width = number(config, "width", float, 0.25) * spec.box_space
         mesh = spec.spatial_mesh()
         phi = np.exp(-sum(c**2 for c in mesh) / (2.0 * width**2)).astype(complex)
         for s in s_values:
-            ratio = dispersive_ratio(spec, phi, float(s))
-            report.samples.append({"s": float(s), "seed": seed, "ratio": ratio})
+            ratio = dispersive_ratio(spec, phi, s)
+            report.samples.append({"s": s, "seed": seed, "ratio": ratio})
     else:
         raise ValueError(f"unknown estimate {estimate!r}")
 

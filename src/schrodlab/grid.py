@@ -20,7 +20,7 @@ Design notes
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 from typing import Sequence
 
@@ -64,6 +64,10 @@ class GridSpec:
         Half-widths of the time window and of each spatial axis.
     pts_time, pts_space:
         Samples per axis; powers of two.
+    max_points:
+        Soft memory budget in total complex samples.  It bounds
+        construction only, so it is not part of the grid's identity: two
+        grids with the same lattice compare equal whatever their budgets.
     """
 
     n: int
@@ -72,8 +76,7 @@ class GridSpec:
     pts_time: int
     pts_space: int
 
-    # Soft memory budget: total complex samples.
-    max_points: int = 1 << 27
+    max_points: int = field(default=1 << 24, compare=False)
 
     def __post_init__(self):
         if self.n not in (1, 2, 3):
@@ -369,13 +372,10 @@ def random_band_limited(
     rng: np.random.Generator,
     band_time: int = 4,
     band_space: int = 4,
-    exclude_xi_n_zero: bool = False,
 ) -> Field:
     """Random field with DFT support in |k_t| <= band_time, |k_x| <= band_space.
 
-    Coefficients are standard complex Gaussians.  With
-    ``exclude_xi_n_zero`` the k_{x_n} = 0 plane is zeroed, producing fields
-    band-limited away from the xi_n = 0 frequency plane.
+    Coefficients are standard complex Gaussians.
     """
     coeffs = np.zeros(spec.shape, dtype=np.complex128)
     kt = np.fft.fftfreq(spec.pts_time) * spec.pts_time
@@ -386,10 +386,6 @@ def random_band_limited(
         shape = [1] * (spec.n + 1)
         shape[1 + j] = spec.pts_space
         mask &= (np.abs(kx) <= band_space).reshape(shape)
-    if exclude_xi_n_zero:
-        shape = [1] * (spec.n + 1)
-        shape[spec.n] = spec.pts_space
-        mask &= (kx != 0).reshape(shape)
     m = int(mask.sum())
     vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     coeffs[mask] = vals

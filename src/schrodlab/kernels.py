@@ -215,18 +215,14 @@ def oscillatory_tail(y: float, s: float) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def kernel_table(
-    sigmas,
-    xs,
-    methods=("closed_form", "quadrature"),
-    tol: float = 1e-9,
-) -> list[KernelSample]:
-    """Evaluate K_sigma over a (sigma, x) grid for the CSV export."""
+def kernel_table(sigmas, xs) -> list[KernelSample]:
+    """Evaluate K_sigma over a (sigma, x) grid for the CSV export.
+
+    Each point contributes two consecutive samples: the closed form, then
+    the quadrature at its default tolerance of 1e-9.
+    """
     out: list[KernelSample] = []
     for sigma in sigmas:
         for x in xs:
-            if "closed_form" in methods:
-                out.append(eval_K_sigma(sigma, x))
-            if "quadrature" in methods:
-                out.append(eval_K_sigma_quadrature(sigma, x, tol))
+            out += [eval_K_sigma(sigma, x), eval_K_sigma_quadrature(sigma, x)]
     return out

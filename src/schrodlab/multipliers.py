@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import PHYSICAL, Field, GridSpec
-from .symbols import NuVector
+from .symbols import NuVector, eval_p, eval_p_nu
 
 __all__ = [
     "MultiplierPlan",
@@ -128,12 +128,8 @@ def plan_S(
     """Plan for the normalized multiplier with symbol tau - |xi|^2 + i xi_n."""
     tau_off = 0.5 * spec.dtau if offset_tau else 0.0
     xin_off = 0.5 * spec.dxi if offset_xin else 0.0
-    axes = spec.meshgrid_freq(tau_off, xin_off)
-    tau = axes[0]
-    xi = axes[1:]
-    sq = sum(c**2 for c in xi)
-    symbol = tau - sq + 1j * xi[-1]
-    symbol = np.broadcast_to(symbol, spec.shape).copy()
+    tau, *xi = spec.meshgrid_freq(tau_off, xin_off)
+    symbol = np.broadcast_to(eval_p(tau, xi), spec.shape).copy()
     return MultiplierPlan(spec, symbol, tau_off, xin_off, None, eps_floor_rel)
 
 
@@ -145,17 +141,10 @@ def plan_S_nu(
     eps_floor_rel: float = 1e-12,
 ) -> MultiplierPlan:
     """Plan for the conjugated multiplier with symbol -tau - |xi|^2 + 2 i nu.xi."""
-    if nu.n != spec.n:
-        raise ValueError("nu dimension does not match grid")
     tau_off = 0.5 * spec.dtau if offset_tau else 0.0
     xin_off = 0.5 * spec.dxi if offset_xin else 0.0
-    axes = spec.meshgrid_freq(tau_off, xin_off)
-    tau = axes[0]
-    xi = axes[1:]
-    sq = sum(c**2 for c in xi)
-    dot = sum(nc * c for nc, c in zip(nu.components, xi))
-    symbol = -tau - sq + 2j * dot
-    symbol = np.broadcast_to(symbol, spec.shape).copy()
+    tau, *xi = spec.meshgrid_freq(tau_off, xin_off)
+    symbol = np.broadcast_to(eval_p_nu(tau, xi, nu), spec.shape).copy()
     return MultiplierPlan(spec, symbol, tau_off, xin_off, nu, eps_floor_rel)
 
 
@@ -246,9 +235,13 @@ def apply_U_s(spec: GridSpec, phi: np.ndarray, s: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_legendre_panels(edges: np.ndarray, nodes_per_panel: int):
+# Gauss-Legendre nodes per panel of every s-quadrature
+_NODES_PER_PANEL = 10
+
+
+def _gauss_legendre_panels(edges: np.ndarray):
     """Gauss-Legendre nodes/weights on the panels defined by ``edges``."""
-    base_x, base_w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    base_x, base_w = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
     xs, ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (a + b)
@@ -258,17 +251,17 @@ def _gauss_legendre_panels(edges: np.ndarray, nodes_per_panel: int):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def _s_panels(s_lo: float, s_hi: float, quad_pts: int, nodes_per_panel: int = 10):
+def _s_panels(s_lo: float, s_hi: float, quad_pts: int):
     """Panels on [s_lo, s_hi] (one side of 0), refined toward 0.
 
     A short geometric cascade near zero resolves the |s|^{-1/2} kernel
     growth; the rest is uniform.
     """
-    n_panels = max(4, quad_pts // nodes_per_panel)
+    n_panels = max(4, quad_pts // _NODES_PER_PANEL)
     bulk = np.linspace(0.0, s_hi, n_panels + 1)[1:]
     fine = bulk[0] * 2.0 ** -np.arange(1, 13)
     edges = np.unique(np.concatenate([[s_lo], fine[fine > s_lo], bulk]))
-    return _gauss_legendre_panels(edges, nodes_per_panel)
+    return _gauss_legendre_panels(edges)
 
 
 def _s_node_sum(
@@ -330,7 +323,7 @@ def apply_S_dyadic(
     if plan is None:
         plan = plan_S(f.spec)
     nodes, weights = _gauss_legendre_panels(
-        np.linspace(2.0 ** (j - 1), 2.0**j, max(2, quad_pts // 20)), 10
+        np.linspace(2.0 ** (j - 1), 2.0**j, max(2, quad_pts // 20))
     )
     factor = _s_node_sum(plan, np.concatenate([nodes, -nodes]),
                          np.concatenate([weights, weights]))

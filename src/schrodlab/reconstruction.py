@@ -115,7 +115,6 @@ def born_sample(
     xi,
     T: float,
     steps: int = 256,
-    shift: int = 0,
     born_threshold: float = 0.5,
     u_final: np.ndarray | None = None,
 ) -> FreqSample:
@@ -128,7 +127,7 @@ def born_sample(
     final state from ``itf_map``; when None the probe is evolved here.
     """
     spec = V.field.spec
-    _, eta, kappa = lattice_parametrization(xi, shift)
+    _, eta, kappa = lattice_parametrization(xi)
     # frequencies in physical units (lattice index * dxi)
     eta_f = tuple(e * spec.dxi for e in eta)
     kappa_f = tuple(k * spec.dxi for k in kappa)

@@ -4,6 +4,9 @@ Reports serialize to JSON (stable key order, shortest-roundtrip floats) and
 to CSV.  Wall-clock data is kept out of the serialized payload so that
 rerunning a configuration with the same seed reproduces files byte for
 byte; runtimes are surfaced through logging instead.
+
+The config-key readers ``require`` and ``number`` live here too, so the CLI
+and the sweep harness reject the same inputs with the same ConfigError.
 """
 
 from __future__ import annotations
@@ -18,7 +21,42 @@ logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
-__all__ = ["EstimateReport", "report_to_json", "write_report", "read_report", "config_hash"]
+__all__ = ["EstimateReport", "report_to_json", "write_report", "read_report", "config_hash",
+           "ConfigError", "require", "number"]
+
+
+class ConfigError(Exception):
+    """Configuration problem, reported with the offending key path."""
+
+
+def require(cfg: dict, key: str, kind=None, path: str = ""):
+    here = f"{path}.{key}" if path else key
+    if key not in cfg:
+        raise ConfigError(f"missing config key: {here}")
+    value = cfg[key]
+    # bool subclasses int, but YAML true is never a count or a size
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+        raise ConfigError(f"config key {here} has wrong type (want {kind})")
+    return value
+
+
+def number(cfg: dict, key: str, kind, default, path: str = ""):
+    """Optional numeric key (a list element-wise) as ``kind``; absent or null gives ``default``.
+
+    As in ``require``, a YAML boolean is rejected, never read as 0 or 1.
+    """
+    value = cfg.get(key)
+    if value is None:
+        return default
+    items = value if isinstance(value, list) else [value]
+    try:
+        if any(isinstance(v, bool) for v in items):
+            raise TypeError(key)
+        out = [kind(v) for v in items]
+    except (TypeError, ValueError):
+        here = f"{path}.{key}" if path else key
+        raise ConfigError(f"config key {here} has wrong type (want {kind.__name__})") from None
+    return out if isinstance(value, list) else out[0]
 
 
 def config_hash(config: dict) -> str:

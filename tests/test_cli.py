@@ -4,6 +4,7 @@ import json
 import pathlib
 import re
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -18,6 +19,7 @@ from schrodlab.cli import (
     main,
     require,
 )
+from schrodlab.grid import l2_norm, load_field, random_band_limited, save_field
 from schrodlab.reports import EstimateReport
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -55,6 +57,14 @@ class TestHelpers:
         with pytest.raises(ConfigError):
             build_grid({"grid": {"n": 2, "box_time": 1.0, "box_space": 1.0,
                                  "pts_time": 12, "pts_space": 16}})
+
+    def test_saved_field_matches_cli_grid(self, tmp_path):
+        # a field written by one command (uflat.slf) and read back lives on the same grid
+        spec = build_grid({"grid": {"n": 2, "box_time": 1.0, "box_space": 1.0,
+                                    "pts_time": 16, "pts_space": 16}})
+        f = random_band_limited(spec, np.random.default_rng(0))
+        save_field(f, tmp_path / "f.slf")
+        assert l2_norm(f - load_field(tmp_path / "f.slf")) == 0.0
 
 
 class TestExitCodes:
@@ -94,6 +104,54 @@ class TestExitCodes:
         assert res.exit_code == EXIT_CONFIG
         assert f"config key {key} has wrong type" in res.output
         assert not (tmp_path / "forward_evolve.json").exists()
+
+    @pytest.mark.parametrize("command,line,key", [
+        ("verify-strichartz", "estimate: gain\nnu_value: [4]\n", "nu_value"),
+        ("verify-strichartz", "estimate: gain\noffset_xin: false\n", "offset_xin"),
+        ("bs-norm-sweep", "potential: {kind: gaussian}\nnu_values: [4]\n"
+         "lambda_rule: sqrt_nu\n", "lambda_rule"),
+    ], ids=["typo", "removed-offset_xin", "removed-lambda_rule"])
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+    def test_unknown_top_level_key(self, runner, tmp_path, command, line, key, dry_run):
+        # a typo or a removed option would otherwise run silently on the default
+        cfg = write(tmp_path, "c.yaml", GRID + line)
+        res = runner.invoke(main, [command, "--config", cfg, "--output", str(tmp_path)]
+                            + ["--dry-run"] * dry_run)
+        assert res.exit_code == EXIT_CONFIG
+        assert f"unknown config key: {key}" in res.output
+        assert not list(tmp_path.glob("*.json"))
+
+    def test_config_not_a_mapping(self, runner, tmp_path):
+        cfg = write(tmp_path, "c.yaml", "- 1\n- 2\n")
+        res = runner.invoke(main, ["kernel-table", "--config", cfg])
+        assert res.exit_code == EXIT_CONFIG
+        assert "not a mapping" in res.output
+
+    @pytest.mark.parametrize("estimate,key", [
+        ("gain", "seed"), ("gain", "family"), ("gain", "min_xi_n"), ("gain", "ceiling"),
+        ("gain", "nu_values"), ("dispersive", "width"), ("dispersive", "s_values"),
+    ])
+    def test_bool_sweep_key(self, runner, tmp_path, estimate, key):
+        # run_sweep reads its own keys with reports.number: YAML true is no number
+        value = "[true]" if key.endswith("values") else "true"
+        cfg = write(tmp_path, "c.yaml", GRID + f"estimate: {estimate}\n{key}: {value}\n")
+        res = runner.invoke(main, ["verify-strichartz", "--config", cfg,
+                                   "--output", str(tmp_path)])
+        assert res.exit_code == EXIT_CONFIG
+        assert f"config key {key} has wrong type" in res.output
+        assert not (tmp_path / f"{estimate}_sweep.json").exists()
+
+    @pytest.mark.parametrize("pairs", ["[[3, 3]]", "[[1, 2, 3]]", "[4]", "[[0.5, 2]]"],
+                             ids=["inadmissible", "arity", "not-a-pair", "below-one"])
+    def test_bad_strichartz_pair(self, runner, tmp_path, pairs):
+        # exit 1 is the verdict-failed code; a bad pair is a config error
+        cfg = write(tmp_path, "c.yaml", GRID + f"estimate: strichartz\nnu_values: [4]\n"
+                    f"family: 1\npairs: {pairs}\n")
+        res = runner.invoke(main, ["verify-strichartz", "--config", cfg,
+                                   "--output", str(tmp_path)])
+        assert res.exit_code == EXIT_CONFIG
+        assert "pairs: " in res.output
+        assert not (tmp_path / "strichartz_sweep.json").exists()
 
     def test_inadmissible_potential_pair(self, runner, tmp_path):
         cfg = write(tmp_path, "c.yaml", GRID + "potential: {kind: gaussian, pair: [2, 3]}\n"
