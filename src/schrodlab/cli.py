@@ -86,7 +86,7 @@ def build_potential(cfg: dict, spec: GridSpec) -> Potential:
     kind = require(p, "kind", str, "potential")
     if kind not in ("gaussian", "cusp"):
         raise ConfigError(f"potential.kind: unknown kind {kind!r}")
-    window = number(p, "window", float, None, "potential")
+    window = number(p, "window", float, [], "potential")  # [] keeps the default window
     shared = {"amplitude": number(p, "amplitude", float, 1.0, "potential"),
               "window": tuple(window) if window else None,
               "pair": tuple(p.get("pair", (2, 2)))}

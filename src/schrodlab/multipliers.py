@@ -206,14 +206,14 @@ def equation_residual(plan: MultiplierPlan, f: Field) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _u_s_symbol(s: float, phase: np.ndarray, xin: np.ndarray) -> np.ndarray:
-    """i sign(s) e^{i s phase} 1(s xi_n < 0) e^{s xi_n}, the one U_s symbol.
+def _u_s_symbol(s: float | np.ndarray, sq: np.ndarray, xin: np.ndarray) -> np.ndarray:
+    """i sign(s) e^{i s |xi|^2} 1(s xi_n < 0) e^{s xi_n}, the one U_s symbol.
 
-    ``phase`` is |xi|^2 for U_s itself and |xi|^2 - tau for the integrand
-    of the time-slice representation of S.
+    ``sq`` is |xi|^2 and ``xin`` is xi_n; ``s`` is a scalar, or a column
+    of s-nodes against raveled spatial modes for the batched node sum.
     """
     damp = np.where(s * xin < 0.0, np.exp(-np.abs(s * xin)), 0.0)
-    return 1j * np.sign(s) * np.exp(1j * s * phase) * damp
+    return 1j * np.sign(s) * np.exp(1j * s * sq) * damp
 
 
 def u_s_multiplier(spec: GridSpec, s: float) -> np.ndarray:
@@ -237,6 +237,8 @@ def apply_U_s(spec: GridSpec, phi: np.ndarray, s: float) -> np.ndarray:
 
 # Gauss-Legendre nodes per panel of every s-quadrature
 _NODES_PER_PANEL = 10
+# s-nodes per GEMM in _s_node_sum: at 16^3 (n = 2) chunks of 64 beat 256
+_S_CHUNK = 64
 
 
 def _gauss_legendre_panels(edges: np.ndarray):
@@ -267,13 +269,25 @@ def _s_panels(s_lo: float, s_hi: float, quad_pts: int):
 def _s_node_sum(
     plan: MultiplierPlan, nodes: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """sum_k w_k [U_{s_k} symbol] e^{-i tau s_k} per lattice mode of the plan."""
-    tau, *xi = plan.spec.meshgrid_freq(plan.tau_offset, plan.xi_n_offset)
-    phase = sum(c**2 for c in xi) - tau
-    factor = np.zeros(plan.spec.shape, dtype=np.complex128)
-    for s, w in zip(nodes, weights):
-        factor = factor + w * _u_s_symbol(s, phase, xi[-1])
-    return factor
+    """sum_k w_k [U_{s_k} symbol] e^{-i tau s_k} per lattice mode of the plan.
+
+    The summand factors into a time part w_k e^{-i tau s_k} and the spatial
+    U_{s_k} symbol, so the sum is a (pts_time x k) @ (k x pts_space^n)
+    product, taken over chunks of _S_CHUNK nodes: the work space grows with
+    the chunk, never with the node count.
+    """
+    spec = plan.spec
+    tau, *xi = spec.meshgrid_freq(plan.tau_offset, plan.xi_n_offset)
+    space = (1,) + spec.shape[1:]
+    sq = np.broadcast_to(sum(c**2 for c in xi), space).reshape(1, -1)
+    xin = np.broadcast_to(xi[-1], space).reshape(1, -1)
+    tau = tau.reshape(-1, 1)
+    factor = np.zeros((spec.pts_time, sq.size), dtype=np.complex128)
+    for lo in range(0, len(nodes), _S_CHUNK):
+        s = nodes[lo:lo + _S_CHUNK]
+        time_part = weights[lo:lo + _S_CHUNK] * np.exp(-1j * tau * s)
+        factor += time_part @ _u_s_symbol(s[:, None], sq, xin)
+    return factor.reshape(spec.shape)
 
 
 def propagator_factor(

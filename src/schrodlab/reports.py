@@ -43,18 +43,24 @@ def require(cfg: dict, key: str, kind=None, path: str = ""):
 def number(cfg: dict, key: str, kind, default, path: str = ""):
     """Optional numeric key (a list element-wise) as ``kind``; absent or null gives ``default``.
 
-    As in ``require``, a YAML boolean is rejected, never read as 0 or 1.
+    The value is a list exactly when ``default`` is one.  As in
+    ``require``, a YAML boolean is rejected, never read as 0 or 1, and an
+    ``int`` key rejects a non-integral number instead of truncating it.
     """
     value = cfg.get(key)
     if value is None:
         return default
+    here = f"{path}.{key}" if path else key
+    if isinstance(value, list) != isinstance(default, list):
+        want = "a list" if isinstance(default, list) else "a single value"
+        raise ConfigError(f"config key {here} has wrong type (want {want})")
     items = value if isinstance(value, list) else [value]
     try:
-        if any(isinstance(v, bool) for v in items):
+        if any(isinstance(v, bool) or (kind is int and isinstance(v, float)
+                                       and not v.is_integer()) for v in items):
             raise TypeError(key)
         out = [kind(v) for v in items]
     except (TypeError, ValueError):
-        here = f"{path}.{key}" if path else key
         raise ConfigError(f"config key {here} has wrong type (want {kind.__name__})") from None
     return out if isinstance(value, list) else out[0]
 

@@ -17,6 +17,7 @@ from schrodlab.cli import (
     build_grid,
     load_config,
     main,
+    number,
     require,
 )
 from schrodlab.grid import l2_norm, load_field, random_band_limited, save_field
@@ -52,6 +53,11 @@ class TestHelpers:
     def test_require_wrong_type(self):
         with pytest.raises(ConfigError):
             require({"a": "x"}, "a", int)
+
+    def test_number_accepts_integral_values(self):
+        assert number({"k": 3}, "k", int, 0) == 3
+        assert number({"k": 3.0}, "k", int, 0) == 3
+        assert number({"k": [1, 2.0]}, "k", int, [0]) == [1, 2]
 
     def test_build_grid_validates(self):
         with pytest.raises(ConfigError):
@@ -140,6 +146,30 @@ class TestExitCodes:
         assert res.exit_code == EXIT_CONFIG
         assert f"config key {key} has wrong type" in res.output
         assert not (tmp_path / f"{estimate}_sweep.json").exists()
+
+    @pytest.mark.parametrize("command,line,key,want", [
+        ("verify-strichartz", "estimate: gain\nnu_values: 4\n", "nu_values", "a list"),
+        ("identity-check", "potential: {kind: gaussian, window: 3.0}\nT: 0.1\n",
+         "potential.window", "a list"),
+        ("verify-strichartz", "estimate: gain\nseed: [1, 2]\n", "seed", "a single value"),
+    ], ids=["nu_values", "potential.window", "list-for-seed"])
+    def test_list_shape_mismatch(self, runner, tmp_path, command, line, key, want):
+        # a scalar where a list is meant raised TypeError, exit 1 as if a verdict failed
+        cfg = write(tmp_path, "c.yaml", GRID + line)
+        res = runner.invoke(main, [command, "--config", cfg, "--output", str(tmp_path)])
+        assert res.exit_code == EXIT_CONFIG
+        assert f"config key {key} has wrong type (want {want})" in res.output
+        assert not list(tmp_path.glob("*.json"))
+
+    @pytest.mark.parametrize("key,value", [("family", "1.9"), ("seed", "2.7")])
+    def test_non_integral_int_key(self, runner, tmp_path, key, value):
+        # int() truncated 1.9 to 1 and ran, echoing 1.9 in the report
+        cfg = write(tmp_path, "c.yaml", GRID + f"estimate: gain\n{key}: {value}\n")
+        res = runner.invoke(main, ["verify-strichartz", "--config", cfg,
+                                   "--output", str(tmp_path)])
+        assert res.exit_code == EXIT_CONFIG
+        assert f"config key {key} has wrong type (want int)" in res.output
+        assert not (tmp_path / "gain_sweep.json").exists()
 
     @pytest.mark.parametrize("pairs", ["[[3, 3]]", "[[1, 2, 3]]", "[4]", "[[0.5, 2]]"],
                              ids=["inadmissible", "arity", "not-a-pair", "below-one"])

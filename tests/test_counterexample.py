@@ -8,6 +8,7 @@ import pytest
 
 from schrodlab.counterexample import (
     RhoFamilyMember,
+    _ball_profile,
     bourgain_norm,
     build_dispersion_profile,
     build_gaussian_trace,
@@ -80,6 +81,17 @@ class TestDispersionProfile:
 
     def test_even_in_u(self, profile):
         assert profile(-30.0) == profile(30.0)
+
+    def test_table_equals_per_u_quadrature(self, profile):
+        # the table shares one J_0 matrix across u; any other summation
+        # (one GEMM over all u) moves the last digit of the reports
+        expected = []
+        for s in profile.u:
+            y = np.arange(0.0, 2.0 * s + 40.0, 0.2) + 0.1
+            p = _ball_profile(s, y)
+            integral = ((np.abs(p) ** 4) * y).sum() * 0.2 * 2.0 * np.pi
+            expected.append((2.0 * np.pi) ** -1.0 * integral**0.25)
+        assert np.array_equal(profile.values, expected)
 
 
 class TestRhoFamily:

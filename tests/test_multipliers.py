@@ -1,10 +1,13 @@
 """Diagonal multiplier operators and their propagator cross-check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from schrodlab.grid import Field, GridSpec, l2_norm, random_band_limited, transform
+from schrodlab import multipliers
 from schrodlab.multipliers import (
     apply_S,
     apply_S_dyadic,
@@ -23,6 +26,17 @@ from schrodlab.symbols import NuVector
 
 SPEC = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=16, pts_space=16)
 NU = NuVector([0.0, 8.0])
+
+
+def node_loop(plan, nodes, weights):
+    """Oracle for the batched s-node sum: one full-grid exp per node."""
+    tau, *xi = plan.spec.meshgrid_freq(plan.tau_offset, plan.xi_n_offset)
+    phase = sum(c**2 for c in xi) - tau
+    factor = np.zeros(plan.spec.shape, dtype=np.complex128)
+    for s, w in zip(nodes, weights):
+        damp = np.where(s * xi[-1] < 0.0, np.exp(-np.abs(s * xi[-1])), 0.0)
+        factor = factor + w * (1j * np.sign(s) * np.exp(1j * s * phase) * damp)
+    return factor
 
 
 def rand_field(spec=SPEC, seed=0):
@@ -181,3 +195,39 @@ class TestPropagator:
         # error dominate the gap
         diff = np.abs(total - via.data).max()
         assert diff < 0.02
+
+    @pytest.mark.parametrize("offset_xin", [False, True], ids=["xin-off", "xin-on"])
+    @pytest.mark.parametrize("offset_tau", [False, True], ids=["tau-off", "tau-on"])
+    @pytest.mark.parametrize("conjugated", [False, True], ids=["S", "S_nu"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_batched_node_sum_matches_node_loop(self, n, conjugated, offset_tau, offset_xin):
+        spec = GridSpec(n=n, box_time=np.pi, box_space=np.pi, pts_time=8, pts_space=8)
+        if conjugated:
+            plan = plan_S_nu(spec, NuVector.along_last_axis(8.0, n),
+                             offset_tau=offset_tau, offset_xin=offset_xin)
+        else:
+            plan = plan_S(spec, offset_xin=offset_xin, offset_tau=offset_tau)
+        half, w = multipliers._s_panels(1e-9, 10.0, 150)
+        nodes, weights = np.concatenate([half, -half]), np.concatenate([w, w])
+        assert len(nodes) % multipliers._S_CHUNK != 0  # a partial last chunk
+        oracle = node_loop(plan, nodes, weights)
+        batched = multipliers._s_node_sum(plan, nodes, weights)
+        # relative to the largest mode: a mode whose node terms cancel is
+        # ill-conditioned in any summation order
+        assert np.abs(batched - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+    def test_node_sum_memory_flat_in_node_count(self):
+        # the (k x pts_space^n) symbol block is built a chunk at a time
+        plan = plan_S(SPEC)
+        peaks = []
+        for count in (1000, 12000):
+            half = np.geomspace(1e-3, 40.0, count // 2)
+            nodes = np.concatenate([half, -half])
+            weights = np.full(count, 1e-3)
+            tracemalloc.start()
+            try:
+                multipliers._s_node_sum(plan, nodes, weights)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
