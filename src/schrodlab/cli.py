@@ -33,18 +33,28 @@ from .counterexample import (
     build_loglog_trace,
     embedding_ratio_sweep,
 )
-from .estimates import run_sweep
+from .estimates import run_sweep, sweep_table
 from .forward import evolve, integral_identity_check
 from .grid import GridSpec, save_field
 from .kernels import kernel_table
 from .reconstruction import reconstruct_potential
-from .reports import ConfigError, EstimateReport, config_hash, number, require, write_report
+from .reports import (COMMON, COUNT, EXPONENT, GRID, REQUIRED, ConfigError, EstimateReport,
+                      config_hash, grid_spec, read, write_report)
 from .symbols import NuVector
 
 EXIT_PASS = 0
 EXIT_VERDICT = 1
 EXIT_CONFIG = 2
 EXIT_NONCONVERGENCE = 3
+
+#: The config table of each command (verify-strichartz: a function of the config).
+TABLES = {}
+#: The ``potential`` block; the Potential checks window, alpha and pair on construction.
+POTENTIAL = {"kind": (("gaussian", "cusp"), REQUIRED), "amplitude": (float, 1.0),
+             "width": (float, 0.5), "alpha": (float, 0.75), "center": (float, 0.0),
+             "cutoff": (float, 1.0), "window": ([float], None), "pair": ([EXPONENT], [2, 2])}
+#: The blocks of every command that runs on a potential.
+WITH_POTENTIAL = {"grid": (GRID, REQUIRED), "potential": (POTENTIAL, REQUIRED)}
 
 
 # ---------------------------------------------------------------------------
@@ -67,36 +77,20 @@ def load_config(path: str) -> dict:
 
 
 def build_grid(cfg: dict) -> GridSpec:
-    g = require(cfg, "grid", dict)
-    try:
-        return GridSpec(
-            n=require(g, "n", int, "grid"),
-            box_time=float(require(g, "box_time", (int, float), "grid")),
-            box_space=float(require(g, "box_space", (int, float), "grid")),
-            pts_time=require(g, "pts_time", int, "grid"),
-            pts_space=require(g, "pts_space", int, "grid"),
-            max_points=number(g, "max_points", int, GridSpec.max_points, "grid"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+    """The grid of ``cfg['grid']``; no other key of ``cfg`` is read."""
+    return grid_spec(read({"grid": cfg.get("grid")}, {"grid": (GRID, REQUIRED)})["grid"])
 
 
-def build_potential(cfg: dict, spec: GridSpec) -> Potential:
-    p = require(cfg, "potential", dict)
-    kind = require(p, "kind", str, "potential")
-    if kind not in ("gaussian", "cusp"):
-        raise ConfigError(f"potential.kind: unknown kind {kind!r}")
-    window = number(p, "window", float, [], "potential")  # [] keeps the default window
-    shared = {"amplitude": number(p, "amplitude", float, 1.0, "potential"),
-              "window": tuple(window) if window else None,
-              "pair": tuple(p.get("pair", (2, 2)))}
+def build_potential(values: dict) -> tuple[GridSpec, Potential]:
+    """The grid and the potential of a config read against its table."""
+    spec, p = grid_spec(values["grid"]), values["potential"]
+    shared = {"amplitude": p["amplitude"], "pair": tuple(p["pair"]),
+              "window": tuple(p["window"]) if p["window"] else None}
     try:
-        if kind == "gaussian":
-            return gaussian_potential(spec, width=number(p, "width", float, 0.5, "potential"),
-                                      **shared)
-        return cusp_potential(spec, alpha=number(p, "alpha", float, 0.75, "potential"),
-                              center=number(p, "center", float, 0.0, "potential"),
-                              cutoff=number(p, "cutoff", float, 1.0, "potential"), **shared)
+        if p["kind"] == "gaussian":
+            return spec, gaussian_potential(spec, width=p["width"], **shared)
+        return spec, cusp_potential(spec, alpha=p["alpha"], center=p["center"],
+                                    cutoff=p["cutoff"], **shared)
     except ValueError as exc:  # window, alpha and pair are checked on construction
         raise ConfigError(f"potential: {exc}") from exc
 
@@ -107,22 +101,6 @@ def gaussian_state(spec: GridSpec, center, width: float, modulation) -> np.ndarr
     return np.exp(
         -sum((c - c0) ** 2 for c, c0 in zip(mesh, center)) / (2.0 * width**2)
     ) * np.exp(1j * sum(m * c for m, c in zip(modulation, mesh)))
-
-
-def out_dir(cfg: dict, override: str | None) -> pathlib.Path:
-    d = pathlib.Path(override or cfg.get("output_dir", "."))
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
-def emit(report: EstimateReport, cfg: dict, directory: pathlib.Path,
-         name: str, fmt: str) -> None:
-    """Stamp the report with the config hash and version, then write it."""
-    report.params["config_hash"] = config_hash(cfg)
-    report.params["version"] = __version__
-    path = directory / f"{name}.{fmt}"
-    write_report(report, path, fmt)
-    click.echo(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -146,23 +124,26 @@ def run_guarded(fn):
     sys.exit(code)
 
 
-def run_experiment(experiment, keys, config_path, output_override, fmt, dry_run) -> int:
+def run_experiment(experiment, table, config_path, output_override, fmt, dry_run) -> int:
     """Load the config, run the experiment, write its report and artifacts.
 
-    A top-level key outside ``keys`` is rejected before anything runs,
-    ``--dry-run`` included.
+    The config is read whole against ``table`` (and COMMON) before
+    anything runs; ``--dry-run`` prints the values read, every default
+    filled in, and stops.
     """
     cfg = load_config(config_path)
-    unknown = sorted(str(k) for k in set(cfg) - keys)
-    if unknown:
-        raise ConfigError(f"unknown config key: {unknown[0]} "
-                          f"(known keys: {', '.join(sorted(keys))})")
+    values = read(cfg, {**COMMON, **(table(cfg) if callable(table) else table)})
     if dry_run:
-        click.echo(json.dumps(cfg, indent=2, sort_keys=True, default=str))
+        click.echo(json.dumps(values, indent=2, sort_keys=True, default=str))
         return EXIT_PASS
-    stem, report, ok, artifacts = experiment(cfg)
-    directory = out_dir(cfg, output_override)
-    emit(report, cfg, directory, stem, fmt)
+    stem, report, ok, artifacts = experiment(cfg, values)
+    directory = pathlib.Path(output_override or values["output_dir"])
+    directory.mkdir(parents=True, exist_ok=True)
+    report.params["config_hash"] = config_hash(cfg)  # the config as written
+    report.params["version"] = __version__
+    path = directory / f"{stem}.{fmt}"
+    write_report(report, path, fmt)
+    click.echo(f"wrote {path}")
     for name, value in artifacts.items():
         path = directory / name
         if path.suffix == ".slf":
@@ -180,16 +161,17 @@ def main():
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
 
 
-def command(name: str, *keys: str):
-    """Register ``experiment(cfg)`` as the subcommand ``name``.
+def command(name: str, table):
+    """Register ``experiment(cfg, values)`` as the subcommand ``name``.
 
-    ``keys`` are the top-level config keys the experiment reads; every
-    command also takes ``output_dir``.  The experiment returns ``(report
-    stem, EstimateReport, passed, artifacts)`` where ``artifacts`` maps file
-    names (``.npy`` arrays, ``.slf`` fields) to the values written beside
-    the report.
+    ``table`` is the config table the command reads (a function of the
+    config where the table depends on a key); ``values`` is the config as
+    read against it, beside the raw ``cfg`` that reports echo.  The
+    experiment returns ``(report stem, EstimateReport, passed,
+    artifacts)`` where ``artifacts`` maps file names (``.npy`` arrays,
+    ``.slf`` fields) to the values written beside the report.
     """
-    known = frozenset(keys) | {"output_dir"}
+    TABLES[name] = table
 
     def register(experiment):
         @main.command(name, help=experiment.__doc__)
@@ -200,7 +182,7 @@ def command(name: str, *keys: str):
         @click.option("--format", "fmt", default="json", type=click.Choice(["json", "csv"]))
         @click.option("--dry-run", is_flag=True, help="print the resolved config and exit")
         def invoke(config_path, output_override, fmt, dry_run):
-            run_guarded(lambda: run_experiment(experiment, known, config_path,
+            run_guarded(lambda: run_experiment(experiment, table, config_path,
                                                output_override, fmt, dry_run))
         return experiment
     return register
@@ -211,32 +193,25 @@ def command(name: str, *keys: str):
 # ---------------------------------------------------------------------------
 
 
-@command("verify-strichartz", "grid", "estimate", "seed", "nu_values", "pairs", "family",
-         "min_xi_n", "s_values", "width", "ceiling")
-def verify_strichartz(cfg):
+@command("verify-strichartz", sweep_table)
+def verify_strichartz(cfg, values):
     """Measure nu-uniform Strichartz / gain / dispersive ratios."""
-    spec = build_grid(cfg)
-    estimate = cfg.get("estimate", "strichartz")
-    if estimate not in ("strichartz", "gain", "dispersive"):
-        raise ConfigError(f"estimate: unknown estimate {estimate!r}")
-    report = run_sweep(estimate, cfg, spec)
-    return f"{estimate}_sweep", report, report.verdict in ("pass", "recorded"), {}
+    report = run_sweep(values["estimate"], cfg)
+    return f"{values['estimate']}_sweep", report, report.verdict in ("pass", "recorded"), {}
 
 
-@command("kernel-table", "sigmas", "x", "tol")
-def kernel_table_cmd(cfg):
+@command("kernel-table", {
+    "sigmas": ([float], REQUIRED), "tol": (float, 1e-6),
+    "x": ({"min": (float, REQUIRED), "max": (float, REQUIRED), "count": (COUNT, REQUIRED)},
+          REQUIRED)})
+def kernel_table_cmd(cfg, values):
     """Tabulate the resolvent kernel, closed form vs quadrature."""
-    sigmas = require(cfg, "sigmas", list)
-    xcfg = require(cfg, "x", dict)
-    xs = np.linspace(float(require(xcfg, "min", (int, float), "x")),
-                     float(require(xcfg, "max", (int, float), "x")),
-                     int(require(xcfg, "count", int, "x")))
-    tol = number(cfg, "tol", float, 1e-6)  # report ceiling; the quadrature runs at 1e-9
+    x, tol = values["x"], values["tol"]  # tol is the report ceiling; the quadrature runs at 1e-9
     report = EstimateReport(
-        estimate="kernel_table", grid={}, params={"sigmas": sigmas, "tol": tol},
+        estimate="kernel_table", grid={}, params={"sigmas": cfg["sigmas"], "tol": tol},
         ceiling=tol,
     )
-    table = kernel_table(sigmas, xs)
+    table = kernel_table(values["sigmas"], np.linspace(x["min"], x["max"], x["count"]))
     for closed, quad in zip(table[::2], table[1::2]):
         report.samples.append({
             "sigma": float(closed.parameter[0]), "x": float(closed.argument), "seed": 0,
@@ -246,42 +221,35 @@ def kernel_table_cmd(cfg):
     return "kernel_table", report, report.verdict == "pass", {}
 
 
-@command("bs-norm-sweep", "grid", "potential", "nu_values", "tol", "seed")
-def bs_norm_sweep(cfg):
+@command("bs-norm-sweep", {**WITH_POTENTIAL, "nu_values": ([float], REQUIRED),
+                           "tol": (float, 1e-3), "seed": (int, 0)})
+def bs_norm_sweep(cfg, values):
     """Operator-norm decay of the sandwiched multiplier over nu."""
-    spec = build_grid(cfg)
-    V = build_potential(cfg, spec)
-    nu_values = require(cfg, "nu_values", list)
-    report = bs_decay_sweep(V, nu_values, tol=number(cfg, "tol", float, 1e-3),
-                            seed=number(cfg, "seed", int, 0))
+    _, V = build_potential(values)
+    report = bs_decay_sweep(V, values["nu_values"], tol=values["tol"], seed=values["seed"])
     if any(not s["converged"] for s in report.samples):
         raise NoConvergence("power iteration hit the iteration cap")
     if any(not s["starts_agree"] for s in report.samples):
         raise NoConvergence("power iteration starts disagree")
-    decay_ok = True
-    if len(report.samples) >= 2:
-        decay_ok = report.samples[-1]["ratio"] <= 0.5 * report.samples[0]["ratio"]
+    ratios = report.ratios
+    decay_ok = len(ratios) < 2 or ratios[-1] <= 0.5 * ratios[0]
     return "bs_norm_sweep", report, decay_ok, {}
 
 
-@command("cgo-build", "grid", "potential", "nu", "packet", "tol", "rho_cap")
-def cgo_build(cfg):
+@command("cgo-build", {**WITH_POTENTIAL, "nu": (float, REQUIRED), "tol": (float, 1e-8),
+                       "rho_cap": (float, 0.9),
+                       "packet": ({"center": (float, 0.0), "width": (float, 2.0)}, {})})
+def cgo_build(cfg, values):
     """Construct a CGO solution and record its diagnostics."""
-    spec = build_grid(cfg)
-    V = build_potential(cfg, spec)
-    nu_mag = float(require(cfg, "nu", (int, float)))
-    packet_cfg = cfg.get("packet", {})
-    packet = gaussian_packet_on_hyperplane(
-        spec, NuVector.along_last_axis(nu_mag, spec.n),
-        center=number(packet_cfg, "center", float, 0.0, "packet"),
-        width=number(packet_cfg, "width", float, 2.0, "packet"),
-    )
-    tol = number(cfg, "tol", float, 1e-8)
-    sol = build_cgo(V, packet, tol=tol, rho_cap=number(cfg, "rho_cap", float, 0.9))
+    spec, V = build_potential(values)
+    nu_mag, tol, p = values["nu"], values["tol"], values["packet"]
+    packet = gaussian_packet_on_hyperplane(spec, NuVector.along_last_axis(nu_mag, spec.n),
+                                           center=p["center"], width=p["width"])
+    sol = build_cgo(V, packet, tol=tol, rho_cap=values["rho_cap"])
     report = EstimateReport(
         estimate="cgo_build",
         grid=dict(cfg["grid"]),
-        params={"nu": nu_mag, "tol": tol, "packet": dict(packet_cfg),
+        params={"nu": nu_mag, "tol": tol, "packet": dict(cfg.get("packet") or {}),
                 "rho": sol.rho, "terms": sol.terms},
         ceiling=tol,
     )
@@ -291,36 +259,33 @@ def cgo_build(cfg):
     return "cgo_build", report, report.verdict == "pass", artifacts
 
 
-@command("forward-evolve", "grid", "potential", "T", "steps", "initial")
-def forward_evolve(cfg):
+@command("forward-evolve", {
+    **WITH_POTENTIAL, "T": (float, REQUIRED), "steps": (COUNT, 256),
+    "initial": ({"center": ([float], None), "width": (float, 0.5),
+                 "modulation": ([float], None)}, {})})
+def forward_evolve(cfg, values):
     """Evolve an initial state under a potential; export the final state."""
-    spec = build_grid(cfg)
-    V = build_potential(cfg, spec)
-    T = float(require(cfg, "T", (int, float)))
-    steps = number(cfg, "steps", int, 256)
-    init = cfg.get("initial", {})
-    f = gaussian_state(spec, number(init, "center", float, [0.0] * spec.n, "initial"),
-                       number(init, "width", float, 0.5, "initial"),
-                       number(init, "modulation", float, [0.0] * spec.n, "initial"))
+    spec, V = build_potential(values)
+    T, steps, init = values["T"], values["steps"], values["initial"]
+    origin = [0.0] * spec.n  # the default center and modulation
+    f = gaussian_state(spec, init["center"] or origin, init["width"],
+                       init["modulation"] or origin)
     traj = evolve(V, f, T, steps)
     report = EstimateReport(
         estimate="forward_evolve", grid=dict(cfg["grid"]),
-        params={"T": T, "steps": steps, "initial": dict(init)},
+        params={"T": T, "steps": steps, "initial": dict(cfg.get("initial") or {})},
         ceiling=1e-8,
     )
     report.samples.append({"seed": 0, "ratio": traj.mass_drift(), "kind": "mass_drift"})
     return "forward_evolve", report, report.verdict == "pass", {"final_state.npy": traj.final}
 
 
-@command("identity-check", "grid", "potential", "T", "steps", "trials", "tol", "seed")
-def identity_check(cfg):
+@command("identity-check", {**WITH_POTENTIAL, "T": (float, REQUIRED), "steps": (COUNT, 256),
+                            "trials": (COUNT, 3), "tol": (float, 1e-4), "seed": (int, 0)})
+def identity_check(cfg, values):
     """Two-sided verification of the bilinear integral identity."""
-    spec = build_grid(cfg)
-    V1 = build_potential(cfg, spec)
-    T = float(require(cfg, "T", (int, float)))
-    steps = number(cfg, "steps", int, 256)
-    tol = number(cfg, "tol", float, 1e-4)
-    seed = number(cfg, "seed", int, 0)
+    spec, V1 = build_potential(values)
+    T, steps, tol, seed = values["T"], values["steps"], values["tol"], values["seed"]
     rng = np.random.default_rng(seed)
 
     def packet():
@@ -334,7 +299,7 @@ def identity_check(cfg):
         params={"T": T, "steps": steps, "tol": tol, "seed": seed},
         ceiling=tol,
     )
-    for k in range(number(cfg, "trials", int, 3)):
+    for k in range(values["trials"]):
         out = integral_identity_check(V1, None, packet(), packet(), T, steps)
         report.samples.append(
             {"seed": seed, "trial": k, "ratio": out["normalized_residual"]}
@@ -342,41 +307,35 @@ def identity_check(cfg):
     return "identity_check", report, report.verdict == "pass", {}
 
 
-@command("reconstruct", "grid", "potential", "T", "freq_radius", "steps", "tol")
-def reconstruct(cfg):
+@command("reconstruct", {**WITH_POTENTIAL, "T": (float, REQUIRED), "freq_radius": (float, 8.0),
+                         "steps": (COUNT, 256), "tol": (float, 0.2)})
+def reconstruct(cfg, values):
     """Born reconstruction of a potential from final-state data."""
-    spec = build_grid(cfg)
-    V = build_potential(cfg, spec)
-    T = float(require(cfg, "T", (int, float)))
-    radius = number(cfg, "freq_radius", float, 8.0)
-    steps = number(cfg, "steps", int, 256)
-    tol = number(cfg, "tol", float, 0.2)
+    spec, V = build_potential(values)
+    T, radius, steps = values["T"], values["freq_radius"], values["steps"]
     reference = V.field.data[spec.pts_time // 2]
     est, rep = reconstruct_potential(V, radius, T, steps, reference=reference)
     report = EstimateReport(
         estimate="reconstruct", grid=dict(cfg["grid"]),
         params={"T": T, "steps": steps, "freq_radius": radius,
                 "n_samples": rep["n_samples"], "n_not_born": rep["n_not_born"]},
-        ceiling=tol,
+        ceiling=values["tol"],
     )
     report.samples.append({"seed": 0, "ratio": rep.get("relative_l2_error", 0.0)})
     return "reconstruct", report, report.verdict == "pass", {"potential_estimate.npy": est}
 
 
-@command("counterexample-sweep", "rho_values", "family", "growth_threshold",
-         "trace_points")
-def counterexample_sweep(cfg):
+@command("counterexample-sweep", {"rho_values": ([float], REQUIRED),
+                                  "family": (("shifted", "unscaled", "control"), "shifted"),
+                                  "growth_threshold": (float, 1.15),
+                                  "trace_points": (int, 1 << 15)})
+def counterexample_sweep(cfg, values):
     """Divergence of the endpoint embedding ratio over the rho family."""
-    rho_values = require(cfg, "rho_values", list)
-    family = cfg.get("family", "shifted")
-    if family not in ("shifted", "unscaled", "control"):
-        raise ConfigError(f"family: unknown family {family!r}")
-    threshold = number(cfg, "growth_threshold", float, 1.15)
-    trace_pts = number(cfg, "trace_points", int, 1 << 15)
-    trace = (build_gaussian_trace(points=trace_pts) if family == "control"
-             else build_loglog_trace(points=trace_pts))
+    family, threshold = values["family"], values["growth_threshold"]
+    trace = (build_gaussian_trace(points=values["trace_points"]) if family == "control"
+             else build_loglog_trace(points=values["trace_points"]))
     profile = build_dispersion_profile()
-    report = embedding_ratio_sweep(rho_values, family, trace=trace, profile=profile)
+    report = embedding_ratio_sweep(values["rho_values"], family, trace=trace, profile=profile)
     ratios = report.ratios
     if family == "control":
         ok = len(ratios) < 2 or max(ratios) <= 2.0 * min(ratios)

@@ -23,7 +23,8 @@ import numpy as np
 
 from .grid import Field, GridSpec, gaussian_packet, l2_norm, mixed_norm
 from .multipliers import MultiplierPlan, apply_plan, apply_U_s, plan_S_nu
-from .reports import ConfigError, EstimateReport, number, require
+from .reports import (COMMON, EXPONENT, GRID, REQUIRED, ConfigError, EstimateReport,
+                      grid_spec, read)
 from .symbols import ExponentPair, NuVector
 
 logger = logging.getLogger(__name__)
@@ -34,6 +35,8 @@ __all__ = [
     "dispersive_ratio",
     "standard_family",
     "run_sweep",
+    "sweep_table",
+    "SWEEP_TABLES",
 ]
 
 
@@ -166,46 +169,69 @@ def standard_family(
 # ---------------------------------------------------------------------------
 
 
-def _read_pairs(config: dict, n: int) -> list[ExponentPair]:
+#: The config table of each estimate.  A key of one estimate is rejected
+#: under another, and the nu_values and family defaults differ.
+SWEEP_TABLES = {
+    name: {**COMMON, "grid": (GRID, REQUIRED), "estimate": ((name,), name),
+           "seed": (int, 0), "ceiling": (float, None), **keys}
+    for name, keys in [
+        ("strichartz", {"nu_values": ([float], [2, 4, 8, 16, 32, 64]),
+                        "pairs": ([[EXPONENT]], REQUIRED), "family": (int, 4)}),
+        ("gain", {"nu_values": ([float], [2, 4, 8, 16, 32]), "family": (int, 5),
+                  "min_xi_n": (float, 1.0)}),
+        ("dispersive", {"s_values": ([float], [0.01, 0.1, 1.0, 10.0]),
+                        "width": (float, 0.25)}),
+    ]
+}
+
+
+def sweep_table(config: dict) -> dict:
+    """The table of the estimate ``config`` names; strichartz when it names none."""
+    estimate = read({"estimate": config.get("estimate")},
+                    {"estimate": (tuple(SWEEP_TABLES), "strichartz")})["estimate"]
+    return SWEEP_TABLES[estimate]
+
+
+def _read_pairs(pairs: list, n: int) -> list[ExponentPair]:
     """The ``pairs`` entries as admissible exponent pairs, or a ConfigError naming ``pairs``."""
-    pairs = []
-    for entry in require(config, "pairs", list):
+    out = []
+    for entry in pairs:
         try:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                raise ValueError("want [q, r]")
-            pair = ExponentPair(entry[0], entry[1], n)
+            q, r = entry
+            pair = ExponentPair(q, r, n)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"pairs: bad entry {entry!r}: {exc}") from None
         if not pair.admissible:
             raise ConfigError(f"pairs: {entry!r} is not admissible for n = {n}")
-        pairs.append(pair)
-    return pairs
+        out.append(pair)
+    return out
 
 
-def run_sweep(estimate: str, config: dict, spec: GridSpec | None = None) -> EstimateReport:
+def run_sweep(estimate: str, config: dict) -> EstimateReport:
     """Run a named ratio sweep; deterministic given config['seed'].
 
-    Supported estimates: ``gain``, ``strichartz``, ``dispersive``.  ``spec``
-    is the grid built from ``config['grid']``, which the report echoes.
-    Every key is read as the CLI reads it: a YAML boolean or an
-    inadmissible ``pairs`` entry raises ConfigError naming the key.
+    Supported estimates: ``gain``, ``strichartz``, ``dispersive``.  The
+    config is read against the estimate's table in SWEEP_TABLES, as the
+    CLI reads it, so a bad key or grid raises ConfigError naming it.  The
+    report echoes ``config['grid']`` and the rest of ``config`` as written.
     """
     t0 = time.time()
-    spec = spec or GridSpec(**config["grid"])
-    seed = number(config, "seed", int, 0)
+    if estimate not in SWEEP_TABLES:
+        raise ValueError(f"unknown estimate {estimate!r}")
+    values = read(config, SWEEP_TABLES[estimate])
+    spec = grid_spec(values["grid"])
+    seed = values["seed"]
     report = EstimateReport(
         estimate=estimate,
         grid=dict(config["grid"]),
         params={k: v for k, v in config.items() if k not in ("grid",)},
-        ceiling=number(config, "ceiling", float, None),
+        ceiling=values["ceiling"],
     )
     rng = np.random.default_rng(seed)
 
     if estimate == "gain":
-        nu_values = number(config, "nu_values", float, [2, 4, 8, 16, 32])
-        fields = standard_family(spec, rng, number(config, "family", int, 5),
-                                 min_xi_n=number(config, "min_xi_n", float, 1.0))
-        for mag in nu_values:
+        fields = standard_family(spec, rng, values["family"], min_xi_n=values["min_xi_n"])
+        for mag in values["nu_values"]:
             nu = NuVector.along_last_axis(mag, spec.n)
             # xi_n offset on: the xi_n = 0 lattice plane has a
             # nu-independent symbol and would swamp the compensated ratio.
@@ -216,11 +242,10 @@ def run_sweep(estimate: str, config: dict, spec: GridSpec | None = None) -> Esti
                     {"nu": float(mag), "field": k, "seed": seed, "ratio": ratio}
                 )
     elif estimate == "strichartz":
-        nu_values = number(config, "nu_values", float, [2, 4, 8, 16, 32, 64])
-        pairs = _read_pairs(config, spec.n)
-        fields = standard_family(spec, rng, number(config, "family", int, 4))
+        pairs = _read_pairs(values["pairs"], spec.n)
+        fields = standard_family(spec, rng, values["family"])
         for pair in pairs:
-            for mag in nu_values:
+            for mag in values["nu_values"]:
                 nu = NuVector.along_last_axis(mag, spec.n)
                 plan = plan_S_nu(spec, nu, offset_tau=True, offset_xin=False)
                 for k, f in enumerate(fields):
@@ -234,16 +259,13 @@ def run_sweep(estimate: str, config: dict, spec: GridSpec | None = None) -> Esti
                             "ratio": ratio,
                         }
                     )
-    elif estimate == "dispersive":
-        s_values = number(config, "s_values", float, [0.01, 0.1, 1.0, 10.0])
-        width = number(config, "width", float, 0.25) * spec.box_space
+    else:
+        width = values["width"] * spec.box_space
         mesh = spec.spatial_mesh()
         phi = np.exp(-sum(c**2 for c in mesh) / (2.0 * width**2)).astype(complex)
-        for s in s_values:
+        for s in values["s_values"]:
             ratio = dispersive_ratio(spec, phi, s)
             report.samples.append({"s": s, "seed": seed, "ratio": ratio})
-    else:
-        raise ValueError(f"unknown estimate {estimate!r}")
 
     report.runtime = time.time() - t0
     logger.info(

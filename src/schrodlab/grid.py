@@ -36,7 +36,6 @@ __all__ = [
     "hyperplane_norm",
     "l2_norm",
     "boundary_mass_fraction",
-    "zero_field",
     "single_mode",
     "gaussian_packet",
     "random_band_limited",
@@ -311,10 +310,6 @@ def boundary_mass_fraction(f: Field, margin: float = 0.1) -> float:
 # ---------------------------------------------------------------------------
 # field factories
 # ---------------------------------------------------------------------------
-
-
-def zero_field(spec: GridSpec, rep: str = PHYSICAL) -> Field:
-    return Field(spec, rep, np.zeros(spec.shape, dtype=np.complex128))
 
 
 def single_mode(spec: GridSpec, k_time: int, k_space: Sequence[int]) -> Field:

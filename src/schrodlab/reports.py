@@ -5,8 +5,10 @@ to CSV.  Wall-clock data is kept out of the serialized payload so that
 rerunning a configuration with the same seed reproduces files byte for
 byte; runtimes are surfaced through logging instead.
 
-The config-key readers ``require`` and ``number`` live here too, so the CLI
-and the sweep harness reject the same inputs with the same ConfigError.
+The config reader ``read`` lives here too: every command, and the sweep
+harness for library callers, reads its config whole against a table of
+key paths, kinds and defaults, and rejects what the table does not allow
+with the same ConfigError.
 """
 
 from __future__ import annotations
@@ -17,52 +19,109 @@ import logging
 import math
 from dataclasses import dataclass, field
 
+from .grid import GridSpec
+
 logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
-__all__ = ["EstimateReport", "report_to_json", "write_report", "read_report", "config_hash",
-           "ConfigError", "require", "number"]
+__all__ = ["EstimateReport", "report_to_json", "write_report", "config_hash",
+           "ConfigError", "read", "REQUIRED", "COUNT", "EXPONENT", "COMMON", "GRID",
+           "grid_spec"]
 
 
 class ConfigError(Exception):
     """Configuration problem, reported with the offending key path."""
 
 
-def require(cfg: dict, key: str, kind=None, path: str = ""):
-    here = f"{path}.{key}" if path else key
-    if key not in cfg:
-        raise ConfigError(f"missing config key: {here}")
-    value = cfg[key]
-    # bool subclasses int, but YAML true is never a count or a size
-    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
-        raise ConfigError(f"config key {here} has wrong type (want {kind})")
-    return value
+#: Default of a key that must be given.
+REQUIRED = object()
+#: Kind of an int >= 1.
+COUNT = "count"
+#: Kind of a Lebesgue exponent: a number or a string such as "4/3", checked where it is used.
+EXPONENT = "exponent"
+
+#: Keys every command's config may carry besides its own.
+COMMON = {"output_dir": (str, ".")}
+#: The ``grid`` block; GridSpec checks the values on construction.
+GRID = {"n": (int, REQUIRED), "box_time": (float, REQUIRED), "box_space": (float, REQUIRED),
+        "pts_time": (int, REQUIRED), "pts_space": (int, REQUIRED),
+        "max_points": (int, GridSpec.max_points)}
 
 
-def number(cfg: dict, key: str, kind, default, path: str = ""):
-    """Optional numeric key (a list element-wise) as ``kind``; absent or null gives ``default``.
-
-    The value is a list exactly when ``default`` is one.  As in
-    ``require``, a YAML boolean is rejected, never read as 0 or 1, and an
-    ``int`` key rejects a non-integral number instead of truncating it.
-    """
-    value = cfg.get(key)
-    if value is None:
-        return default
-    here = f"{path}.{key}" if path else key
-    if isinstance(value, list) != isinstance(default, list):
-        want = "a list" if isinstance(default, list) else "a single value"
-        raise ConfigError(f"config key {here} has wrong type (want {want})")
-    items = value if isinstance(value, list) else [value]
+def grid_spec(grid: dict) -> GridSpec:
+    """The GridSpec of a ``grid`` block read against GRID."""
     try:
-        if any(isinstance(v, bool) or (kind is int and isinstance(v, float)
-                                       and not v.is_integer()) for v in items):
-            raise TypeError(key)
-        out = [kind(v) for v in items]
-    except (TypeError, ValueError):
-        raise ConfigError(f"config key {here} has wrong type (want {kind.__name__})") from None
-    return out if isinstance(value, list) else out[0]
+        return GridSpec(**grid)
+    except ValueError as exc:
+        raise ConfigError(f"grid: {exc}") from exc
+
+
+def read(cfg: dict, table: dict, path: str = "") -> dict:
+    """The values of ``cfg`` as ``table`` reads them, every default filled in.
+
+    ``table`` maps each key to ``(kind, default)``; the kinds are ``int``,
+    ``float``, ``COUNT``, ``str``, ``EXPONENT``, a tuple of allowed
+    strings, a nested table, and ``[kind]``, a non-empty list of one of
+    these.  An absent or null key takes its default, read as the key is
+    (a nested table's default is ``{}``: its keys' defaults); ``REQUIRED``
+    makes it required.  An unknown key at any depth, a missing required
+    key and a value of the wrong kind raise ConfigError naming the key
+    path.  A number is never a YAML boolean, and an int or a count is
+    integral.
+    """
+    unknown = sorted(str(k) for k in set(cfg) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown config key: {f'{path}.' if path else ''}{unknown[0]} "
+                          f"(known keys: {', '.join(table)})")
+    out = {}
+    for key, (kind, default) in table.items():
+        here = f"{path}.{key}" if path else key
+        value = default if cfg.get(key) is None else cfg[key]
+        if value is REQUIRED:
+            raise ConfigError(f"missing config key: {here}")
+        try:
+            out[key] = None if value is None else _convert(value, kind, here)
+        except ValueError as exc:
+            raise ConfigError(f"config key {here} has wrong type (want {exc}), got {here}: "
+                              f"{json.dumps(value, default=str)}") from None
+    return out
+
+
+def _convert(value, kind, here: str):
+    """``value`` read as ``kind``; a ValueError carries what was wanted."""
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ValueError("mapping")
+        return read(value, kind, here)
+    if isinstance(value, list) != isinstance(kind, list):
+        raise ValueError("a list" if isinstance(kind, list) else "a single value")
+    if isinstance(kind, list):
+        if not value:
+            raise ValueError("a non-empty list")
+        return [_convert(v, kind[0], here) for v in value]
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        raise ValueError("one of " + ", ".join(kind))
+    want = getattr(kind, "__name__", kind)
+    if kind is str:
+        if isinstance(value, str):
+            return value
+        raise ValueError(want)
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(want)
+    if kind is EXPONENT:
+        return value
+    try:  # a number written as a string: YAML reads 1e-6 as one
+        x = float(value)
+    except (ValueError, OverflowError):
+        raise ValueError(want) from None
+    if kind is float:
+        return x
+    if not x.is_integer() or (kind is COUNT and x < 1):
+        raise ValueError(want)
+    return value if isinstance(value, int) else int(x)
 
 
 def config_hash(config: dict) -> str:
@@ -144,7 +203,3 @@ def write_report(report: EstimateReport, path, fmt: str = "json") -> None:
         raise ValueError(f"unknown report format {fmt!r}")
     logger.info("wrote %s report to %s (runtime %.2fs)", report.estimate, path, report.runtime)
 
-
-def read_report(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

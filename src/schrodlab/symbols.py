@@ -30,7 +30,6 @@ __all__ = [
     "eval_p_nu",
     "as_exponent",
     "conjugate_exponent",
-    "check_admissible",
     "potential_pair_check",
 ]
 
@@ -105,18 +104,6 @@ class ExponentPair:
             self.n,
             dual=not self.dual,
         )
-
-
-def check_admissible(q, r, n: int):
-    """Decide Strichartz admissibility of (q, r) in dimension n.
-
-    Returns ``(verdict, dual_pair_or_None)``; the dual pair is the Hölder
-    conjugate (q', r'), which then satisfies the dual index relation.
-    """
-    pair = ExponentPair(q, r, n)
-    if not pair.admissible:
-        return False, None
-    return True, pair.dual_pair()
 
 
 def potential_pair_check(a, b, n: int):

@@ -17,11 +17,10 @@ from schrodlab.cli import (
     build_grid,
     load_config,
     main,
-    number,
-    require,
 )
+from schrodlab.estimates import SWEEP_TABLES
 from schrodlab.grid import l2_norm, load_field, random_band_limited, save_field
-from schrodlab.reports import EstimateReport
+from schrodlab.reports import COMMON, GRID as GRID_TABLE, REQUIRED, EstimateReport, read
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -48,16 +47,16 @@ class TestHelpers:
 
     def test_require_missing_key(self):
         with pytest.raises(ConfigError):
-            require({"a": 1}, "b")
+            read({"a": 1}, {"a": (int, REQUIRED), "b": (int, REQUIRED)})
 
     def test_require_wrong_type(self):
         with pytest.raises(ConfigError):
-            require({"a": "x"}, "a", int)
+            read({"a": "x"}, {"a": (int, REQUIRED)})
 
     def test_number_accepts_integral_values(self):
-        assert number({"k": 3}, "k", int, 0) == 3
-        assert number({"k": 3.0}, "k", int, 0) == 3
-        assert number({"k": [1, 2.0]}, "k", int, [0]) == [1, 2]
+        assert read({"k": 3}, {"k": (int, 0)}) == {"k": 3}
+        assert read({"k": 3.0}, {"k": (int, 0)}) == {"k": 3}
+        assert read({"k": [1, 2.0]}, {"k": ([int], [0])}) == {"k": [1, 2]}
 
     def test_build_grid_validates(self):
         with pytest.raises(ConfigError):
@@ -197,6 +196,78 @@ class TestExitCodes:
         assert res.exit_code == EXIT_PASS
         assert json.loads(res.output)["estimate"] == "gain"
 
+    def test_dry_run_prints_defaults(self, runner, tmp_path):
+        cfg = write(tmp_path, "g.yaml", GRID + "estimate: gain\n")
+        res = runner.invoke(main, ["verify-strichartz", "--config", cfg, "--dry-run"])
+        assert res.exit_code == EXIT_PASS
+        values = json.loads(res.output)
+        assert values["nu_values"] == [2, 4, 8, 16, 32] and values["family"] == 5
+        assert values["min_xi_n"] == 1.0 and values["ceiling"] is None
+        assert values["grid"]["max_points"] == 1 << 24 and values["output_dir"] == "."
+
+    def test_scalar_potential_pair(self, runner, tmp_path):
+        # tuple(3) raised TypeError, exit 1 as if a verdict had failed
+        cfg = write(tmp_path, "c.yaml", GRID + "potential: {kind: gaussian, pair: 3}\n"
+                    "nu_values: [4, 8]\n")
+        res = runner.invoke(main, ["bs-norm-sweep", "--config", cfg,
+                                   "--output", str(tmp_path)])
+        assert res.exit_code == EXIT_CONFIG
+        assert "config key potential.pair has wrong type (want a list)" in res.output
+        assert not (tmp_path / "bs_norm_sweep.json").exists()
+
+    POTENTIAL = "potential: {kind: gaussian}\n"
+    KERNEL_X = "x: {min: -1.0, max: 1.0, count: 3}\n"
+
+    @pytest.mark.parametrize("command,text,key", [
+        ("bs-norm-sweep", GRID + POTENTIAL + "nu_values: []\n", "nu_values"),
+        ("verify-strichartz", GRID + "estimate: gain\nnu_values: []\n", "nu_values"),
+        ("verify-strichartz", GRID + "estimate: strichartz\npairs: []\n", "pairs"),
+        ("kernel-table", "sigmas: []\n" + KERNEL_X, "sigmas"),
+        ("counterexample-sweep", "rho_values: []\n", "rho_values"),
+        ("kernel-table", "sigmas: [0.5]\nx: {min: -1.0, max: 1.0, count: 0}\n", "x.count"),
+        ("identity-check", GRID + POTENTIAL + "T: 0.1\ntrials: 0\n", "trials"),
+        ("forward-evolve", GRID + POTENTIAL + "T: 0.1\nsteps: 0\n", "steps"),
+        ("forward-evolve", GRID + POTENTIAL + "T: 0.1\nsteps: -1\n", "steps"),
+    ], ids=["bs-nu_values", "gain-nu_values", "pairs", "sigmas", "rho_values", "x.count",
+            "trials", "steps-0", "steps-negative"])
+    def test_nothing_to_sweep(self, runner, tmp_path, command, text, key):
+        # an empty sweep passed vacuously with zero samples; steps <= 0 raised ValueError
+        cfg = write(tmp_path, "c.yaml", text)
+        res = runner.invoke(main, [command, "--config", cfg, "--output", str(tmp_path)])
+        assert res.exit_code == EXIT_CONFIG
+        assert f"config key {key} has wrong type" in res.output
+        assert not list(tmp_path.glob("*.json"))
+
+    @pytest.mark.parametrize("command,text,message", [
+        ("kernel-table", "sigmas: [true]\n" + KERNEL_X, "config key sigmas has wrong type"),
+        ("bs-norm-sweep", GRID + POTENTIAL + "nu_values: [true, 8]\n",
+         "config key nu_values has wrong type"),
+        ("kernel-table", "sigmas: [a]\n" + KERNEL_X, "config key sigmas has wrong type"),
+        ("bs-norm-sweep", GRID + POTENTIAL + "nu_values: [a]\n",
+         "config key nu_values has wrong type"),
+        ("counterexample-sweep", "rho_values: [a]\n", "config key rho_values has wrong type"),
+        ("cgo-build", GRID + POTENTIAL + "nu: 8\npacket: 3\n",
+         "config key packet has wrong type (want mapping)"),
+        ("forward-evolve", GRID + POTENTIAL + "T: 0.1\ninitial: 3\n",
+         "config key initial has wrong type (want mapping)"),
+        ("bs-norm-sweep", GRID + "potential: {kind: gaussian, widht: 0.1}\nnu_values: [4]\n",
+         "unknown config key: potential.widht"),
+        ("verify-strichartz", GRID + "estimate: dispersive\nfamily: 2\n",
+         "unknown config key: family"),
+        ("verify-strichartz", GRID + "estimate: strichartz\npairs: [[1, 2]]\nmin_xi_n: 1.0\n",
+         "unknown config key: min_xi_n"),
+    ], ids=["bool-sigma", "bool-nu", "str-sigma", "str-nu", "str-rho", "packet-scalar",
+            "initial-scalar", "potential-typo", "family-dispersive", "min_xi_n-strichartz"])
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+    def test_bad_value_named(self, runner, tmp_path, command, text, message, dry_run):
+        # each ran on a wrong value, or ended in a traceback with exit 1
+        cfg = write(tmp_path, "c.yaml", text)
+        res = runner.invoke(main, [command, "--config", cfg, "--output", str(tmp_path)]
+                            + ["--dry-run"] * dry_run)
+        assert res.exit_code == EXIT_CONFIG
+        assert message in res.output
+        assert not list(tmp_path.glob("*.json"))
+
     def test_nonconvergence_exit(self, runner, tmp_path):
         # a strong potential at tiny nu breaks the CGO contraction
         cfg = write(tmp_path, "cgo.yaml", GRID +
@@ -239,6 +310,43 @@ class TestRunAllScript:
         assert res.exit_code == EXIT_PASS, res.output
 
 
+def kind_name(kind):
+    """How docs/config_schema.md names a kind."""
+    if isinstance(kind, list):
+        return f"list of {kind_name(kind[0])}"
+    if isinstance(kind, tuple):
+        return "one of " + ", ".join(kind)
+    return "mapping" if isinstance(kind, dict) else getattr(kind, "__name__", kind)
+
+
+def schema_rows(table, path=""):
+    """(key path, kind, default) rows of a table, as docs/config_schema.md writes them.
+
+    The shared ``grid`` and ``potential`` blocks have sections of their own.
+    """
+    for key, (kind, default) in table.items():
+        here = f"{path}.{key}" if path else key
+        yield here, kind_name(kind), "required" if default is REQUIRED else json.dumps(default)
+        if isinstance(kind, dict) and kind not in (GRID_TABLE, cli.POTENTIAL):
+            yield from schema_rows(kind, here)
+
+
+def test_schema_doc_matches_tables():
+    text = (ROOT / "docs" / "config_schema.md").read_text()
+    documented = {title: [tuple(c.strip().strip("`") for c in row.split("|")[1:4])
+                          for row in rows.splitlines()[2:]]
+                  for title, rows in re.findall(r"^### (.+)\n\n((?:\|.*\n)+)", text, re.M)}
+    expected = {"grid": list(schema_rows(GRID_TABLE, "grid")),
+                "potential": list(schema_rows(cli.POTENTIAL, "potential"))}
+    for name, table in cli.TABLES.items():
+        if callable(table):  # verify-strichartz: one table per estimate
+            expected.update({f"{name} ({est})": list(schema_rows(t))
+                             for est, t in SWEEP_TABLES.items()})
+        else:
+            expected[name] = list(schema_rows({**COMMON, **table}))
+    assert documented == expected
+
+
 class TestCommands:
     def test_gain_sweep_pass(self, runner, tmp_path):
         cfg = write(tmp_path, "g.yaml", GRID +
@@ -251,15 +359,15 @@ class TestCommands:
         assert "config_hash" in report["params"]
         assert "version" in report["params"]
 
-    def test_unknown_grid_key_ignored(self, runner, tmp_path):
-        # the grid block is parsed once, by build_grid; the report echoes it
+    def test_unknown_grid_key_rejected(self, runner, tmp_path):
+        # a key nothing reads, at any depth, is a typo or a removed option
         cfg = write(tmp_path, "g.yaml", GRID + "  note: x\n"
                     "estimate: gain\nnu_values: [4]\nfamily: 1\nseed: 0\n"
                     + f"output_dir: {tmp_path}/out\n")
         res = runner.invoke(main, ["verify-strichartz", "--config", cfg])
-        assert res.exit_code == EXIT_PASS, res.output
-        report = json.loads((tmp_path / "out" / "gain_sweep.json").read_text())
-        assert report["grid"]["note"] == "x"
+        assert res.exit_code == EXIT_CONFIG
+        assert "unknown config key: grid.note" in res.output
+        assert not (tmp_path / "out").exists()
 
     def test_kernel_table_pass_and_csv(self, runner, tmp_path):
         cfg = write(tmp_path, "k.yaml",

@@ -12,6 +12,7 @@ from schrodlab.estimates import (
 )
 from schrodlab.grid import Field, GridSpec, gaussian_packet
 from schrodlab.multipliers import plan_S_nu
+from schrodlab.reports import ConfigError
 from schrodlab.symbols import ExponentPair, NuVector
 
 SPEC = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=16, pts_space=16)
@@ -37,10 +38,9 @@ class TestRatios:
             gain_ratio(packet(), NuVector([3.0, 4.0]))
 
     def test_gain_rejects_zero_field(self):
-        from schrodlab.grid import zero_field
-
+        zero = Field(SPEC, "physical", np.zeros(SPEC.shape, dtype=np.complex128))
         with pytest.raises(ValueError):
-            gain_ratio(zero_field(SPEC), NU)
+            gain_ratio(zero, NU)
 
     def test_strichartz_scaling_invariance(self):
         pair = ExponentPair("4/3", "4/3", 2)
@@ -132,6 +132,15 @@ class TestSweeps:
     def test_unknown_estimate(self):
         with pytest.raises(ValueError):
             run_sweep("nope", {"grid": GRID_CFG})
+
+    @pytest.mark.parametrize("extra", [
+        {"nu_value": [4]}, {"nu_values": []}, {"pairs": [[1, 2]]},
+        {"grid": {**GRID_CFG, "pts_time": 12}},
+    ], ids=["typo", "empty", "strichartz-key", "bad-grid"])
+    def test_library_config_read_as_cli(self, extra):
+        # library callers get the CLI's checks, not a silent default or a ValueError
+        with pytest.raises(ConfigError):
+            run_sweep("gain", {"grid": GRID_CFG, "nu_values": [4], "family": 1, **extra})
 
     def test_sweep_deterministic(self):
         cfg = {"grid": GRID_CFG, "seed": 3, "nu_values": [4, 8], "family": 2}

@@ -20,7 +20,6 @@ from schrodlab.grid import (
     save_field,
     single_mode,
     transform,
-    zero_field,
 )
 
 SPEC1 = GridSpec(n=1, box_time=np.pi, box_space=np.pi, pts_time=16, pts_space=16)
@@ -128,9 +127,6 @@ class TestNorms:
 
 
 class TestFactories:
-    def test_zero_field(self):
-        assert l2_norm(zero_field(SPEC2)) == 0.0
-
     def test_gaussian_packet_centered(self):
         f = gaussian_packet(SPEC2, 0.0, np.zeros(2), 0.5, 0.5)
         peak = np.unravel_index(np.argmax(np.abs(f.data)), f.data.shape)

@@ -8,7 +8,6 @@ import pytest
 from schrodlab.reports import (
     EstimateReport,
     config_hash,
-    read_report,
     report_to_json,
     write_report,
 )
@@ -73,7 +72,7 @@ class TestSerialization:
         rep = sample_report()
         p = tmp_path / "r.json"
         write_report(rep, p)
-        back = read_report(p)
+        back = json.loads(p.read_text())
         assert back == rep.to_dict()
 
     def test_byte_identical_reruns(self, tmp_path):

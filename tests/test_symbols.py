@@ -12,7 +12,6 @@ from schrodlab.symbols import (
     NuVector,
     ScalingMap,
     as_exponent,
-    check_admissible,
     conjugate_exponent,
     eval_p,
     eval_p_nu,
@@ -58,9 +57,9 @@ class TestAdmissibility:
         ("4/3", "3/2", 3),
     ])
     def test_known_admissible(self, q, r, n):
-        ok, dual = check_admissible(q, r, n)
-        assert ok
-        assert dual is not None and dual.admissible
+        pair = ExponentPair(q, r, n)
+        assert pair.admissible
+        assert pair.dual_pair().admissible
 
     @pytest.mark.parametrize("q,r,n", [
         (2, 2, 2),
@@ -69,16 +68,14 @@ class TestAdmissibility:
     ])
     def test_known_inadmissible(self, q, r, n):
         # the float 2.0001 is coerced exactly, so it misses the scaling line
-        ok, dual = check_admissible(q, r, n)
-        assert not ok and dual is None
+        assert not ExponentPair(q, r, n).admissible
 
     def test_endpoint_exclusion_n2(self):
         # (q, r) = (2, 1) sits on the n=2 scaling line but is excluded
         lhs = 2 - 2 * Fraction(1, 2)
         rhs = 2 * Fraction(1, 1) - Fraction(2, 2)
         assert lhs == rhs
-        ok, _ = check_admissible(2, 1, 2)
-        assert not ok
+        assert not ExponentPair(2, 1, 2).admissible
 
     def test_dual_pair_relation(self):
         pair = ExponentPair("4/3", "4/3", 2)
