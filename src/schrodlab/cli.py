@@ -267,10 +267,14 @@ def forward_evolve(cfg, values):
     """Evolve an initial state under a potential; export the final state."""
     spec, V = build_potential(values)
     T, steps, init = values["T"], values["steps"], values["initial"]
+    for key in ("center", "modulation"):  # one entry per grid axis, or none
+        if init[key] is not None and len(init[key]) != spec.n:
+            raise ConfigError(f"initial.{key}: want {spec.n} entries, one per grid axis, "
+                              f"got {len(init[key])}")
     origin = [0.0] * spec.n  # the default center and modulation
     f = gaussian_state(spec, init["center"] or origin, init["width"],
                        init["modulation"] or origin)
-    traj = evolve(V, f, T, steps)
+    traj = evolve(V, f, T, steps, store="final")
     report = EstimateReport(
         estimate="forward_evolve", grid=dict(cfg["grid"]),
         params={"T": T, "steps": steps, "initial": dict(cfg.get("initial") or {})},
@@ -332,8 +336,11 @@ def reconstruct(cfg, values):
 def counterexample_sweep(cfg, values):
     """Divergence of the endpoint embedding ratio over the rho family."""
     family, threshold = values["family"], values["growth_threshold"]
-    trace = (build_gaussian_trace(points=values["trace_points"]) if family == "control"
-             else build_loglog_trace(points=values["trace_points"]))
+    try:
+        trace = (build_gaussian_trace(points=values["trace_points"]) if family == "control"
+                 else build_loglog_trace(points=values["trace_points"]))
+    except ValueError as exc:  # fewer than two samples have no spacing
+        raise ConfigError(f"trace_points: {exc}") from exc
     profile = build_dispersion_profile()
     report = embedding_ratio_sweep(values["rho_values"], family, trace=trace, profile=profile)
     ratios = report.ratios

@@ -121,6 +121,8 @@ def _h_half_norm(g: np.ndarray, dt: float) -> float:
 
 def _sampled_trace(points: int, evaluate, **params) -> LogLogTrace:
     """Sample ``evaluate`` on (-1/2, 1/2), offset by half a cell."""
+    if points < 2:
+        raise ValueError(f"a trace needs at least 2 points, got {points}")
     dt = 2.0 * _HALF_WIDTH / points
     t = -_HALF_WIDTH + dt * (np.arange(points) + 0.5)
     g = evaluate(t)

@@ -268,6 +268,28 @@ class TestExitCodes:
         assert message in res.output
         assert not list(tmp_path.glob("*.json"))
 
+    @pytest.mark.parametrize("command,text,message", [
+        ("forward-evolve", GRID + POTENTIAL + "T: 0.1\ninitial: {center: [0.5]}\n",
+         "initial.center: want 2 entries, one per grid axis, got 1"),
+        ("forward-evolve", GRID + POTENTIAL + "T: 0.1\ninitial: {modulation: [1.0, 2.0, 3.0]}\n",
+         "initial.modulation: want 2 entries, one per grid axis, got 3"),
+        ("counterexample-sweep", "rho_values: [4, 16]\ntrace_points: 0\n",
+         "trace_points: a trace needs at least 2 points, got 0"),
+        ("counterexample-sweep", "rho_values: [4, 16]\ntrace_points: 1\n",
+         "trace_points: a trace needs at least 2 points, got 1"),
+        ("counterexample-sweep", "rho_values: [4]\nfamily: control\ntrace_points: -3\n",
+         "trace_points: a trace needs at least 2 points, got -3"),
+    ], ids=["short-center", "long-modulation", "trace_points-0", "trace_points-1",
+            "trace_points-negative"])
+    def test_value_checked_after_reading_named(self, runner, tmp_path, command, text, message):
+        # a short or long initial list was cut or padded to the grid axes (exit 0); a trace
+        # of 0 or 1 points ended in ZeroDivisionError or IndexError (exit 1)
+        cfg = write(tmp_path, "c.yaml", text)
+        res = runner.invoke(main, [command, "--config", cfg, "--output", str(tmp_path)])
+        assert res.exit_code == EXIT_CONFIG
+        assert message in res.output
+        assert not list(tmp_path.glob("*.json"))
+
     def test_nonconvergence_exit(self, runner, tmp_path):
         # a strong potential at tiny nu breaks the CGO contraction
         cfg = write(tmp_path, "cgo.yaml", GRID +

@@ -1,8 +1,11 @@
 """Split-step evolution, mass conservation, and the bilinear identity."""
 
+import logging
+
 import numpy as np
 import pytest
 
+from schrodlab import forward
 from schrodlab.birman_schwinger import gaussian_potential
 from schrodlab.forward import (
     evolve,
@@ -29,6 +32,43 @@ def packet(seed=0, width=0.5, mod=(2.0, 0.0)):
 def potential(amplitude=1.0):
     return gaussian_potential(SPEC, amplitude=amplitude, width=0.6,
                               window=(-np.pi, np.pi - 1e-9))
+
+
+def freq_sq():
+    return sum(c**2 for c in SPEC.spatial_mesh(frequency=True))
+
+
+def strang_trajectory(V, f, T, steps, t0=0.0, conjugate_potential=False):
+    """Oracle: the per-probe Strang loop on one 2-D state, every slice kept."""
+    dt = T / steps
+    free = np.exp(-1j * freq_sq() * dt)
+    u = np.asarray(f, dtype=complex)
+    slices = [u]
+    for k in range(steps):
+        vmid = sample_potential(V, t0 + (k + 0.5) * dt)
+        half = np.exp(-1j * (np.conj(vmid) if conjugate_potential else vmid) * (dt / 2.0))
+        u = half * np.fft.ifftn(np.fft.fftn(half * u) * free)
+        slices.append(u)
+    return np.array(slices)
+
+
+def identity_oracle(V1, V2, f, g, T, steps):
+    """Both sides of the bilinear identity from full stored trajectories."""
+    vol = SPEC.dx**SPEC.n
+    u1 = evolve(V1, f, T, steps, store="all")
+    ts = T / steps * np.arange(steps + 1)
+    if V2 is None:
+        u2_final = np.fft.ifftn(np.fft.fftn(f) * np.exp(-1j * freq_sq() * T))
+        ghat = np.fft.fftn(g)
+        v2 = np.array([np.fft.ifftn(ghat * np.exp(-1j * freq_sq() * (t - T))) for t in ts])
+    else:
+        u2_final = evolve(V2, f, T, steps, store="all").final
+        v2 = evolve(V2, g, -T, steps, t0=T, conjugate_potential=True, store="all").slices[::-1]
+    lhs = 1j * ((u1.final - u2_final) * np.conj(g)).sum() * vol
+    integrand = [((sample_potential(V1, t) - sample_potential(V2, t)) * u * np.conj(v)).sum() * vol
+                 for t, u, v in zip(ts, u1.slices, v2)]
+    rhs = np.trapezoid(np.array(integrand), dx=T / steps)
+    return complex(lhs), complex(rhs), float(abs(lhs - rhs))
 
 
 class TestSamplePotential:
@@ -82,17 +122,73 @@ class TestEvolve:
     def test_shape_guard(self):
         with pytest.raises(ValueError):
             evolve(potential(), np.ones((8, 8)), T=0.1, steps=4)
+        with pytest.raises(ValueError):  # one probe axis at most
+            evolve(potential(), np.ones((2, 3, 32, 32)), T=0.1, steps=4)
 
     def test_steps_guard(self):
         with pytest.raises(ValueError):
             evolve(potential(), packet(), T=0.1, steps=0)
 
     def test_trajectory_bookkeeping(self):
-        traj = evolve(potential(), packet(4), T=0.3, steps=16)
+        f = packet(4)
+        traj = evolve(potential(), f, T=0.3, steps=16)
         assert traj.times.shape == (17,)
         assert traj.slices.shape == (17, 32, 32)
-        assert np.array_equal(traj.initial, traj.slices[0])
+        assert traj.mass.shape == (17,)
+        assert np.array_equal(traj.slices[0], f)
         assert np.array_equal(traj.final, traj.slices[-1])
+
+    def test_store_guard(self):
+        with pytest.raises(ValueError):
+            evolve(potential(), packet(), T=0.1, steps=4, store="some")
+
+
+class TestBatchedEvolve:
+    """A leading probe axis: one step loop per chunk of probes."""
+
+    def probes(self, count):
+        return np.stack([packet(20 + k, mod=(k - 2.0, 1.0)) for k in range(count)])
+
+    def test_ragged_chunks_match_per_probe_loop(self, monkeypatch):
+        monkeypatch.setattr(forward, "CHUNK", 4)  # 5 probes: chunks of 4 and 1
+        V, probes = potential(), self.probes(5)
+        batch = evolve(V, probes, T=0.3, steps=24, store="final")
+        assert batch.final.shape == (5, 32, 32)
+        assert batch.slices.shape == (1, 5, 32, 32)
+        assert batch.mass.shape == (25, 5)
+        for k, f in enumerate(probes):
+            one = evolve(V, f, T=0.3, steps=24)
+            assert np.array_equal(batch.final[k], one.final)
+            assert np.array_equal(batch.mass[:, k], one.mass)
+
+    def test_stored_slices_equal_single_probe_trajectory(self, monkeypatch):
+        monkeypatch.setattr(forward, "CHUNK", 2)
+        V, probes = potential(), self.probes(3)
+        batch = evolve(V, probes, T=0.3, steps=16, store="all")
+        assert batch.slices.shape == (17, 3, 32, 32)
+        for k, f in enumerate(probes):
+            assert np.array_equal(batch.slices[:, k], strang_trajectory(V, f, 0.3, 16))
+        assert np.array_equal(batch.final, batch.slices[-1])
+
+    def test_backward_conjugate_matches_oracle(self):
+        V, f = potential(), packet(30)
+        V.field.data = V.field.data * (1.0 - 0.2j)
+        traj = evolve(V, f, T=-0.3, steps=16, t0=0.3, conjugate_potential=True)
+        assert np.array_equal(traj.slices, strang_trajectory(V, f, -0.3, 16, 0.3, True))
+
+    def test_drift_warning_names_worst_probe(self, caplog):
+        V = potential()
+        V.field.data = V.field.data * (1.0 - 0.5j)  # absorbing: mass decays
+        # only the middle probe sits on the bump at the origin
+        probes = np.stack([np.roll(packet(40), 16, axis=(0, 1)), packet(41),
+                           np.roll(packet(42), 16, axis=0)])
+        with caplog.at_level(logging.WARNING, logger="schrodlab.forward"):
+            traj = evolve(V, probes, T=0.3, steps=16, store="final")
+        drift = np.abs(traj.mass - traj.mass[0]).max(axis=0) / traj.mass[0]
+        assert int(np.argmax(drift)) == 1
+        assert traj.mass_drift() == drift.max() > 1e-8
+        assert [r.getMessage() for r in caplog.records] == [
+            f"mass drift {drift.max():.2e} at probe 1 (complex potential or aliasing)"]
 
 
 class TestItfMap:
@@ -129,6 +225,14 @@ class TestIntegralIdentity:
         out = integral_identity_check(potential(0.8), potential(0.3),
                                       packet(11), packet(12), T=0.4, steps=256)
         assert out["normalized_residual"] < 1e-4
+
+    @pytest.mark.parametrize("second", [None, 0.3])
+    def test_streamed_sums_equal_stored_trajectory_oracle(self, second):
+        V1 = potential(0.8)
+        V2 = None if second is None else potential(second)
+        f, g = packet(15), packet(16, mod=(-1.0, 1.0))
+        out = integral_identity_check(V1, V2, f, g, T=0.4, steps=32)
+        assert (out["lhs"], out["rhs"], out["residual"]) == identity_oracle(V1, V2, f, g, 0.4, 32)
 
     def test_identical_potentials_give_zero_lhs(self):
         V = potential(0.5)
