@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import logging
-import time
 
 import numpy as np
 
@@ -40,7 +39,6 @@ __all__ = [
     "dense_bs_matrix",
     "op_norm",
     "split_W",
-    "piecewise_time_approx",
     "bs_decay_sweep",
 ]
 
@@ -111,10 +109,6 @@ class FactorW:
     """Pointwise square-root factor W with |W| W = V."""
 
     field: Field
-
-    @property
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.field.data)
 
 
 def build_W(V: Potential) -> FactorW:
@@ -333,35 +327,6 @@ def split_W(W: FactorW, lam: float, radius: float) -> tuple[FactorW, FactorW]:
     )
 
 
-def piecewise_time_approx(W: FactorW, m: int) -> tuple[FactorW, float]:
-    """Piecewise-constant-in-time approximant on a uniform partition.
-
-    Diagnostic for the endpoint integrability branch: W is replaced on
-    each of m time cells by its value at the cell's first sample, and the
-    worst per-slice approximation error (sup over samples of the spatial
-    L^n distance to the cell anchor) is returned alongside.
-    """
-    if m < 1:
-        raise ValueError("need at least one time cell")
-    spec = W.field.spec
-    data = W.field.data
-    out = np.empty_like(data)
-    edges = np.linspace(0, spec.pts_time, m + 1).astype(int)
-    n = spec.n
-    worst = 0.0
-    vol = spec.dx**n
-    for k in range(m):
-        lo, hi = edges[k], edges[k + 1]
-        if hi <= lo:
-            continue
-        anchor = data[lo]
-        out[lo:hi] = anchor
-        diff = np.abs(data[lo:hi] - anchor[None]) ** n
-        errs = (diff.reshape(hi - lo, -1).sum(axis=1) * vol) ** (1.0 / n)
-        worst = max(worst, float(errs.max()))
-    return FactorW(Field(spec, "physical", out)), worst
-
-
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -380,7 +345,6 @@ def bs_decay_sweep(
     the annotation records the split sizes but the norm is that of the full
     operator.
     """
-    t0 = time.time()
     spec = V.field.spec
     W = build_W(V)
     report = EstimateReport(
@@ -407,6 +371,5 @@ def bs_decay_sweep(
                 "seed": seed,
             }
         )
-    report.runtime = time.time() - t0
-    logger.info("bs_decay sweep over %d nu values (%.2fs)", len(report.samples), report.runtime)
+    logger.info("bs_decay sweep over %d nu values", len(report.samples))
     return report

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 import logging
-import time
 
 import numpy as np
 
@@ -261,7 +260,6 @@ def remainder_decay_sweep(
     should stay bounded across the sweep.  Each nu uses the default packet
     (width 2) and contraction cap (0.9) of :func:`build_cgo`.
     """
-    t0 = time.time()
     spec = V.field.spec
     report = EstimateReport(
         estimate="cgo_remainder",
@@ -288,7 +286,5 @@ def remainder_decay_sweep(
                 "seed": 0,
             }
         )
-    report.runtime = time.time() - t0
-    logger.info("cgo remainder sweep over %d nu values (%.2fs)",
-                len(report.samples), report.runtime)
+    logger.info("cgo remainder sweep over %d nu values", len(report.samples))
     return report

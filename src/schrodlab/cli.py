@@ -19,6 +19,7 @@ import json
 import logging
 import pathlib
 import sys
+import time
 
 import click
 import numpy as np
@@ -28,12 +29,13 @@ from . import __version__
 from .birman_schwinger import Potential, bs_decay_sweep, cusp_potential, gaussian_potential
 from .cgo import NoConvergence, NotContractive, build_cgo, gaussian_packet_on_hyperplane
 from .counterexample import (
+    LogLogTrace,
     build_dispersion_profile,
     build_gaussian_trace,
     build_loglog_trace,
     embedding_ratio_sweep,
 )
-from .estimates import run_sweep, sweep_table
+from .estimates import read_pairs, sweep, sweep_table
 from .forward import evolve, integral_identity_check
 from .grid import GridSpec, save_field
 from .kernels import kernel_table
@@ -81,16 +83,15 @@ def build_grid(cfg: dict) -> GridSpec:
     return grid_spec(read({"grid": cfg.get("grid")}, {"grid": (GRID, REQUIRED)})["grid"])
 
 
-def build_potential(values: dict) -> tuple[GridSpec, Potential]:
-    """The grid and the potential of a config read against its table."""
-    spec, p = grid_spec(values["grid"]), values["potential"]
+def build_potential(spec: GridSpec, p: dict) -> Potential:
+    """The potential of a ``potential`` block read against POTENTIAL."""
     shared = {"amplitude": p["amplitude"], "pair": tuple(p["pair"]),
               "window": tuple(p["window"]) if p["window"] else None}
     try:
         if p["kind"] == "gaussian":
-            return spec, gaussian_potential(spec, width=p["width"], **shared)
-        return spec, cusp_potential(spec, alpha=p["alpha"], center=p["center"],
-                                    cutoff=p["cutoff"], **shared)
+            return gaussian_potential(spec, width=p["width"], **shared)
+        return cusp_potential(spec, alpha=p["alpha"], center=p["center"],
+                              cutoff=p["cutoff"], **shared)
     except ValueError as exc:  # window, alpha and pair are checked on construction
         raise ConfigError(f"potential: {exc}") from exc
 
@@ -101,6 +102,48 @@ def gaussian_state(spec: GridSpec, center, width: float, modulation) -> np.ndarr
     return np.exp(
         -sum((c - c0) ** 2 for c, c0 in zip(mesh, center)) / (2.0 * width**2)
     ) * np.exp(1j * sum(m * c for m, c in zip(modulation, mesh)))
+
+
+def initial_state(spec: GridSpec, init: dict) -> np.ndarray:
+    """The state of an ``initial`` block; center and modulation default to 0."""
+    for key in ("center", "modulation"):  # one entry per grid axis, or none
+        if init[key] is not None and len(init[key]) != spec.n:
+            raise ConfigError(f"initial.{key}: want {spec.n} entries, one per grid axis, "
+                              f"got {len(init[key])}")
+    origin = [0.0] * spec.n
+    return gaussian_state(spec, init["center"] or origin, init["width"],
+                          init["modulation"] or origin)
+
+
+def build_trace(family: str, points: int) -> LogLogTrace:
+    """The counterexample trace of ``family`` sampled at ``points`` points."""
+    try:
+        return (build_gaussian_trace(points=points) if family == "control"
+                else build_loglog_trace(points=points))
+    except ValueError as exc:  # fewer than two samples have no spacing
+        raise ConfigError(f"trace_points: {exc}") from exc
+
+
+def build_inputs(values: dict) -> dict:
+    """The objects a run builds from the values read, each built once.
+
+    Every check made after reading is made here, so ``--dry-run`` makes
+    it too: ``spec`` is the ``grid``, ``V`` the ``potential``, ``f`` the
+    ``initial`` state, ``pairs`` the admissible Strichartz pairs and
+    ``trace`` the counterexample trace of ``trace_points`` points.
+    """
+    inputs = {}
+    if "grid" in values:
+        inputs["spec"] = grid_spec(values["grid"])
+    if "potential" in values:
+        inputs["V"] = build_potential(inputs["spec"], values["potential"])
+    if "initial" in values:
+        inputs["f"] = initial_state(inputs["spec"], values["initial"])
+    if "pairs" in values:
+        inputs["pairs"] = read_pairs(values["pairs"], inputs["spec"].n)
+    if "trace_points" in values:
+        inputs["trace"] = build_trace(values["family"], values["trace_points"])
+    return inputs
 
 
 # ---------------------------------------------------------------------------
@@ -127,16 +170,21 @@ def run_guarded(fn):
 def run_experiment(experiment, table, config_path, output_override, fmt, dry_run) -> int:
     """Load the config, run the experiment, write its report and artifacts.
 
-    The config is read whole against ``table`` (and COMMON) before
-    anything runs; ``--dry-run`` prints the values read, every default
-    filled in, and stops.
+    The config is read whole against ``table`` (and COMMON) and turned
+    into the experiment's inputs before anything runs, so ``--dry-run``
+    makes every check a run makes; it then prints the values read, every
+    default filled in, and stops.  The report's runtime spans the inputs
+    and the experiment.
     """
     cfg = load_config(config_path)
     values = read(cfg, {**COMMON, **(table(cfg) if callable(table) else table)})
+    start = time.perf_counter()
+    inputs = build_inputs(values)
     if dry_run:
         click.echo(json.dumps(values, indent=2, sort_keys=True, default=str))
         return EXIT_PASS
-    stem, report, ok, artifacts = experiment(cfg, values)
+    stem, report, ok, artifacts = experiment(cfg, values, inputs)
+    report.runtime = time.perf_counter() - start
     directory = pathlib.Path(output_override or values["output_dir"])
     directory.mkdir(parents=True, exist_ok=True)
     report.params["config_hash"] = config_hash(cfg)  # the config as written
@@ -162,11 +210,12 @@ def main():
 
 
 def command(name: str, table):
-    """Register ``experiment(cfg, values)`` as the subcommand ``name``.
+    """Register ``experiment(cfg, values, inputs)`` as the subcommand ``name``.
 
     ``table`` is the config table the command reads (a function of the
     config where the table depends on a key); ``values`` is the config as
-    read against it, beside the raw ``cfg`` that reports echo.  The
+    read against it, beside the raw ``cfg`` that reports echo, and
+    ``inputs`` what :func:`build_inputs` built from ``values``.  The
     experiment returns ``(report stem, EstimateReport, passed,
     artifacts)`` where ``artifacts`` maps file names (``.npy`` arrays,
     ``.slf`` fields) to the values written beside the report.
@@ -194,9 +243,9 @@ def command(name: str, table):
 
 
 @command("verify-strichartz", sweep_table)
-def verify_strichartz(cfg, values):
+def verify_strichartz(cfg, values, inputs):
     """Measure nu-uniform Strichartz / gain / dispersive ratios."""
-    report = run_sweep(values["estimate"], cfg)
+    report = sweep(cfg, values, inputs["spec"], inputs.get("pairs"))
     return f"{values['estimate']}_sweep", report, report.verdict in ("pass", "recorded"), {}
 
 
@@ -204,7 +253,7 @@ def verify_strichartz(cfg, values):
     "sigmas": ([float], REQUIRED), "tol": (float, 1e-6),
     "x": ({"min": (float, REQUIRED), "max": (float, REQUIRED), "count": (COUNT, REQUIRED)},
           REQUIRED)})
-def kernel_table_cmd(cfg, values):
+def kernel_table_cmd(cfg, values, inputs):
     """Tabulate the resolvent kernel, closed form vs quadrature."""
     x, tol = values["x"], values["tol"]  # tol is the report ceiling; the quadrature runs at 1e-9
     report = EstimateReport(
@@ -223,10 +272,10 @@ def kernel_table_cmd(cfg, values):
 
 @command("bs-norm-sweep", {**WITH_POTENTIAL, "nu_values": ([float], REQUIRED),
                            "tol": (float, 1e-3), "seed": (int, 0)})
-def bs_norm_sweep(cfg, values):
+def bs_norm_sweep(cfg, values, inputs):
     """Operator-norm decay of the sandwiched multiplier over nu."""
-    _, V = build_potential(values)
-    report = bs_decay_sweep(V, values["nu_values"], tol=values["tol"], seed=values["seed"])
+    report = bs_decay_sweep(inputs["V"], values["nu_values"], tol=values["tol"],
+                            seed=values["seed"])
     if any(not s["converged"] for s in report.samples):
         raise NoConvergence("power iteration hit the iteration cap")
     if any(not s["starts_agree"] for s in report.samples):
@@ -239,9 +288,9 @@ def bs_norm_sweep(cfg, values):
 @command("cgo-build", {**WITH_POTENTIAL, "nu": (float, REQUIRED), "tol": (float, 1e-8),
                        "rho_cap": (float, 0.9),
                        "packet": ({"center": (float, 0.0), "width": (float, 2.0)}, {})})
-def cgo_build(cfg, values):
+def cgo_build(cfg, values, inputs):
     """Construct a CGO solution and record its diagnostics."""
-    spec, V = build_potential(values)
+    spec, V = inputs["spec"], inputs["V"]
     nu_mag, tol, p = values["nu"], values["tol"], values["packet"]
     packet = gaussian_packet_on_hyperplane(spec, NuVector.along_last_axis(nu_mag, spec.n),
                                            center=p["center"], width=p["width"])
@@ -263,18 +312,10 @@ def cgo_build(cfg, values):
     **WITH_POTENTIAL, "T": (float, REQUIRED), "steps": (COUNT, 256),
     "initial": ({"center": ([float], None), "width": (float, 0.5),
                  "modulation": ([float], None)}, {})})
-def forward_evolve(cfg, values):
+def forward_evolve(cfg, values, inputs):
     """Evolve an initial state under a potential; export the final state."""
-    spec, V = build_potential(values)
-    T, steps, init = values["T"], values["steps"], values["initial"]
-    for key in ("center", "modulation"):  # one entry per grid axis, or none
-        if init[key] is not None and len(init[key]) != spec.n:
-            raise ConfigError(f"initial.{key}: want {spec.n} entries, one per grid axis, "
-                              f"got {len(init[key])}")
-    origin = [0.0] * spec.n  # the default center and modulation
-    f = gaussian_state(spec, init["center"] or origin, init["width"],
-                       init["modulation"] or origin)
-    traj = evolve(V, f, T, steps, store="final")
+    T, steps = values["T"], values["steps"]
+    traj = evolve(inputs["V"], inputs["f"], T, steps, store="final")
     report = EstimateReport(
         estimate="forward_evolve", grid=dict(cfg["grid"]),
         params={"T": T, "steps": steps, "initial": dict(cfg.get("initial") or {})},
@@ -286,9 +327,9 @@ def forward_evolve(cfg, values):
 
 @command("identity-check", {**WITH_POTENTIAL, "T": (float, REQUIRED), "steps": (COUNT, 256),
                             "trials": (COUNT, 3), "tol": (float, 1e-4), "seed": (int, 0)})
-def identity_check(cfg, values):
+def identity_check(cfg, values, inputs):
     """Two-sided verification of the bilinear integral identity."""
-    spec, V1 = build_potential(values)
+    spec, V1 = inputs["spec"], inputs["V"]
     T, steps, tol, seed = values["T"], values["steps"], values["tol"], values["seed"]
     rng = np.random.default_rng(seed)
 
@@ -313,9 +354,9 @@ def identity_check(cfg, values):
 
 @command("reconstruct", {**WITH_POTENTIAL, "T": (float, REQUIRED), "freq_radius": (float, 8.0),
                          "steps": (COUNT, 256), "tol": (float, 0.2)})
-def reconstruct(cfg, values):
+def reconstruct(cfg, values, inputs):
     """Born reconstruction of a potential from final-state data."""
-    spec, V = build_potential(values)
+    spec, V = inputs["spec"], inputs["V"]
     T, radius, steps = values["T"], values["freq_radius"], values["steps"]
     reference = V.field.data[spec.pts_time // 2]
     est, rep = reconstruct_potential(V, radius, T, steps, reference=reference)
@@ -333,16 +374,12 @@ def reconstruct(cfg, values):
                                   "family": (("shifted", "unscaled", "control"), "shifted"),
                                   "growth_threshold": (float, 1.15),
                                   "trace_points": (int, 1 << 15)})
-def counterexample_sweep(cfg, values):
+def counterexample_sweep(cfg, values, inputs):
     """Divergence of the endpoint embedding ratio over the rho family."""
     family, threshold = values["family"], values["growth_threshold"]
-    try:
-        trace = (build_gaussian_trace(points=values["trace_points"]) if family == "control"
-                 else build_loglog_trace(points=values["trace_points"]))
-    except ValueError as exc:  # fewer than two samples have no spacing
-        raise ConfigError(f"trace_points: {exc}") from exc
     profile = build_dispersion_profile()
-    report = embedding_ratio_sweep(values["rho_values"], family, trace=trace, profile=profile)
+    report = embedding_ratio_sweep(values["rho_values"], family, trace=inputs["trace"],
+                                   profile=profile)
     ratios = report.ratios
     if family == "control":
         ok = len(ratios) < 2 or max(ratios) <= 2.0 * min(ratios)

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field as dc_field
 import functools
 import logging
 import math
-import time
 
 import numpy as np
 from scipy.special import j0
@@ -401,7 +400,6 @@ def embedding_ratio_sweep(
     profile: DispersionProfile | None = None,
 ) -> EstimateReport:
     """ratio(rho) = mixed norm / Bourgain norm over the rho family."""
-    t0 = time.time()
     if trace is None:
         trace = build_gaussian_trace() if family == "control" else build_loglog_trace()
     if profile is None:
@@ -425,9 +423,7 @@ def embedding_ratio_sweep(
                 "seed": 0,
             }
         )
-    report.runtime = time.time() - t0
-    logger.info("embedding sweep (%s): %d members (%.2fs)",
-                family, len(report.samples), report.runtime)
+    logger.info("embedding sweep (%s): %d members", family, len(report.samples))
     return report
 
 
@@ -443,7 +439,6 @@ def local_smoothing_check(
             (T^{1/4} R^{1/4} ||u||_{X^{1/2}_nu});
     the verdict of interest is the bounded spread across nu.
     """
-    t0 = time.time()
     fields = list(fields)
     if not fields:
         raise ValueError("local_smoothing_check wants at least one field")
@@ -467,7 +462,5 @@ def local_smoothing_check(
             report.samples.append(
                 {"nu": float(mag), "field": k, "ratio": comp * local / denom, "seed": 0}
             )
-    report.runtime = time.time() - t0
-    logger.info("local smoothing sweep: %d samples (%.2fs)",
-                len(report.samples), report.runtime)
+    logger.info("local smoothing sweep: %d samples", len(report.samples))
     return report

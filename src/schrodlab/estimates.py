@@ -17,7 +17,6 @@ characteristic set (xi_n near 0, tau near -|xi|^2).
 from __future__ import annotations
 
 import logging
-import time
 
 import numpy as np
 
@@ -35,7 +34,9 @@ __all__ = [
     "dispersive_ratio",
     "standard_family",
     "run_sweep",
+    "sweep",
     "sweep_table",
+    "read_pairs",
     "SWEEP_TABLES",
 ]
 
@@ -192,7 +193,7 @@ def sweep_table(config: dict) -> dict:
     return SWEEP_TABLES[estimate]
 
 
-def _read_pairs(pairs: list, n: int) -> list[ExponentPair]:
+def read_pairs(pairs: list, n: int) -> list[ExponentPair]:
     """The ``pairs`` entries as admissible exponent pairs, or a ConfigError naming ``pairs``."""
     out = []
     for entry in pairs:
@@ -211,16 +212,28 @@ def run_sweep(estimate: str, config: dict) -> EstimateReport:
     """Run a named ratio sweep; deterministic given config['seed'].
 
     Supported estimates: ``gain``, ``strichartz``, ``dispersive``.  The
-    config is read against the estimate's table in SWEEP_TABLES, as the
-    CLI reads it, so a bad key or grid raises ConfigError naming it.  The
-    report echoes ``config['grid']`` and the rest of ``config`` as written.
+    config is read against the estimate's table in SWEEP_TABLES, and its
+    grid and pairs are checked, as the CLI does, so a bad key, grid or
+    pair raises ConfigError naming it.
     """
-    t0 = time.time()
     if estimate not in SWEEP_TABLES:
         raise ValueError(f"unknown estimate {estimate!r}")
     values = read(config, SWEEP_TABLES[estimate])
     spec = grid_spec(values["grid"])
-    seed = values["seed"]
+    pairs = read_pairs(values["pairs"], spec.n) if "pairs" in values else None
+    return sweep(config, values, spec, pairs)
+
+
+def sweep(config: dict, values: dict, spec: GridSpec,
+          pairs: list[ExponentPair] | None) -> EstimateReport:
+    """Run the ratio sweep ``values['estimate']`` names.
+
+    ``values`` is ``config`` read against the estimate's table, ``spec``
+    its grid and ``pairs`` its admissible pairs (None but for strichartz).
+    The report echoes ``config['grid']`` and the rest of ``config`` as
+    written.
+    """
+    estimate, seed = values["estimate"], values["seed"]
     report = EstimateReport(
         estimate=estimate,
         grid=dict(config["grid"]),
@@ -242,7 +255,6 @@ def run_sweep(estimate: str, config: dict) -> EstimateReport:
                     {"nu": float(mag), "field": k, "seed": seed, "ratio": ratio}
                 )
     elif estimate == "strichartz":
-        pairs = _read_pairs(values["pairs"], spec.n)
         fields = standard_family(spec, rng, values["family"])
         for pair in pairs:
             for mag in values["nu_values"]:
@@ -267,9 +279,6 @@ def run_sweep(estimate: str, config: dict) -> EstimateReport:
             ratio = dispersive_ratio(spec, phi, s)
             report.samples.append({"s": s, "seed": seed, "ratio": ratio})
 
-    report.runtime = time.time() - t0
-    logger.info(
-        "%s sweep: %d samples, max ratio %s, verdict %s (%.2fs)",
-        estimate, len(report.samples), report.max_ratio, report.verdict, report.runtime,
-    )
+    logger.info("%s sweep: %d samples, max ratio %s, verdict %s",
+                estimate, len(report.samples), report.max_ratio, report.verdict)
     return report

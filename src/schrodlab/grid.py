@@ -36,7 +36,6 @@ __all__ = [
     "hyperplane_norm",
     "l2_norm",
     "boundary_mass_fraction",
-    "single_mode",
     "gaussian_packet",
     "random_band_limited",
     "save_field",
@@ -310,26 +309,6 @@ def boundary_mass_fraction(f: Field, margin: float = 0.1) -> float:
 # ---------------------------------------------------------------------------
 # field factories
 # ---------------------------------------------------------------------------
-
-
-def single_mode(spec: GridSpec, k_time: int, k_space: Sequence[int]) -> Field:
-    """The lattice plane wave e^{i(tau_k t + xi_k . x)} (physical rep).
-
-    ``k_time`` and ``k_space`` are integer lattice indices; the realized
-    frequencies are ``k * dtau`` and ``k * dxi``.
-    """
-    if len(k_space) != spec.n:
-        raise ValueError("k_space length must equal n")
-    t = spec.t_axis()
-    phase = (spec.dtau * k_time) * t
-    data = np.exp(1j * phase).reshape((-1,) + (1,) * spec.n)
-    x = spec.x_axis()
-    out = np.broadcast_to(data, spec.shape).copy()
-    for j, k in enumerate(k_space):
-        shape = [1] * (spec.n + 1)
-        shape[1 + j] = spec.pts_space
-        out = out * np.exp(1j * (spec.dxi * k) * x).reshape(shape)
-    return Field(spec, PHYSICAL, out)
 
 
 def gaussian_packet(

@@ -31,7 +31,6 @@ __all__ = [
     "plan_S_nu",
     "apply_plan",
     "apply_S",
-    "apply_S_nu",
     "apply_symbol",
     "equation_residual",
     "apply_U_s",
@@ -174,14 +173,6 @@ def apply_S(f: Field, plan: MultiplierPlan | None = None) -> Field:
         plan = plan_S(f.spec)
     if plan.nu is not None:
         raise ValueError("apply_S expects a normalized-symbol plan")
-    return apply_plan(plan, f)
-
-
-def apply_S_nu(f: Field, nu: NuVector, plan: MultiplierPlan | None = None) -> Field:
-    if plan is None:
-        plan = plan_S_nu(f.spec, nu)
-    if plan.nu is None:
-        raise ValueError("apply_S_nu expects a conjugated-symbol plan")
     return apply_plan(plan, f)
 
 

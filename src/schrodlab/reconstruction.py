@@ -8,9 +8,7 @@ reduces (to first order in V) to the space-time Fourier transform of V at
 int_0^T e^{-i tau t} dt is divided out analytically, and the retained
 low-frequency box is inverted back to a potential estimate.
 
-Two parametrizations are provided: the exact continuum one (eta and kappa
-collinear with xi, any nu orthogonal to xi; exact rational arithmetic)
-and the lattice one used by the sampler, eta = -floor(xi / 2)
+The probes are parametrized on the lattice: eta = -floor(xi / 2)
 componentwise, which keeps kappa - eta = xi and tau = |eta|^2 - |kappa|^2
 exact in integer arithmetic.
 """
@@ -18,9 +16,7 @@ exact in integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 import logging
-import time
 
 import numpy as np
 
@@ -30,9 +26,11 @@ from .grid import GridSpec
 
 logger = logging.getLogger(__name__)
 
+# largest ||V||_inf * T at which a Born sample counts as first order
+_BORN_THRESHOLD = 0.5
+
 __all__ = [
     "FreqSample",
-    "freq_parametrization",
     "lattice_parametrization",
     "born_sample",
     "reconstruct_potential",
@@ -51,47 +49,10 @@ class FreqSample:
     born_ok: bool
 
 
-def freq_parametrization(tau, xi, n: int):
-    """Continuum probe frequencies for a target (tau, xi), xi != 0.
-
-    Returns (nu, eta, kappa) with exact Fraction arithmetic:
-    eta = -(1/2)(1 + tau/|xi|^2) xi, kappa = (1/2)(1 - tau/|xi|^2) xi,
-    and nu a nonzero lattice vector orthogonal to xi.  The identities
-    kappa - eta = xi and |eta|^2 - |kappa|^2 = tau hold exactly.
-    """
-    xi = tuple(Fraction(c) for c in xi)
-    if len(xi) != n:
-        raise ValueError("xi has wrong dimension")
-    sq = sum(c * c for c in xi)
-    if sq == 0:
-        raise ValueError("xi = 0 has no parametrization (handled by continuity)")
-    tau = Fraction(tau)
-    eta = tuple(-Fraction(1, 2) * (1 + tau / sq) * c for c in xi)
-    kappa = tuple(Fraction(1, 2) * (1 - tau / sq) * c for c in xi)
-    # orthogonal direction: swap a nonzero coordinate against another slot
-    j = next(k for k, c in enumerate(xi) if c != 0)
-    m = (j + 1) % n
-    nu = [Fraction(0)] * n
-    nu[m] = xi[j]
-    nu[j] = -xi[m]
-    return tuple(nu), eta, kappa
-
-
-def lattice_parametrization(xi, shift: int = 0):
-    """Integer probe frequencies: eta = -floor(xi/2) - shift * e_j.
-
-    ``shift`` moves eta along the dominant component of xi, changing tau
-    by an integer amount while keeping kappa - eta = xi; used to sample
-    several time frequencies of a time-dependent potential at fixed xi.
-    """
+def lattice_parametrization(xi):
+    """Integer probe frequencies (tau, eta, kappa) with eta = -floor(xi/2)."""
     xi = tuple(int(c) for c in xi)
-    eta = [-(c // 2) for c in xi]
-    if shift != 0:
-        if all(c == 0 for c in xi):
-            raise ValueError("shift needs a nonzero xi direction")
-        j = int(np.argmax(np.abs(xi)))
-        eta[j] -= shift * (1 if xi[j] > 0 else -1)
-    eta = tuple(eta)
+    eta = tuple(-(c // 2) for c in xi)
     kappa = tuple(e + c for e, c in zip(eta, xi))
     tau = sum(e * e for e in eta) - sum(k * k for k in kappa)
     return tau, eta, kappa
@@ -115,7 +76,6 @@ def born_sample(
     xi,
     T: float,
     steps: int = 256,
-    born_threshold: float = 0.5,
     u_final: np.ndarray | None = None,
 ) -> FreqSample:
     """Estimate the Fourier coefficient of V at the lattice target xi.
@@ -123,7 +83,7 @@ def born_sample(
     The returned amplitude approximates the coefficient c_xi(tau) in
     V(t, x) = sum_xi c_xi(t) e^{i xi.x} averaged against the time window
     (up to the O(V^2) Born correction).  ``born_ok`` is False when
-    ||V||_inf * T exceeds ``born_threshold``.  ``u_final`` is the probe's
+    ||V||_inf * T exceeds 0.5.  ``u_final`` is the probe's
     final state from ``itf_map``; when None the probe is evolved here.
     """
     spec = V.field.spec
@@ -156,7 +116,7 @@ def born_sample(
         eta=eta,
         kappa=kappa,
         amplitude=complex(amplitude),
-        born_ok=vmax * abs(T) <= born_threshold,
+        born_ok=vmax * abs(T) <= _BORN_THRESHOLD,
     )
 
 
@@ -174,7 +134,6 @@ def reconstruct_potential(
     true spatial potential on the lattice) is supplied, reports the
     relative l2 error of the frequency restriction.
     """
-    t0 = time.time()
     spec = V.field.spec
     kmax = int(np.floor(freq_radius))
     targets = [
@@ -205,7 +164,6 @@ def reconstruct_potential(
         "freq_radius": freq_radius,
         "T": T,
         "steps": steps,
-        "runtime": time.time() - t0,
     }
     if reference is not None:
         ref_hat = np.fft.fftn(reference, norm="ortho")
@@ -216,5 +174,5 @@ def reconstruct_potential(
         num = np.sqrt((np.abs(est_hat - ref_hat)[mask] ** 2).sum())
         den = np.sqrt((np.abs(ref_hat)[mask] ** 2).sum())
         report["relative_l2_error"] = float(num / den) if den > 0 else 0.0
-    logger.info("reconstruction: %d samples, %.2fs", len(coeffs), report["runtime"])
+    logger.info("reconstruction: %d samples", len(coeffs))
     return est, report

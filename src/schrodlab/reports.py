@@ -146,7 +146,7 @@ class EstimateReport:
     params: dict
     samples: list = field(default_factory=list)  # dicts incl. seed + ratio
     ceiling: float | None = None
-    runtime: float = 0.0  # seconds; excluded from serialization
+    runtime: float = 0.0  # seconds, set by the CLI; excluded from serialization
 
     @property
     def ratios(self) -> list:

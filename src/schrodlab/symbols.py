@@ -1,13 +1,12 @@
-"""Operator symbols, the scaling map between them, and exponent arithmetic.
+"""Operator symbols and exponent arithmetic.
 
 Two polynomial symbols drive everything here:
 
 * the normalized symbol  ``p(tau, xi) = tau - |xi|^2 + i xi_n``
 * the conjugated symbol  ``p_nu(tau, xi) = -tau - |xi|^2 + 2 i nu . xi``
 
-They are linked by the exact rescaling ``p_nu(-4|nu|^2 tau, 2|nu| Q xi)
-= 4 |nu|^2 p(tau, xi)`` where ``Q`` is any orthogonal matrix with
-``nu = |nu| Q e_n``.
+For ``nu = |nu| e_n``, the only drift the package builds, they are linked
+by ``p_nu(-4|nu|^2 tau, 2|nu| xi) = 4 |nu|^2 p(tau, xi)``.
 
 Lebesgue exponents are represented as exact rationals (plus an infinity
 marker) so admissibility is decided without floating-point tie-breaking.
@@ -25,7 +24,6 @@ __all__ = [
     "INF",
     "ExponentPair",
     "NuVector",
-    "ScalingMap",
     "eval_p",
     "eval_p_nu",
     "as_exponent",
@@ -161,17 +159,10 @@ class NuVector:
         return float(np.linalg.norm(self.components))
 
     @property
-    def direction(self) -> np.ndarray:
-        return np.asarray(self.components) / self.magnitude
-
-    @property
     def aligned_axis(self):
         """Index of the aligned axis if nu is axis-aligned, else None."""
         nz = [j for j, c in enumerate(self.components) if c != 0.0]
         return nz[0] if len(nz) == 1 else None
-
-    def __neg__(self) -> "NuVector":
-        return NuVector(tuple(-c for c in self.components))
 
     @classmethod
     def along_last_axis(cls, magnitude, n: int) -> "NuVector":
@@ -187,50 +178,3 @@ def eval_p_nu(tau, xi, nu: NuVector):
     sq = sum(np.asarray(c) ** 2 for c in comps)
     dot = sum(nc * np.asarray(c) for nc, c in zip(nu.components, comps))
     return -np.asarray(tau) - sq + 2j * dot
-
-
-@dataclass(frozen=True)
-class ScalingMap:
-    """The change of variables linking p and p_nu.
-
-    With ``Q`` orthogonal and ``nu = |nu| Q e_n``, the map
-    ``sigma = -4|nu|^2 tau``, ``eta = 2|nu| Q xi`` satisfies
-    ``p_nu(sigma, eta) = 4 |nu|^2 p(tau, xi)`` exactly.
-    """
-
-    nu: NuVector
-
-    @property
-    def Q(self) -> np.ndarray:
-        n = self.nu.n
-        axis = self.nu.aligned_axis
-        if axis is not None:
-            # signed permutation sending e_n to the aligned axis
-            Q = np.zeros((n, n))
-            sign = 1.0 if self.nu.components[axis] > 0 else -1.0
-            cols = [j for j in range(n) if j != axis]
-            for k, j in enumerate(cols):
-                Q[j, k] = 1.0
-            Q[axis, n - 1] = sign
-            return Q
-        # Householder reflection mapping e_n to the unit direction
-        e_n = np.zeros(n)
-        e_n[-1] = 1.0
-        v = self.nu.direction - e_n
-        return np.eye(n) - 2.0 * np.outer(v, v) / np.dot(v, v)
-
-    def forward(self, tau, xi):
-        """(tau, xi) -> (sigma, eta)."""
-        m = self.nu.magnitude
-        xi = np.asarray(xi, dtype=float)
-        sigma = -4.0 * m**2 * np.asarray(tau)
-        eta = 2.0 * m * self.Q @ xi
-        return sigma, eta
-
-    def check(self, tau, xi, rtol: float = 1e-12) -> bool:
-        """Verify the symbol identity at a sample point."""
-        sigma, eta = self.forward(tau, xi)
-        lhs = eval_p_nu(sigma, tuple(eta), self.nu)
-        rhs = 4.0 * self.nu.magnitude**2 * eval_p(tau, tuple(np.asarray(xi)))
-        scale = max(abs(lhs), abs(rhs), 1.0)
-        return abs(lhs - rhs) <= rtol * scale

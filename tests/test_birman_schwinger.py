@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from schrodlab.birman_schwinger import (
-    FactorW,
     Potential,
     apply_BS,
     apply_BS_adjoint,
@@ -14,7 +13,6 @@ from schrodlab.birman_schwinger import (
     dense_bs_matrix,
     gaussian_potential,
     op_norm,
-    piecewise_time_approx,
     split_W,
 )
 from schrodlab.grid import Field, GridSpec, l2_norm
@@ -71,7 +69,7 @@ class TestFactorization:
     def test_recomposition(self):
         V = gaussian_potential(SPEC)
         W = build_W(V)
-        recomposed = W.magnitude * W.field.data
+        recomposed = np.abs(W.field.data) * W.field.data
         assert np.abs(recomposed - V.field.data).max() < 1e-12
 
     def test_zero_stays_zero(self):
@@ -82,12 +80,12 @@ class TestFactorization:
     def test_magnitude_is_sqrt(self):
         V = gaussian_potential(SPEC, amplitude=4.0)
         W = build_W(V)
-        assert np.abs(W.magnitude.max() - 2.0) < 1e-6
+        assert np.abs(np.abs(W.field.data).max() - 2.0) < 1e-6
 
     def test_signed_potential(self):
         V = gaussian_potential(SPEC, amplitude=-1.0)
         W = build_W(V)
-        recomposed = W.magnitude * W.field.data
+        recomposed = np.abs(W.field.data) * W.field.data
         assert np.abs(recomposed - V.field.data).max() < 1e-12
 
 
@@ -180,22 +178,6 @@ class TestSplitting:
             split_W(W, -1.0, 1.0)
         with pytest.raises(ValueError):
             split_W(W, 1.0, 0.0)
-
-    def test_piecewise_time_approx(self):
-        # a time-constant W is reproduced exactly by any partition
-        W = build_W(gaussian_potential(SPEC, window=(-np.pi, np.pi - 1e-9)))
-        approx, err = piecewise_time_approx(W, 4)
-        assert err < 1e-12
-        assert np.abs(approx.field.data - W.field.data).max() < 1e-12
-
-    def test_piecewise_error_decreases(self):
-        # a time-varying W is better approximated by finer partitions
-        data = rand_field(seed=5).data
-        t = SPEC.t_axis().reshape(-1, 1, 1)
-        W = FactorW(Field(SPEC, "physical", np.sin(t) * np.ones_like(data)))
-        _, e2 = piecewise_time_approx(W, 2)
-        _, e8 = piecewise_time_approx(W, 8)
-        assert e8 < e2
 
 
 class TestSweep:

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
 import json
+import logging
 import pathlib
 import re
 
@@ -182,14 +183,6 @@ class TestExitCodes:
         assert "pairs: " in res.output
         assert not (tmp_path / "strichartz_sweep.json").exists()
 
-    def test_inadmissible_potential_pair(self, runner, tmp_path):
-        cfg = write(tmp_path, "c.yaml", GRID + "potential: {kind: gaussian, pair: [2, 3]}\n"
-                    "nu_values: [4, 8]\n")
-        res = runner.invoke(main, ["bs-norm-sweep", "--config", cfg,
-                                   "--output", str(tmp_path)])
-        assert res.exit_code == EXIT_CONFIG
-        assert "potential: pair (2, 3)" in res.output
-
     def test_dry_run(self, runner, tmp_path):
         cfg = write(tmp_path, "g.yaml", GRID + "estimate: gain\nnu_values: [2]\n")
         res = runner.invoke(main, ["verify-strichartz", "--config", cfg, "--dry-run"])
@@ -279,13 +272,23 @@ class TestExitCodes:
          "trace_points: a trace needs at least 2 points, got 1"),
         ("counterexample-sweep", "rho_values: [4]\nfamily: control\ntrace_points: -3\n",
          "trace_points: a trace needs at least 2 points, got -3"),
+        ("bs-norm-sweep", GRID.replace("pts_time: 16", "pts_time: 12") + POTENTIAL
+         + "nu_values: [4]\n", "grid: pts_time must be a power of two, got 12"),
+        ("bs-norm-sweep", GRID + "potential: {kind: gaussian, pair: [2, 3]}\nnu_values: [4]\n",
+         "potential: pair (2, 3) fails the admissibility relation"),
+        ("verify-strichartz", GRID + "estimate: strichartz\npairs: [[2, 3]]\n",
+         "pairs: [2, 3] is not admissible for n = 2"),
     ], ids=["short-center", "long-modulation", "trace_points-0", "trace_points-1",
-            "trace_points-negative"])
-    def test_value_checked_after_reading_named(self, runner, tmp_path, command, text, message):
+            "trace_points-negative", "grid", "potential-pair", "pairs"])
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+    def test_value_checked_after_reading_named(self, runner, tmp_path, command, text, message,
+                                               dry_run):
         # a short or long initial list was cut or padded to the grid axes (exit 0); a trace
-        # of 0 or 1 points ended in ZeroDivisionError or IndexError (exit 1)
+        # of 0 or 1 points ended in ZeroDivisionError or IndexError (exit 1); --dry-run
+        # stopped after reading and exited 0 on each of these
         cfg = write(tmp_path, "c.yaml", text)
-        res = runner.invoke(main, [command, "--config", cfg, "--output", str(tmp_path)])
+        res = runner.invoke(main, [command, "--config", cfg, "--output", str(tmp_path)]
+                            + ["--dry-run"] * dry_run)
         assert res.exit_code == EXIT_CONFIG
         assert message in res.output
         assert not list(tmp_path.glob("*.json"))
@@ -409,6 +412,17 @@ class TestCommands:
         res = runner.invoke(main, ["forward-evolve", "--config", cfg])
         assert res.exit_code == EXIT_PASS
         assert (tmp_path / "out" / "final_state.npy").exists()
+
+    def test_runtime_logged(self, runner, tmp_path, caplog):
+        # forward-evolve logged "(runtime 0.00s)": only some experiments timed themselves
+        caplog.set_level(logging.INFO, logger="schrodlab")
+        cfg = write(tmp_path, "f.yaml", GRID.replace("pts_space: 16", "pts_space: 32") +
+                    "potential: {kind: gaussian}\nT: 0.2\nsteps: 256\n"
+                    + f"output_dir: {tmp_path}/out\n")
+        res = runner.invoke(main, ["forward-evolve", "--config", cfg])
+        assert res.exit_code == EXIT_PASS
+        runtime = re.search(r"forward_evolve report .* \(runtime (\d+\.\d+)s\)", caplog.text)
+        assert runtime and float(runtime.group(1)) > 0.0
 
     def test_byte_identical_rerun(self, runner, tmp_path):
         base = (GRID + "estimate: gain\nnu_values: [4, 16]\nfamily: 2\nseed: 3\n"

@@ -4,11 +4,11 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from schrodlab.grid import (
     Field,
     GridSpec,
+    boundary_mass_fraction,
     field_from_bytes,
     field_to_bytes,
     gaussian_packet,
@@ -18,7 +18,6 @@ from schrodlab.grid import (
     mixed_norm,
     random_band_limited,
     save_field,
-    single_mode,
     transform,
 )
 
@@ -69,24 +68,6 @@ class TestTransforms:
         back = transform(transform(f), "inverse")
         assert np.abs(back.data - f.data).max() < 1e-12
 
-    def test_single_mode_is_delta_in_frequency(self):
-        f = single_mode(SPEC2, 2, [1, -3])
-        coeffs = transform(f).data
-        idx = np.unravel_index(np.argmax(np.abs(coeffs)), coeffs.shape)
-        assert idx == (2, 1, 16 - 3)
-        off = np.abs(coeffs).sum() - np.abs(coeffs[idx])
-        assert off < 1e-10
-
-    @given(st.integers(min_value=-8, max_value=7), st.integers(min_value=-8, max_value=7))
-    @settings(max_examples=20, deadline=None)
-    def test_single_mode_unit_modulus(self, kt, kx):
-        f = single_mode(SPEC1, kt, [kx])
-        # |e^{i...}| = 1 everywhere, so the weight-free norm counts samples
-        assert l2_norm(f) == pytest.approx(np.sqrt(16 * 16), rel=1e-12)
-        # and the measure-weighted L2 norm is the box volume square root
-        box = np.sqrt(2 * np.pi * 2 * np.pi)
-        assert mixed_norm(f, 2, 2) == pytest.approx(box, rel=1e-12)
-
 
 class TestNorms:
     def test_mixed_norm_2_2_is_weighted_l2(self):
@@ -124,6 +105,26 @@ class TestNorms:
         x = SPEC2.x_axis()
         total = sum(hyperplane_norm(f, 1, s) ** 2 for s in x) * SPEC2.dx
         assert total == pytest.approx(mixed_norm(f, 2, 2) ** 2, rel=1e-10)
+
+
+class TestBoundaryMass:
+    def test_centred_narrow_gaussian(self):
+        f = gaussian_packet(SPEC2, 0.0, np.zeros(2), 0.5, 0.3)
+        assert boundary_mass_fraction(f) < 1e-12
+
+    def test_field_in_margin_strip(self):
+        # support only where |x_1| > (1 - margin) * box_space
+        strip = np.abs(SPEC2.x_axis()) > 0.9 * SPEC2.box_space
+        data = np.broadcast_to(strip[None, :, None], SPEC2.shape).astype(complex)
+        assert boundary_mass_fraction(Field(SPEC2, "physical", data), margin=0.1) == 1.0
+
+    def test_zero_field(self):
+        f = Field(SPEC2, "physical", np.zeros(SPEC2.shape))
+        assert boundary_mass_fraction(f) == 0.0
+
+    def test_frequency_rep_rejected(self):
+        with pytest.raises(ValueError):
+            boundary_mass_fraction(transform(random_field(SPEC2, 10)))
 
 
 class TestFactories:

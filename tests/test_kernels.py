@@ -1,22 +1,11 @@
 """Closed-form kernels against independent quadrature oracles."""
 
-import cmath
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
 
-from schrodlab.kernels import (
-    eval_K_s,
-    eval_K_sigma,
-    eval_K_sigma_quadrature,
-    eval_K_st,
-    kernel_table,
-    oscillatory_tail,
-    quadratic_phase_integral,
-)
+from schrodlab.kernels import eval_K_sigma, eval_K_sigma_quadrature, kernel_table
 
 SIGMAS = [-5.0, -1.0, -0.2, 0.05, 0.2, 0.3, 1.0, 10.0]
 XS = [-8.0, -3.0, -1.0, -0.25, 0.25, 1.0, 3.0, 8.0]
@@ -63,146 +52,6 @@ class TestKSigma:
         val = abs(eval_K_sigma(sigma, x).value)
         bound = math.exp(-rate * abs(x)) / m
         assert val <= bound * (1 + 1e-12)
-
-
-class TestQuadraticPhase:
-    @pytest.mark.parametrize("a,c", [
-        (1.0, -1.0 + 0.5j),
-        (-2.0, -0.3 - 4.0j),
-        (0.5, -2.0 + 0.0j),
-        (8.0, -0.5 + 1.0j),
-        (0.0, -1.0 + 1.0j),
-    ])
-    def test_against_adaptive_quadrature(self, a, c):
-        val = quadratic_phase_integral(a, c)
-
-        def integrand_re(m):
-            return (cmath.exp(1j * a * m * m + c * m)).real
-
-        def integrand_im(m):
-            return (cmath.exp(1j * a * m * m + c * m)).imag
-
-        # integrate panel by panel: the phase oscillates faster with m, so
-        # one adaptive call over the whole range struggles for large a
-        re = im = 0.0
-        for lo in range(60):
-            r, _ = integrate.quad(integrand_re, lo, lo + 1, limit=400, epsabs=1e-12)
-            i, _ = integrate.quad(integrand_im, lo, lo + 1, limit=400, epsabs=1e-12)
-            re += r
-            im += i
-        assert abs(val - complex(re, im)) < 1e-8
-
-    def test_rejects_growing_exponent(self):
-        with pytest.raises(ValueError):
-            quadratic_phase_integral(1.0, 0.5 + 1j)
-
-    def test_divergent_case(self):
-        with pytest.raises(ValueError):
-            quadratic_phase_integral(0.0, 0.0)
-
-
-class TestKs:
-    def one_sided_oracle(self, s, y):
-        # direct quadrature of the defining integral
-        if s > 0:
-            def f(eta):
-                return cmath.exp(1j * y * eta + 1j * s * eta * eta + s * eta)
-            lo, hi = -80.0 / s, 0.0
-        else:
-            def f(eta):
-                return cmath.exp(1j * y * eta + 1j * s * eta * eta + s * eta)
-            lo, hi = 0.0, -80.0 / s
-        re, _ = integrate.quad(lambda m: f(m).real, lo, hi, limit=1200, epsabs=1e-11)
-        im, _ = integrate.quad(lambda m: f(m).imag, lo, hi, limit=1200, epsabs=1e-11)
-        return complex(re, im)
-
-    @pytest.mark.parametrize("s,y", [
-        (1.0, 0.0), (1.0, 2.5), (0.5, -3.0), (-1.0, 1.0), (-2.0, -4.0), (3.0, 7.0),
-    ])
-    def test_against_direct_quadrature(self, s, y):
-        assert abs(eval_K_s(s, y).value - self.one_sided_oracle(s, y)) < 1e-7
-
-    def test_s_zero_rejected(self):
-        with pytest.raises(ValueError):
-            eval_K_s(0.0, 1.0)
-
-    @given(st.floats(min_value=0.05, max_value=4.0),
-           st.floats(min_value=-6.0, max_value=6.0))
-    @settings(max_examples=30, deadline=None)
-    def test_conjugation_symmetry(self, s, y):
-        # conj(K_s(y)) = K_{-s}(y): eta -> -eta in the defining integral
-        a = eval_K_s(s, y).value
-        b = eval_K_s(-s, y).value
-        assert abs(a.conjugate() - b) < 1e-10 * (1 + abs(a))
-
-    @given(st.floats(min_value=0.01, max_value=10.0),
-           st.floats(min_value=-10.0, max_value=10.0))
-    @settings(max_examples=40, deadline=None)
-    def test_uniform_bound(self, s, y):
-        # |K_s(y)| <= C / sqrt(|s|) uniformly in y (stationary phase)
-        val = abs(eval_K_s(s, y).value)
-        assert val <= 3.0 / math.sqrt(abs(s))
-
-
-class TestKst:
-    def test_equal_times_is_one_sided_exponential(self):
-        # s = t kills the quadratic phase: value = 1/(2s + i y) for s > 0
-        for s in (0.5, 1.0, 3.0):
-            for y in (-2.0, 0.0, 4.0):
-                val = eval_K_st(s, s, y).value
-                assert abs(val - 1.0 / (2 * s + 1j * y)) < 1e-12
-
-    def test_opposite_signs_rejected(self):
-        with pytest.raises(ValueError):
-            eval_K_st(1.0, -1.0, 0.0)
-        with pytest.raises(ValueError):
-            eval_K_st(1.0, -2.0, 0.0)
-
-    def test_matches_k_s_when_t_small(self):
-        # K_(s,t) -> K_s structure: at t -> 0+ the damping e^{(s+t)eta}
-        # and phase (s-t)eta^2 tend to the one-time kernel's
-        v1 = eval_K_st(1.0, 1e-9, 2.0).value
-        v2 = eval_K_s(1.0, 2.0).value
-        assert abs(v1 - v2) < 1e-6
-
-    @given(st.floats(min_value=0.1, max_value=5.0),
-           st.floats(min_value=0.1, max_value=5.0),
-           st.floats(min_value=-8.0, max_value=8.0))
-    @settings(max_examples=30, deadline=None)
-    def test_bounded_by_inverse_sum(self, s, t, y):
-        # |K_(s,t)(y)| <= C min(1/(s+t), 1/sqrt|s-t|)
-        val = abs(eval_K_st(s, t, y).value)
-        bound = 1.0 / (s + t)
-        if abs(s - t) > 1e-12:
-            bound = min(3.0 * bound, 3.0 / math.sqrt(abs(s - t)))
-        else:
-            bound = 3.0 * bound
-        assert val <= bound * (1 + 1e-9)
-
-
-class TestOscillatoryTail:
-    @pytest.mark.parametrize("y,s", [
-        (0.0, 1.0), (-1.0, 0.5), (1.5, -2.0), (-3.0, 0.1),
-    ])
-    def test_against_direct_quadrature(self, y, s):
-        def f(xi):
-            return cmath.exp(1j * xi * xi / s + xi)
-
-        re, _ = integrate.quad(lambda m: f(m).real, y - 60.0, y, limit=1500, epsabs=1e-11)
-        im, _ = integrate.quad(lambda m: f(m).imag, y - 60.0, y, limit=1500, epsabs=1e-11)
-        assert abs(oscillatory_tail(y, s) - complex(re, im)) < 1e-7
-
-    @given(st.floats(min_value=-4.0, max_value=2.0),
-           st.floats(min_value=0.01, max_value=9.0))
-    @settings(max_examples=30, deadline=None)
-    def test_uniform_in_s_bound(self, y, s):
-        # |tail| <= C e^y min(1, sqrt(s))
-        val = abs(oscillatory_tail(y, s))
-        assert val <= 3.0 * math.exp(y) * min(1.0, math.sqrt(s)) + 1e-12
-
-    def test_s_zero_rejected(self):
-        with pytest.raises(ValueError):
-            oscillatory_tail(0.0, 0.0)
 
 
 class TestKernelTable:

@@ -11,7 +11,6 @@ from schrodlab import multipliers
 from schrodlab.multipliers import (
     apply_S,
     apply_S_dyadic,
-    apply_S_nu,
     apply_S_via_propagator,
     apply_U_s,
     apply_plan,
@@ -115,8 +114,6 @@ class TestApply:
     def test_wrapper_guards(self):
         with pytest.raises(ValueError):
             apply_S(rand_field(), plan_S_nu(SPEC, NU))
-        with pytest.raises(ValueError):
-            apply_S_nu(rand_field(), NU, plan_S(SPEC))
 
     @given(st.integers(min_value=0, max_value=1000))
     @settings(max_examples=15, deadline=None)

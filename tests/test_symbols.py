@@ -1,4 +1,4 @@
-"""Exponent arithmetic, admissibility, symbols, and the scaling map."""
+"""Exponent arithmetic, admissibility, symbols, and the rescaling between them."""
 
 from fractions import Fraction
 
@@ -10,7 +10,6 @@ from schrodlab.symbols import (
     INF,
     ExponentPair,
     NuVector,
-    ScalingMap,
     as_exponent,
     conjugate_exponent,
     eval_p,
@@ -120,7 +119,6 @@ class TestSymbols:
         nu = NuVector([0.0, -3.0])
         assert nu.magnitude == 3.0
         assert nu.aligned_axis == 1
-        assert (-nu).components == (0.0, 3.0)
 
     def test_nu_along_last_axis(self):
         nu = NuVector.along_last_axis(4, 3)
@@ -134,37 +132,18 @@ class TestSymbols:
         assert val == 0.0
 
 
-class TestScalingMap:
-    @pytest.mark.parametrize("nu_comps", [
-        (0.0, 8.0),
-        (3.0, 4.0),
-        (1.0, 0.0, 0.0),
-        (1.0, 2.0, 2.0),
-    ])
-    def test_q_orthogonal_and_aligned(self, nu_comps):
-        nu = NuVector(nu_comps)
-        Q = ScalingMap(nu).Q
-        n = nu.n
-        assert np.abs(Q @ Q.T - np.eye(n)).max() < 1e-12
-        e_n = np.zeros(n)
-        e_n[-1] = 1.0
-        assert np.abs(Q @ e_n - nu.direction).max() < 1e-12
-
+class TestRescaling:
     @given(
         st.floats(min_value=-5, max_value=5, allow_nan=False),
-        st.floats(min_value=-5, max_value=5, allow_nan=False),
-        st.floats(min_value=-5, max_value=5, allow_nan=False),
+        st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=1, max_size=3),
         st.floats(min_value=0.5, max_value=64.0, allow_nan=False),
     )
     @settings(max_examples=60, deadline=None)
-    def test_symbol_identity_random(self, tau, x1, x2, mag):
-        nu = NuVector([0.6 * mag, 0.8 * mag])
-        assert ScalingMap(nu).check(tau, [x1, x2])
-
-    def test_scale_factor(self):
-        nu = NuVector([0.0, 2.0])
-        sm = ScalingMap(nu)
-        sigma, eta = sm.forward(1.5, [1.0, -1.0])
-        lhs = eval_p_nu(sigma, tuple(eta), nu)
-        rhs = 16.0 * eval_p(1.5, (1.0, -1.0))
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+    def test_p_nu_is_rescaled_p(self, tau, xi, mag):
+        # p_nu(-4|nu|^2 tau, 2|nu| xi) = 4|nu|^2 p(tau, xi) for nu = |nu| e_n,
+        # the only drift the package builds
+        nu = NuVector.along_last_axis(mag, len(xi))
+        lhs = eval_p_nu(-4.0 * mag**2 * tau, [2.0 * mag * c for c in xi], nu)
+        rhs = 4.0 * mag**2 * eval_p(tau, xi)
+        scale = 4.0 * mag**2 * (abs(tau) + sum(c * c for c in xi) + 1.0)
+        assert abs(lhs - rhs) <= 1e-12 * scale

@@ -1,5 +1,6 @@
-"""The benchmark tracer's patch targets still exist in the package."""
+"""Tooling checks: the tracer's patch targets exist, and every public name has a caller."""
 
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -26,3 +27,56 @@ def test_tracing_targets_resolve():
             assert hasattr(owner, part), f"{module}.{attr} does not resolve"
             owner = getattr(owner, part)
         assert callable(owner), f"{module}.{attr} is not callable"
+
+
+#: Public names that nothing in src/, scripts/ or bench/ calls, each kept for a reason.
+UNCALLED = {
+    "dense_bs_matrix": "oracle: the dense matrix whose SVD checks op_norm",
+    "apply_S_via_propagator": "oracle: the propagator form of S, checked against apply_S",
+    "apply_S_dyadic": "oracle: the dyadic pieces of S, summed against the propagator form",
+    "build_u_rho": "oracle: the full-grid rho family behind the semi-analytic norms",
+    "equation_residual": "oracle: the PDE residual showing that S_nu inverts the equation",
+    "local_smoothing_check": "oracle: the |nu|^{1/4} local-smoothing bound of acceptance test_11",
+    "boundary_mass_fraction": "the per-run manifest of ROADMAP item 1 is to call it",
+    "run_sweep": "the sweep harness's library entry; the acceptance and golden tests call it",
+}
+
+
+def references(path: pathlib.Path) -> set[str]:
+    """Names a file loads, imports or reads as an attribute, outside their own definitions."""
+    tree = ast.parse(path.read_text())
+    spans = {}  # name -> line span of its definition in this file
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            spans[node.name] = (node.lineno, node.end_lineno)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.split(".")[-1]
+        else:
+            continue
+        lo, hi = spans.get(name, (0, -1))
+        if not lo <= getattr(node, "lineno", 0) <= hi:
+            found.add(name)
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that only its own tests call is dead weight: wire it into a
+    # report or delete it, or say here why it stays
+    called = set()
+    for folder in ("src", "scripts", "bench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            called |= references(path)
+    called |= {part for _m, attr, _l, _a in load_tracing().TARGETS for part in attr.split(".")}
+    public = set()
+    for path in (ROOT / "src" / "schrodlab").glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                public |= set(ast.literal_eval(node.value))
+    assert sorted(public - called - set(UNCALLED)) == []
+    assert sorted(set(UNCALLED) - (public - called)) == []  # the list is no longer than needed
