@@ -261,26 +261,41 @@ class TestExitCodes:
         assert message in res.output
         assert not list(tmp_path.glob("*.json"))
 
-    @pytest.mark.parametrize("command,text,message", [
-        ("forward-evolve", GRID + POTENTIAL + "T: 0.1\ninitial: {center: [0.5]}\n",
+    def test_inadmissible_potential_pair(self, runner, tmp_path):
+        cfg = write(tmp_path, "c.yaml", GRID + "potential: {kind: gaussian, pair: [2, 3]}\n"
+                    "nu_values: [4, 8]\n")
+        for dry_run in (False, True):
+            res = runner.invoke(main, ["bs-norm-sweep", "--config", cfg,
+                                       "--output", str(tmp_path)] + ["--dry-run"] * dry_run)
+            assert res.exit_code == EXIT_CONFIG
+            assert "potential: pair (2, 3)" in res.output
+            assert not list(tmp_path.glob("*.json"))
+
+    # (case, command, config text, message) for values checked only after the config is read
+    POST_READ = [
+        ("short-center", "forward-evolve",
+         GRID + POTENTIAL + "T: 0.1\ninitial: {center: [0.5]}\n",
          "initial.center: want 2 entries, one per grid axis, got 1"),
-        ("forward-evolve", GRID + POTENTIAL + "T: 0.1\ninitial: {modulation: [1.0, 2.0, 3.0]}\n",
+        ("long-modulation", "forward-evolve",
+         GRID + POTENTIAL + "T: 0.1\ninitial: {modulation: [1.0, 2.0, 3.0]}\n",
          "initial.modulation: want 2 entries, one per grid axis, got 3"),
-        ("counterexample-sweep", "rho_values: [4, 16]\ntrace_points: 0\n",
+        ("trace_points-0", "counterexample-sweep", "rho_values: [4, 16]\ntrace_points: 0\n",
          "trace_points: a trace needs at least 2 points, got 0"),
-        ("counterexample-sweep", "rho_values: [4, 16]\ntrace_points: 1\n",
+        ("trace_points-1", "counterexample-sweep", "rho_values: [4, 16]\ntrace_points: 1\n",
          "trace_points: a trace needs at least 2 points, got 1"),
-        ("counterexample-sweep", "rho_values: [4]\nfamily: control\ntrace_points: -3\n",
+        ("trace_points-negative", "counterexample-sweep",
+         "rho_values: [4]\nfamily: control\ntrace_points: -3\n",
          "trace_points: a trace needs at least 2 points, got -3"),
-        ("bs-norm-sweep", GRID.replace("pts_time: 16", "pts_time: 12") + POTENTIAL
-         + "nu_values: [4]\n", "grid: pts_time must be a power of two, got 12"),
-        ("bs-norm-sweep", GRID + "potential: {kind: gaussian, pair: [2, 3]}\nnu_values: [4]\n",
-         "potential: pair (2, 3) fails the admissibility relation"),
-        ("verify-strichartz", GRID + "estimate: strichartz\npairs: [[2, 3]]\n",
+        ("grid", "bs-norm-sweep",
+         GRID.replace("pts_time: 16", "pts_time: 12") + POTENTIAL + "nu_values: [4]\n",
+         "grid: pts_time must be a power of two, got 12"),
+        ("pairs", "verify-strichartz", GRID + "estimate: strichartz\npairs: [[2, 3]]\n",
          "pairs: [2, 3] is not admissible for n = 2"),
-    ], ids=["short-center", "long-modulation", "trace_points-0", "trace_points-1",
-            "trace_points-negative", "grid", "potential-pair", "pairs"])
-    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+    ]
+
+    @pytest.mark.parametrize("command,text,message,dry_run", [
+        pytest.param(command, text, message, dry_run, id="dry-run-" * dry_run + case)
+        for case, command, text, message in POST_READ for dry_run in (False, True)])
     def test_value_checked_after_reading_named(self, runner, tmp_path, command, text, message,
                                                dry_run):
         # a short or long initial list was cut or padded to the grid axes (exit 0); a trace
