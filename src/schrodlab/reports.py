@@ -67,8 +67,8 @@ def read(cfg: dict, table: dict, path: str = "") -> dict:
     (a nested table's default is ``{}``: its keys' defaults); ``REQUIRED``
     makes it required.  An unknown key at any depth, a missing required
     key and a value of the wrong kind raise ConfigError naming the key
-    path.  A number is never a YAML boolean, and an int or a count is
-    integral.
+    path.  A number is never a YAML boolean, an int or a count is
+    integral, and a float is finite.
     """
     unknown = sorted(str(k) for k in set(cfg) - set(table))
     if unknown:
@@ -118,7 +118,9 @@ def _convert(value, kind, here: str):
     except (ValueError, OverflowError):
         raise ValueError(want) from None
     if kind is float:
-        return x
+        if math.isfinite(x):
+            return x
+        raise ValueError("a finite float")
     if not x.is_integer() or (kind is COUNT and x < 1):
         raise ValueError(want)
     return value if isinstance(value, int) else int(x)

@@ -64,9 +64,9 @@ def test_01_kernel_closed_form_matches_quadrature():
     worst = 0.0
     sup_coarse = 0.0
     for sigma in sigmas:
-        for x in xs:
+        quads = eval_K_sigma_quadrature(sigma, xs)
+        for x, quad in zip(xs, quads):
             closed = eval_K_sigma(sigma, float(x)).value
-            quad = eval_K_sigma_quadrature(sigma, float(x)).value
             worst = max(worst, abs(closed - quad))
             sup_coarse = max(sup_coarse, abs(closed))
     assert worst <= 1e-6

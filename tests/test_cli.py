@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from schrodlab import cli
+from schrodlab import cli, kernels
 from schrodlab.cli import (
     EXIT_CONFIG,
     EXIT_NONCONVERGENCE,
@@ -249,11 +249,17 @@ class TestExitCodes:
          "unknown config key: family"),
         ("verify-strichartz", GRID + "estimate: strichartz\npairs: [[1, 2]]\nmin_xi_n: 1.0\n",
          "unknown config key: min_xi_n"),
+        ("kernel-table", "sigmas: [.inf]\n" + KERNEL_X,
+         "config key sigmas has wrong type (want a finite float)"),
+        ("kernel-table", "sigmas: [0.5]\nx: {min: .nan, max: 1.0, count: 3}\n",
+         "config key x.min has wrong type (want a finite float)"),
     ], ids=["bool-sigma", "bool-nu", "str-sigma", "str-nu", "str-rho", "packet-scalar",
-            "initial-scalar", "potential-typo", "family-dispersive", "min_xi_n-strichartz"])
+            "initial-scalar", "potential-typo", "family-dispersive", "min_xi_n-strichartz",
+            "inf-sigma", "nan-x.min"])
     @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
     def test_bad_value_named(self, runner, tmp_path, command, text, message, dry_run):
-        # each ran on a wrong value, or ended in a traceback with exit 1
+        # each ran on a wrong value, or ended in a traceback with exit 1 (an infinite sigma in
+        # "math domain error"); a NaN x.min wrote a failing report
         cfg = write(tmp_path, "c.yaml", text)
         res = runner.invoke(main, [command, "--config", cfg, "--output", str(tmp_path)]
                             + ["--dry-run"] * dry_run)
@@ -291,6 +297,8 @@ class TestExitCodes:
          "grid: pts_time must be a power of two, got 12"),
         ("pairs", "verify-strichartz", GRID + "estimate: strichartz\npairs: [[2, 3]]\n",
          "pairs: [2, 3] is not admissible for n = 2"),
+        ("sigma-zero", "kernel-table", "sigmas: [0.0, 1.0]\n" + KERNEL_X,
+         "sigmas: K_sigma is undefined at sigma = 0"),
     ]
 
     @pytest.mark.parametrize("command,text,message,dry_run", [
@@ -299,8 +307,8 @@ class TestExitCodes:
     def test_value_checked_after_reading_named(self, runner, tmp_path, command, text, message,
                                                dry_run):
         # a short or long initial list was cut or padded to the grid axes (exit 0); a trace
-        # of 0 or 1 points ended in ZeroDivisionError or IndexError (exit 1); --dry-run
-        # stopped after reading and exited 0 on each of these
+        # of 0 or 1 points ended in ZeroDivisionError or IndexError, and sigma = 0 in a
+        # ValueError (exit 1); --dry-run stopped after reading and exited 0 on each of these
         cfg = write(tmp_path, "c.yaml", text)
         res = runner.invoke(main, [command, "--config", cfg, "--output", str(tmp_path)]
                             + ["--dry-run"] * dry_run)
@@ -316,6 +324,16 @@ class TestExitCodes:
                     f"output_dir: {tmp_path}/out\n")
         res = runner.invoke(main, ["cgo-build", "--config", cfg])
         assert res.exit_code == EXIT_NONCONVERGENCE
+
+    def test_kernel_quadrature_nonconvergence_exit(self, runner, tmp_path, monkeypatch):
+        # no error estimate meets a 1e-28 ceiling, so the check that guards the table fires
+        monkeypatch.setattr(kernels, "_TOL", 1e-30)
+        cfg = write(tmp_path, "k.yaml", "sigmas: [-1, 0.5]\n" + self.KERNEL_X
+                    + f"output_dir: {tmp_path}/out\n")
+        res = runner.invoke(main, ["kernel-table", "--config", cfg])
+        assert res.exit_code == EXIT_NONCONVERGENCE
+        assert "non-convergence" in res.output
+        assert not (tmp_path / "out" / "kernel_table.json").exists()
 
     def test_disagreeing_starts_exit(self, runner, tmp_path, monkeypatch):
         def sweep(V, nu_values, **kwargs):
@@ -417,6 +435,15 @@ class TestCommands:
                                    "--format", "csv"])
         assert res.exit_code == EXIT_PASS
         assert (tmp_path / "out" / "kernel_table.csv").exists()
+
+    def test_kernel_table_small_sigma_pass(self, runner, tmp_path):
+        # QAWF missed the width-sigma peak at eta = 0: -0.500 against 0 at x = 0 and 1, exit 1
+        cfg = write(tmp_path, "k.yaml", "sigmas: [1.0e-6]\nx: {min: -1.0, max: 1.0, count: 3}\n"
+                    + f"output_dir: {tmp_path}/out\n")
+        res = runner.invoke(main, ["kernel-table", "--config", cfg])
+        assert res.exit_code == EXIT_PASS
+        report = json.loads((tmp_path / "out" / "kernel_table.json").read_text())
+        assert report["verdict"] == "pass"
 
     def test_forward_evolve_pass(self, runner, tmp_path):
         cfg = write(tmp_path, "f.yaml", GRID.replace("pts_space: 16", "pts_space: 32") +

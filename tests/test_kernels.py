@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from schrodlab.kernels import eval_K_sigma, eval_K_sigma_quadrature, kernel_table
 
@@ -16,14 +18,14 @@ class TestKSigma:
     @pytest.mark.parametrize("x", XS)
     def test_closed_form_matches_quadrature(self, sigma, x):
         closed = eval_K_sigma(sigma, x).value
-        quad = eval_K_sigma_quadrature(sigma, x).value
+        quad = eval_K_sigma_quadrature(sigma, [x])[0]
         assert abs(closed - quad) < 1e-6
 
     def test_sigma_zero_rejected(self):
         with pytest.raises(ValueError):
             eval_K_sigma(0.0, 1.0)
         with pytest.raises(ValueError):
-            eval_K_sigma_quadrature(0.0, 1.0)
+            eval_K_sigma_quadrature(0.0, [1.0])
 
     def test_quarter_branch_is_continuity_limit(self):
         x = -1.3
@@ -52,6 +54,51 @@ class TestKSigma:
         val = abs(eval_K_sigma(sigma, x).value)
         bound = math.exp(-rate * abs(x)) / m
         assert val <= bound * (1 + 1e-12)
+
+
+def quadpack(sigma, x):
+    """K_sigma(x) by QUADPACK's QAWF on the cos/sin halves of the integral."""
+    def re_g(eta):
+        return (sigma - eta**2) / ((sigma - eta**2) ** 2 + eta**2)
+
+    def im_g(eta):
+        return -eta / ((sigma - eta**2) ** 2 + eta**2)
+
+    vc, _ = integrate.quad(re_g, 0.0, np.inf, weight="cos", wvar=abs(x), epsabs=1e-12, limit=400)
+    vs, _ = integrate.quad(im_g, 0.0, np.inf, weight="sin", wvar=abs(x), epsabs=1e-12, limit=400)
+    return (vc + math.copysign(1.0, x) * vs) / math.pi
+
+
+class TestKSigmaQuadrature:
+    @given(st.one_of(st.floats(min_value=-6.0, max_value=-0.05),
+                     st.floats(min_value=0.05, max_value=12.0)),
+           st.lists(st.floats(min_value=-20.0, max_value=20.0), min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_closed_form(self, sigma, xs):
+        quad = eval_K_sigma_quadrature(sigma, xs)
+        for x, q in zip(xs, quad):
+            assert abs(q - eval_K_sigma(sigma, x).value.real) <= 1e-9
+
+    @pytest.mark.parametrize("sigma", [-2.0, -0.3, 0.1, 0.7, 6.0])
+    def test_matches_quadpack(self, sigma):
+        # QUADPACK is a valid oracle away from small sigma and x = 0
+        xs = [-7.5, -1.2, 0.4, 3.3]
+        quad = eval_K_sigma_quadrature(sigma, xs)
+        for x, q in zip(xs, quad):
+            assert abs(q - quadpack(sigma, x)) <= 1e-9
+
+    @pytest.mark.parametrize("sigma,xs", [
+        # the width-sigma peak at eta = 0: QAWF returned -0.500 at x = 0 and 1 (closed form 0)
+        (1e-6, [-1.0, 0.0, 1.0]),
+        # head panels narrow with max |x|, so the check level resolves e^{-i x eta} too
+        (1.0, [-100.0, 100.0]),
+        # tiny |x| runs the s-panels down to s = 0; small |x| starts the tail rule far out
+        (-0.5, [0.0, 5e-324, -1e-300, 1e-12, -1e-6, 1e-3]),
+    ], ids=["small-sigma", "large-x", "near-zero-x"])
+    def test_fixed_points_match_closed_form(self, sigma, xs):
+        quad = eval_K_sigma_quadrature(sigma, xs)
+        for x, q in zip(xs, quad):
+            assert abs(q - eval_K_sigma(sigma, x).value.real) <= 1e-9
 
 
 class TestKernelTable:

@@ -1,9 +1,13 @@
-"""Tooling checks: the tracer's patch targets exist, and every public name has a caller."""
+"""Tooling checks: the tracer's patch targets exist, every public name has a caller, and the
+CLI's import stays light."""
 
 import ast
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -80,3 +84,14 @@ def test_every_public_name_has_a_caller():
                 public |= set(ast.literal_eval(node.value))
     assert sorted(public - called - set(UNCALLED)) == []
     assert sorted(set(UNCALLED) - (public - called)) == []  # the list is no longer than needed
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # scipy.integrate loads scipy.linalg, optimize, sparse, spatial and fft, start-up time that
+    # the numpy kernel quadrature does not need
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", "import schrodlab.cli, sys; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
