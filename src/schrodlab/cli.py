@@ -34,6 +34,7 @@ from .counterexample import (
     build_gaussian_trace,
     build_loglog_trace,
     embedding_ratio_sweep,
+    family_speed,
 )
 from .estimates import read_pairs, sweep, sweep_table
 from .forward import evolve, integral_identity_check
@@ -131,7 +132,8 @@ def build_inputs(values: dict) -> dict:
     it too: ``spec`` is the ``grid``, ``V`` the ``potential``, ``f`` the
     ``initial`` state, ``pairs`` the admissible Strichartz pairs and
     ``trace`` the counterexample trace of ``trace_points`` points; no
-    kernel parameter in ``sigmas`` is 0.
+    kernel parameter in ``sigmas`` is 0, and every rho in ``rho_values``
+    is positive with a finite family speed.
     """
     inputs = {}
     if "grid" in values:
@@ -146,6 +148,11 @@ def build_inputs(values: dict) -> dict:
         inputs["trace"] = build_trace(values["family"], values["trace_points"])
     if 0.0 in values.get("sigmas", ()):
         raise ConfigError("sigmas: K_sigma is undefined at sigma = 0")
+    for rho in values.get("rho_values", ()):
+        try:
+            family_speed(rho, values["family"])
+        except ValueError as exc:  # rho <= 0, or rho^2 overflows for the unscaled family
+            raise ConfigError(f"rho_values: {exc}") from exc
     return inputs
 
 

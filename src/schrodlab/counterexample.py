@@ -34,7 +34,6 @@ import logging
 import math
 
 import numpy as np
-from scipy.special import j0
 
 from .grid import Field, GridSpec
 from .multipliers import plan_S, plan_S_nu
@@ -57,6 +56,7 @@ __all__ = [
     "build_gaussian_trace",
     "DispersionProfile",
     "build_dispersion_profile",
+    "family_speed",
     "build_u_rho",
     "bourgain_norm",
     "embedding_ratio_sweep",
@@ -163,6 +163,92 @@ def build_gaussian_trace(points: int = 1 << 15) -> LogLogTrace:
 
 
 # ---------------------------------------------------------------------------
+# J_0
+# ---------------------------------------------------------------------------
+
+# Least-squares fits at 4000 Chebyshev points against scipy.special.j0 and
+# y0 (scipy 1.17.1); they agree with j0 to 2.1e-15 on [0, 1000].  For
+# |x| <= 8, J_0 is a Chebyshev series in z = 2 (x/8)^2 - 1.  Beyond 8 it is
+# the Hankel form P cos chi - Q sin chi, chi = x - pi/4, written with one
+# cosine as
+#     J_0(x) = sqrt(2 / (pi x)) M(w) cos(chi + (8/x) F(w)),  w = (8/x)^2,
+# where M = sqrt(P^2 + Q^2) and F = (x/8) atan2(Q, P), with P and Q taken
+# from j0 and y0 on (8, 8000].  M and F were fitted as 10-term Chebyshev
+# series in 2w - 1 and are kept as powers of w: their coefficients sum to
+# 1.001 and 0.016 in absolute value, so Horner's rule loses nothing.  The
+# cosine is most of the cost, and this form needs no sine.
+_J0_NEAR = np.array([
+    0.15772797147489, -0.008723442352852138, 0.2651786132033368, -0.3700949938726497,
+    0.15806710233209736, -0.0348937694114089, 0.004819180069467534, -0.0004606261662062709,
+    3.246032882086721e-05, -1.7619469077537304e-06, 7.608163583040792e-08,
+    -2.6792534809163e-09, 7.848695491484807e-11, -1.9437544524216595e-12,
+    4.111433592447561e-14, -7.117681544179357e-16])
+_J0_MODULUS = np.array([
+    0.9999999999999994, -0.000976562499845243, 2.5272363889104438e-05,
+    -2.0707200135156385e-06, 3.4807005805828356e-07, -9.725968457328921e-08,
+    3.6913351417978715e-08, -1.4492678327698199e-08, 4.321771805977848e-09,
+    -6.52027889085673e-10])
+_J0_PHASE = np.array([
+    -0.015624999999999143, 0.00012715657536217515, -6.3955730278784374e-06,
+    7.810182281090664e-07, -1.7438988954660718e-07, 6.017326501598604e-08,
+    -2.636839631566523e-08, 1.1264803542433664e-08, -3.5165805478457e-09,
+    5.440591523365271e-10])
+# 32 rows of the 480-node table keep every temporary inside the L2 cache
+_J0_BLOCK_ROWS = 32
+
+
+def _j0_near(x: np.ndarray) -> np.ndarray:
+    """J_0(x) for |x| <= 8, by Clenshaw's recurrence."""
+    z = x * x / 32.0 - 1.0
+    z2 = 2.0 * z
+    b1, b2 = np.full_like(z, _J0_NEAR[-1]), np.zeros_like(z)
+    for c in _J0_NEAR[-2:0:-1]:
+        b1, b2 = z2 * b1 - b2 + c, b1
+    return z * b1 - b2 + _J0_NEAR[0]
+
+
+def _j0_far(x: np.ndarray) -> np.ndarray:
+    """J_0(x) for x > 8, from the modulus and phase in powers of w = (8/x)^2."""
+    inv = 8.0 / x
+    w = inv * inv
+    modulus, phase = np.full_like(w, _J0_MODULUS[-1]), np.full_like(w, _J0_PHASE[-1])
+    for m, f in zip(_J0_MODULUS[-2::-1], _J0_PHASE[-2::-1]):
+        modulus *= w
+        modulus += m
+        phase *= w
+        phase += f
+    phase *= inv
+    phase += x - np.pi / 4.0
+    return np.sqrt(inv / (4.0 * np.pi)) * modulus * np.cos(phase)
+
+
+def _j0(x) -> np.ndarray:
+    """J_0(x) for a 1-D or 2-D x, evaluated 32 rows at a time.
+
+    In each block, the columns up to the last that holds an |x| <= 8 take
+    the near series and the columns from the first that holds an |x| > 8
+    the far one, each with |x| clamped to its side of 8; the columns in
+    both ranges pick entry by entry.  When each row ascends in |x|, as in
+    outer(y, r) with r ascending, a few columns are evaluated twice.
+    """
+    x = np.asarray(x, dtype=float)
+    rows = np.atleast_2d(x)
+    out = np.empty(rows.shape)
+    for i in range(0, rows.shape[0], _J0_BLOCK_ROWS):
+        block, dest = np.abs(rows[i:i + _J0_BLOCK_ROWS]), out[i:i + _J0_BLOCK_ROWS]
+        far = block > 8.0
+        far_cols, near_cols = np.flatnonzero(far.any(axis=0)), np.flatnonzero(~far.all(axis=0))
+        lo = far_cols[0] if far_cols.size else block.shape[1]
+        hi = near_cols[-1] + 1 if near_cols.size else 0
+        near_vals = _j0_near(np.minimum(block[:, :hi], 8.0))
+        far_vals = _j0_far(np.maximum(block[:, lo:], 8.0))
+        dest[:, :lo] = near_vals[:, :lo]
+        dest[:, hi:] = far_vals[:, hi - lo:]
+        dest[:, lo:hi] = np.where(far[:, lo:hi], far_vals[:, :hi - lo], near_vals[:, lo:])
+    return out.reshape(x.shape)
+
+
+# ---------------------------------------------------------------------------
 # dispersion profile h(u)
 # ---------------------------------------------------------------------------
 
@@ -185,16 +271,17 @@ def _radial_sum(s: float, bessel: np.ndarray) -> np.ndarray:
 
 def _ball_profile(s: float, y: np.ndarray) -> np.ndarray:
     """P(s, y) = 2 pi int_0^1 J_0(y r) e^{i s r^2} r dr (n = 2, radial; 480 nodes)."""
-    return _radial_sum(s, j0(np.outer(y, _radial_rule()[0])))
+    return _radial_sum(s, _j0(np.outer(y, _radial_rule()[0])))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DispersionProfile:
     """Tabulated h(u) with a fitted dispersive tail beyond the table.
 
     ``h(u) ~ c |u|^{-n(1/2 - 1/r')}`` for large |u|; the constant is fit
     at the switch point.  Only (n, r') = (2, 4) is tabulated here, which
-    is the pair every divergence sweep uses.
+    is the pair every divergence sweep uses.  The one profile is shared
+    by every caller, so its arrays are read-only.
     """
 
     u: np.ndarray
@@ -211,19 +298,21 @@ class DispersionProfile:
         return out
 
 
+@functools.cache
 def build_dispersion_profile() -> DispersionProfile:
     """Tabulate h(u) for (n, r') = (2, 4) by radial quadrature of the evolved ball packet.
 
     The table has 70 samples on [0, 80]; beyond u = 80 the tail
-    c |u|^{-1/2} takes over (exponent n (1/2 - 1/r') = 1/2).
+    c |u|^{-1/2} takes over (exponent n (1/2 - 1/r') = 1/2).  It depends
+    on no input, so it is built once per process.
     """
     u_grid = np.concatenate([[0.0], np.geomspace(0.05, 80.0, 69)])
     # arange's i-th value depends only on i, so each u's y axis is a prefix
     # of the longest one, and J_0(y r) is evaluated once for every u.  One
     # GEMM over all u would round differently from the per-u GEMV and move
     # the last digit of the counterexample reports.
-    bessel = j0(np.outer(np.arange(0.0, 2.0 * u_grid[-1] + 40.0, 0.2) + 0.1,
-                         _radial_rule()[0]))
+    bessel = _j0(np.outer(np.arange(0.0, 2.0 * u_grid[-1] + 40.0, 0.2) + 0.1,
+                          _radial_rule()[0]))
     vals = np.empty_like(u_grid)
     for k, s in enumerate(u_grid):
         y = np.arange(0.0, 2.0 * s + 40.0, 0.2) + 0.1
@@ -232,12 +321,33 @@ def build_dispersion_profile() -> DispersionProfile:
         vals[k] = (2.0 * np.pi) ** -1.0 * integral**0.25
     exponent = 0.5
     c = vals[-1] * u_grid[-1] ** exponent
+    for a in (u_grid, vals):
+        a.flags.writeable = False
     return DispersionProfile(u_grid, vals, exponent, c)
 
 
 # ---------------------------------------------------------------------------
 # the rho family
 # ---------------------------------------------------------------------------
+
+
+def family_speed(rho: float, family: str) -> float:
+    """The scale of the profile argument of member rho: rho, or rho^2 for ``unscaled``.
+
+    Raises ValueError unless ``family`` is known, rho > 0 and the speed
+    is finite.
+    """
+    if family not in ("shifted", "unscaled", "control"):
+        raise ValueError(f"unknown family {family!r}")
+    if not rho > 0.0:
+        raise ValueError(f"rho must be > 0, got {rho}")
+    try:
+        speed = rho**2 if family == "unscaled" else rho
+    except OverflowError:  # rho^2 beyond the largest float
+        speed = math.inf
+    if not math.isfinite(speed):
+        raise ValueError(f"rho = {rho} gives the {family} family a speed of {speed}")
+    return speed
 
 
 @dataclass
@@ -265,12 +375,7 @@ class RhoFamilyMember:
         the analytic trace evaluator rather than the fixed lattice.
         """
         tr = self.trace
-        if self.family in ("shifted", "control"):
-            speed = self.rho
-        elif self.family == "unscaled":
-            speed = self.rho**2
-        else:
-            raise ValueError(f"unknown family {self.family!r}")
+        speed = family_speed(self.rho, self.family)
         # even integrand: 2 int_0^tmax g(t)^4 h(speed t)^4 speed dt
         tmax = float(np.abs(tr.t).max()) + tr.dt
         t = np.geomspace(1e-12, tmax, 4000)
@@ -278,8 +383,11 @@ class RhoFamilyMember:
         weight = profile(speed * t) ** 4
         integrand = gt**4 * weight * speed
         integral = 2.0 * np.trapezoid(integrand, t)
-        # the log-spaced grid starts above 0; the missed sliver carries
-        # g^4 h(0)^4 speed * 2e-12 at most, negligible for every family
+        # the log-spaced grid starts above 0 and misses the sliver below
+        # 1e-12, where g^4 h(speed t)^4 speed is largest.  That is
+        # negligible while speed * 1e-12 is small, but not for the
+        # unscaled family at large rho: at rho = 1e6 (speed 1e12) the norm
+        # is 10.7% low, and 0.12% low at rho = 1e5
         return float(integral**0.25)
 
     def bourgain_norm(self) -> float:

@@ -299,6 +299,13 @@ class TestExitCodes:
          "pairs: [2, 3] is not admissible for n = 2"),
         ("sigma-zero", "kernel-table", "sigmas: [0.0, 1.0]\n" + KERNEL_X,
          "sigmas: K_sigma is undefined at sigma = 0"),
+        ("rho-negative", "counterexample-sweep", "rho_values: [-4, 16]\n",
+         "rho_values: rho must be > 0, got -4.0"),
+        ("rho-zero", "counterexample-sweep", "rho_values: [0, 4, 16]\n",
+         "rho_values: rho must be > 0, got 0.0"),
+        ("rho-squared-overflows", "counterexample-sweep",
+         "rho_values: [1.0e300]\nfamily: unscaled\n",
+         "rho_values: rho = 1e+300 gives the unscaled family a speed of inf"),
     ]
 
     @pytest.mark.parametrize("command,text,message,dry_run", [
@@ -308,7 +315,9 @@ class TestExitCodes:
                                                dry_run):
         # a short or long initial list was cut or padded to the grid axes (exit 0); a trace
         # of 0 or 1 points ended in ZeroDivisionError or IndexError, and sigma = 0 in a
-        # ValueError (exit 1); --dry-run stopped after reading and exited 0 on each of these
+        # ValueError (exit 1); rho < 0 wrote NaN ratios (exit 1), rho = 0 ended in
+        # ZeroDivisionError and an overflowing rho^2 in OverflowError; --dry-run stopped
+        # after reading and exited 0 on each of these
         cfg = write(tmp_path, "c.yaml", text)
         res = runner.invoke(main, [command, "--config", cfg, "--output", str(tmp_path)]
                             + ["--dry-run"] * dry_run)

@@ -1,14 +1,19 @@
 """Endpoint embedding failure (divergent families) and the positive
 local-smoothing control."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.special import j0 as scipy_j0  # the oracle for the numpy J_0
 
+from schrodlab import counterexample
 from schrodlab.counterexample import (
     RhoFamilyMember,
     _ball_profile,
+    _j0,
+    _radial_rule,
     bourgain_norm,
     build_dispersion_profile,
     build_gaussian_trace,
@@ -18,6 +23,7 @@ from schrodlab.counterexample import (
     local_smoothing_check,
 )
 from schrodlab.grid import Field, GridSpec, l2_norm, random_band_limited
+from schrodlab.reports import report_to_json
 from schrodlab.symbols import NuVector
 
 
@@ -62,6 +68,44 @@ class TestTraces:
         assert tr.evaluate(np.array([0.0]))[0] == pytest.approx(1.0)
 
 
+class TestJ0:
+    """The numpy J_0 agrees with scipy.special.j0 to 5e-15 absolute."""
+
+    TOL = 5e-15
+
+    def assert_matches_scipy(self, x):
+        x = np.asarray(x, dtype=float)
+        assert np.abs(_j0(x) - scipy_j0(x)).max() <= self.TOL
+
+    def test_dense_grid(self):
+        # 1000 ascending rows, so the near/far split runs row block by row block
+        self.assert_matches_scipy(np.linspace(0.0, 1000.0, 1_000_000).reshape(1000, 1000))
+
+    def test_zero_and_subnormal(self):
+        self.assert_matches_scipy([0.0, 5e-324, 1e-310, np.finfo(float).tiny, 1e-300, 1e-8])
+
+    def test_ulps_either_side_of_8(self):
+        below, above = [8.0], [8.0]
+        for _ in range(4):
+            below.append(np.nextafter(below[-1], 0.0))
+            above.append(np.nextafter(above[-1], 9.0))
+        self.assert_matches_scipy(below[::-1] + above[1:])
+
+    def test_even(self):
+        x = np.linspace(0.0, 50.0, 5001)
+        assert np.array_equal(_j0(-x), _j0(x))
+        self.assert_matches_scipy(-x)
+
+    def test_rows_in_any_order(self):
+        # unsorted rows put near and far entries in the same columns
+        x = np.random.default_rng(3).uniform(-30.0, 30.0, (70, 53))
+        self.assert_matches_scipy(x)
+
+    def test_radial_table(self):
+        # the 1000 x 480 table that build_dispersion_profile evaluates
+        self.assert_matches_scipy(np.outer(np.arange(0.0, 200.0, 0.2) + 0.1, _radial_rule()[0]))
+
+
 class TestDispersionProfile:
     def test_value_at_zero(self, profile):
         # P(0, y) is the Fourier transform of the unit disc; h(0) is the
@@ -93,6 +137,28 @@ class TestDispersionProfile:
             expected.append((2.0 * np.pi) ** -1.0 * integral**0.25)
         assert np.array_equal(profile.values, expected)
 
+    def test_values_match_scipy_j0(self, profile, monkeypatch):
+        monkeypatch.setattr(counterexample, "_j0", scipy_j0)
+        expected = build_dispersion_profile.__wrapped__()  # uncached, with scipy's J_0
+        np.testing.assert_allclose(profile.values, expected.values, rtol=1e-13, atol=0.0)
+
+    def test_built_once(self, profile):
+        assert build_dispersion_profile() is profile
+
+    @pytest.mark.parametrize("name", ["u", "values"])
+    def test_shared_arrays_read_only(self, profile, name):
+        with pytest.raises(ValueError):
+            getattr(profile, name)[0] = 1.0
+
+    def test_tail_frozen(self, profile):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            profile.tail_constant = 1.0
+
+    def test_sweeps_share_it_unchanged(self, trace):
+        first, second = (embedding_ratio_sweep([4, 64, 1024], "shifted", trace)
+                         for _ in range(2))
+        assert report_to_json(first) == report_to_json(second)
+
 
 class TestRhoFamily:
     def test_f_norm_is_ball_volume(self, trace):
@@ -112,6 +178,13 @@ class TestRhoFamily:
     def test_unknown_family_rejected(self, trace, profile):
         with pytest.raises(ValueError):
             RhoFamilyMember(4.0, "bogus", trace).mixed_norm(profile)
+
+    @pytest.mark.parametrize("rho,family", [(-4.0, "shifted"), (0.0, "control"),
+                                            (1e300, "unscaled")])
+    def test_bad_rho_rejected(self, trace, profile, rho, family):
+        # rho < 0 gave a NaN norm, rho = 0 a zero ratio, and rho^2 = 1e600 an OverflowError
+        with pytest.raises(ValueError):
+            RhoFamilyMember(rho, family, trace).mixed_norm(profile)
 
     def test_pointwise_floor_stable(self, trace):
         floors = [RhoFamilyMember(r, "shifted", trace).pointwise_floor()

@@ -95,3 +95,15 @@ def test_cli_import_leaves_out_scipy_integrate():
         [sys.executable, "-c", "import schrodlab.cli, sys; print('scipy.integrate' in sys.modules)"],
         capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_scipy():
+    # scipy.special alone was over half of the CLI's import time; the counterexample's J_0 is
+    # a numpy series, and no scipy module is needed until a test loads one as an oracle
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", "import schrodlab.cli, sys; "
+         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
