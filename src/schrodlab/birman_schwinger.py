@@ -15,6 +15,7 @@ symbol, which would stall the norm decay that the sweep is measuring.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import logging
 
 import numpy as np
@@ -106,9 +107,17 @@ class Potential:
 
 @dataclass
 class FactorW:
-    """Pointwise square-root factor W with |W| W = V."""
+    """Pointwise square-root factor W with |W| W = V.
+
+    ``conj`` is conj(W), built on first use by the adjoint and kept, so
+    ``field.data`` must not change after that.
+    """
 
     field: Field
+
+    @cached_property
+    def conj(self) -> np.ndarray:
+        return np.conj(self.field.data)
 
 
 def build_W(V: Potential) -> FactorW:
@@ -186,13 +195,18 @@ def apply_BS(
     W2: FactorW,
     nu: NuVector,
     plan: MultiplierPlan | None = None,
+    out: np.ndarray | None = None,
 ) -> Field:
-    """Compute M_{W1} S_nu M_{W2} v."""
+    """Compute M_{W1} S_nu M_{W2} v.
+
+    Every step runs in one buffer: ``out`` if given (it may be ``v.data``),
+    else one fresh array; :class:`MultiplierPlan` states what ``out`` must be.
+    """
     if plan is None:
         plan = _bs_plan(v.spec, nu)
-    inner = Field(v.spec, "physical", W2.field.data * v.data)
-    mid = apply_plan(plan, inner)
-    return Field(v.spec, "physical", W1.field.data * mid.data)
+    inner = Field(v.spec, "physical", np.multiply(W2.field.data, v.data, out=out))
+    mid = apply_plan(plan, inner, out=inner.data).data
+    return Field(v.spec, "physical", np.multiply(W1.field.data, mid, out=mid))
 
 
 def _adjoint_plan(plan: MultiplierPlan) -> MultiplierPlan:
@@ -210,15 +224,19 @@ def apply_BS_adjoint(
     nu: NuVector,
     plan: MultiplierPlan | None = None,
     adjoint_plan: MultiplierPlan | None = None,
+    out: np.ndarray | None = None,
 ) -> Field:
-    """Adjoint of apply_BS: M_{conj W2} S_nu^* M_{conj W1} u."""
+    """Adjoint of apply_BS: M_{conj W2} S_nu^* M_{conj W1} u.
+
+    ``out`` works as in :func:`apply_BS` (it may be ``u.data``).
+    """
     if adjoint_plan is None:
         if plan is None:
             plan = _bs_plan(u.spec, nu)
         adjoint_plan = _adjoint_plan(plan)
-    inner = Field(u.spec, "physical", np.conj(W1.field.data) * u.data)
-    mid = apply_plan(adjoint_plan, inner)
-    return Field(u.spec, "physical", np.conj(W2.field.data) * mid.data)
+    inner = Field(u.spec, "physical", np.multiply(W1.conj, u.data, out=out))
+    mid = apply_plan(adjoint_plan, inner, out=inner.data).data
+    return Field(u.spec, "physical", np.multiply(W2.conj, mid, out=mid))
 
 
 def dense_bs_matrix(
@@ -252,10 +270,16 @@ def op_norm(
 ) -> tuple[float, dict]:
     """Estimate ||M_{W1} S_nu M_{W2}|| by power iteration on A* A.
 
+    The result is an estimate, not a bound: ||Av|| for a unit v is the
+    square root of a Rayleigh quotient of A* A, so it is at most the true
+    norm, and the iteration stops on a heuristic rule (a relative change
+    of at most ``tol`` between steps), not on a certified error.
+
     Runs two independently seeded iterations; they must agree within 2%
     or ``diagnostics['starts_agree']`` is False.  Non-convergence within
     ``_MAX_ITER`` (200) iterations is flagged, with the last iterate still
-    returned.
+    returned.  Each start holds two fields, v and Av, for all of its
+    iterations: A* Av is computed into v and rescaled there.
     """
     spec = W1.field.spec
     if plan is None:
@@ -269,16 +293,18 @@ def op_norm(
         nrm = l2_norm(v)
         if nrm == 0.0:
             return 0.0, 0, True
-        v = v * (1.0 / nrm)
+        np.multiply(v.data, 1.0 / nrm, out=v.data)
+        av_buf = np.empty_like(v.data)
         est = 0.0
         for it in range(1, _MAX_ITER + 1):
-            av = apply_BS(v, W1, W2, nu, plan)
-            w = apply_BS_adjoint(av, W1, W2, nu, plan, adj)
+            av = apply_BS(v, W1, W2, nu, plan, out=av_buf)
+            w = apply_BS_adjoint(av, W1, W2, nu, plan, adj, out=v.data)
             new = l2_norm(av)  # sqrt of the Rayleigh quotient of A*A
             wn = l2_norm(w)
             if wn == 0.0:
                 return 0.0, it, True
-            v = w * (1.0 / wn)
+            np.multiply(w.data, 1.0 / wn, out=w.data)
+            v = w
             if est > 0.0 and abs(new - est) <= tol * est:
                 return new, it, True
             est = new

@@ -159,13 +159,19 @@ def solve_v_neumann(
     Raises :class:`NotContractive` when the estimated sandwich norm
     exceeds ``rho_cap`` (|nu| below the contraction threshold) and
     :class:`NoConvergence` when the geometric tail has not dropped below
-    ``tol`` after ``max_terms`` terms.
+    ``tol`` after ``max_terms`` terms.  The estimate enters the contraction
+    test and the tail bound, so a power iteration that did not converge, or
+    whose two starts disagree, raises :class:`NoConvergence` as well.
     """
     spec = usharp.spec
     if plan is None:
         plan = plan_S_nu(spec, nu, offset_tau=True, offset_xin=True)
     absW = FactorW(Field(spec, "physical", np.abs(W.field.data).astype(complex)))
     rho, diag = op_norm(W, absW, nu, tol=1e-3, plan=plan)
+    if not diag["converged"]:
+        raise NoConvergence("power iteration for the sandwich norm hit the iteration cap")
+    if not diag["starts_agree"]:
+        raise NoConvergence("power iteration starts disagree on the sandwich norm")
     if rho > rho_cap:
         raise NotContractive(f"sandwich norm {rho:.3f} exceeds cap {rho_cap}")
     rhs = Field(spec, "physical", W.field.data * usharp.data)

@@ -45,6 +45,10 @@ __all__ = [
 # plans
 # ---------------------------------------------------------------------------
 
+# numpy elides the temporary of a commutative product of arrays of at least
+# this many bytes (NPY_MIN_ELIDE_BYTES), evaluating a * temp as temp * a
+_ELIDE_BYTES = 256 * 1024
+
 
 @dataclass
 class MultiplierPlan:
@@ -62,6 +66,25 @@ class MultiplierPlan:
     * ``denom``: the symbol with ``inf`` on floored modes, so that
       ``coeffs / denom`` is the reciprocal on retained modes and exactly 0
       on floored ones.
+
+    ``demodulation`` is ``conj(modulation)``, which undoes the offset phase
+    after the inverse transform; it is built once here rather than per
+    transform.
+
+    Work buffers: :meth:`to_freq`, :meth:`from_freq` and :func:`apply_plan`
+    take an optional ``out``, a C-contiguous complex128 array of the grid
+    shape that receives the result and doubles as the only work space.
+    ``out`` may alias the input (``f.data`` or ``coeffs``), because every
+    step reads each sample before it writes it; it must not alias the
+    plan's own arrays.  Without ``out`` each call allocates one fresh array.
+
+    In-place products keep numpy's own evaluation order, so results are
+    bit-identical to the plain expressions ``f.data * modulation`` and
+    ``ifftn(coeffs) * conj(modulation)``.  Complex multiplication is not
+    bitwise commutative, and for arrays of at least 256 KiB numpy elides
+    the temporary ``conj(modulation)`` and evaluates that second product
+    as ``conj(modulation) * data``; below 256 KiB it is ``data *
+    conj(modulation)``.  :meth:`from_freq` follows the same rule.
     """
 
     spec: GridSpec
@@ -76,14 +99,15 @@ class MultiplierPlan:
     dropped_count: int = field(init=False)
     denom: np.ndarray = field(init=False)
     modulation: np.ndarray | None = field(init=False)
+    demodulation: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
-        scale = float(np.abs(self.symbol).max())
-        self.eps_floor = self.eps_floor_rel * scale
-        self.dropped = np.abs(self.symbol) < self.eps_floor
+        mag = np.abs(self.symbol)
+        self.eps_floor = self.eps_floor_rel * float(mag.max())
+        self.dropped = mag < self.eps_floor
         self.dropped_count = int(self.dropped.sum())
         self.denom = np.where(self.dropped, np.inf, self.symbol)
-        self.modulation = None
+        self.modulation = self.demodulation = None
         if self.tau_offset != 0.0 or self.xi_n_offset != 0.0:
             spec = self.spec
             t = spec.t_axis().reshape((-1,) + (1,) * spec.n)
@@ -94,6 +118,7 @@ class MultiplierPlan:
             if self.xi_n_offset != 0.0:
                 phase = phase + self.xi_n_offset * x
             self.modulation = np.exp(-1j * phase)
+            self.demodulation = np.conj(self.modulation)
 
     def adjoint(self) -> "MultiplierPlan":
         """The plan of the L^2 adjoint: conjugate symbol, same lattice and floor."""
@@ -104,17 +129,26 @@ class MultiplierPlan:
 
     # -- modulated (offset-lattice) transforms ---------------------------
 
-    def to_freq(self, f: Field) -> np.ndarray:
+    def to_freq(self, f: Field, out: np.ndarray | None = None) -> np.ndarray:
         """Coefficients of f on this plan's (offset) frequency lattice."""
         if f.rep != PHYSICAL:
             raise ValueError("plan transforms expect a physical-rep field")
-        data = f.data if self.modulation is None else f.data * self.modulation
-        return np.fft.fftn(data, norm="ortho")
-
-    def from_freq(self, coeffs: np.ndarray) -> Field:
-        data = np.fft.ifftn(coeffs, norm="ortho")
+        if out is None:
+            out = np.empty_like(f.data)
+        data = f.data
         if self.modulation is not None:
-            data = data * np.conj(self.modulation)
+            data = np.multiply(data, self.modulation, out=out)
+        return np.fft.fftn(data, norm="ortho", out=out)
+
+    def from_freq(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> Field:
+        if out is None:
+            out = np.empty(coeffs.shape, dtype=np.complex128)
+        data = np.fft.ifftn(coeffs, norm="ortho", out=out)
+        if self.demodulation is not None:
+            if data.nbytes >= _ELIDE_BYTES:
+                np.multiply(self.demodulation, data, out=data)
+            else:
+                np.multiply(data, self.demodulation, out=data)
         return Field(self.spec, PHYSICAL, data)
 
 
@@ -152,9 +186,15 @@ def plan_S_nu(
 # ---------------------------------------------------------------------------
 
 
-def apply_plan(plan: MultiplierPlan, f: Field) -> Field:
-    """Apply the reciprocal symbol 1/p on retained modes (floored modes -> 0)."""
-    return plan.from_freq(plan.to_freq(f) / plan.denom)
+def apply_plan(plan: MultiplierPlan, f: Field, out: np.ndarray | None = None) -> Field:
+    """Apply the reciprocal symbol 1/p on retained modes (floored modes -> 0).
+
+    Every step runs in one buffer: ``out`` if given (it may be ``f.data``),
+    else one fresh array.
+    """
+    coeffs = plan.to_freq(f, out)
+    np.divide(coeffs, plan.denom, out=coeffs)
+    return plan.from_freq(coeffs, out=coeffs)
 
 
 def apply_symbol(plan: MultiplierPlan, f: Field) -> Field:

@@ -1,5 +1,7 @@
 """Sandwiched multiplier operator: factorization, norms, splitting, decay."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,25 @@ class TestOperator:
         assert diag["converged"]
         assert diag["starts_agree"]
         assert est == pytest.approx(exact, rel=1e-3)
+
+    def test_memory_flat_in_iteration_count(self):
+        # each start keeps its two fields for all its iterations, never one per step
+        spec = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=32, pts_space=32)
+        W = build_W(gaussian_potential(spec))
+        plan = plan_S_nu(spec, NU, offset_tau=True, offset_xin=True)
+        op_norm(W, W, NU, tol=0.5, plan=plan)  # lazily built state out of the traced runs
+        field_bytes = 16 * spec.total_points
+        peaks, iterations = [], []
+        for tol in (1e-3, 1e-4):
+            tracemalloc.start()
+            try:
+                _, diag = op_norm(W, W, NU, tol=tol, plan=plan)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            iterations.append(diag["iterations"])
+        assert iterations[1] >= 3 * iterations[0]
+        assert abs(peaks[1] - peaks[0]) <= field_bytes
 
     def test_norm_decays_in_nu(self):
         W = build_W(gaussian_potential(SPEC))

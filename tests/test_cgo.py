@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from schrodlab import cgo
 from schrodlab.birman_schwinger import build_W, gaussian_potential
 from schrodlab.cgo import (
     NoConvergence,
@@ -94,6 +95,22 @@ class TestNeumannSolve:
         usharp = wave_packet_usharp(packet, SPEC)
         with pytest.raises(NoConvergence):
             solve_v_neumann(W, usharp, NU, tol=1e-14, max_terms=1)
+
+    @pytest.mark.parametrize("flag", ["converged", "starts_agree"])
+    def test_unconverged_norm_raised(self, monkeypatch, flag):
+        # the norm estimate is the contraction test and the tail bound; one that did not
+        # converge, or whose starts disagree, must not let the series pass
+        real = cgo.op_norm
+
+        def flagged(*args, **kwargs):
+            rho, diag = real(*args, **kwargs)
+            return rho, {**diag, flag: False}
+
+        monkeypatch.setattr(cgo, "op_norm", flagged)
+        W = build_W(gaussian_potential(SPEC, amplitude=0.5))
+        usharp = wave_packet_usharp(gaussian_packet_on_hyperplane(SPEC, NU), SPEC)
+        with pytest.raises(NoConvergence):
+            solve_v_neumann(W, usharp, NU, tol=1e-8)
 
     def test_uflat_from_v(self):
         V = gaussian_potential(SPEC, amplitude=0.5)

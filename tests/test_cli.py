@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from schrodlab import cli, kernels
+from schrodlab import cgo, cli, kernels
 from schrodlab.cli import (
     EXIT_CONFIG,
     EXIT_NONCONVERGENCE,
@@ -333,6 +333,24 @@ class TestExitCodes:
                     f"output_dir: {tmp_path}/out\n")
         res = runner.invoke(main, ["cgo-build", "--config", cfg])
         assert res.exit_code == EXIT_NONCONVERGENCE
+
+    @pytest.mark.parametrize("flag", ["converged", "starts_agree"])
+    def test_cgo_unconverged_norm_exit(self, runner, tmp_path, monkeypatch, flag):
+        # this potential contracts at nu = 32, so only the flagged norm estimate can stop it
+        real = cgo.op_norm
+
+        def flagged(*args, **kwargs):
+            rho, diag = real(*args, **kwargs)
+            return rho, {**diag, flag: False}
+
+        monkeypatch.setattr(cgo, "op_norm", flagged)
+        cfg = write(tmp_path, "cgo.yaml", GRID +
+                    "potential: {kind: gaussian, amplitude: 0.5, width: 0.6}\n"
+                    f"nu: 32\noutput_dir: {tmp_path}/out\n")
+        res = runner.invoke(main, ["cgo-build", "--config", cfg])
+        assert res.exit_code == EXIT_NONCONVERGENCE
+        assert "non-convergence" in res.output
+        assert not (tmp_path / "out" / "cgo_build.json").exists()
 
     def test_kernel_quadrature_nonconvergence_exit(self, runner, tmp_path, monkeypatch):
         # no error estimate meets a 1e-28 ceiling, so the check that guards the table fires

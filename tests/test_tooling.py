@@ -1,9 +1,11 @@
-"""Tooling checks: the tracer's patch targets exist, every public name has a caller, and the
-CLI's import stays light."""
+"""Tooling checks: the tracer's patch targets exist, every public name has a caller, the
+CLI's import stays light, and the scripts run."""
 
 import ast
 import importlib
 import importlib.util
+import json
+import math
 import os
 import pathlib
 import subprocess
@@ -107,3 +109,18 @@ def test_cli_import_leaves_out_scipy():
          "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
         capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_norm_decay_scan_runs(tmp_path):
+    # the only caller of the sandwiched-norm sweep on the unbounded cusp outside a config
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "norm_decay_scan.py"), "--pts", "16",
+         "--nu", "32", "64", "--output", str(tmp_path)],
+        capture_output=True, text=True, env=env, check=True)
+    table = json.loads((tmp_path / "norm_decay_scan.json").read_text())
+    assert sorted(table) == ["cusp", "gaussian"]
+    for rows in table.values():
+        assert [row["nu"] for row in rows] == [32.0, 64.0]
+        assert all(math.isfinite(row["op_norm"]) and row["op_norm"] > 0.0 for row in rows)
