@@ -7,9 +7,11 @@ provides the factorization, the operator application, a power-iteration
 norm estimator (with a dense SVD oracle for tiny grids), the sharp/flat
 splitting of W used in the decay proof, and the nu-sweep experiment.
 
-Frequency plans for S_nu here enable the half-bin offset in both tau and
-xi_n: on the discrete lattice the xi_n = 0 plane carries a nu-independent
-symbol, which would stall the norm decay that the sweep is measuring.
+The operator takes its S_nu as a plan, and the plan carries nu.  Plans for
+the sandwich come from :func:`plan_BS`, which enables the half-bin offset in
+both tau and xi_n: on the discrete lattice the xi_n = 0 plane carries a
+nu-independent symbol, which would stall the norm decay that the sweep is
+measuring.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "build_W",
     "gaussian_potential",
     "cusp_potential",
+    "plan_BS",
     "apply_BS",
     "dense_bs_matrix",
     "op_norm",
@@ -109,8 +112,9 @@ class Potential:
 class FactorW:
     """Pointwise square-root factor W with |W| W = V.
 
-    ``conj`` is conj(W), built on first use by the adjoint and kept, so
-    ``field.data`` must not change after that.
+    ``conj`` is conj(W), used by the adjoint, and ``magnitude`` the factor
+    |W| (complex-typed), used by the CGO solve.  Each is built on first use
+    and kept, so ``field.data`` must not change after that.
     """
 
     field: Field
@@ -118,6 +122,11 @@ class FactorW:
     @cached_property
     def conj(self) -> np.ndarray:
         return np.conj(self.field.data)
+
+    @cached_property
+    def magnitude(self) -> "FactorW":
+        mag = np.abs(self.field.data).astype(complex)
+        return FactorW(Field(self.field.spec, "physical", mag))
 
 
 def build_W(V: Potential) -> FactorW:
@@ -185,7 +194,8 @@ def cusp_potential(
 # ---------------------------------------------------------------------------
 
 
-def _bs_plan(spec: GridSpec, nu: NuVector) -> MultiplierPlan:
+def plan_BS(spec: GridSpec, nu: NuVector) -> MultiplierPlan:
+    """The plan of S_nu in the sandwich: half-bin offsets in tau and xi_n."""
     return plan_S_nu(spec, nu, offset_tau=True, offset_xin=True)
 
 
@@ -193,24 +203,21 @@ def apply_BS(
     v: Field,
     W1: FactorW,
     W2: FactorW,
-    nu: NuVector,
-    plan: MultiplierPlan | None = None,
+    plan: MultiplierPlan,
     out: np.ndarray | None = None,
 ) -> Field:
-    """Compute M_{W1} S_nu M_{W2} v.
+    """Compute M_{W1} S_nu M_{W2} v, with S_nu and nu from ``plan``.
 
     Every step runs in one buffer: ``out`` if given (it may be ``v.data``),
     else one fresh array; :class:`MultiplierPlan` states what ``out`` must be.
     """
-    if plan is None:
-        plan = _bs_plan(v.spec, nu)
     inner = Field(v.spec, "physical", np.multiply(W2.field.data, v.data, out=out))
     mid = apply_plan(plan, inner, out=inner.data).data
     return Field(v.spec, "physical", np.multiply(W1.field.data, mid, out=mid))
 
 
 def _adjoint_plan(plan: MultiplierPlan) -> MultiplierPlan:
-    """Plan applying the L2 adjoint S_nu^* (conjugate symbol).
+    """Plan applying the L2 adjoint S_nu^* (see :meth:`MultiplierPlan.adjoint`).
 
     A named function so that bench/tracing.py can count adjoint plans.
     """
@@ -221,54 +228,41 @@ def apply_BS_adjoint(
     u: Field,
     W1: FactorW,
     W2: FactorW,
-    nu: NuVector,
-    plan: MultiplierPlan | None = None,
-    adjoint_plan: MultiplierPlan | None = None,
+    adjoint_plan: MultiplierPlan,
     out: np.ndarray | None = None,
 ) -> Field:
     """Adjoint of apply_BS: M_{conj W2} S_nu^* M_{conj W1} u.
 
+    ``adjoint_plan`` is the adjoint of apply_BS's plan (``plan.adjoint()``);
     ``out`` works as in :func:`apply_BS` (it may be ``u.data``).
     """
-    if adjoint_plan is None:
-        if plan is None:
-            plan = _bs_plan(u.spec, nu)
-        adjoint_plan = _adjoint_plan(plan)
     inner = Field(u.spec, "physical", np.multiply(W1.conj, u.data, out=out))
     mid = apply_plan(adjoint_plan, inner, out=inner.data).data
     return Field(u.spec, "physical", np.multiply(W2.conj, mid, out=mid))
 
 
-def dense_bs_matrix(
-    spec: GridSpec,
-    W1: FactorW,
-    W2: FactorW,
-    nu: NuVector,
-    plan: MultiplierPlan | None = None,
-) -> np.ndarray:
+def dense_bs_matrix(W1: FactorW, W2: FactorW, plan: MultiplierPlan) -> np.ndarray:
     """Materialize the operator as a dense matrix (tiny grids only)."""
+    spec = plan.spec
     if spec.total_points > 4096:
         raise ValueError("dense matrix restricted to <= 4096 lattice points")
-    if plan is None:
-        plan = _bs_plan(spec, nu)
     cols = []
     for k in range(spec.total_points):
         e = np.zeros(spec.total_points, dtype=complex)
         e[k] = 1.0
         v = Field(spec, "physical", e.reshape(spec.shape))
-        cols.append(apply_BS(v, W1, W2, nu, plan).data.ravel())
+        cols.append(apply_BS(v, W1, W2, plan).data.ravel())
     return np.array(cols).T
 
 
 def op_norm(
     W1: FactorW,
     W2: FactorW,
-    nu: NuVector,
+    plan: MultiplierPlan,
     tol: float = 1e-3,
-    plan: MultiplierPlan | None = None,
     seed: int = 0,
 ) -> tuple[float, dict]:
-    """Estimate ||M_{W1} S_nu M_{W2}|| by power iteration on A* A.
+    """Estimate ||M_{W1} S_nu M_{W2}|| by power iteration on A* A (S_nu from ``plan``).
 
     The result is an estimate, not a bound: ||Av|| for a unit v is the
     square root of a Rayleigh quotient of A* A, so it is at most the true
@@ -281,9 +275,7 @@ def op_norm(
     returned.  Each start holds two fields, v and Av, for all of its
     iterations: A* Av is computed into v and rescaled there.
     """
-    spec = W1.field.spec
-    if plan is None:
-        plan = _bs_plan(spec, nu)
+    spec = plan.spec
     adj = _adjoint_plan(plan)
 
     def one_start(s: int) -> tuple[float, int, bool]:
@@ -297,8 +289,8 @@ def op_norm(
         av_buf = np.empty_like(v.data)
         est = 0.0
         for it in range(1, _MAX_ITER + 1):
-            av = apply_BS(v, W1, W2, nu, plan, out=av_buf)
-            w = apply_BS_adjoint(av, W1, W2, nu, plan, adj, out=v.data)
+            av = apply_BS(v, W1, W2, plan, out=av_buf)
+            w = apply_BS_adjoint(av, W1, W2, adj, out=v.data)
             new = l2_norm(av)  # sqrt of the Rayleigh quotient of A*A
             wn = l2_norm(w)
             if wn == 0.0:
@@ -382,7 +374,7 @@ def bs_decay_sweep(
     for mag in nu_list:
         nu = NuVector.along_last_axis(mag, spec.n)
         lam = float(mag) ** 0.25
-        est, diag = op_norm(W, W, nu, tol=tol, seed=seed)
+        est, diag = op_norm(W, W, plan_BS(spec, nu), tol=tol, seed=seed)
         sharp, flat = split_W(W, lam, V.radius)
         report.samples.append(
             {

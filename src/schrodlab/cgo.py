@@ -21,10 +21,10 @@ import logging
 
 import numpy as np
 
-from .birman_schwinger import FactorW, Potential, apply_BS, build_W, op_norm
+from .birman_schwinger import FactorW, Potential, apply_BS, build_W, op_norm, plan_BS
 from .grid import Field, GridSpec, l2_norm
-from .multipliers import MultiplierPlan, apply_plan, apply_symbol, plan_S_nu
-from .reports import EstimateReport
+from .multipliers import MultiplierPlan, apply_plan, apply_symbol
+from .reports import EstimateReport, NoConvergence
 from .symbols import NuVector
 
 logger = logging.getLogger(__name__)
@@ -45,10 +45,6 @@ __all__ = [
 
 class NotContractive(RuntimeError):
     """The sandwiched operator norm is too large; |nu| is below threshold."""
-
-
-class NoConvergence(RuntimeError):
-    """The Neumann series failed to reach tolerance within the term cap."""
 
 
 @dataclass
@@ -148,26 +144,23 @@ class CgoSolution:
 def solve_v_neumann(
     W: FactorW,
     usharp: Field,
-    nu: NuVector,
+    plan: MultiplierPlan,
     tol: float = 1e-8,
     rho_cap: float = 0.9,
     max_terms: int = 200,
-    plan: MultiplierPlan | None = None,
 ) -> tuple[Field, dict]:
     """Solve (Id - M_W S_nu M_{|W|}) v = W u_sharp by Neumann iteration.
 
-    Raises :class:`NotContractive` when the estimated sandwich norm
-    exceeds ``rho_cap`` (|nu| below the contraction threshold) and
-    :class:`NoConvergence` when the geometric tail has not dropped below
-    ``tol`` after ``max_terms`` terms.  The estimate enters the contraction
+    S_nu is ``plan``, from :func:`plan_BS`.  Raises :class:`NotContractive`
+    when the estimated sandwich norm exceeds ``rho_cap`` (|nu| below the
+    contraction threshold) and :class:`NoConvergence` when the geometric
+    tail has not dropped below ``tol`` after ``max_terms`` terms.  The estimate enters the contraction
     test and the tail bound, so a power iteration that did not converge, or
     whose two starts disagree, raises :class:`NoConvergence` as well.
     """
     spec = usharp.spec
-    if plan is None:
-        plan = plan_S_nu(spec, nu, offset_tau=True, offset_xin=True)
-    absW = FactorW(Field(spec, "physical", np.abs(W.field.data).astype(complex)))
-    rho, diag = op_norm(W, absW, nu, tol=1e-3, plan=plan)
+    absW = W.magnitude
+    rho, diag = op_norm(W, absW, plan, tol=1e-3)
     if not diag["converged"]:
         raise NoConvergence("power iteration for the sandwich norm hit the iteration cap")
     if not diag["starts_agree"]:
@@ -182,7 +175,7 @@ def solve_v_neumann(
     v = rhs.copy()
     term = rhs
     for k in range(1, max_terms + 1):
-        term = apply_BS(term, W, absW, nu, plan)
+        term = apply_BS(term, W, absW, plan)
         v = v + term
         tail = l2_norm(term) * rho / max(1.0 - rho, 1e-12)
         if tail <= tol * rhs_norm:
@@ -190,16 +183,9 @@ def solve_v_neumann(
     raise NoConvergence(f"Neumann tail {tail:.2e} above {tol:.2e} after {max_terms} terms")
 
 
-def build_uflat(
-    W: FactorW,
-    v: Field,
-    nu: NuVector,
-    plan: MultiplierPlan | None = None,
-) -> Field:
-    """u_flat = S_nu (|W| v)."""
-    if plan is None:
-        plan = plan_S_nu(v.spec, nu, offset_tau=True, offset_xin=True)
-    inner = Field(v.spec, "physical", np.abs(W.field.data) * v.data)
+def build_uflat(W: FactorW, v: Field, plan: MultiplierPlan) -> Field:
+    """u_flat = S_nu (|W| v), with S_nu the plan of :func:`solve_v_neumann`."""
+    inner = Field(v.spec, "physical", W.magnitude.field.data * v.data)
     return apply_plan(plan, inner)
 
 
@@ -219,14 +205,13 @@ def build_cgo(
     spec = V.field.spec
     nu = packet.nu
     W = build_W(V)
-    plan = plan_S_nu(spec, nu, offset_tau=True, offset_xin=True)
+    plan = plan_BS(spec, nu)
     usharp = wave_packet_usharp(packet, spec)
-    v, diag = solve_v_neumann(W, usharp, nu, tol=tol, rho_cap=rho_cap, plan=plan)
-    uflat = build_uflat(W, v, nu, plan)
-    absW = FactorW(Field(spec, "physical", np.abs(W.field.data).astype(complex)))
+    v, diag = solve_v_neumann(W, usharp, plan, tol=tol, rho_cap=rho_cap)
+    uflat = build_uflat(W, v, plan)
 
     rhs = Field(spec, "physical", W.field.data * usharp.data)
-    defect = v - apply_BS(v, W, absW, nu, plan) - rhs
+    defect = v - apply_BS(v, W, W.magnitude, plan) - rhs
     rhs_norm = l2_norm(rhs)
     scale = rhs_norm if rhs_norm > 0.0 else 1.0
 

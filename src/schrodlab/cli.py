@@ -27,7 +27,7 @@ import yaml
 
 from . import __version__
 from .birman_schwinger import Potential, bs_decay_sweep, cusp_potential, gaussian_potential
-from .cgo import NoConvergence, NotContractive, build_cgo, gaussian_packet_on_hyperplane
+from .cgo import NotContractive, build_cgo, gaussian_packet_on_hyperplane
 from .counterexample import (
     LogLogTrace,
     build_dispersion_profile,
@@ -42,7 +42,7 @@ from .grid import GridSpec, save_field
 from .kernels import kernel_table
 from .reconstruction import reconstruct_potential
 from .reports import (COMMON, COUNT, EXPONENT, GRID, REQUIRED, ConfigError, EstimateReport,
-                      config_hash, grid_spec, read, write_report)
+                      NoConvergence, config_hash, grid_spec, read, write_report)
 from .symbols import NuVector
 
 EXIT_PASS = 0
@@ -168,10 +168,7 @@ def run_guarded(fn):
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    except RuntimeError as exc:
-        if not (isinstance(exc, (NotContractive, NoConvergence))
-                or "converge" in str(exc).lower()):
-            raise
+    except (NotContractive, NoConvergence) as exc:
         click.echo(f"non-convergence: {exc}", err=True)
         sys.exit(EXIT_NONCONVERGENCE)
     sys.exit(code)

@@ -10,7 +10,7 @@ Three ratios are measured:
 
 Acceptance asserts bounded (and nu-uniform) ratios under randomized
 sweeps, never specific constants.  The standard test family is a set of
-randomized Gaussian wave packets plus hard cases modulated close to the
+randomized Gaussian wave packets plus one hard case modulated close to the
 characteristic set (xi_n near 0, tau near -|xi|^2).
 """
 
@@ -41,19 +41,20 @@ __all__ = [
 ]
 
 
-def gain_ratio(f: Field, nu: NuVector, plan: MultiplierPlan | None = None) -> float:
-    """|nu|-compensated hyperplane-trace ratio for S_nu.
+def gain_ratio(f: Field, plan: MultiplierPlan) -> float:
+    """|nu|-compensated hyperplane-trace ratio for the S_nu of ``plan``.
 
-    Requires axis-aligned nu (hyperplanes are lattice planes).  The ratio
-    is invariant under f -> c f.
+    Requires a plan of S_nu with axis-aligned nu (hyperplanes are lattice
+    planes).  The ratio is invariant under f -> c f.
     """
+    nu = plan.nu
+    if nu is None:
+        raise ValueError("gain_ratio requires a plan of S_nu, which carries nu")
     axis = nu.aligned_axis
     if axis is None:
         raise ValueError("gain_ratio requires an axis-aligned nu")
     if l2_norm(f) == 0.0:
         raise ValueError("gain_ratio rejects f = 0")
-    if plan is None:
-        plan = plan_S_nu(f.spec, nu)
     u = apply_plan(plan, f)
     spec = f.spec
     weight = spec.dt * spec.dx ** (spec.n - 1)
@@ -68,19 +69,12 @@ def gain_ratio(f: Field, nu: NuVector, plan: MultiplierPlan | None = None) -> fl
     return nu.magnitude * sup_u / integral_f
 
 
-def strichartz_ratio(
-    f: Field,
-    pair: ExponentPair,
-    nu: NuVector,
-    plan: MultiplierPlan | None = None,
-) -> float:
-    """||S_nu f||_{q', r'} / ||f||_{q, r} for an admissible pair."""
+def strichartz_ratio(f: Field, pair: ExponentPair, plan: MultiplierPlan) -> float:
+    """||S_nu f||_{q', r'} / ||f||_{q, r} for an admissible pair, with S_nu from ``plan``."""
     if not pair.admissible:
         raise ValueError(f"pair {pair} is not admissible for n={pair.n}")
     if l2_norm(f) == 0.0:
         raise ValueError("strichartz_ratio rejects f = 0")
-    if plan is None:
-        plan = plan_S_nu(f.spec, nu)
     u = apply_plan(plan, f)
     dual = pair.dual_pair()
     return mixed_norm(u, dual.q, dual.r) / mixed_norm(f, pair.q, pair.r)
@@ -120,10 +114,9 @@ def standard_family(
     spec: GridSpec,
     rng: np.random.Generator,
     count: int = 5,
-    hard_cases: bool = True,
     min_xi_n: float | None = None,
 ) -> list[Field]:
-    """Randomized Gaussian wave packets, plus near-characteristic hard cases.
+    """``count`` randomized Gaussian wave packets, then one near-characteristic hard case.
 
     ``min_xi_n`` pushes the xi_n modulation away from zero (used by the
     gain sweep, where the xi_n = 0 lattice plane carries no drift decay).
@@ -144,24 +137,23 @@ def standard_family(
                 spec, center_t, center_x, width_t, width_x, mod_tau, mod_xi
             )
         )
-    if hard_cases:
-        # near-characteristic packet: xi_n ~ 0, tau ~ -|xi|^2
-        xi0 = np.zeros(spec.n)
-        xi0[0] = 2.0 * spec.dxi
-        if min_xi_n is not None:
-            xi0[-1] = min_xi_n
-        tau0 = -float(np.sum(xi0**2))
-        out.append(
-            gaussian_packet(
-                spec,
-                0.0,
-                np.zeros(spec.n),
-                0.15 * spec.box_time,
-                0.25 * spec.box_space,
-                tau0,
-                xi0,
-            )
+    # near-characteristic packet: xi_n ~ 0, tau ~ -|xi|^2
+    xi0 = np.zeros(spec.n)
+    xi0[0] = 2.0 * spec.dxi
+    if min_xi_n is not None:
+        xi0[-1] = min_xi_n
+    tau0 = -float(np.sum(xi0**2))
+    out.append(
+        gaussian_packet(
+            spec,
+            0.0,
+            np.zeros(spec.n),
+            0.15 * spec.box_time,
+            0.25 * spec.box_space,
+            tau0,
+            xi0,
         )
+    )
     return out
 
 
@@ -250,7 +242,7 @@ def sweep(config: dict, values: dict, spec: GridSpec,
             # nu-independent symbol and would swamp the compensated ratio.
             plan = plan_S_nu(spec, nu, offset_tau=True, offset_xin=True)
             for k, f in enumerate(fields):
-                ratio = gain_ratio(f, nu, plan)
+                ratio = gain_ratio(f, plan)
                 report.samples.append(
                     {"nu": float(mag), "field": k, "seed": seed, "ratio": ratio}
                 )
@@ -261,7 +253,7 @@ def sweep(config: dict, values: dict, spec: GridSpec,
                 nu = NuVector.along_last_axis(mag, spec.n)
                 plan = plan_S_nu(spec, nu, offset_tau=True, offset_xin=False)
                 for k, f in enumerate(fields):
-                    ratio = strichartz_ratio(f, pair, nu, plan)
+                    ratio = strichartz_ratio(f, pair, plan)
                     report.samples.append(
                         {
                             "pair": [str(pair.q), str(pair.r)],

@@ -319,7 +319,6 @@ def gaussian_packet(
     width_x: float = 1.0,
     mod_tau: float = 0.0,
     mod_xi: Sequence[float] | float = 0.0,
-    amplitude: complex = 1.0,
 ) -> Field:
     """A separable Gaussian wave packet with optional modulation."""
     if np.isscalar(center_x):
@@ -338,7 +337,7 @@ def gaussian_packet(
             -((x - center_x[j]) ** 2) / (2.0 * width_x**2) + 1j * mod_xi[j] * x
         )
         out = out * fac.reshape(shape)
-    return Field(spec, PHYSICAL, amplitude * out)
+    return Field(spec, PHYSICAL, out)
 
 
 def random_band_limited(

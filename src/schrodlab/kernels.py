@@ -24,6 +24,8 @@ import math
 
 import numpy as np
 
+from .reports import NoConvergence
+
 __all__ = [
     "KernelSample",
     "eval_K_sigma",
@@ -96,8 +98,8 @@ def eval_K_sigma_quadrature(sigma: float, xs) -> np.ndarray:
     (1/pi) Re int_0^inf e^{-i x eta} G(eta) d eta.  It is computed on two
     levels (see ``_level``): the value has panels cut in two and tail step
     0.1, the check uncut panels and step 0.2.  Their difference is each
-    value's error estimate; an estimate above 100 * _TOL anywhere raises a
-    RuntimeError (non-convergence).  Nothing of the closed form is used.
+    value's error estimate; an estimate above 100 * _TOL anywhere raises
+    NoConvergence.  Nothing of the closed form is used.
     """
     if sigma == 0.0:
         raise ValueError("K_sigma is undefined at sigma = 0")
@@ -109,7 +111,7 @@ def eval_K_sigma_quadrature(sigma: float, xs) -> np.ndarray:
     value, check = (_level(float(sigma), xs, width, parts, h) / math.pi for parts, h in _LEVELS)
     err = float(np.abs(value - check).max())
     if not err <= 100.0 * _TOL:
-        raise RuntimeError(f"K_sigma quadrature did not converge: err={err:.2e}")
+        raise NoConvergence(f"K_sigma quadrature did not converge: err={err:.2e}")
     return value
 
 

@@ -45,6 +45,9 @@ __all__ = [
 # plans
 # ---------------------------------------------------------------------------
 
+# modes with |symbol| below this fraction of the largest |symbol| are floored
+_EPS_FLOOR_REL = 1e-12
+
 # numpy elides the temporary of a commutative product of arrays of at least
 # this many bytes (NPY_MIN_ELIDE_BYTES), evaluating a * temp as temp * a
 _ELIDE_BYTES = 256 * 1024
@@ -55,9 +58,10 @@ class MultiplierPlan:
     """Precomputed lattice data for one diagonal operator.
 
     ``symbol`` is p or p_nu evaluated on the (possibly offset) dual
-    lattice; ``dropped`` flags modes with |symbol| below the floor, which
-    the application zeroes and reports.  Two arrays are cached once per
-    plan and shared by every transform and by the adjoint:
+    lattice; ``dropped`` flags modes with |symbol| below the floor
+    (``_EPS_FLOOR_REL`` of the largest |symbol|), which the application
+    zeroes and reports.  Two arrays are cached once per plan and shared by
+    every transform and by the adjoint:
 
     * ``modulation``: the half-bin offset phase e^{-i(tau_off t + xi_n_off
       x_n)} (``None`` without offsets).  It is kept as a full-grid array
@@ -88,11 +92,10 @@ class MultiplierPlan:
     """
 
     spec: GridSpec
-    symbol: np.ndarray
+    symbol: np.ndarray | None
     tau_offset: float
     xi_n_offset: float
     nu: NuVector | None = None
-    eps_floor_rel: float = 1e-12
     # derived
     eps_floor: float = field(init=False)
     dropped: np.ndarray = field(init=False)
@@ -103,7 +106,7 @@ class MultiplierPlan:
 
     def __post_init__(self):
         mag = np.abs(self.symbol)
-        self.eps_floor = self.eps_floor_rel * float(mag.max())
+        self.eps_floor = _EPS_FLOOR_REL * float(mag.max())
         self.dropped = mag < self.eps_floor
         self.dropped_count = int(self.dropped.sum())
         self.denom = np.where(self.dropped, np.inf, self.symbol)
@@ -121,9 +124,13 @@ class MultiplierPlan:
             self.demodulation = np.conj(self.modulation)
 
     def adjoint(self) -> "MultiplierPlan":
-        """The plan of the L^2 adjoint: conjugate symbol, same lattice and floor."""
+        """The plan of the L^2 adjoint, for :func:`apply_plan` only.
+
+        It shares the lattice, floor and modulation and conjugates only
+        ``denom``; its ``symbol`` is None.
+        """
         adj = copy.copy(self)
-        adj.symbol = np.conj(self.symbol)
+        adj.symbol = None
         adj.denom = np.conj(self.denom)
         return adj
 
@@ -156,14 +163,13 @@ def plan_S(
     spec: GridSpec,
     offset_xin: bool = True,
     offset_tau: bool = False,
-    eps_floor_rel: float = 1e-12,
 ) -> MultiplierPlan:
     """Plan for the normalized multiplier with symbol tau - |xi|^2 + i xi_n."""
     tau_off = 0.5 * spec.dtau if offset_tau else 0.0
     xin_off = 0.5 * spec.dxi if offset_xin else 0.0
     tau, *xi = spec.meshgrid_freq(tau_off, xin_off)
     symbol = np.broadcast_to(eval_p(tau, xi), spec.shape).copy()
-    return MultiplierPlan(spec, symbol, tau_off, xin_off, None, eps_floor_rel)
+    return MultiplierPlan(spec, symbol, tau_off, xin_off)
 
 
 def plan_S_nu(
@@ -171,14 +177,13 @@ def plan_S_nu(
     nu: NuVector,
     offset_tau: bool = True,
     offset_xin: bool = False,
-    eps_floor_rel: float = 1e-12,
 ) -> MultiplierPlan:
     """Plan for the conjugated multiplier with symbol -tau - |xi|^2 + 2 i nu.xi."""
     tau_off = 0.5 * spec.dtau if offset_tau else 0.0
     xin_off = 0.5 * spec.dxi if offset_xin else 0.0
     tau, *xi = spec.meshgrid_freq(tau_off, xin_off)
     symbol = np.broadcast_to(eval_p_nu(tau, xi, nu), spec.shape).copy()
-    return MultiplierPlan(spec, symbol, tau_off, xin_off, nu, eps_floor_rel)
+    return MultiplierPlan(spec, symbol, tau_off, xin_off, nu)
 
 
 # ---------------------------------------------------------------------------

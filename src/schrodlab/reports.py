@@ -26,12 +26,16 @@ logger = logging.getLogger(__name__)
 SCHEMA_VERSION = 1
 
 __all__ = ["EstimateReport", "report_to_json", "write_report", "config_hash",
-           "ConfigError", "read", "REQUIRED", "COUNT", "EXPONENT", "COMMON", "GRID",
-           "grid_spec"]
+           "ConfigError", "NoConvergence", "read", "REQUIRED", "COUNT", "EXPONENT", "COMMON",
+           "GRID", "grid_spec"]
 
 
 class ConfigError(Exception):
     """Configuration problem, reported with the offending key path."""
+
+
+class NoConvergence(RuntimeError):
+    """A numerical method failed to reach its tolerance (CLI exit 3)."""
 
 
 #: Default of a key that must be given.

@@ -18,6 +18,7 @@ from schrodlab.birman_schwinger import (
     dense_bs_matrix,
     gaussian_potential,
     op_norm,
+    plan_BS,
 )
 from schrodlab.cgo import build_cgo, gaussian_packet_on_hyperplane, remainder_decay_sweep
 from schrodlab.cli import main as cli_main
@@ -132,13 +133,14 @@ def test_04_strichartz_ratios_nu_uniform():
             for mag in (2.0, 8.0, 32.0, 64.0):
                 nu = NuVector([0.0] * (n - 1) + [mag])
                 plan = plan_S_nu(spec, nu)
-                ratios.extend(strichartz_ratio(f, pair, nu, plan) for f in fields)
+                ratios.extend(strichartz_ratio(f, pair, plan) for f in fields)
             assert max(ratios) / min(ratios) <= 10.0
         # scaling invariance on one sample
         pair = ExponentPair(*plist[0], n)
         nu = NuVector([0.0] * (n - 1) + [8.0])
-        r1 = strichartz_ratio(fields[0], pair, nu)
-        r2 = strichartz_ratio(fields[0] * 1e3, pair, nu)
+        plan = plan_S_nu(spec, nu)
+        r1 = strichartz_ratio(fields[0], pair, plan)
+        r2 = strichartz_ratio(fields[0] * 1e3, pair, plan)
         assert abs(r1 - r2) <= 1e-10 * r1
 
 
@@ -175,8 +177,9 @@ def test_06_sandwiched_norm_decays_and_matches_oracle():
     tiny = GridSpec(n=1, box_time=PI, box_space=PI, pts_time=16, pts_space=16)
     W = build_W(gaussian_potential(tiny, pair=(2, 1)))
     nu = NuVector([8.0])
-    exact = np.linalg.svd(dense_bs_matrix(tiny, W, W, nu), compute_uv=False)[0]
-    est, diag = op_norm(W, W, nu, tol=1e-6)
+    plan = plan_BS(tiny, nu)
+    exact = np.linalg.svd(dense_bs_matrix(W, W, plan), compute_uv=False)[0]
+    est, diag = op_norm(W, W, plan, tol=1e-6)
     assert diag["converged"] and diag["starts_agree"]
     assert abs(est - exact) <= 0.01 * exact
 

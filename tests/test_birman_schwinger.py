@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from schrodlab import multipliers
 from schrodlab.birman_schwinger import (
     Potential,
     apply_BS,
@@ -15,6 +16,7 @@ from schrodlab.birman_schwinger import (
     dense_bs_matrix,
     gaussian_potential,
     op_norm,
+    plan_BS,
     split_W,
 )
 from schrodlab.grid import Field, GridSpec, l2_norm
@@ -96,17 +98,20 @@ class TestOperator:
         # <A v, u> = <v, A* u> for random fields
         W = build_W(gaussian_potential(SPEC))
         v, u = rand_field(seed=1), rand_field(seed=2)
-        av = apply_BS(v, W, W, NU)
-        astar_u = apply_BS_adjoint(u, W, W, NU)
+        plan = plan_BS(SPEC, NU)
+        av = apply_BS(v, W, W, plan)
+        astar_u = apply_BS_adjoint(u, W, W, plan.adjoint())
         lhs = np.vdot(u.data, av.data)
         rhs = np.vdot(astar_u.data, v.data)
         assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), 1.0)
 
-    @pytest.mark.parametrize("plan", [
-        plan_S_nu(SPEC, NU, offset_tau=False, offset_xin=False),
-        plan_S_nu(SPEC, NU, offset_tau=True, offset_xin=True, eps_floor_rel=0.05),
+    @pytest.mark.parametrize("offsets,floor", [
+        (False, 1e-12),
+        (True, 0.05),
     ], ids=["lattice_zeros", "offset_raised_floor"])
-    def test_adjoint_pairing_with_floored_modes(self, plan):
+    def test_adjoint_pairing_with_floored_modes(self, monkeypatch, offsets, floor):
+        monkeypatch.setattr(multipliers, "_EPS_FLOOR_REL", floor)
+        plan = plan_S_nu(SPEC, NU, offset_tau=offsets, offset_xin=offsets)
         assert plan.dropped_count > 0
         adj = plan.adjoint()
         assert adj.dropped is plan.dropped
@@ -114,8 +119,8 @@ class TestOperator:
         assert adj.modulation is plan.modulation
         W = build_W(gaussian_potential(SPEC))
         v, u = rand_field(seed=3), rand_field(seed=4)
-        av = apply_BS(v, W, W, NU, plan)
-        astar_u = apply_BS_adjoint(u, W, W, NU, plan)
+        av = apply_BS(v, W, W, plan)
+        astar_u = apply_BS_adjoint(u, W, W, adj)
         lhs = np.vdot(u.data, av.data)
         rhs = np.vdot(astar_u.data, v.data)
         assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), 1.0)
@@ -123,9 +128,10 @@ class TestOperator:
     def test_dense_matrix_matches_apply(self):
         W = build_W(gaussian_potential(TINY, pair=(2, 1)))
         nu = NuVector([4.0])
-        A = dense_bs_matrix(TINY, W, W, nu)
+        plan = plan_BS(TINY, nu)
+        A = dense_bs_matrix(W, W, plan)
         v = rand_field(TINY, 3)
-        direct = apply_BS(v, W, W, nu).data.ravel()
+        direct = apply_BS(v, W, W, plan).data.ravel()
         assert np.abs(A @ v.data.ravel() - direct).max() < 1e-10
 
     def test_dense_matrix_size_guard(self):
@@ -133,14 +139,15 @@ class TestOperator:
                        pts_time=32, pts_space=16)
         W = build_W(gaussian_potential(big))
         with pytest.raises(ValueError):
-            dense_bs_matrix(big, W, W, NU)
+            dense_bs_matrix(W, W, plan_BS(big, NU))
 
     def test_power_iteration_matches_svd(self):
         W = build_W(gaussian_potential(TINY, pair=(2, 1)))
         nu = NuVector([4.0])
-        A = dense_bs_matrix(TINY, W, W, nu)
+        plan = plan_BS(TINY, nu)
+        A = dense_bs_matrix(W, W, plan)
         exact = np.linalg.svd(A, compute_uv=False)[0]
-        est, diag = op_norm(W, W, nu, tol=1e-6)
+        est, diag = op_norm(W, W, plan, tol=1e-6)
         assert diag["converged"]
         assert diag["starts_agree"]
         assert est == pytest.approx(exact, rel=1e-3)
@@ -149,14 +156,14 @@ class TestOperator:
         # each start keeps its two fields for all its iterations, never one per step
         spec = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=32, pts_space=32)
         W = build_W(gaussian_potential(spec))
-        plan = plan_S_nu(spec, NU, offset_tau=True, offset_xin=True)
-        op_norm(W, W, NU, tol=0.5, plan=plan)  # lazily built state out of the traced runs
+        plan = plan_BS(spec, NU)
+        op_norm(W, W, plan, tol=0.5)  # lazily built state out of the traced runs
         field_bytes = 16 * spec.total_points
         peaks, iterations = [], []
         for tol in (1e-3, 1e-4):
             tracemalloc.start()
             try:
-                _, diag = op_norm(W, W, NU, tol=tol, plan=plan)
+                _, diag = op_norm(W, W, plan, tol=tol)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -164,10 +171,25 @@ class TestOperator:
         assert iterations[1] >= 3 * iterations[0]
         assert abs(peaks[1] - peaks[0]) <= field_bytes
 
+    def test_memory_peak_below_four_fields(self):
+        # v, Av, the adjoint plan's denominator and the start's random draw; the
+        # adjoint plan conjugates no symbol, which apply_plan never reads
+        spec = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=32, pts_space=32)
+        W = build_W(gaussian_potential(spec))
+        plan = plan_BS(spec, NU)
+        op_norm(W, W, plan, tol=0.5)  # lazily built state out of the traced run
+        tracemalloc.start()
+        try:
+            op_norm(W, W, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.75 * 16 * spec.total_points
+
     def test_norm_decays_in_nu(self):
         W = build_W(gaussian_potential(SPEC))
-        small, _ = op_norm(W, W, NuVector([0.0, 2.0]), tol=1e-3)
-        large, _ = op_norm(W, W, NuVector([0.0, 64.0]), tol=1e-3)
+        small, _ = op_norm(W, W, plan_BS(SPEC, NuVector([0.0, 2.0])), tol=1e-3)
+        large, _ = op_norm(W, W, plan_BS(SPEC, NuVector([0.0, 64.0])), tol=1e-3)
         assert large < 0.5 * small
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from schrodlab import cgo
-from schrodlab.birman_schwinger import build_W, gaussian_potential
+from schrodlab.birman_schwinger import build_W, gaussian_potential, plan_BS
 from schrodlab.cgo import (
     NoConvergence,
     NotContractive,
@@ -85,7 +85,7 @@ class TestNeumannSolve:
         packet = gaussian_packet_on_hyperplane(SPEC, NuVector([0.0, 2.0]))
         usharp = wave_packet_usharp(packet, SPEC)
         with pytest.raises(NotContractive):
-            solve_v_neumann(W, usharp, NuVector([0.0, 2.0]), rho_cap=0.9)
+            solve_v_neumann(W, usharp, plan_BS(SPEC, NuVector([0.0, 2.0])), rho_cap=0.9)
 
     def test_no_convergence_raised(self):
         # cap the term count so a legitimate contraction cannot finish
@@ -94,7 +94,7 @@ class TestNeumannSolve:
         packet = gaussian_packet_on_hyperplane(SPEC, NU)
         usharp = wave_packet_usharp(packet, SPEC)
         with pytest.raises(NoConvergence):
-            solve_v_neumann(W, usharp, NU, tol=1e-14, max_terms=1)
+            solve_v_neumann(W, usharp, plan_BS(SPEC, NU), tol=1e-14, max_terms=1)
 
     @pytest.mark.parametrize("flag", ["converged", "starts_agree"])
     def test_unconverged_norm_raised(self, monkeypatch, flag):
@@ -110,15 +110,16 @@ class TestNeumannSolve:
         W = build_W(gaussian_potential(SPEC, amplitude=0.5))
         usharp = wave_packet_usharp(gaussian_packet_on_hyperplane(SPEC, NU), SPEC)
         with pytest.raises(NoConvergence):
-            solve_v_neumann(W, usharp, NU, tol=1e-8)
+            solve_v_neumann(W, usharp, plan_BS(SPEC, NU), tol=1e-8)
 
     def test_uflat_from_v(self):
         V = gaussian_potential(SPEC, amplitude=0.5)
         W = build_W(V)
         packet = gaussian_packet_on_hyperplane(SPEC, NU)
         usharp = wave_packet_usharp(packet, SPEC)
-        v, diag = solve_v_neumann(W, usharp, NU, tol=1e-8)
-        uflat = build_uflat(W, v, NU)
+        plan = plan_BS(SPEC, NU)
+        v, diag = solve_v_neumann(W, usharp, plan, tol=1e-8)
+        uflat = build_uflat(W, v, plan)
         assert l2_norm(uflat) > 0.0
         assert diag["rho"] < 1.0
 

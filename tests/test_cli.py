@@ -362,6 +362,21 @@ class TestExitCodes:
         assert "non-convergence" in res.output
         assert not (tmp_path / "out" / "kernel_table.json").exists()
 
+    def test_plain_runtime_error_is_not_nonconvergence(self, runner, tmp_path, monkeypatch):
+        # only NotContractive and NoConvergence mean exit 3; a RuntimeError whose message
+        # happens to say "converge" is a fault and propagates
+        def sweep(V, nu_values, **kwargs):
+            raise RuntimeError("eigensolver did not converge")
+
+        monkeypatch.setattr(cli, "bs_decay_sweep", sweep)
+        cfg = write(tmp_path, "bs.yaml", GRID +
+                    "potential: {kind: gaussian, amplitude: 1.0, width: 0.5}\n"
+                    f"nu_values: [8]\noutput_dir: {tmp_path}/out\n")
+        res = runner.invoke(main, ["bs-norm-sweep", "--config", cfg])
+        assert res.exit_code != EXIT_NONCONVERGENCE
+        assert isinstance(res.exception, RuntimeError)
+        assert "did not converge" in str(res.exception)
+
     def test_disagreeing_starts_exit(self, runner, tmp_path, monkeypatch):
         def sweep(V, nu_values, **kwargs):
             report = EstimateReport("bs_decay", {}, {})

@@ -11,47 +11,55 @@ from schrodlab.estimates import (
     strichartz_ratio,
 )
 from schrodlab.grid import Field, GridSpec, gaussian_packet
-from schrodlab.multipliers import plan_S_nu
+from schrodlab.multipliers import plan_S, plan_S_nu
 from schrodlab.reports import ConfigError
 from schrodlab.symbols import ExponentPair, NuVector
 
 SPEC = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=16, pts_space=16)
 NU = NuVector([0.0, 8.0])
+# the gain sweep's lattice (tau and xi_n offsets) and the Strichartz sweep's (tau only)
+GAIN_PLAN = plan_S_nu(SPEC, NU, offset_tau=True, offset_xin=True)
+STRICHARTZ_PLAN = plan_S_nu(SPEC, NU)
 GRID_CFG = {"n": 2, "box_time": np.pi, "box_space": np.pi,
             "pts_time": 16, "pts_space": 16}
 
 
 def packet(seed=0):
     rng = np.random.default_rng(seed)
-    return standard_family(SPEC, rng, count=1, hard_cases=False, min_xi_n=1.0)[0]
+    return standard_family(SPEC, rng, count=1, min_xi_n=1.0)[0]
 
 
 class TestRatios:
     def test_gain_scaling_invariance(self):
         f = packet(1)
-        r1 = gain_ratio(f, NU)
-        r2 = gain_ratio(f * 7.3, NU)
+        r1 = gain_ratio(f, GAIN_PLAN)
+        r2 = gain_ratio(f * 7.3, GAIN_PLAN)
         assert r1 == pytest.approx(r2, rel=1e-12)
 
     def test_gain_rejects_non_aligned(self):
         with pytest.raises(ValueError):
-            gain_ratio(packet(), NuVector([3.0, 4.0]))
+            gain_ratio(packet(), plan_S_nu(SPEC, NuVector([3.0, 4.0])))
+
+    def test_gain_rejects_plan_without_nu(self):
+        # a plan of S carries no drift to compensate by
+        with pytest.raises(ValueError, match="carries nu"):
+            gain_ratio(packet(), plan_S(SPEC))
 
     def test_gain_rejects_zero_field(self):
         zero = Field(SPEC, "physical", np.zeros(SPEC.shape, dtype=np.complex128))
         with pytest.raises(ValueError):
-            gain_ratio(zero, NU)
+            gain_ratio(zero, GAIN_PLAN)
 
     def test_strichartz_scaling_invariance(self):
         pair = ExponentPair("4/3", "4/3", 2)
         f = packet(2)
-        assert strichartz_ratio(f, pair, NU) == pytest.approx(
-            strichartz_ratio(f * 0.01, pair, NU), rel=1e-12
+        assert strichartz_ratio(f, pair, STRICHARTZ_PLAN) == pytest.approx(
+            strichartz_ratio(f * 0.01, pair, STRICHARTZ_PLAN), rel=1e-12
         )
 
     def test_strichartz_rejects_inadmissible(self):
         with pytest.raises(ValueError):
-            strichartz_ratio(packet(), ExponentPair(2, 2, 2), NU)
+            strichartz_ratio(packet(), ExponentPair(2, 2, 2), STRICHARTZ_PLAN)
 
     def test_dispersive_oracle_gaussian(self):
         # without the damping cutoff, the free evolution of a Gaussian has
@@ -96,7 +104,7 @@ class TestStandardFamily:
         from schrodlab.grid import transform
 
         rng = np.random.default_rng(1)
-        fam = standard_family(SPEC, rng, count=4, hard_cases=False, min_xi_n=2.0)
+        fam = standard_family(SPEC, rng, count=4, min_xi_n=2.0)[:4]
         xin = SPEC.xi_axis()
         for f in fam:
             coeffs = np.abs(transform(f).data) ** 2

@@ -152,13 +152,13 @@ def test_apply_BS_bit_exact(pts):
     W, absW = factors(spec)
     plan = plan_S_nu(spec, NU, offset_tau=True, offset_xin=True)
     v = random_field(spec, 1)
-    want = apply_BS(v, W, absW, NU, plan).data
+    want = apply_BS(v, W, absW, plan).data
     assert np.array_equal(want, oracle_apply_BS(v, W, absW, plan))
     adj = plan.adjoint()
-    got = apply_BS_adjoint(v, W, absW, NU, plan, adj).data
+    got = apply_BS_adjoint(v, W, absW, adj).data
     assert np.array_equal(got, oracle_apply_BS_adjoint(v, W, absW, adj))
     # into the input's own buffer
-    assert np.array_equal(apply_BS(v, W, absW, NU, plan, out=v.data).data, want)
+    assert np.array_equal(apply_BS(v, W, absW, plan, out=v.data).data, want)
 
 
 @pytest.mark.parametrize("pts", SIZES)
@@ -166,5 +166,5 @@ def test_op_norm_estimates_bit_exact(pts):
     spec = grid(*pts)
     W, absW = factors(spec)
     plan = plan_S_nu(spec, NU, offset_tau=True, offset_xin=True)
-    _, diag = op_norm(W, absW, NU, plan=plan, seed=5)
+    _, diag = op_norm(W, absW, plan, seed=5)
     assert diag["estimates"] == oracle_op_norm_estimates(W, absW, plan, seed=5)

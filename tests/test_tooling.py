@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -35,7 +36,8 @@ def test_tracing_targets_resolve():
         assert callable(owner), f"{module}.{attr} is not callable"
 
 
-#: Public names that nothing in src/, scripts/ or bench/ calls, each kept for a reason.
+#: Public names, and public members (``Class.name``) of public classes, that nothing in src/,
+#: scripts/ or bench/ calls, each kept for a reason.
 UNCALLED = {
     "dense_bs_matrix": "oracle: the dense matrix whose SVD checks op_norm",
     "apply_S_via_propagator": "oracle: the propagator form of S, checked against apply_S",
@@ -45,6 +47,17 @@ UNCALLED = {
     "local_smoothing_check": "oracle: the |nu|^{1/4} local-smoothing bound of acceptance test_11",
     "boundary_mass_fraction": "the per-run manifest of ROADMAP item 1 is to call it",
     "run_sweep": "the sweep harness's library entry; the acceptance and golden tests call it",
+    "Potential.support_leak": "ROADMAP item 6: report the support hypothesis, or delete it",
+    "Potential.line_decay": "ROADMAP item 6: report the line-decay hypothesis, or delete it",
+    "LogLogTrace.lower_bound_check":
+        "ROADMAP item 1: report the divergence argument's trace hypothesis, or delete it",
+    "RhoFamilyMember.pointwise_floor":
+        "ROADMAP item 1: report the divergence argument's floor hypothesis, or delete it",
+}
+
+#: Scripts that no test and no run_all.sh line runs, each kept for a reason.
+UNRUN_SCRIPTS = {
+    "divergence_table.py": "ROADMAP items 1 and 7: redundant once per-family configs land",
 }
 
 
@@ -71,6 +84,25 @@ def references(path: pathlib.Path) -> set[str]:
     return found
 
 
+def public_names() -> tuple[set[str], dict[str, str]]:
+    """The names in every module's ``__all__``, and the public methods and properties
+    of the classes among them, as ``Class.name`` mapped to ``name``."""
+    public, members = set(), {}
+    for path in (ROOT / "src" / "schrodlab").glob("*.py"):
+        body = ast.parse(path.read_text()).body
+        names = set()
+        for node in body:
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                names |= set(ast.literal_eval(node.value))
+        for node in body:
+            if isinstance(node, ast.ClassDef) and node.name in names:
+                members.update({f"{node.name}.{fn.name}": fn.name for fn in node.body
+                                if isinstance(fn, ast.FunctionDef)
+                                and not fn.name.startswith("_")})
+        public |= names
+    return public, members
+
+
 def test_every_public_name_has_a_caller():
     # a public name that only its own tests call is dead weight: wire it into a
     # report or delete it, or say here why it stays
@@ -79,13 +111,24 @@ def test_every_public_name_has_a_caller():
         for path in (ROOT / folder).rglob("*.py"):
             called |= references(path)
     called |= {part for _m, attr, _l, _a in load_tracing().TARGETS for part in attr.split(".")}
-    public = set()
-    for path in (ROOT / "src" / "schrodlab").glob("*.py"):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
-                public |= set(ast.literal_eval(node.value))
-    assert sorted(public - called - set(UNCALLED)) == []
-    assert sorted(set(UNCALLED) - (public - called)) == []  # the list is no longer than needed
+    public, members = public_names()
+    uncalled = (public - called) | {q for q, name in members.items() if name not in called}
+    assert sorted(uncalled - set(UNCALLED)) == []
+    assert sorted(set(UNCALLED) - uncalled) == []  # the list is no longer than needed
+
+
+def test_every_script_is_run():
+    # a script nothing runs rots unseen; a test runs one through its path,
+    # ROOT / "scripts" / name, and run_all.sh through scripts/name
+    named = set(re.findall(r"scripts/(\w+\.py)", (ROOT / "scripts" / "run_all.sh").read_text()))
+    for path in (ROOT / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                    and isinstance(node.right, ast.Constant)):
+                named.add(node.right.value)
+    unrun = {path.name for path in (ROOT / "scripts").glob("*.py")} - named
+    assert sorted(unrun - set(UNRUN_SCRIPTS)) == []
+    assert sorted(set(UNRUN_SCRIPTS) - unrun) == []  # the list is no longer than needed
 
 
 def test_cli_import_leaves_out_scipy_integrate():
