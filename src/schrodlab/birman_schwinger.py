@@ -195,7 +195,12 @@ def cusp_potential(
 
 
 def plan_BS(spec: GridSpec, nu: NuVector) -> MultiplierPlan:
-    """The plan of S_nu in the sandwich: half-bin offsets in tau and xi_n."""
+    """The plan of S_nu in the sandwich and in the gain sweep: half-bin offsets in tau and xi_n.
+
+    The xi_n offset keeps the lattice off the xi_n = 0 plane, whose symbol
+    does not depend on nu: it would stall the norm decay of the sandwich
+    and swamp the compensated gain ratio.
+    """
     return plan_S_nu(spec, nu, offset_tau=True, offset_xin=True)
 
 

@@ -352,8 +352,9 @@ def identity_check(cfg, values, inputs):
         params={"T": T, "steps": steps, "tol": tol, "seed": seed},
         ceiling=tol,
     )
-    for k in range(values["trials"]):
-        out = integral_identity_check(V1, None, packet(), packet(), T, steps)
+    pairs = [(packet(), packet()) for _ in range(values["trials"])]  # f0, g0, f1, g1, ...
+    fs, gs = (np.stack(side) for side in zip(*pairs))
+    for k, out in enumerate(integral_identity_check(V1, None, fs, gs, T, steps)):
         report.samples.append(
             {"seed": seed, "trial": k, "ratio": out["normalized_residual"]}
         )

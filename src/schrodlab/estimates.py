@@ -20,6 +20,7 @@ import logging
 
 import numpy as np
 
+from .birman_schwinger import plan_BS
 from .grid import Field, GridSpec, gaussian_packet, l2_norm, mixed_norm
 from .multipliers import MultiplierPlan, apply_plan, apply_U_s, plan_S_nu
 from .reports import (COMMON, EXPONENT, GRID, REQUIRED, ConfigError, EstimateReport,
@@ -237,10 +238,7 @@ def sweep(config: dict, values: dict, spec: GridSpec,
     if estimate == "gain":
         fields = standard_family(spec, rng, values["family"], min_xi_n=values["min_xi_n"])
         for mag in values["nu_values"]:
-            nu = NuVector.along_last_axis(mag, spec.n)
-            # xi_n offset on: the xi_n = 0 lattice plane has a
-            # nu-independent symbol and would swamp the compensated ratio.
-            plan = plan_S_nu(spec, nu, offset_tau=True, offset_xin=True)
+            plan = plan_BS(spec, NuVector.along_last_axis(mag, spec.n))
             for k, f in enumerate(fields):
                 ratio = gain_ratio(f, plan)
                 report.samples.append(

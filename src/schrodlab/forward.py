@@ -5,7 +5,9 @@ integrated with a Strang split-step scheme: half potential phase, exact
 free spectral step, half potential phase, with the (possibly time
 dependent) potential sampled at step midpoints.  Both sub-steps are
 unitary for real V, so mass is conserved to rounding, and the scheme is
-second order in the step size.
+second order in the step size.  A stack of probes along a leading axis
+is stepped in place as one array by one step loop, its FFTs batched over
+chunks of probes.
 
 The module also verifies the bilinear integral identity
 
@@ -14,7 +16,8 @@ The module also verifies the bilinear integral identity
 where u_1 evolves forward from f under V_1 and v_2 solves the final-value
 problem v_2(T) = g under conj(V_2) (realized by running the same scheme
 backward in time).  Both sides are computed by independent solves, so
-their agreement is a genuine two-sided check.
+their agreement is a genuine two-sided check.  A stack of trials (f, g)
+is checked in one call.
 """
 
 from __future__ import annotations
@@ -38,11 +41,12 @@ __all__ = [
 ]
 
 
-#: Probes per pass of the step loop.  On the 58 plane-wave probes of
-#: configs/reconstruct.yaml (128 steps at 64^2, 2 vCPUs), chunks of 4 to 16
-#: took 1.2-1.5 s against 2.0 s for the per-probe loop, and all 58 at once
-#: (3.8 MB, more than the 2 MiB L2) 1.55 s; a chunk of 8 keeps the few live
-#: arrays of a step (512 KiB each) inside L2.
+#: Probes per FFT call of the step loop.  With the stack stepped in place,
+#: one array (512 KiB for 8 probes at 64^2) is live per chunk.  On the 58
+#: plane-wave probes of configs/reconstruct.yaml (128 steps at 64^2, 2 vCPUs,
+#: 4 MiB of L2 each), five alternating rounds of five ``evolve`` calls gave
+#: medians of 1.06 s for chunks of 4, 1.01 s for 8, 0.99 s for 16 and 1.01 s
+#: for all 58 at once; no size won every round (8 and 16 two each, 58 one).
 CHUNK = 8
 
 
@@ -94,10 +98,13 @@ def _freq_sq(spec: GridSpec) -> np.ndarray:
 
 def _strang(V: Potential, u: np.ndarray, T: float, steps: int, t0: float,
             conjugate_potential: bool):
-    """Yield the probes ``u`` (leading probe axis) at t0 and after each Strang step.
+    """Step the probe stack ``u`` (leading probe axis) in place; yield it at t0 and after each step.
 
-    The one step loop of the module: ``evolve`` runs it once per chunk of
-    probes, and the integral identity streams its integrand from it.
+    The one step loop of the module: ``evolve`` and the integral identity
+    run it over a whole stack, which the caller owns and this overwrites.
+    Every yield is that same array, overwritten by the next step, so a
+    consumer copies whatever it keeps.  The potential phase of a step is
+    built once; the FFTs run over ``CHUNK`` probes at a time.
     """
     spec = V.field.spec
     # with s given, fftn skips a np.take of the shape: about 20 us a call at 64^2
@@ -110,14 +117,25 @@ def _strang(V: Potential, u: np.ndarray, T: float, steps: int, t0: float,
         if conjugate_potential:
             vmid = np.conj(vmid)
         half = np.exp(-1j * vmid * (dt / 2.0))
-        u = half * u
-        u = np.fft.ifftn(np.fft.fftn(u, lattice, axes) * free, lattice, axes)
-        u = half * u
+        for lo in range(0, len(u), CHUNK):
+            c = u[lo:lo + CHUNK]
+            # The phases multiply one probe at a time: a product broadcast
+            # over the chunk makes numpy's iterator allocate a buffer of up
+            # to 8192 elements on every call.  Operand order as in half * u
+            # and fftn(u) * free: complex products are not bitwise commutative.
+            for p in c:
+                np.multiply(half, p, out=p)
+            np.fft.fftn(c, lattice, axes, out=c)
+            for p in c:
+                np.multiply(p, free, out=p)
+            np.fft.ifftn(c, lattice, axes, out=c)
+            for p in c:
+                np.multiply(half, p, out=p)
         yield u
 
 
 def evolve(
-    V: Potential | None,
+    V: Potential,
     f: np.ndarray,
     T: float,
     steps: int,
@@ -128,19 +146,20 @@ def evolve(
     """Strang split-step integration from t0 to t0 + T (T may be negative).
 
     ``f`` is one state on the spatial lattice or a stack of probes along a
-    leading axis; the step loop runs once per chunk of ``CHUNK`` probes.
-    ``store="all"`` keeps every step, ``store="final"`` only the final
-    states; the mass of every probe is recorded at every step either way.
-    ``conjugate_potential`` evolves under conj(V) instead, which is what
-    the backward final-value solve of the integral identity needs.
+    leading axis; it is copied once into the stack that the step loop
+    advances in place, and left unchanged.  ``store="all"`` keeps every
+    step, ``store="final"`` only the final states; the mass of every probe
+    is recorded at every step either way.  ``conjugate_potential`` evolves
+    under conj(V) instead, which is what the backward final-value solve of
+    the integral identity needs.
     """
     if steps < 1:
         raise ValueError("need at least one step")
     if store not in ("all", "final"):
         raise ValueError(f"store must be 'all' or 'final', not {store!r}")
-    spec = V.field.spec if V is not None else None
-    if spec is None:
+    if V is None:
         raise ValueError("evolve needs a Potential carrying the grid (use a zero potential for free evolution)")
+    spec = V.field.spec
     f = np.asarray(f, dtype=complex)
     lattice = (spec.pts_space,) * spec.n
     if f.shape[-spec.n:] != lattice or f.ndim not in (spec.n, spec.n + 1):
@@ -157,13 +176,16 @@ def evolve(
     else:
         final = np.empty_like(probes)
         slices = final[np.newaxis]
-    for lo in range(0, len(probes), CHUNK):
-        chunk = slice(lo, lo + CHUNK)
-        for k, u in enumerate(_strang(V, probes[chunk], T, steps, t0, conjugate_potential)):
-            mass[k, chunk] = np.sqrt((np.abs(u) ** 2).sum(axis=axes) * vol)
-            if store == "all":
-                slices[k, chunk] = u
-        final[chunk] = u
+    final[...] = probes  # the working stack: it holds the final states once stepped
+    sq = np.empty((min(CHUNK, len(probes)),) + lattice)  # |u|^2 of one chunk
+    for k, u in enumerate(_strang(V, final, T, steps, t0, conjugate_potential)):
+        for lo in range(0, len(u), CHUNK):
+            c = u[lo:lo + CHUNK]
+            a = sq[:len(c)]
+            np.square(np.abs(c, out=a), out=a)
+            mass[k, lo:lo + CHUNK] = np.sqrt(a.sum(axis=axes) * vol)
+        if store == "all" and k < steps:
+            slices[k] = u
     drift = _drift(mass)
     worst = int(np.argmax(drift))
     if drift[worst] > 1e-8:
@@ -186,26 +208,23 @@ def itf_map(V: Potential, probes, T: float, steps: int = 256) -> np.ndarray:
     return evolve(V, np.stack(probes), T, steps, store="final").final
 
 
-def integral_identity_check(
-    V1: Potential,
-    V2: Potential | None,
-    f: np.ndarray,
-    g: np.ndarray,
-    T: float,
-    steps: int = 256,
-) -> dict:
-    """Residual of the bilinear identity, both sides independently solved.
+def _free_waves(ghat: np.ndarray, free_sq: np.ndarray, times, T: float, lattice, axes):
+    """Yield the free final-value waves of every trial at each time, in one reused buffer."""
+    phase = -1j * free_sq
+    e = np.empty_like(phase)
+    v = np.empty_like(ghat)
+    for t in times:
+        np.exp(np.multiply(phase, t - T, out=e), out=e)  # shared by every trial
+        np.multiply(ghat, e, out=v)
+        yield np.fft.ifftn(v, lattice, axes, out=v)
 
-    The trapezoid integrand is summed as u_1 is stepped forward, so no
-    forward trajectory is held; with V_2 = None the free v_2 is built at
-    each time, and otherwise its backward solve is the one trajectory kept.
 
-    Returns a dict with lhs, rhs, residual = |lhs - rhs| and the
-    normalized residual |lhs - rhs| / max(|lhs|, |rhs|).
-    """
+def _identity_sides(V1: Potential, V2: Potential | None, f: np.ndarray, g: np.ndarray,
+                    T: float, steps: int) -> list[tuple[complex, complex]]:
+    """(lhs, rhs) of the identity for each trial of the stacks f and g."""
     spec = V1.field.spec
     vol = spec.dx**spec.n
-    f = np.asarray(f, dtype=complex)
+    lattice, axes = (spec.pts_space,) * spec.n, tuple(range(-spec.n, 0))
     times = T / steps * np.arange(steps + 1)
     if V2 is not None:
         u2_final = evolve(V2, f, T, steps, store="final").final
@@ -213,29 +232,69 @@ def integral_identity_check(
         v2s = evolve(V2, g, -T, steps, t0=T, conjugate_potential=True).slices[::-1]
     else:
         free_sq = _freq_sq(spec)
-        u2_final = np.fft.ifftn(np.fft.fftn(f) * np.exp(-1j * free_sq * T))
-        ghat = np.fft.fftn(np.asarray(g, complex))
-        v2s = (np.fft.ifftn(ghat * np.exp(-1j * free_sq * (t - T))) for t in times)
+        u2_final = np.fft.ifftn(np.fft.fftn(f, lattice, axes) * np.exp(-1j * free_sq * T),
+                                lattice, axes)
+        v2s = _free_waves(np.fft.fftn(g, lattice, axes), free_sq, times, T, lattice, axes)
 
-    integrand = np.empty(steps + 1, dtype=complex)
-    u1s = _strang(V1, f[np.newaxis], T, steps, 0.0, False)
+    trials = range(len(f))
+    integrand = np.empty((len(f), steps + 1), dtype=complex)
+    u1s = _strang(V1, f.copy(), T, steps, 0.0, False)
     for k, (t, u1, v2) in enumerate(zip(times, u1s, v2s)):
         dv = sample_potential(V1, t) - sample_potential(V2, t)  # None samples as 0
-        integrand[k] = (dv * u1[0] * np.conj(v2)).sum() * vol
-    rhs = np.trapezoid(integrand, dx=T / steps)
-    lhs = 1j * ((u1[0] - u2_final) * np.conj(g)).sum() * vol
+        for j in trials:
+            integrand[j, k] = (dv * u1[j] * np.conj(v2[j])).sum() * vol
+    return [(1j * ((u1[j] - u2_final[j]) * np.conj(g[j])).sum() * vol,
+             np.trapezoid(integrand[j], dx=T / steps)) for j in trials]
 
-    resid = abs(lhs - rhs)
-    scale = max(abs(lhs), abs(rhs))
-    out = {
-        "lhs": complex(lhs),
-        "rhs": complex(rhs),
-        "residual": float(resid),
-        "normalized_residual": float(resid / scale) if scale > 0.0 else 0.0,
-        "steps": steps,
-    }
-    logger.info(
-        "integral identity: lhs %s rhs %s normalized residual %.3e",
-        out["lhs"], out["rhs"], out["normalized_residual"],
-    )
-    return out
+
+def integral_identity_check(
+    V1: Potential,
+    V2: Potential | None,
+    f: np.ndarray,
+    g: np.ndarray,
+    T: float,
+    steps: int = 256,
+) -> dict | list[dict]:
+    """Residual of the bilinear identity, both sides independently solved.
+
+    ``f`` and ``g`` are one state each, or stacks of trials along a leading
+    axis; a single pair gives one dict, a stack a list of dicts, one per
+    trial.  The trapezoid integrand is summed as u_1 is stepped forward, so
+    no forward trajectory is held.  With V_2 = None every trial's u_1 is
+    stepped in one loop and the free v_2 of every trial is built at each
+    time; otherwise the trials run one at a time, each holding its
+    backward solve of v_2 as the one trajectory kept.
+
+    Each dict holds lhs, rhs, residual = |lhs - rhs| and the normalized
+    residual |lhs - rhs| / max(|lhs|, |rhs|).
+    """
+    spec = V1.field.spec
+    lattice = (spec.pts_space,) * spec.n
+    f = np.asarray(f, dtype=complex)
+    g = np.asarray(g, dtype=complex)
+    if f.shape != g.shape or f.shape[-spec.n:] != lattice or f.ndim not in (spec.n, spec.n + 1):
+        raise ValueError("f and g must be matching states or stacks on the spatial lattice")
+    fs, gs = f.reshape((-1,) + lattice), g.reshape((-1,) + lattice)
+    if V2 is None:
+        sides = _identity_sides(V1, None, fs, gs, T, steps)
+    else:  # one trial at a time, so one backward trajectory is held
+        sides = [s for j in range(len(fs))
+                 for s in _identity_sides(V1, V2, fs[j:j + 1], gs[j:j + 1], T, steps)]
+
+    outs = []
+    for lhs, rhs in sides:
+        resid = abs(lhs - rhs)
+        scale = max(abs(lhs), abs(rhs))
+        out = {
+            "lhs": complex(lhs),
+            "rhs": complex(rhs),
+            "residual": float(resid),
+            "normalized_residual": float(resid / scale) if scale > 0.0 else 0.0,
+            "steps": steps,
+        }
+        logger.info(
+            "integral identity: lhs %s rhs %s normalized residual %.3e",
+            out["lhs"], out["rhs"], out["normalized_residual"],
+        )
+        outs.append(out)
+    return outs[0] if f.ndim == spec.n else outs

@@ -1,6 +1,7 @@
 """Split-step evolution, mass conservation, and the bilinear identity."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,11 +17,14 @@ from schrodlab.forward import (
 from schrodlab.grid import GridSpec
 
 SPEC = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=8, pts_space=32)
+# one chunk of 8 probes at 64^2 is 512 KiB, over numpy's 256 KiB threshold for
+# computing an expression's temporary in place
+SPEC64 = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=8, pts_space=64)
 
 
-def packet(seed=0, width=0.5, mod=(2.0, 0.0)):
+def packet(seed=0, width=0.5, mod=(2.0, 0.0), spec=SPEC):
     rng = np.random.default_rng(seed)
-    x = SPEC.x_axis()
+    x = spec.x_axis()
     mesh = np.meshgrid(x, x, indexing="ij")
     c = rng.uniform(-0.3, 0.3, size=2)
     phase = sum(m * (c_ - cc) for m, c_, cc in zip(mod, mesh, c))
@@ -29,19 +33,19 @@ def packet(seed=0, width=0.5, mod=(2.0, 0.0)):
     ) * np.exp(1j * phase)
 
 
-def potential(amplitude=1.0):
-    return gaussian_potential(SPEC, amplitude=amplitude, width=0.6,
+def potential(amplitude=1.0, spec=SPEC):
+    return gaussian_potential(spec, amplitude=amplitude, width=0.6,
                               window=(-np.pi, np.pi - 1e-9))
 
 
-def freq_sq():
-    return sum(c**2 for c in SPEC.spatial_mesh(frequency=True))
+def freq_sq(spec=SPEC):
+    return sum(c**2 for c in spec.spatial_mesh(frequency=True))
 
 
 def strang_trajectory(V, f, T, steps, t0=0.0, conjugate_potential=False):
     """Oracle: the per-probe Strang loop on one 2-D state, every slice kept."""
     dt = T / steps
-    free = np.exp(-1j * freq_sq() * dt)
+    free = np.exp(-1j * freq_sq(V.field.spec) * dt)
     u = np.asarray(f, dtype=complex)
     slices = [u]
     for k in range(steps):
@@ -129,6 +133,10 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(potential(), packet(), T=0.1, steps=0)
 
+    def test_none_potential_rejected(self):
+        with pytest.raises(ValueError, match="zero potential for free evolution"):
+            evolve(None, packet(), T=0.1, steps=4)
+
     def test_trajectory_bookkeeping(self):
         f = packet(4)
         traj = evolve(potential(), f, T=0.3, steps=16)
@@ -169,6 +177,28 @@ class TestBatchedEvolve:
         for k, f in enumerate(probes):
             assert np.array_equal(batch.slices[:, k], strang_trajectory(V, f, 0.3, 16))
         assert np.array_equal(batch.final, batch.slices[-1])
+
+    @pytest.mark.parametrize("count", [1, 8, 20])
+    def test_chunks_at_64_match_per_probe_oracle(self, count):
+        # 8 probes fill one chunk, 20 make chunks of 8, 8 and 4
+        V = potential(spec=SPEC64)
+        probes = np.stack([packet(50 + k, mod=(k % 5 - 2.0, 1.0), spec=SPEC64)
+                           for k in range(count)])
+        traj = evolve(V, probes, T=0.3, steps=4, store="final")
+        for k, f in enumerate(probes):
+            assert np.array_equal(traj.final[k], strang_trajectory(V, f, 0.3, 4)[-1])
+
+    def test_inputs_left_unchanged(self):
+        V = potential()
+        probes = np.stack([packet(45), packet(46)])
+        assert probes.dtype == complex and probes.flags.c_contiguous
+        kept = probes.copy()
+        evolve(V, probes, T=0.2, steps=8)
+        evolve(V, probes, T=0.2, steps=8, store="final")
+        evolve(V, probes[0], T=0.2, steps=8, store="final")
+        itf_map(V, probes, T=0.2, steps=8)
+        integral_identity_check(V, None, probes, probes[::-1].copy(), T=0.2, steps=8)
+        assert np.array_equal(probes, kept)
 
     def test_backward_conjugate_matches_oracle(self):
         V, f = potential(), packet(30)
@@ -234,8 +264,60 @@ class TestIntegralIdentity:
         out = integral_identity_check(V1, V2, f, g, T=0.4, steps=32)
         assert (out["lhs"], out["rhs"], out["residual"]) == identity_oracle(V1, V2, f, g, 0.4, 32)
 
+    @pytest.mark.parametrize("second", [None, 0.3])
+    def test_stacked_trials_equal_per_trial_calls(self, monkeypatch, second):
+        monkeypatch.setattr(forward, "CHUNK", 2)  # 3 trials: chunks of 2 and 1
+        V1 = potential(0.8)
+        V2 = None if second is None else potential(second)
+        fs = np.stack([packet(60 + k, mod=(k - 1.0, 1.0)) for k in range(3)])
+        gs = np.stack([packet(70 + k, mod=(-1.0, k - 1.0)) for k in range(3)])
+        outs = integral_identity_check(V1, V2, fs, gs, T=0.4, steps=16)
+        assert isinstance(outs, list) and len(outs) == 3
+        for out, f, g in zip(outs, fs, gs):
+            one = integral_identity_check(V1, V2, f, g, T=0.4, steps=16)
+            assert out.keys() == one.keys()
+            assert np.array_equal(list(out.values()), list(one.values()))
+
+    def test_mismatched_trials_rejected(self):
+        with pytest.raises(ValueError):
+            integral_identity_check(potential(), None, np.stack([packet(1), packet(2)]),
+                                    packet(3), T=0.2, steps=8)
+
     def test_identical_potentials_give_zero_lhs(self):
         V = potential(0.5)
         out = integral_identity_check(V, V, packet(13), packet(14), T=0.3, steps=64)
         assert abs(out["lhs"]) < 1e-10
         assert abs(out["rhs"]) < 1e-10
+
+
+def traced_peak(run):
+    """tracemalloc peak of one call, after an untraced warm-up call."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    FIELD = 16 * SPEC.pts_space**2  # bytes of one complex state
+
+    def test_evolve_final_within_stack_and_one_and_a_half_chunks(self):
+        # the stack, the real |u|^2 buffer of one chunk (half a chunk) and a few
+        # single fields; an FFT pass that allocated its result would add a chunk
+        V = potential()
+        probes = np.stack([packet(80 + k) for k in range(16)])
+        peak = traced_peak(lambda: evolve(V, probes, T=0.2, steps=8, store="final"))
+        assert peak <= (16 + 1.5 * forward.CHUNK) * self.FIELD
+
+    def test_identity_with_second_potential_holds_one_trajectory(self):
+        # one trial's backward trajectory (steps + 1 fields) and about ten single
+        # fields of states, phases and products; batched trials would hold three
+        V1, V2 = potential(0.8), potential(0.3)
+        fs = np.stack([packet(90 + k) for k in range(3)])
+        gs = np.stack([packet(95 + k) for k in range(3)])
+        steps = 64
+        peak = traced_peak(lambda: integral_identity_check(V1, V2, fs, gs, T=0.4, steps=steps))
+        assert peak <= (steps + 1 + 12) * self.FIELD
