@@ -19,5 +19,7 @@ run forward-evolve       configs/forward.yaml
 run identity-check       configs/identity.yaml
 run reconstruct          configs/reconstruct.yaml
 run counterexample-sweep configs/counterexample.yaml
+run counterexample-sweep configs/counterexample_unscaled.yaml
+run counterexample-sweep configs/counterexample_control.yaml
 
 echo "all experiments finished; reports in $OUT/"

@@ -375,7 +375,7 @@ def reconstruct(cfg, values, inputs):
                 "n_samples": rep["n_samples"], "n_not_born": rep["n_not_born"]},
         ceiling=values["tol"],
     )
-    report.samples.append({"seed": 0, "ratio": rep.get("relative_l2_error", 0.0)})
+    report.samples.append({"seed": 0, "ratio": rep["relative_l2_error"]})
     return "reconstruct", report, report.verdict == "pass", {"potential_estimate.npy": est}
 
 

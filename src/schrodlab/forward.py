@@ -199,13 +199,16 @@ def evolve(
 def itf_map(V: Potential, probes, T: float, steps: int = 256) -> np.ndarray:
     """Apply the initial-to-final-state map f -> u(T) to each probe.
 
-    Returns the final states stacked along a leading probe axis, from one
-    ``evolve`` call that stores no intermediate step.
+    ``probes`` is a stack along a leading probe axis, passed as it is to
+    one ``evolve`` call that stores no intermediate step (its working copy
+    is the only copy), or an iterable of states, stacked first.  Returns
+    the final states along the same leading axis.
     """
-    probes = list(probes)
-    if not probes:
+    if not isinstance(probes, np.ndarray):
+        probes = np.array(list(probes), dtype=complex)
+    if len(probes) == 0:
         raise ValueError("itf_map wants at least one probe")
-    return evolve(V, np.stack(probes), T, steps, store="final").final
+    return evolve(V, probes, T, steps, store="final").final
 
 
 def _free_waves(ghat: np.ndarray, free_sq: np.ndarray, times, T: float, lattice, axes):

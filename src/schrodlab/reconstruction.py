@@ -1,12 +1,16 @@
 """Born-approximation recovery of a potential from initial-to-final data.
 
 Each Fourier coefficient of V is probed by a pair of plane waves: the
-initial state e^{i eta.x} is evolved under V, paired against the free
-final-value wave built from e^{i kappa.x}, and the bilinear identity
-reduces (to first order in V) to the space-time Fourier transform of V at
-(tau, xi) = (|eta|^2 - |kappa|^2, kappa - eta).  The time-window factor
-int_0^T e^{-i tau t} dt is divided out analytically, and the retained
-low-frequency box is inverted back to a potential estimate.
+initial state e^{i eta.x} is evolved under V, its scattered wave
+u(T) - e^{-i |eta|^2 T} e^{i eta.x} is paired against e^{i kappa.x}, and
+the bilinear identity reduces (to first order in V) to the space-time
+Fourier transform of V at (tau, xi) = (|eta|^2 - |kappa|^2, kappa - eta).
+The time-window factor int_0^T e^{-i tau t} dt is divided out
+analytically.  On the lattice x_j = -L + j dx, e^{i k dxi x_j} is
+(-1)^{sum k} e^{2 pi i k.j / N}, so one unnormalized FFT of a probe's
+scattered wave holds its pairing with every kappa (bin kappa mod N, times
+that sign), and one unnormalized inverse FFT of the signed coefficient box
+is the estimate.
 
 The probes are parametrized on the lattice: eta = -floor(xi / 2)
 componentwise, which keeps kappa - eta = xi and tau = |eta|^2 - |kappa|^2
@@ -58,10 +62,14 @@ def lattice_parametrization(xi):
     return tau, eta, kappa
 
 
-def _plane_wave(spec: GridSpec, freq) -> np.ndarray:
-    mesh = spec.spatial_mesh()
-    phase = sum(float(f) * c for f, c in zip(freq, mesh))
-    return np.exp(1j * phase)
+def _sq(spec: GridSpec, freq) -> float:
+    """|freq|^2 of a lattice frequency, in physical units (index * dxi)."""
+    return sum(f * f for f in (k * spec.dxi for k in freq))
+
+
+def _bin(spec: GridSpec, freq) -> tuple[tuple, int]:
+    """The FFT bin of a lattice frequency and its sign (-1)^{sum freq}."""
+    return tuple(k % spec.pts_space for k in freq), (-1) ** (sum(freq) % 2)
 
 
 def _window_factor(tau: float, T: float) -> complex:
@@ -71,53 +79,29 @@ def _window_factor(tau: float, T: float) -> complex:
     return (1.0 - np.exp(-1j * tau * T)) / (1j * tau)
 
 
-def born_sample(
-    V: Potential,
-    xi,
-    T: float,
-    steps: int = 256,
-    u_final: np.ndarray | None = None,
-) -> FreqSample:
+def born_sample(spec: GridSpec, xi, T: float, scattered_hat: np.ndarray,
+                born_ok: bool) -> FreqSample:
     """Estimate the Fourier coefficient of V at the lattice target xi.
 
-    The returned amplitude approximates the coefficient c_xi(tau) in
+    ``scattered_hat`` is the unnormalized FFT of the scattered wave
+    u(T) - e^{-i |eta|^2 T} e^{i eta.x} of the target's probe eta, and
+    ``born_ok`` whether ||V||_inf * T is at most 0.5.  The returned
+    amplitude approximates the coefficient c_xi(tau) in
     V(t, x) = sum_xi c_xi(t) e^{i xi.x} averaged against the time window
-    (up to the O(V^2) Born correction).  ``born_ok`` is False when
-    ||V||_inf * T exceeds 0.5.  ``u_final`` is the probe's
-    final state from ``itf_map``; when None the probe is evolved here.
+    (up to the O(V^2) Born correction).
     """
-    spec = V.field.spec
     _, eta, kappa = lattice_parametrization(xi)
-    # frequencies in physical units (lattice index * dxi)
-    eta_f = tuple(e * spec.dxi for e in eta)
-    kappa_f = tuple(k * spec.dxi for k in kappa)
-    sq_eta = sum(f * f for f in eta_f)
-    sq_kappa = sum(f * f for f in kappa_f)
-    tau_f = sq_eta - sq_kappa
-
-    f = _plane_wave(spec, eta_f)
-    if u_final is None:
-        u_final = itf_map(V, [f], T, steps)[0]
-    free_final = f * np.exp(-1j * sq_eta * T)
-
-    g = _plane_wave(spec, kappa_f)
-    vol = spec.dx**spec.n
-    lhs = 1j * ((u_final - free_final) * np.conj(g)).sum() * vol
+    sq_kappa = _sq(spec, kappa)
+    tau_f = _sq(spec, eta) - sq_kappa
+    index, sign = _bin(spec, kappa)
+    lhs = 1j * (sign * scattered_hat[index]) * spec.dx**spec.n
     # pairing against v_2(t) = e^{i kappa.x - i |kappa|^2 (t - T)} leaves
     # e^{-i |kappa|^2 T} times the space-time transform of V at (tau, xi)
     win = _window_factor(tau_f, T)
     box = (2.0 * spec.box_space) ** spec.n
     amplitude = lhs * np.exp(1j * sq_kappa * T) / (win * box)
-
-    vmax = float(np.abs(V.field.data).max())
-    return FreqSample(
-        tau=float(tau_f),
-        xi=tuple(int(c) for c in xi),
-        eta=eta,
-        kappa=kappa,
-        amplitude=complex(amplitude),
-        born_ok=vmax * abs(T) <= _BORN_THRESHOLD,
-    )
+    return FreqSample(tau=float(tau_f), xi=tuple(int(c) for c in xi), eta=eta, kappa=kappa,
+                      amplitude=complex(amplitude), born_ok=born_ok)
 
 
 def reconstruct_potential(
@@ -132,9 +116,11 @@ def reconstruct_potential(
     Samples every lattice frequency with |xi| <= freq_radius (in lattice
     index units), inverts the retained box, and, when ``reference`` (the
     true spatial potential on the lattice) is supplied, reports the
-    relative l2 error of the frequency restriction.
+    relative l2 error of the frequency restriction; that error is NaN
+    when the reference vanishes on the sampled box.
     """
     spec = V.field.spec
+    lattice, axes = (spec.pts_space,) * spec.n, tuple(range(1, spec.n + 1))
     kmax = int(np.floor(freq_radius))
     targets = [
         tuple(k - kmax for k in idx)
@@ -144,23 +130,31 @@ def reconstruct_potential(
     # each distinct probe e^{i eta.x} is evolved once, in one itf_map call
     etas = [lattice_parametrization(xi)[1] for xi in targets]
     row = {eta: k for k, eta in enumerate(dict.fromkeys(etas))}
-    finals = itf_map(V, (_plane_wave(spec, [e * spec.dxi for e in eta]) for eta in row),
-                     T, steps)
-    samples = {xi: born_sample(V, xi, T, steps, u_final=finals[row[eta]])
-               for xi, eta in zip(targets, etas)}
-    coeffs = {xi: s.amplitude for xi, s in samples.items()}
-    n_not_born = sum(not s.born_ok for s in samples.values())
-
-    # assemble the band-limited estimate on the lattice
-    est = np.zeros((spec.pts_space,) * spec.n, dtype=complex)
+    probes = np.empty((len(row),) + lattice, dtype=complex)
     mesh = spec.spatial_mesh()
-    for xi, c in coeffs.items():
-        phase = sum(k * spec.dxi * m for k, m in zip(xi, mesh))
-        est += c * np.exp(1j * phase)
+    for probe, eta in zip(probes, row):
+        np.exp(1j * sum(e * spec.dxi * c for e, c in zip(eta, mesh)), out=probe)
+    scattered = itf_map(V, probes, T, steps)
+    # the scattered waves, and in place their spectra
+    for probe, eta in zip(probes, row):
+        np.multiply(probe, np.exp(-1j * _sq(spec, eta) * T), out=probe)
+    scattered -= probes
+    np.fft.fftn(scattered, lattice, axes, out=scattered)
+
+    born_ok = float(np.abs(V.field.data).max()) * abs(T) <= _BORN_THRESHOLD
+    samples = [born_sample(spec, xi, T, scattered[row[eta]], born_ok)
+               for xi, eta in zip(targets, etas)]
+
+    # the band-limited estimate: targets that alias onto one bin add up
+    est = np.zeros(lattice, dtype=complex)
+    for s in samples:
+        index, sign = _bin(spec, s.xi)
+        est[index] += sign * s.amplitude
+    np.fft.ifftn(est, norm="forward", out=est)
 
     report = {
-        "n_samples": len(coeffs),
-        "n_not_born": n_not_born,
+        "n_samples": len(samples),
+        "n_not_born": sum(not s.born_ok for s in samples),
         "freq_radius": freq_radius,
         "T": T,
         "steps": steps,
@@ -169,10 +163,10 @@ def reconstruct_potential(
         ref_hat = np.fft.fftn(reference, norm="ortho")
         est_hat = np.fft.fftn(est, norm="ortho")
         mask = np.zeros_like(ref_hat, dtype=bool)
-        for xi in coeffs:
-            mask[tuple(np.asarray(xi) % spec.pts_space)] = True
+        for xi in targets:
+            mask[_bin(spec, xi)[0]] = True
         num = np.sqrt((np.abs(est_hat - ref_hat)[mask] ** 2).sum())
         den = np.sqrt((np.abs(ref_hat)[mask] ** 2).sum())
-        report["relative_l2_error"] = float(num / den) if den > 0 else 0.0
-    logger.info("reconstruction: %d samples", len(coeffs))
+        report["relative_l2_error"] = float(num / den) if den > 0 else float("nan")
+    logger.info("reconstruction: %d samples", len(samples))
     return est, report

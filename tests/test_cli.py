@@ -14,6 +14,7 @@ from schrodlab.cli import (
     EXIT_CONFIG,
     EXIT_NONCONVERGENCE,
     EXIT_PASS,
+    EXIT_VERDICT,
     ConfigError,
     build_grid,
     load_config,
@@ -496,6 +497,17 @@ class TestCommands:
         res = runner.invoke(main, ["forward-evolve", "--config", cfg])
         assert res.exit_code == EXIT_PASS
         assert (tmp_path / "out" / "final_state.npy").exists()
+
+    def test_reconstruct_zero_reference_fails(self, runner, tmp_path):
+        # V vanishes at t = 0, the reference slice: the error was reported as 0.0, a pass
+        cfg = write(tmp_path, "r.yaml", GRID.replace("pts_space: 16", "pts_space: 32") +
+                    "potential: {kind: gaussian, amplitude: 0.05, width: 0.8, window: [0.1, 3.0]}\n"
+                    "T: 0.5\nsteps: 16\nfreq_radius: 3.0\n" + f"output_dir: {tmp_path}/out\n")
+        res = runner.invoke(main, ["reconstruct", "--config", cfg])
+        assert res.exit_code == EXIT_VERDICT
+        report = json.loads((tmp_path / "out" / "reconstruct.json").read_text())
+        assert report["verdict"] == "fail"
+        assert np.isnan(report["samples"][0]["ratio"])
 
     def test_runtime_logged(self, runner, tmp_path, caplog):
         # forward-evolve logged "(runtime 0.00s)": only some experiments timed themselves

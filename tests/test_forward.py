@@ -232,6 +232,23 @@ class TestItfMap:
         for f, u in zip(probes, finals):
             assert np.array_equal(u, evolve(V, f, T=0.2, steps=32).final)
 
+    def test_given_stack_is_not_copied_twice(self):
+        # a given stack goes to evolve as it is, so the only other stack is
+        # evolve's working copy (which becomes the finals)
+        V = potential()
+        itf_map(V, [packet(0)], T=0.2, steps=1)  # first-call FFT set-up, not counted
+        tracemalloc.start()
+        try:
+            probes = np.empty((64,) + (SPEC.pts_space,) * 2, dtype=complex)
+            for k, p in enumerate(probes):
+                p[...] = packet(k)
+            finals = itf_map(V, probes, T=0.2, steps=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert finals.shape == probes.shape
+        assert peak < 2.5 * probes.nbytes
+
     def test_empty_probes_rejected(self):
         with pytest.raises(ValueError):
             itf_map(potential(), [], T=0.2)

@@ -1,11 +1,13 @@
 """Plane-wave probing and low-frequency potential recovery."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from schrodlab import forward
+from schrodlab import forward, reconstruction
 from schrodlab.birman_schwinger import Potential, gaussian_potential
 from schrodlab.forward import itf_map
 from schrodlab.grid import Field, GridSpec
@@ -18,9 +20,58 @@ from schrodlab.reconstruction import (
 SPEC = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=8, pts_space=64)
 
 
-def small_potential(eps=0.05, width=0.7):
-    return gaussian_potential(SPEC, amplitude=eps, width=width,
-                              window=(-np.pi, np.pi - 1e-9))
+def small_potential(eps=0.05, width=0.7, spec=SPEC):
+    # (2, n) satisfies the admissibility relation 2 - 2/a = n/b on any grid
+    return gaussian_potential(spec, amplitude=eps, width=width,
+                              window=(-np.pi, np.pi - 1e-9), pair=(2, spec.n))
+
+
+def plane_wave(spec, freq):
+    """Oracle: e^{i freq.x} built on the lattice, freq in lattice index units."""
+    return np.exp(1j * sum(k * spec.dxi * c for k, c in zip(freq, spec.spatial_mesh())))
+
+
+def oracle_amplitude(V, xi, T, u_final):
+    """Oracle: the Born amplitude at xi from the probe's final state, paired
+    against a plane wave e^{i kappa.x} built on the lattice."""
+    spec = V.field.spec
+    _, eta, kappa = lattice_parametrization(xi)
+    sq_eta = sum((e * spec.dxi) ** 2 for e in eta)
+    sq_kappa = sum((k * spec.dxi) ** 2 for k in kappa)
+    tau = sq_eta - sq_kappa
+    free_final = plane_wave(spec, eta) * np.exp(-1j * sq_eta * T)
+    lhs = 1j * ((u_final - free_final) * np.conj(plane_wave(spec, kappa))).sum() * spec.dx**spec.n
+    win = complex(T) if tau == 0 else (1.0 - np.exp(-1j * tau * T)) / (1j * tau)
+    return lhs * np.exp(1j * sq_kappa * T) / (win * (2.0 * spec.box_space) ** spec.n)
+
+
+def oracle_reconstruction(V, freq_radius, T, steps):
+    """Oracle: every target's amplitude, each probe evolved on its own, and the
+    estimate summed as one lattice exponential per target."""
+    spec = V.field.spec
+    kmax = int(np.floor(freq_radius))
+    amplitudes = {}
+    for xi in itertools.product(range(-kmax, kmax + 1), repeat=spec.n):
+        if sum(k * k for k in xi) > freq_radius**2:
+            continue
+        probe = plane_wave(spec, lattice_parametrization(xi)[1])
+        amplitudes[xi] = oracle_amplitude(V, xi, T, itf_map(V, [probe], T, steps)[0])
+    est = sum(c * plane_wave(spec, xi) for xi, c in amplitudes.items())
+    return amplitudes, est
+
+
+def recorded_reconstruction(monkeypatch, V, freq_radius, T, steps):
+    """reconstruct_potential, with every FreqSample it makes recorded by target."""
+    samples = {}
+
+    def recording(*args):
+        s = born_sample(*args)
+        samples[s.xi] = s
+        return s
+
+    monkeypatch.setattr(reconstruction, "born_sample", recording)
+    est, report = reconstruct_potential(V, freq_radius, T, steps)
+    return samples, est, report
 
 
 class TestLatticeParametrization:
@@ -35,7 +86,7 @@ class TestLatticeParametrization:
 
 
 class TestBornSample:
-    def test_single_coefficient_recovered(self):
+    def test_single_coefficient_recovered(self, monkeypatch):
         # a potential with one spatial mode: V = eps cos(xi.x)
         eps = 0.02
         x = SPEC.x_axis()
@@ -44,24 +95,69 @@ class TestBornSample:
         data = np.broadcast_to(bump[None], SPEC.shape).astype(complex)
         V = Potential(Field(SPEC, "physical", data.copy()),
                       (-np.pi, np.pi - 1e-9), radius=np.pi, pair=(2, 2))
-        s = born_sample(V, (2, 0), T=0.5, steps=128)
+        samples, _, _ = recorded_reconstruction(monkeypatch, V, 2.0, T=0.5, steps=128)
+        s = samples[(2, 0)]
         # the cos splits into e^{+-i 2 x} with coefficient eps/2 each
         assert abs(s.amplitude - eps / 2) < 0.05 * eps
         assert s.born_ok
 
-    def test_born_flag(self):
+    def test_born_flag(self, monkeypatch):
         V = gaussian_potential(SPEC, amplitude=10.0,
                                window=(-np.pi, np.pi - 1e-9))
-        s = born_sample(V, (1, 0), T=0.5, steps=32)
-        assert not s.born_ok
+        samples, _, report = recorded_reconstruction(monkeypatch, V, 1.0, T=0.5, steps=32)
+        assert not samples[(1, 0)].born_ok
+        assert report["n_not_born"] == report["n_samples"] == 5
 
     def test_given_final_state_matches_own_evolution(self):
-        V = small_potential()
-        _, eta, _ = lattice_parametrization((2, 1))
-        probe = np.exp(1j * sum(e * SPEC.dxi * c for e, c in zip(eta, SPEC.spatial_mesh())))
-        u_final = itf_map(V, [probe], T=0.5, steps=32)[0]
-        given = born_sample(V, (2, 1), T=0.5, steps=32, u_final=u_final)
-        assert given == born_sample(V, (2, 1), T=0.5, steps=32)
+        # born_sample reads the bin of the scattered spectrum; the oracle evolves
+        # the probe itself and pairs against a lattice plane wave
+        V, xi, T = small_potential(), (2, 1), 0.5
+        _, eta, _ = lattice_parametrization(xi)
+        probe = plane_wave(SPEC, eta)
+        u_final = itf_map(V, [probe], T=T, steps=32)[0]
+        sq_eta = sum((e * SPEC.dxi) ** 2 for e in eta)
+        scattered_hat = np.fft.fftn(u_final - probe * np.exp(-1j * sq_eta * T))
+        s = born_sample(SPEC, xi, T, scattered_hat, True)
+        expected = oracle_amplitude(V, xi, T, u_final)
+        assert abs(s.amplitude - expected) <= 1e-12 * abs(expected)
+        assert (s.eta, s.kappa, s.born_ok) == (eta, (eta[0] + 2, eta[1] + 1), True)
+
+
+#: (grid, freq_radius): xi = 0 alone, a ball inside the band, and a ball that
+#: reaches the Nyquist bin, where targets +-N/2 along an axis alias onto one bin
+ORACLE_CASES = [
+    (GridSpec(n=1, box_time=np.pi, box_space=np.pi, pts_time=8, pts_space=16), 0.0),
+    (GridSpec(n=1, box_time=np.pi, box_space=np.pi, pts_time=8, pts_space=16), 8.0),
+    (GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=8, pts_space=16), 3.0),
+    (GridSpec(n=2, box_time=np.pi, box_space=2.0, pts_time=8, pts_space=8), 4.5),
+    (GridSpec(n=3, box_time=np.pi, box_space=np.pi, pts_time=8, pts_space=8), 0.0),
+    (GridSpec(n=3, box_time=np.pi, box_space=np.pi, pts_time=8, pts_space=8), 4.0),
+]
+
+
+class TestTransformsMatchOracle:
+    @pytest.mark.parametrize("spec,freq_radius", ORACLE_CASES,
+                             ids=[f"n{s.n}-N{s.pts_space}-r{r:g}" for s, r in ORACLE_CASES])
+    def test_amplitudes_and_estimate(self, monkeypatch, spec, freq_radius):
+        V = small_potential(eps=0.3, width=0.6, spec=spec)
+        T, steps = 0.5, 8
+        samples, est, report = recorded_reconstruction(monkeypatch, V, freq_radius, T, steps)
+        amplitudes, expected = oracle_reconstruction(V, freq_radius, T, steps)
+        assert sorted(samples) == sorted(amplitudes)
+        assert report["n_samples"] == len(amplitudes)
+        scale = max(abs(c) for c in amplitudes.values())
+        for xi, c in amplitudes.items():
+            assert abs(samples[xi].amplitude - c) <= 1e-12 * scale, xi
+        assert np.abs(est - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_aliased_targets_add_up(self, monkeypatch):
+        spec, freq_radius = ORACLE_CASES[1]
+        samples, est, _ = recorded_reconstruction(monkeypatch, small_potential(spec=spec),
+                                                  freq_radius, T=0.5, steps=8)
+        # xi = -8 and 8 are one lattice function, (-1)^8 e^{i pi j}; both coefficients count
+        nyquist = np.fft.fft(est)[8] / spec.pts_space
+        assert nyquist == pytest.approx(samples[(8,)].amplitude + samples[(-8,)].amplitude,
+                                        rel=1e-12)
 
 
 class TestReconstruction:

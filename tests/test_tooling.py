@@ -56,9 +56,7 @@ UNCALLED = {
 }
 
 #: Scripts that no test and no run_all.sh line runs, each kept for a reason.
-UNRUN_SCRIPTS = {
-    "divergence_table.py": "ROADMAP items 1 and 7: redundant once per-family configs land",
-}
+UNRUN_SCRIPTS = {}
 
 
 def references(path: pathlib.Path) -> set[str]:
