@@ -6,8 +6,12 @@ free spectral step, half potential phase, with the (possibly time
 dependent) potential sampled at step midpoints.  Both sub-steps are
 unitary for real V, so mass is conserved to rounding, and the scheme is
 second order in the step size.  A stack of probes along a leading axis
-is stepped in place as one array by one step loop, its FFTs batched over
-chunks of probes.
+is stepped in place by one step loop, its FFTs batched over chunks of
+probes.  A stack of more than one chunk runs in at most two contiguous
+parts, one on a worker thread: every probe evolves on its own, and numpy's
+FFTs and ufunc loops release the GIL.  The cut falls on a chunk boundary,
+so every FFT batch holds the same probes as on one thread, and the result
+is bit-identical to one thread.
 
 The module also verifies the bilinear integral identity
 
@@ -24,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import logging
+import os
+import threading
 
 import numpy as np
 
@@ -44,10 +50,14 @@ __all__ = [
 #: Probes per FFT call of the step loop.  With the stack stepped in place,
 #: one array (512 KiB for 8 probes at 64^2) is live per chunk.  On the 58
 #: plane-wave probes of configs/reconstruct.yaml (128 steps at 64^2, 2 vCPUs,
-#: 4 MiB of L2 each), five alternating rounds of five ``evolve`` calls gave
-#: medians of 1.06 s for chunks of 4, 1.01 s for 8, 0.99 s for 16 and 1.01 s
-#: for all 58 at once; no size won every round (8 and 16 two each, 58 one).
+#: 4 MiB of L2 each), five alternating rounds of five serial ``evolve`` calls
+#: (one thread) gave medians of 1.06 s for chunks of 4, 1.01 s for 8, 0.99 s
+#: for 16 and 1.01 s for all 58 at once; no size won every round (8 and 16
+#: two each, 58 one).
 CHUNK = 8
+
+#: Threads that step one probe stack: two where the process may use two CPUs.
+_THREADS = min(2, len(os.sched_getaffinity(0)))
 
 
 @dataclass
@@ -97,26 +107,30 @@ def _freq_sq(spec: GridSpec) -> np.ndarray:
 
 
 def _strang(V: Potential, u: np.ndarray, T: float, steps: int, t0: float,
-            conjugate_potential: bool):
+            conjugate_potential: bool, free: np.ndarray):
     """Step the probe stack ``u`` (leading probe axis) in place; yield it at t0 and after each step.
 
-    The one step loop of the module: ``evolve`` and the integral identity
-    run it over a whole stack, which the caller owns and this overwrites.
-    Every yield is that same array, overwritten by the next step, so a
-    consumer copies whatever it keeps.  The potential phase of a step is
-    built once; the FFTs run over ``CHUNK`` probes at a time.
+    The one step loop of the module: ``evolve`` runs it over each part of
+    a stack and the integral identity over a whole stack, which the caller
+    owns and this overwrites.  Every yield is that same array, overwritten
+    by the next step, so a consumer copies whatever it keeps.  ``free`` is
+    the free spectral step exp(-i |xi|^2 T / steps).  The potential phase
+    ``half`` of a step is built once, in one buffer reused at every step;
+    the FFTs run over ``CHUNK`` probes at a time.
     """
     spec = V.field.spec
     # with s given, fftn skips a np.take of the shape: about 20 us a call at 64^2
     lattice, axes = (spec.pts_space,) * spec.n, tuple(range(-spec.n, 0))
     dt = T / steps
-    free = np.exp(-1j * _freq_sq(spec) * dt)
+    half = np.empty(lattice, dtype=complex)
     yield u
     for k in range(steps):
         vmid = sample_potential(V, t0 + (k + 0.5) * dt)
         if conjugate_potential:
             vmid = np.conj(vmid)
-        half = np.exp(-1j * vmid * (dt / 2.0))
+        # exp(-1j * vmid * (dt / 2.0)): the same ufuncs in the same operand order
+        np.multiply(-1j, vmid, out=half)
+        np.exp(np.multiply(half, dt / 2.0, out=half), out=half)
         for lo in range(0, len(u), CHUNK):
             c = u[lo:lo + CHUNK]
             # The phases multiply one probe at a time: a product broadcast
@@ -134,6 +148,37 @@ def _strang(V: Potential, u: np.ndarray, T: float, steps: int, t0: float,
         yield u
 
 
+def _in_parts(run, count: int) -> None:
+    """Call ``run(lo, hi)`` over the rows [0, count) in at most ``_THREADS`` contiguous parts.
+
+    A stack of more than one ``CHUNK`` is cut at the chunk boundary
+    ceil(chunks / 2) * CHUNK; a worker thread runs the second part while
+    the caller runs the first.  The worker is joined before this returns,
+    and an exception raised in either part propagates.
+    """
+    chunks = -(-count // CHUNK)
+    if _THREADS < 2 or chunks < 2:
+        run(0, count)
+        return
+    cut = -(-chunks // 2) * CHUNK
+    failed = []
+
+    def second_part():
+        try:
+            run(cut, count)
+        except BaseException as exc:  # raised again on the calling thread
+            failed.append(exc)
+
+    worker = threading.Thread(target=second_part, name="schrodlab-evolve")
+    worker.start()
+    try:
+        run(0, cut)
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+
+
 def evolve(
     V: Potential,
     f: np.ndarray,
@@ -147,9 +192,11 @@ def evolve(
 
     ``f`` is one state on the spatial lattice or a stack of probes along a
     leading axis; it is copied once into the stack that the step loop
-    advances in place, and left unchanged.  ``store="all"`` keeps every
-    step, ``store="final"`` only the final states; the mass of every probe
-    is recorded at every step either way.  ``conjugate_potential`` evolves
+    advances in place, and left unchanged.  A stack of more than one
+    ``CHUNK`` is stepped in two contiguous parts, one on a worker thread,
+    with the same result.  ``store="all"`` keeps every step,
+    ``store="final"`` only the final states; the mass of every probe is
+    recorded at every step either way.  ``conjugate_potential`` evolves
     under conj(V) instead, which is what the backward final-value solve of
     the integral identity needs.
     """
@@ -165,7 +212,6 @@ def evolve(
     if f.shape[-spec.n:] != lattice or f.ndim not in (spec.n, spec.n + 1):
         raise ValueError("initial state does not match the spatial lattice")
     probes = f.reshape((-1,) + lattice)  # a single state is the batch of one
-    axes = tuple(range(1, spec.n + 1))
     vol = spec.dx**spec.n
     dt = T / steps
     times = t0 + dt * np.arange(steps + 1)
@@ -177,15 +223,19 @@ def evolve(
         final = np.empty_like(probes)
         slices = final[np.newaxis]
     final[...] = probes  # the working stack: it holds the final states once stepped
-    sq = np.empty((min(CHUNK, len(probes)),) + lattice)  # |u|^2 of one chunk
-    for k, u in enumerate(_strang(V, final, T, steps, t0, conjugate_potential)):
-        for lo in range(0, len(u), CHUNK):
-            c = u[lo:lo + CHUNK]
-            a = sq[:len(c)]
-            np.square(np.abs(c, out=a), out=a)
-            mass[k, lo:lo + CHUNK] = np.sqrt(a.sum(axis=axes) * vol)
-        if store == "all" and k < steps:
-            slices[k] = u
+    free = np.exp(-1j * _freq_sq(spec) * dt)  # shared by both parts
+
+    def step_rows(lo: int, hi: int) -> None:
+        """Step the rows lo:hi of the stack, recording their mass and stored slices."""
+        sq = np.empty(lattice)  # |u|^2 of one probe
+        for k, u in enumerate(_strang(V, final[lo:hi], T, steps, t0, conjugate_potential, free)):
+            for j, p in enumerate(u, lo):
+                np.square(np.abs(p, out=sq), out=sq)
+                mass[k, j] = np.sqrt(sq.sum() * vol)
+            if store == "all" and k < steps:
+                slices[k, lo:hi] = u
+
+    _in_parts(step_rows, len(probes))
     drift = _drift(mass)
     worst = int(np.argmax(drift))
     if drift[worst] > 1e-8:
@@ -241,7 +291,7 @@ def _identity_sides(V1: Potential, V2: Potential | None, f: np.ndarray, g: np.nd
 
     trials = range(len(f))
     integrand = np.empty((len(f), steps + 1), dtype=complex)
-    u1s = _strang(V1, f.copy(), T, steps, 0.0, False)
+    u1s = _strang(V1, f.copy(), T, steps, 0.0, False, np.exp(-1j * _freq_sq(spec) * (T / steps)))
     for k, (t, u1, v2) in enumerate(zip(times, u1s, v2s)):
         dv = sample_potential(V1, t) - sample_potential(V2, t)  # None samples as 0
         for j in trials:

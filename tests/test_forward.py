@@ -1,12 +1,14 @@
 """Split-step evolution, mass conservation, and the bilinear identity."""
 
 import logging
+import pathlib
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from schrodlab import forward
+from schrodlab import cli, forward, reconstruction
 from schrodlab.birman_schwinger import gaussian_potential
 from schrodlab.forward import (
     evolve,
@@ -16,6 +18,7 @@ from schrodlab.forward import (
 )
 from schrodlab.grid import GridSpec
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 SPEC = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=8, pts_space=32)
 # one chunk of 8 probes at 64^2 is 512 KiB, over numpy's 256 KiB threshold for
 # computing an expression's temporary in place
@@ -221,6 +224,100 @@ class TestBatchedEvolve:
             f"mass drift {drift.max():.2e} at probe 1 (complex potential or aliasing)"]
 
 
+@pytest.fixture
+def started(monkeypatch):
+    """Every thread started while the test runs."""
+    threads = []
+    start = threading.Thread.start
+
+    def recording(self):
+        threads.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return threads
+
+
+class TestTwoParts:
+    """A stack of more than one chunk steps in two parts, the second on a worker thread."""
+
+    def probes(self, count):
+        return np.stack([packet(60 + k, mod=(k % 5 - 2.0, 1.0)) for k in range(count)])
+
+    def on_one_and_two_threads(self, monkeypatch, started, run):
+        """run() with _THREADS at 1, then at 2; neither leaves a thread behind."""
+        out = []
+        for threads in (1, 2):
+            monkeypatch.setattr(forward, "_THREADS", threads)
+            before = threading.active_count()
+            out.append(run())
+            assert threading.active_count() == before
+            assert len(started) == threads - 1
+        return out
+
+    def assert_same_trajectory(self, serial, parts):
+        for name in ("slices", "final", "mass"):
+            assert np.array_equal(getattr(serial, name), getattr(parts, name)), name
+
+    @pytest.mark.parametrize("store", ["all", "final"])
+    def test_forward_solve_is_bit_identical(self, monkeypatch, started, store):
+        # 13 probes: chunks of 8 and 5, so the cut falls at 8 and the second part is ragged
+        V, probes = potential(), self.probes(13)
+        serial, parts = self.on_one_and_two_threads(
+            monkeypatch, started, lambda: evolve(V, probes, T=0.3, steps=12, store=store))
+        assert parts.slices.shape == ((13 if store == "all" else 1), 13, 32, 32)
+        self.assert_same_trajectory(serial, parts)
+
+    @pytest.mark.parametrize("store", ["all", "final"])
+    def test_backward_conjugate_solve_is_bit_identical(self, monkeypatch, started, store):
+        V, probes = potential(), self.probes(13)
+        V.field.data = V.field.data * (1.0 - 0.2j)
+        serial, parts = self.on_one_and_two_threads(
+            monkeypatch, started, lambda: evolve(V, probes, T=-0.3, steps=12, t0=0.3,
+                                                 conjugate_potential=True, store=store))
+        self.assert_same_trajectory(serial, parts)
+
+    def test_itf_map_on_reconstruct_probes_is_bit_identical(self, monkeypatch, started):
+        cfg = cli.load_config(str(ROOT / "configs" / "reconstruct.yaml"))
+        values = cli.read(cfg, {**cli.COMMON, **cli.TABLES["reconstruct"]})
+        V = cli.build_inputs(values)["V"]
+        T, steps = values["T"], values["steps"]
+        stacks = []
+        monkeypatch.setattr(reconstruction, "itf_map",
+                            lambda V, probes, T, steps: stacks.append(probes.copy()) or probes)
+        reconstruction.reconstruct_potential(V, values["freq_radius"], T, steps)
+        (probes,) = stacks
+        assert len(probes) == 58  # cut at 32: parts of 32 and 26 probes
+        serial, parts = self.on_one_and_two_threads(
+            monkeypatch, started, lambda: itf_map(V, probes, T, steps))
+        assert np.array_equal(serial, parts)
+
+    @pytest.mark.parametrize("count", [1, forward.CHUNK])
+    def test_stack_of_one_chunk_starts_no_thread(self, monkeypatch, started, count):
+        monkeypatch.setattr(forward, "_THREADS", 2)
+        evolve(potential(), self.probes(count), T=0.3, steps=4)
+        evolve(potential(), packet(7), T=0.3, steps=4)
+        assert started == []
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_exception_in_either_part_propagates_and_worker_is_joined(
+            self, monkeypatch, started, failing):
+        monkeypatch.setattr(forward, "_THREADS", 2)
+        sample = forward.sample_potential
+
+        def one_part_fails(V, t):
+            if (threading.current_thread() is threading.main_thread()) == (failing == "caller"):
+                raise RuntimeError(f"{failing} part failed")
+            return sample(V, t)
+
+        monkeypatch.setattr(forward, "sample_potential", one_part_fails)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{failing} part failed"):
+            evolve(potential(), self.probes(13), T=0.3, steps=4)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == before
+
+
 class TestItfMap:
     def test_stacked_finals_own_their_memory(self):
         V = potential()
@@ -321,9 +418,13 @@ def traced_peak(run):
 class TestMemory:
     FIELD = 16 * SPEC.pts_space**2  # bytes of one complex state
 
-    def test_evolve_final_within_stack_and_one_and_a_half_chunks(self):
-        # the stack, the real |u|^2 buffer of one chunk (half a chunk) and a few
-        # single fields; an FFT pass that allocated its result would add a chunk
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_evolve_final_within_stack_and_one_and_a_half_chunks(self, monkeypatch, threads):
+        # the stack and a few single fields per part: each part holds its own
+        # one-probe |u|^2 buffer, phase, potential slice and FFT scratch, and the
+        # two parts share the free step; an FFT pass that allocated its result
+        # would add a chunk
+        monkeypatch.setattr(forward, "_THREADS", threads)
         V = potential()
         probes = np.stack([packet(80 + k) for k in range(16)])
         peak = traced_peak(lambda: evolve(V, probes, T=0.2, steps=8, store="final"))

@@ -129,37 +129,45 @@ def test_every_script_is_run():
     assert sorted(set(UNRUN_SCRIPTS) - unrun) == []  # the list is no longer than needed
 
 
+def src_env() -> dict:
+    """The environment with src/ first on PYTHONPATH, for a fresh interpreter."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+
+
 def test_cli_import_leaves_out_scipy_integrate():
     # scipy.integrate loads scipy.linalg, optimize, sparse, spatial and fft, start-up time that
     # the numpy kernel quadrature does not need
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
         [sys.executable, "-c", "import schrodlab.cli, sys; print('scipy.integrate' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True)
+        capture_output=True, text=True, env=src_env(), check=True)
     assert out.stdout.strip() == "False"
 
 
 def test_cli_import_leaves_out_scipy():
     # scipy.special alone was over half of the CLI's import time; the counterexample's J_0 is
     # a numpy series, and no scipy module is needed until a test loads one as an oracle
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
         [sys.executable, "-c", "import schrodlab.cli, sys; "
          "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
-        capture_output=True, text=True, env=env, check=True)
+        capture_output=True, text=True, env=src_env(), check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_starts_no_thread():
+    # no pool lives at module level: evolve's worker thread starts and ends within each call
+    out = subprocess.run(
+        [sys.executable, "-c", "import threading, schrodlab.cli; print(threading.active_count())"],
+        capture_output=True, text=True, env=src_env(), check=True)
+    assert out.stdout.strip() == "1"
 
 
 def test_norm_decay_scan_runs(tmp_path):
     # the only caller of the sandwiched-norm sweep on the unbounded cusp outside a config
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "norm_decay_scan.py"), "--pts", "16",
          "--nu", "32", "64", "--output", str(tmp_path)],
-        capture_output=True, text=True, env=env, check=True)
+        capture_output=True, text=True, env=src_env(), check=True)
     table = json.loads((tmp_path / "norm_decay_scan.json").read_text())
     assert sorted(table) == ["cusp", "gaussian"]
     for rows in table.values():
