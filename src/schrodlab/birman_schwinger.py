@@ -4,8 +4,8 @@ The potential V factorizes as V = |W| W with W = V / |V|^{1/2}, and the
 key compactness mechanism is that the sandwiched operator norm
 ``||M_{W1} S_nu M_{W2}||_{L^2 -> L^2}`` decays as |nu| grows.  This module
 provides the factorization, the operator application, a power-iteration
-norm estimator (with a dense SVD oracle for tiny grids), the sharp/flat
-splitting of W used in the decay proof, and the nu-sweep experiment.
+norm estimator, the sharp/flat splitting of W used in the decay proof, and
+the nu-sweep experiment.
 
 The operator takes its S_nu as a plan, and the plan carries nu.  Plans for
 the sandwich come from :func:`plan_BS`, which enables the half-bin offset in
@@ -40,7 +40,6 @@ __all__ = [
     "cusp_potential",
     "plan_BS",
     "apply_BS",
-    "dense_bs_matrix",
     "op_norm",
     "split_W",
     "bs_decay_sweep",
@@ -78,34 +77,6 @@ class Potential:
         if not verdict:
             raise ValueError(f"pair {self.pair} fails the admissibility relation "
                              f"2 - 2/a = n/b (n = {self.field.spec.n})")
-
-    def support_leak(self) -> float:
-        """Largest |V| sample outside the declared time window."""
-        spec = self.field.spec
-        t = spec.t_axis()
-        outside = (t < self.window[0]) | (t > self.window[1])
-        if not outside.any():
-            return 0.0
-        sl = np.abs(self.field.data[outside]).max()
-        return float(sl)
-
-    def line_decay(self) -> float:
-        """sup over axes of sum_s ||1_{>R} V||_{L^inf(slice)} dx.
-
-        Discretizes the integral-along-lines decay diagnostic: for each
-        coordinate axis, slices orthogonal to it are scanned, the far
-        region |x| > radius is kept, and the slice sup norms are summed
-        with the lattice spacing.
-        """
-        spec = self.field.spec
-        mesh = spec.spatial_mesh()
-        rad = np.sqrt(sum(c**2 for c in mesh))
-        far = np.abs(self.field.data) * (rad > self.radius)
-        worst = 0.0
-        for axis in range(spec.n):
-            moved = np.moveaxis(far, 1 + axis, 0).reshape(spec.pts_space, -1)
-            worst = max(worst, float(moved.max(axis=1).sum() * spec.dx))
-        return worst
 
 
 @dataclass
@@ -244,20 +215,6 @@ def apply_BS_adjoint(
     inner = Field(u.spec, "physical", np.multiply(W1.conj, u.data, out=out))
     mid = apply_plan(adjoint_plan, inner, out=inner.data).data
     return Field(u.spec, "physical", np.multiply(W2.conj, mid, out=mid))
-
-
-def dense_bs_matrix(W1: FactorW, W2: FactorW, plan: MultiplierPlan) -> np.ndarray:
-    """Materialize the operator as a dense matrix (tiny grids only)."""
-    spec = plan.spec
-    if spec.total_points > 4096:
-        raise ValueError("dense matrix restricted to <= 4096 lattice points")
-    cols = []
-    for k in range(spec.total_points):
-        e = np.zeros(spec.total_points, dtype=complex)
-        e[k] = 1.0
-        v = Field(spec, "physical", e.reshape(spec.shape))
-        cols.append(apply_BS(v, W1, W2, plan).data.ravel())
-    return np.array(cols).T
 
 
 def op_norm(

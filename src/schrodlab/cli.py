@@ -132,8 +132,8 @@ def build_inputs(values: dict) -> dict:
     it too: ``spec`` is the ``grid``, ``V`` the ``potential``, ``f`` the
     ``initial`` state, ``pairs`` the admissible Strichartz pairs and
     ``trace`` the counterexample trace of ``trace_points`` points; no
-    kernel parameter in ``sigmas`` is 0, and every rho in ``rho_values``
-    is positive with a finite family speed.
+    kernel parameter in ``sigmas`` is 0, and ``rho_values`` holds at least
+    two rho, each positive with a finite family speed.
     """
     inputs = {}
     if "grid" in values:
@@ -153,6 +153,9 @@ def build_inputs(values: dict) -> dict:
             family_speed(rho, values["family"])
         except ValueError as exc:  # rho <= 0, or rho^2 overflows for the unscaled family
             raise ConfigError(f"rho_values: {exc}") from exc
+    if "rho_values" in values and len(values["rho_values"]) < 2:
+        raise ConfigError("rho_values: the verdict compares at least 2 members, "
+                          f"got {len(values['rho_values'])}")
     return inputs
 
 
@@ -391,10 +394,10 @@ def counterexample_sweep(cfg, values, inputs):
                                    profile=profile)
     ratios = report.ratios
     if family == "control":
-        ok = len(ratios) < 2 or max(ratios) <= 2.0 * min(ratios)
+        ok = max(ratios) <= 2.0 * min(ratios)
     else:
         increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
-        ok = len(ratios) < 2 or (increasing and ratios[-1] / ratios[0] >= threshold)
+        ok = increasing and ratios[-1] / ratios[0] >= threshold
     report.params["growth_threshold"] = threshold
     report.params["verdict_growth"] = "pass" if ok else "fail"
     return f"counterexample_{family}", report, ok, {}

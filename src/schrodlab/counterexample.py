@@ -10,8 +10,9 @@ dispersion profile
     P(u, y) = int_{|w|<1} e^{i y.w + i u |w|^2} dw,
 
 so the sweep reaches rho = 1024 without ever materializing a lattice that
-covers frequencies of size 3 rho.  The full grid assembly is exercised at
-small rho as a cross-check.  Three families are provided:
+covers frequencies of size 3 rho.  The full grid assembly, a cross-check
+at small rho, is a test oracle in tests/oracles.py.  Three families are
+provided:
 
 * ``shifted``: the drifted family (frequency ball centered at 2 rho e_n,
   g rescaled by rho) whose Bourgain norm reduces to the shifted weight
@@ -20,10 +21,6 @@ small rho as a cross-check.  Three families are provided:
   the inhomogeneous weight <Re p>^{1/2};
 * ``control``: a Gaussian trace in place of the log log one, for which
   the ratio stays flat.
-
-The positive result measured here is the |nu|^{1/4} local-smoothing
-embedding: the compensated local L^2 norm stays uniformly controlled by
-the homogeneous Bourgain norm across the nu sweep.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ import math
 
 import numpy as np
 
-from .grid import Field, GridSpec
+from .grid import Field
 from .multipliers import plan_S, plan_S_nu
 from .reports import EstimateReport
 from .symbols import NuVector
@@ -57,10 +54,8 @@ __all__ = [
     "DispersionProfile",
     "build_dispersion_profile",
     "family_speed",
-    "build_u_rho",
     "bourgain_norm",
     "embedding_ratio_sweep",
-    "local_smoothing_check",
 ]
 
 
@@ -98,15 +93,6 @@ class LogLogTrace:
     h_half_norm: float
     params: dict = dc_field(default_factory=dict)
     evaluate: object = None  # analytic g(t), used by scale-bridging quadratures
-
-    def lower_bound_check(self, delta: float) -> bool:
-        """g >= log log (1/delta) on the sampled points of (-delta, delta)."""
-        if not 0.0 < delta <= 1.0 / (2.0 * math.e):
-            raise ValueError("delta must lie in (0, 1/(2e)]")
-        mask = np.abs(self.t) < delta
-        if not mask.any():
-            raise ValueError("lattice does not resolve the requested delta")
-        return bool((self.g[mask] >= math.log(math.log(1.0 / delta))).all())
 
 
 def _h_half_norm(g: np.ndarray, dt: float) -> float:
@@ -273,11 +259,6 @@ def _radial_sum(s: float, bessel: np.ndarray) -> np.ndarray:
     return 2.0 * np.pi * (bessel @ (np.exp(1j * s * r**2) * r * w))
 
 
-def _ball_profile(s: float, y: np.ndarray) -> np.ndarray:
-    """P(s, y) = 2 pi int_0^1 J_0(y r) e^{i s r^2} r dr (n = 2, radial; 480 nodes)."""
-    return _radial_sum(s, _j0(np.outer(y, _radial_rule()[0])))
-
-
 @dataclass
 class DispersionProfile:
     """Tabulated h(u) with a fitted dispersive tail beyond the table.
@@ -400,55 +381,6 @@ class RhoFamilyMember:
         """
         return float(self.trace.h_half_norm * self.f_norm)
 
-    def pointwise_floor(self) -> float:
-        """Fitted constant c in |u_rho| >= c rho^{n/2} log log (18 rho).
-
-        Samples the factorized field on the concentration window
-        |x| <= 1/(6 rho), |t| <= 1/(18 rho^2).
-        """
-        rho = self.rho
-        lower = math.log(math.log(18.0 * rho))
-        worst = math.inf
-        for tt in np.linspace(-1.0 / (18.0 * rho**2), 1.0 / (18.0 * rho**2), 5):
-            g_here = np.interp(rho * tt, self.trace.t, self.trace.g)
-            xs = np.linspace(0.0, 1.0 / (6.0 * rho), 4)
-            # |y| = |rho x + 4 rho^2 t e_n| <= rho |x| + 4 rho^2 |t|
-            ys = rho * xs + 4.0 * rho**2 * abs(tt)
-            p = np.abs(_ball_profile(rho**2 * tt, ys))
-            amp = g_here * (2.0 * np.pi) ** -1.0 * p.min()
-            worst = min(worst, amp / lower)
-        return float(worst)
-
-
-def build_u_rho(rho: float, trace: LogLogTrace, spec: GridSpec) -> Field:
-    """Assemble the lattice field of the drifted family (small rho only).
-
-    The frequency lattice must cover |xi_n| < 3 rho; the trace transform
-    is interpolated onto tau - |xi|^2.
-    """
-    ximax = np.abs(spec.xi_axis()).max()
-    if 3.0 * rho > ximax:
-        raise ValueError(f"frequency lattice (max {ximax:.1f}) cannot cover 3 rho = {3 * rho:.1f}")
-    n = spec.n
-    # ghat_rho(sigma) = ghat(sigma / rho) / rho on a dense transform
-    m = trace.g.size
-    ghat = np.fft.fftshift(np.fft.fft(trace.g)) * trace.dt / np.sqrt(2.0 * np.pi)
-    sig = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(m, d=trace.dt))
-    mesh = spec.meshgrid_freq()
-    tau = mesh[0]
-    xis = mesh[1:]
-    sq = sum(c**2 for c in xis)
-    sigma = (tau - sq) / rho
-    gr = np.interp(sigma.ravel(), sig, ghat.real, left=0.0, right=0.0)
-    gi = np.interp(sigma.ravel(), sig, ghat.imag, left=0.0, right=0.0)
-    gfac = (gr + 1j * gi).reshape(sigma.shape) / rho
-    center = np.zeros(n)
-    center[-1] = 2.0 * rho
-    ball = sum((c - cc) ** 2 for c, cc in zip(xis, center)) < rho**2
-    fhat = rho ** (-n / 2.0) * ball
-    uhat = gfac * fhat
-    return Field(spec, "frequency", uhat.astype(complex))
-
 
 # ---------------------------------------------------------------------------
 # weighted frequency norms on the lattice
@@ -531,43 +463,4 @@ def embedding_ratio_sweep(
             }
         )
     logger.info("embedding sweep (%s): %d members", family, len(report.samples))
-    return report
-
-
-def local_smoothing_check(
-    fields,
-    nu_list,
-    T: float,
-    R: float,
-) -> EstimateReport:
-    """Compensated local-smoothing ratio over a nu sweep.
-
-    ratio = |nu|^{1/4} ||u||_{L^2((0,T) x B_R)} /
-            (T^{1/4} R^{1/4} ||u||_{X^{1/2}_nu});
-    the verdict of interest is the bounded spread across nu.
-    """
-    fields = list(fields)
-    if not fields:
-        raise ValueError("local_smoothing_check wants at least one field")
-    spec = fields[0].spec
-    t_ax = spec.t_axis()
-    mesh = spec.spatial_mesh()
-    ball = (sum(c**2 for c in mesh) < R**2)[None]
-    window = ((t_ax > 0.0) & (t_ax < T)).reshape((spec.pts_time,) + (1,) * spec.n)
-    mask = window & ball
-    report = EstimateReport(
-        estimate="local_smoothing",
-        grid=spec.as_dict(),
-        params={"nu_values": list(map(float, nu_list)), "T": T, "R": R},
-    )
-    for mag in nu_list:
-        nu = NuVector.along_last_axis(mag, spec.n)
-        comp = float(mag) ** 0.25 / (T**0.25 * R**0.25)
-        for k, u in enumerate(fields):
-            local = np.sqrt((np.abs(u.data[mask]) ** 2).sum() * spec.cell_volume)
-            denom = bourgain_norm(u, "homogeneous", nu=nu)
-            report.samples.append(
-                {"nu": float(mag), "field": k, "ratio": comp * local / denom, "seed": 0}
-            )
-    logger.info("local smoothing sweep: %d samples", len(report.samples))
     return report

@@ -81,28 +81,14 @@ def strichartz_ratio(f: Field, pair: ExponentPair, plan: MultiplierPlan) -> floa
     return mixed_norm(u, dual.q, dual.r) / mixed_norm(f, pair.q, pair.r)
 
 
-def dispersive_ratio(
-    spec: GridSpec,
-    phi: np.ndarray,
-    s: float,
-    drop_cutoff: bool = False,
-) -> float:
-    """``|s|^{n/2} ||U_s phi||_inf / ||phi||_1`` for a spatial slice.
-
-    With ``drop_cutoff`` the damping factor of U_s is removed, leaving the
-    pure free propagator (used to validate against the closed-form Gaussian
-    free evolution).
-    """
+def dispersive_ratio(spec: GridSpec, phi: np.ndarray, s: float) -> float:
+    """``|s|^{n/2} ||U_s phi||_inf / ||phi||_1`` for a spatial slice."""
     if s == 0.0:
         raise ValueError("dispersive_ratio requires s != 0")
     l1 = float(np.abs(phi).sum() * spec.dx**spec.n)
     if l1 == 0.0:
         raise ValueError("dispersive_ratio rejects phi = 0")
-    if drop_cutoff:
-        sq = sum(c**2 for c in spec.spatial_mesh(frequency=True))
-        out = np.fft.ifftn(np.fft.fftn(phi, norm="ortho") * np.exp(1j * s * sq), norm="ortho")
-    else:
-        out = apply_U_s(spec, phi, s)
+    out = apply_U_s(spec, phi, s)
     return abs(s) ** (spec.n / 2.0) * float(np.abs(out).max()) / l1
 
 

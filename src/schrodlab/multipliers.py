@@ -1,5 +1,7 @@
-"""Fourier multiplier operators: S, S_nu, U_s, dyadic pieces, and the
-time-slice propagator representation used for cross-validation.
+"""Fourier multiplier operators: S, S_nu, U_s, and the mode-wise quadrature
+of the time-slice propagator representation of S.  The routes that apply S
+through that quadrature, whole or in dyadic pieces, are test oracles and
+live in tests/oracles.py.
 
 Characteristic-set policy
 -------------------------
@@ -32,11 +34,8 @@ __all__ = [
     "apply_plan",
     "apply_S",
     "apply_symbol",
-    "equation_residual",
     "apply_U_s",
     "u_s_multiplier",
-    "apply_S_via_propagator",
-    "apply_S_dyadic",
     "propagator_factor",
 ]
 
@@ -213,28 +212,10 @@ def apply_symbol(plan: MultiplierPlan, f: Field) -> Field:
     return plan.from_freq(coeffs * plan.symbol)
 
 
-def apply_S(f: Field, plan: MultiplierPlan | None = None) -> Field:
-    if plan is None:
-        plan = plan_S(f.spec)
+def apply_S(f: Field, plan: MultiplierPlan) -> Field:
     if plan.nu is not None:
         raise ValueError("apply_S expects a normalized-symbol plan")
     return apply_plan(plan, f)
-
-
-def equation_residual(plan: MultiplierPlan, f: Field) -> float:
-    """Relative L^2 residual ||P (S f) - f|| / ||f|| on retained modes.
-
-    P is the plan's symbol applied spectrally; for the conjugated plan this
-    is the discrete PDE residual of (i d_t + Delta + 2 nu . grad) u = f.
-    Dropped modes of f are excluded (they cannot be inverted).
-    """
-    coeffs = plan.to_freq(f)
-    retained = np.where(plan.dropped, 0.0, coeffs)
-    norm = float(np.linalg.norm(retained))
-    if norm == 0.0:
-        raise ValueError("f vanishes on retained modes")
-    resid = coeffs / plan.denom * plan.symbol - retained
-    return float(np.linalg.norm(resid)) / norm
 
 
 # ---------------------------------------------------------------------------
@@ -341,41 +322,3 @@ def propagator_factor(
         nodes.append(sign * s_nodes)
         weights.append(s_weights)
     return _s_node_sum(plan, np.concatenate(nodes), np.concatenate(weights))
-
-
-def apply_S_via_propagator(
-    f: Field,
-    plan: MultiplierPlan | None = None,
-    quad_pts: int = 2000,
-    s_max: float | None = None,
-) -> Field:
-    """Cross-validation route: apply S through the U_s time-slice quadrature.
-
-    ``s_max`` defaults to the time-box half-width; the truncation error per
-    mode is bounded by e^{-s_max |xi_n|}/|xi_n|.
-    """
-    if plan is None:
-        plan = plan_S(f.spec)
-    if s_max is None:
-        s_max = f.spec.box_time
-    factor = propagator_factor(plan, s_max, quad_pts)
-    coeffs = plan.to_freq(f)
-    return plan.from_freq(coeffs * factor)
-
-
-def apply_S_dyadic(
-    f: Field,
-    j: int,
-    plan: MultiplierPlan | None = None,
-    quad_pts: int = 400,
-) -> Field:
-    """The dyadic piece S_j: the s-integral restricted to 2^{j-1} < |s| <= 2^j."""
-    if plan is None:
-        plan = plan_S(f.spec)
-    nodes, weights = _gauss_legendre_panels(
-        np.linspace(2.0 ** (j - 1), 2.0**j, max(2, quad_pts // 20))
-    )
-    factor = _s_node_sum(plan, np.concatenate([nodes, -nodes]),
-                         np.concatenate([weights, weights]))
-    coeffs = plan.to_freq(f)
-    return plan.from_freq(coeffs * factor)

@@ -15,7 +15,6 @@ from schrodlab.birman_schwinger import (
     bs_decay_sweep,
     build_W,
     cusp_potential,
-    dense_bs_matrix,
     gaussian_potential,
     op_norm,
     plan_BS,
@@ -26,7 +25,6 @@ from schrodlab.counterexample import (
     build_dispersion_profile,
     build_loglog_trace,
     embedding_ratio_sweep,
-    local_smoothing_check,
 )
 from schrodlab.estimates import gain_ratio, run_sweep, standard_family, strichartz_ratio
 from schrodlab.forward import integral_identity_check
@@ -39,13 +37,14 @@ from schrodlab.grid import (
 from schrodlab.kernels import eval_K_sigma, eval_K_sigma_quadrature
 from schrodlab.multipliers import (
     apply_S,
-    equation_residual,
     plan_S,
     plan_S_nu,
     propagator_factor,
 )
 from schrodlab.reconstruction import reconstruct_potential
 from schrodlab.symbols import NuVector
+
+from oracles import dense_bs_matrix, equation_residual, local_smoothing_check
 
 PI = np.pi
 

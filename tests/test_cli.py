@@ -307,6 +307,8 @@ class TestExitCodes:
         ("rho-squared-overflows", "counterexample-sweep",
          "rho_values: [1.0e300]\nfamily: unscaled\n",
          "rho_values: rho = 1e+300 gives the unscaled family a speed of inf"),
+        ("rho-single", "counterexample-sweep", "rho_values: [64]\n",
+         "rho_values: the verdict compares at least 2 members, got 1"),
     ]
 
     @pytest.mark.parametrize("command,text,message,dry_run", [
@@ -317,8 +319,9 @@ class TestExitCodes:
         # a short or long initial list was cut or padded to the grid axes (exit 0); a trace
         # of 0 or 1 points ended in ZeroDivisionError or IndexError, and sigma = 0 in a
         # ValueError (exit 1); rho < 0 wrote NaN ratios (exit 1), rho = 0 ended in
-        # ZeroDivisionError and an overflowing rho^2 in OverflowError; --dry-run stopped
-        # after reading and exited 0 on each of these
+        # ZeroDivisionError and an overflowing rho^2 in OverflowError, and a single rho
+        # passed a growth verdict that compares none (exit 0); --dry-run stopped after
+        # reading and exited 0 on each of these
         cfg = write(tmp_path, "c.yaml", text)
         res = runner.invoke(main, [command, "--config", cfg, "--output", str(tmp_path)]
                             + ["--dry-run"] * dry_run)

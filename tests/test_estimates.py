@@ -15,6 +15,8 @@ from schrodlab.multipliers import plan_S, plan_S_nu
 from schrodlab.reports import ConfigError
 from schrodlab.symbols import ExponentPair, NuVector
 
+from oracles import free_dispersive_ratio
+
 SPEC = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=16, pts_space=16)
 NU = NuVector([0.0, 8.0])
 # the gain sweep's lattice (tau and xi_n offsets) and the Strichartz sweep's (tau only)
@@ -71,7 +73,7 @@ class TestRatios:
         mesh = np.meshgrid(x, x, indexing="ij")
         phi = np.exp(-(mesh[0] ** 2 + mesh[1] ** 2) / (2 * w**2)).astype(complex)
         s = 0.05
-        r = dispersive_ratio(SPEC, phi, s, drop_cutoff=True)
+        r = free_dispersive_ratio(SPEC, phi, s)
         l1 = float(np.abs(phi).sum() * SPEC.dx**2)
         spread = (1.0 + (2.0 * s / w**2) ** 2) ** (-2 / 4)
         expected = abs(s) * spread / l1

@@ -10,18 +10,17 @@ from schrodlab.grid import Field, GridSpec, l2_norm, random_band_limited, transf
 from schrodlab import multipliers
 from schrodlab.multipliers import (
     apply_S,
-    apply_S_dyadic,
-    apply_S_via_propagator,
     apply_U_s,
     apply_plan,
     apply_symbol,
-    equation_residual,
     plan_S,
     plan_S_nu,
     propagator_factor,
     u_s_multiplier,
 )
 from schrodlab.symbols import NuVector
+
+from oracles import apply_S_dyadic, apply_S_via_propagator, equation_residual
 
 SPEC = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=16, pts_space=16)
 NU = NuVector([0.0, 8.0])

@@ -1,5 +1,5 @@
-"""Tooling checks: the tracer's patch targets exist, every public name has a caller, the
-CLI's import stays light, and the scripts run."""
+"""Tooling checks: the tracer's patch targets exist, every public name has a caller, every
+test oracle is used, the CLI's import stays light, and the scripts run."""
 
 import ast
 import importlib
@@ -39,20 +39,8 @@ def test_tracing_targets_resolve():
 #: Public names, and public members (``Class.name``) of public classes, that nothing in src/,
 #: scripts/ or bench/ calls, each kept for a reason.
 UNCALLED = {
-    "dense_bs_matrix": "oracle: the dense matrix whose SVD checks op_norm",
-    "apply_S_via_propagator": "oracle: the propagator form of S, checked against apply_S",
-    "apply_S_dyadic": "oracle: the dyadic pieces of S, summed against the propagator form",
-    "build_u_rho": "oracle: the full-grid rho family behind the semi-analytic norms",
-    "equation_residual": "oracle: the PDE residual showing that S_nu inverts the equation",
-    "local_smoothing_check": "oracle: the |nu|^{1/4} local-smoothing bound of acceptance test_11",
-    "boundary_mass_fraction": "the per-run manifest of ROADMAP item 1 is to call it",
+    "boundary_mass_fraction": "the per-run manifest of ROADMAP item 4 is to call it",
     "run_sweep": "the sweep harness's library entry; the acceptance and golden tests call it",
-    "Potential.support_leak": "ROADMAP item 6: report the support hypothesis, or delete it",
-    "Potential.line_decay": "ROADMAP item 6: report the line-decay hypothesis, or delete it",
-    "LogLogTrace.lower_bound_check":
-        "ROADMAP item 1: report the divergence argument's trace hypothesis, or delete it",
-    "RhoFamilyMember.pointwise_floor":
-        "ROADMAP item 1: report the divergence argument's floor hypothesis, or delete it",
 }
 
 #: Scripts that no test and no run_all.sh line runs, each kept for a reason.
@@ -113,6 +101,20 @@ def test_every_public_name_has_a_caller():
     uncalled = (public - called) | {q for q, name in members.items() if name not in called}
     assert sorted(uncalled - set(UNCALLED)) == []
     assert sorted(set(UNCALLED) - uncalled) == []  # the list is no longer than needed
+
+
+def test_every_oracle_is_used():
+    # the census above scans src/, scripts/ and bench/ only; an oracle that no test
+    # imports any more would rot unseen in tests/oracles.py
+    oracles = ROOT / "tests" / "oracles.py"
+    defined = {node.name for node in ast.parse(oracles.read_text()).body
+               if isinstance(node, ast.FunctionDef)}
+    used = set()
+    for path in (ROOT / "tests").glob("*.py"):
+        if path != oracles:
+            used |= references(path)
+    assert defined
+    assert sorted(defined - used) == []
 
 
 def test_every_script_is_run():
