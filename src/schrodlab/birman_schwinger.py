@@ -17,13 +17,14 @@ measuring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 import logging
 
 import numpy as np
 
 from .grid import Field, GridSpec, l2_norm
 from .multipliers import MultiplierPlan, apply_plan, plan_S_nu
+from .parallel import run_two
 from .reports import EstimateReport
 from .symbols import NuVector, potential_pair_check
 
@@ -231,24 +232,36 @@ def op_norm(
     norm, and the iteration stops on a heuristic rule (a relative change
     of at most ``tol`` between steps), not on a certified error.
 
-    Runs two independently seeded iterations; they must agree within 2%
-    or ``diagnostics['starts_agree']`` is False.  Non-convergence within
+    Runs two iterations, from random starts seeded ``seed`` and
+    ``seed + 1``; they must agree within 2% or
+    ``diagnostics['starts_agree']`` is False.  Non-convergence within
     ``_MAX_ITER`` (200) iterations is flagged, with the last iterate still
     returned.  Each start holds two fields, v and Av, for all of its
     iterations: A* Av is computed into v and rescaled there.
+
+    Where two CPUs are available the two starts run at once, the second on
+    a worker thread (:func:`schrodlab.parallel.run_two`); the adjoint plan,
+    conj(W1), conj(W2), both start vectors and both Av buffers are built on
+    the calling thread first, so the worker allocates no field.  Each start
+    runs the same operations as it does alone, so the results are
+    bit-identical to one thread.
     """
     spec = plan.spec
     adj = _adjoint_plan(plan)
+    W1.conj, W2.conj  # cached before a worker thread reads them
 
-    def one_start(s: int) -> tuple[float, int, bool]:
+    def start(s: int):
+        """Draw start ``s`` and its Av buffer; return its power iteration."""
         rng = np.random.default_rng(s)
         data = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
         v = Field(spec, "physical", data)
+        return partial(iterate, v, np.empty_like(v.data))
+
+    def iterate(v: Field, av_buf: np.ndarray) -> tuple[float, int, bool]:
         nrm = l2_norm(v)
         if nrm == 0.0:
             return 0.0, 0, True
         np.multiply(v.data, 1.0 / nrm, out=v.data)
-        av_buf = np.empty_like(v.data)
         est = 0.0
         for it in range(1, _MAX_ITER + 1):
             av = apply_BS(v, W1, W2, plan, out=av_buf)
@@ -264,8 +277,7 @@ def op_norm(
             est = new
         return est, _MAX_ITER, False
 
-    e1, it1, conv1 = one_start(seed)
-    e2, it2, conv2 = one_start(seed + 1)
+    (e1, it1, conv1), (e2, it2, conv2) = run_two(partial(start, seed), partial(start, seed + 1))
     top = max(e1, e2)
     agree = top == 0.0 or abs(e1 - e2) <= 0.02 * top
     diag = {

@@ -292,8 +292,12 @@ def bs_norm_sweep(cfg, values, inputs):
     if any(not s["starts_agree"] for s in report.samples):
         raise NoConvergence("power iteration starts disagree")
     ratios = report.ratios
-    decay_ok = len(ratios) < 2 or ratios[-1] <= 0.5 * ratios[0]
-    return "bs_norm_sweep", report, decay_ok, {}
+    if len(ratios) < 2:  # one nu compares nothing; it records, and exits 0
+        decay = "not_compared"
+    else:
+        decay = "pass" if ratios[-1] <= 0.5 * ratios[0] else "fail"
+    report.params["decay_verdict"] = decay
+    return "bs_norm_sweep", report, decay != "fail", {}
 
 
 @command("cgo-build", {**WITH_POTENTIAL, "nu": (float, REQUIRED), "tol": (float, 1e-8),

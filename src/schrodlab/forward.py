@@ -7,11 +7,11 @@ dependent) potential sampled at step midpoints.  Both sub-steps are
 unitary for real V, so mass is conserved to rounding, and the scheme is
 second order in the step size.  A stack of probes along a leading axis
 is stepped in place by one step loop, its FFTs batched over chunks of
-probes.  A stack of more than one chunk runs in at most two contiguous
-parts, one on a worker thread: every probe evolves on its own, and numpy's
-FFTs and ufunc loops release the GIL.  The cut falls on a chunk boundary,
-so every FFT batch holds the same probes as on one thread, and the result
-is bit-identical to one thread.
+probes.  A stack of more than one chunk runs in two contiguous parts, on
+both cores where two are available (:func:`schrodlab.parallel.run_two`):
+every probe evolves on its own.  The cut falls on a chunk boundary, so
+every FFT batch holds the same probes as on one thread, and the result is
+bit-identical to one thread.
 
 The module also verifies the bilinear integral identity
 
@@ -27,14 +27,14 @@ is checked in one call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 import logging
-import os
-import threading
 
 import numpy as np
 
 from .birman_schwinger import Potential
 from .grid import GridSpec
+from .parallel import run_two
 
 logger = logging.getLogger(__name__)
 
@@ -55,9 +55,6 @@ __all__ = [
 #: for 16 and 1.01 s for all 58 at once; no size won every round (8 and 16
 #: two each, 58 one).
 CHUNK = 8
-
-#: Threads that step one probe stack: two where the process may use two CPUs.
-_THREADS = min(2, len(os.sched_getaffinity(0)))
 
 
 @dataclass
@@ -85,6 +82,14 @@ def _drift(mass: np.ndarray) -> np.ndarray:
     return np.divide(dev, mass[0], out=np.zeros_like(dev), where=mass[0] != 0.0)
 
 
+def _slice_weights(spec: GridSpec, t: float) -> tuple[int, int, float]:
+    """Lattice time slices i0, i1 and the weight of i1 that interpolate time t, clamped."""
+    pos = (t + spec.box_time) / spec.dt
+    pos = min(max(pos, 0.0), float(spec.pts_time - 1))
+    i0 = int(np.floor(pos))
+    return i0, min(i0 + 1, spec.pts_time - 1), pos - i0
+
+
 def sample_potential(V: Potential | None, t: float) -> np.ndarray | float:
     """Potential slice at time t, linearly interpolated on the lattice.
 
@@ -93,12 +98,7 @@ def sample_potential(V: Potential | None, t: float) -> np.ndarray | float:
     """
     if V is None:
         return 0.0
-    spec = V.field.spec
-    pos = (t + spec.box_time) / spec.dt
-    pos = min(max(pos, 0.0), float(spec.pts_time - 1))
-    i0 = int(np.floor(pos))
-    frac = pos - i0
-    i1 = min(i0 + 1, spec.pts_time - 1)
+    i0, i1, frac = _slice_weights(V.field.spec, t)
     return (1.0 - frac) * V.field.data[i0] + frac * V.field.data[i1]
 
 
@@ -115,21 +115,26 @@ def _strang(V: Potential, u: np.ndarray, T: float, steps: int, t0: float,
     owns and this overwrites.  Every yield is that same array, overwritten
     by the next step, so a consumer copies whatever it keeps.  ``free`` is
     the free spectral step exp(-i |xi|^2 T / steps).  The potential phase
-    ``half`` of a step is built once, in one buffer reused at every step;
-    the FFTs run over ``CHUNK`` probes at a time.
+    ``half`` of a step is built in two buffers allocated once and reused at
+    every step, so a step allocates no field of its own; the FFTs run over
+    ``CHUNK`` probes at a time.
     """
     spec = V.field.spec
     # with s given, fftn skips a np.take of the shape: about 20 us a call at 64^2
     lattice, axes = (spec.pts_space,) * spec.n, tuple(range(-spec.n, 0))
     dt = T / steps
     half = np.empty(lattice, dtype=complex)
+    later = np.empty_like(half)
     yield u
     for k in range(steps):
-        vmid = sample_potential(V, t0 + (k + 0.5) * dt)
+        # exp(-1j * vmid * (dt / 2.0)), vmid = sample_potential(V, t) (conjugated if asked):
+        # the same ufuncs in the same operand order
+        i0, i1, frac = _slice_weights(spec, t0 + (k + 0.5) * dt)
+        np.multiply(1.0 - frac, V.field.data[i0], out=half)
+        np.add(half, np.multiply(frac, V.field.data[i1], out=later), out=half)
         if conjugate_potential:
-            vmid = np.conj(vmid)
-        # exp(-1j * vmid * (dt / 2.0)): the same ufuncs in the same operand order
-        np.multiply(-1j, vmid, out=half)
+            np.conj(half, out=half)
+        np.multiply(-1j, half, out=half)
         np.exp(np.multiply(half, dt / 2.0, out=half), out=half)
         for lo in range(0, len(u), CHUNK):
             c = u[lo:lo + CHUNK]
@@ -149,34 +154,18 @@ def _strang(V: Potential, u: np.ndarray, T: float, steps: int, t0: float,
 
 
 def _in_parts(run, count: int) -> None:
-    """Call ``run(lo, hi)`` over the rows [0, count) in at most ``_THREADS`` contiguous parts.
+    """Call ``run(lo, hi)`` over the rows [0, count), in two contiguous parts past one ``CHUNK``.
 
-    A stack of more than one ``CHUNK`` is cut at the chunk boundary
-    ceil(chunks / 2) * CHUNK; a worker thread runs the second part while
-    the caller runs the first.  The worker is joined before this returns,
-    and an exception raised in either part propagates.
+    A stack of more than one chunk is cut at the chunk boundary
+    ceil(chunks / 2) * CHUNK, and :func:`schrodlab.parallel.run_two` runs
+    the two parts, on both cores where two are available.
     """
     chunks = -(-count // CHUNK)
-    if _THREADS < 2 or chunks < 2:
+    if chunks < 2:
         run(0, count)
         return
     cut = -(-chunks // 2) * CHUNK
-    failed = []
-
-    def second_part():
-        try:
-            run(cut, count)
-        except BaseException as exc:  # raised again on the calling thread
-            failed.append(exc)
-
-    worker = threading.Thread(target=second_part, name="schrodlab-evolve")
-    worker.start()
-    try:
-        run(0, cut)
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
+    run_two(lambda: partial(run, 0, cut), lambda: partial(run, cut, count))
 
 
 def evolve(
@@ -193,8 +182,8 @@ def evolve(
     ``f`` is one state on the spatial lattice or a stack of probes along a
     leading axis; it is copied once into the stack that the step loop
     advances in place, and left unchanged.  A stack of more than one
-    ``CHUNK`` is stepped in two contiguous parts, one on a worker thread,
-    with the same result.  ``store="all"`` keeps every step,
+    ``CHUNK`` is stepped in two contiguous parts, on both cores where two
+    are available, with the same result.  ``store="all"`` keeps every step,
     ``store="final"`` only the final states; the mass of every probe is
     recorded at every step either way.  ``conjugate_potential`` evolves
     under conj(V) instead, which is what the backward final-value solve of

@@ -68,7 +68,8 @@ class MultiplierPlan:
       1-D factors instead rounds differently and moves report bytes.
     * ``denom``: the symbol with ``inf`` on floored modes, so that
       ``coeffs / denom`` is the reciprocal on retained modes and exactly 0
-      on floored ones.
+      on floored ones.  With no floored mode it is ``symbol`` itself, not a
+      copy; nothing writes into either.
 
     ``demodulation`` is ``conj(modulation)``, which undoes the offset phase
     after the inverse transform; it is built once here rather than per
@@ -108,7 +109,8 @@ class MultiplierPlan:
         self.eps_floor = _EPS_FLOOR_REL * float(mag.max())
         self.dropped = mag < self.eps_floor
         self.dropped_count = int(self.dropped.sum())
-        self.denom = np.where(self.dropped, np.inf, self.symbol)
+        self.denom = (np.where(self.dropped, np.inf, self.symbol) if self.dropped_count
+                      else self.symbol)
         self.modulation = self.demodulation = None
         if self.tau_offset != 0.0 or self.xi_n_offset != 0.0:
             spec = self.spec

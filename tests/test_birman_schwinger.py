@@ -1,11 +1,16 @@
 """Sandwiched multiplier operator: factorization, norms, splitting, decay."""
 
+import os
+import pathlib
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from schrodlab import multipliers
+from schrodlab import birman_schwinger, multipliers, parallel
 from schrodlab.birman_schwinger import (
     Potential,
     apply_BS,
@@ -24,6 +29,7 @@ from schrodlab.symbols import NuVector
 
 from oracles import dense_bs_matrix
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 SPEC = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=16, pts_space=16)
 TINY = GridSpec(n=1, box_time=np.pi, box_space=np.pi, pts_time=16, pts_space=16)
 NU = NuVector([0.0, 8.0])
@@ -168,9 +174,9 @@ class TestOperator:
         assert iterations[1] >= 3 * iterations[0]
         assert abs(peaks[1] - peaks[0]) <= field_bytes
 
-    def test_memory_peak_below_four_fields(self):
-        # v, Av, the adjoint plan's denominator and the start's random draw; the
-        # adjoint plan conjugates no symbol, which apply_plan never reads
+    @staticmethod
+    def traced_peak_in_fields() -> float:
+        """tracemalloc peak of one op_norm call at 32^3, in fields."""
         spec = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=32, pts_space=32)
         W = build_W(gaussian_potential(spec))
         plan = plan_BS(spec, NU)
@@ -181,13 +187,79 @@ class TestOperator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.75 * 16 * spec.total_points
+        return peak / (16 * spec.total_points)
+
+    def test_memory_peak_below_four_fields(self, monkeypatch):
+        # one start at a time: v, Av, the adjoint plan's denominator and the start's
+        # random draw; the adjoint plan conjugates no symbol, which apply_plan never reads
+        monkeypatch.setattr(parallel, "_THREADS", 1)
+        assert self.traced_peak_in_fields() < 3.75
+
+    def test_memory_peak_of_both_starts_at_once(self, monkeypatch):
+        # v and Av of both starts, all drawn and allocated before the worker starts,
+        # the adjoint plan's denominator and one draw; the worker allocates no field
+        monkeypatch.setattr(parallel, "_THREADS", 2)
+        assert self.traced_peak_in_fields() < 2 * 2 + 1 + 0.75
 
     def test_norm_decays_in_nu(self):
         W = build_W(gaussian_potential(SPEC))
         small, _ = op_norm(W, W, plan_BS(SPEC, NuVector([0.0, 2.0])), tol=1e-3)
         large, _ = op_norm(W, W, plan_BS(SPEC, NuVector([0.0, 64.0])), tol=1e-3)
         assert large < 0.5 * small
+
+
+class TestTwoStarts:
+    """op_norm's two starts run at once on two threads, bit-identical to one thread.
+
+    The fixtures ``started`` and ``on_one_and_two_threads`` are in conftest.py.
+    """
+
+    def test_op_norm_is_bit_identical(self, on_one_and_two_threads):
+        W = build_W(cusp_potential(SPEC))
+        plan = plan_BS(SPEC, NU)
+        serial, parts = on_one_and_two_threads(lambda: op_norm(W, W, plan, tol=1e-4, seed=3))
+        assert serial == parts
+        assert serial[1]["iterations"] > 1 and serial[1]["converged"]
+
+    def test_decay_sweep_is_bit_identical(self, on_one_and_two_threads):
+        V = gaussian_potential(SPEC)
+        serial, parts = on_one_and_two_threads(lambda: bs_decay_sweep(V, [4, 16, 64]).samples)
+        assert serial == parts
+
+    def test_starts_drawn_on_the_calling_thread(self, monkeypatch, started):
+        # the worker allocates no field: both draws happen before it starts
+        monkeypatch.setattr(parallel, "_THREADS", 2)
+        draws, default_rng = [], np.random.default_rng
+
+        def recording(seed):
+            draws.append((seed, threading.current_thread() is threading.main_thread(),
+                          len(started)))
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        W = build_W(gaussian_potential(SPEC))
+        op_norm(W, W, plan_BS(SPEC, NU), seed=5)
+        assert draws == [(5, True, 0), (6, True, 0)]
+        assert len(started) == 1
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_exception_in_either_start_propagates_and_worker_is_joined(
+            self, monkeypatch, started, failing):
+        monkeypatch.setattr(parallel, "_THREADS", 2)
+        apply = birman_schwinger.apply_BS
+
+        def one_start_fails(*args, **kwargs):
+            if (threading.current_thread() is threading.main_thread()) == (failing == "caller"):
+                raise RuntimeError(f"{failing} start failed")
+            return apply(*args, **kwargs)
+
+        monkeypatch.setattr(birman_schwinger, "apply_BS", one_start_fails)
+        W = build_W(gaussian_potential(SPEC))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{failing} start failed"):
+            op_norm(W, W, plan_BS(SPEC, NU))
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == before
 
 
 class TestSplitting:
@@ -235,3 +307,28 @@ class TestSweep:
         r1 = bs_decay_sweep(V, [4, 8], seed=1)
         r2 = bs_decay_sweep(V, [4, 8], seed=1)
         assert r1.samples == r2.samples
+
+    def test_sweep_independent_of_blas_threads(self):
+        # l2_norm sums in numpy's einsum loop, not in BLAS, whose threads split the sum
+        # and round differently; so the committed sweep repeats digit for digit
+        script = (
+            "import sys\n"
+            "from schrodlab import cli\n"
+            "from schrodlab.birman_schwinger import bs_decay_sweep\n"
+            "values = cli.read(cli.load_config(sys.argv[1]),\n"
+            "                  {**cli.COMMON, **cli.TABLES['bs-norm-sweep']})\n"
+            "report = bs_decay_sweep(cli.build_inputs(values)['V'], values['nu_values'],\n"
+            "                        tol=values['tol'], seed=values['seed'])\n"
+            "print([repr(s[k]) for s in report.samples\n"
+            "       for k in ('ratio', 'sharp_mass', 'flat_mass')])\n"
+        )
+        src = str(ROOT / "src")
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            outs.append(subprocess.run(
+                [sys.executable, "-c", script, str(ROOT / "configs" / "bs_sweep.yaml")],
+                capture_output=True, text=True, env=env, check=True).stdout)
+        assert outs[0].count("'") == 2 * 3 * 5  # ratio, sharp and flat mass at five nu
+        assert outs[0] == outs[1]

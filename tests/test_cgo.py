@@ -124,6 +124,17 @@ class TestNeumannSolve:
         assert diag["rho"] < 1.0
 
 
+    def test_solve_is_bit_identical_on_one_and_two_threads(self, on_one_and_two_threads):
+        # op_norm runs its two starts at once on two threads (fixture in conftest.py)
+        W = build_W(gaussian_potential(SPEC, amplitude=0.5))
+        usharp = wave_packet_usharp(gaussian_packet_on_hyperplane(SPEC, NU), SPEC)
+        plan = plan_BS(SPEC, NU)
+        (v1, diag1), (v2, diag2) = on_one_and_two_threads(
+            lambda: solve_v_neumann(W, usharp, plan, tol=1e-8))
+        assert diag1 == diag2
+        assert np.array_equal(v1.data, v2.data)
+
+
 class TestSweep:
     def test_remainder_decays_with_nu(self):
         V = gaussian_potential(SPEC, amplitude=0.5)

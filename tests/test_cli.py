@@ -381,6 +381,21 @@ class TestExitCodes:
         assert isinstance(res.exception, RuntimeError)
         assert "did not converge" in str(res.exception)
 
+    @pytest.mark.parametrize("nu_values,decay,code", [
+        ("[8]", "not_compared", EXIT_PASS),
+        ("[4, 64]", "pass", EXIT_PASS),
+        ("[64, 4]", "fail", EXIT_VERDICT),
+    ], ids=["one-nu", "decays", "grows"])
+    def test_decay_verdict_recorded(self, runner, tmp_path, nu_values, decay, code):
+        # a single nu compares nothing: the report says so rather than "pass"
+        cfg = write(tmp_path, "bs.yaml", GRID +
+                    "potential: {kind: gaussian, amplitude: 1.0, width: 0.5}\n"
+                    f"nu_values: {nu_values}\noutput_dir: {tmp_path}/out\n")
+        res = runner.invoke(main, ["bs-norm-sweep", "--config", cfg])
+        assert res.exit_code == code
+        report = json.loads((tmp_path / "out" / "bs_norm_sweep.json").read_text())
+        assert report["params"]["decay_verdict"] == decay
+
     def test_disagreeing_starts_exit(self, runner, tmp_path, monkeypatch):
         def sweep(V, nu_values, **kwargs):
             report = EstimateReport("bs_decay", {}, {})

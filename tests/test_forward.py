@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from schrodlab import cli, forward, reconstruction
+from schrodlab import cli, forward, parallel, reconstruction
 from schrodlab.birman_schwinger import gaussian_potential
 from schrodlab.forward import (
     evolve,
@@ -224,60 +224,39 @@ class TestBatchedEvolve:
             f"mass drift {drift.max():.2e} at probe 1 (complex potential or aliasing)"]
 
 
-@pytest.fixture
-def started(monkeypatch):
-    """Every thread started while the test runs."""
-    threads = []
-    start = threading.Thread.start
-
-    def recording(self):
-        threads.append(self)
-        start(self)
-
-    monkeypatch.setattr(threading.Thread, "start", recording)
-    return threads
-
-
 class TestTwoParts:
-    """A stack of more than one chunk steps in two parts, the second on a worker thread."""
+    """A stack of more than one chunk steps in two parts, the second on a worker thread.
+
+    The fixtures ``started`` and ``on_one_and_two_threads`` are in conftest.py.
+    """
 
     def probes(self, count):
         return np.stack([packet(60 + k, mod=(k % 5 - 2.0, 1.0)) for k in range(count)])
-
-    def on_one_and_two_threads(self, monkeypatch, started, run):
-        """run() with _THREADS at 1, then at 2; neither leaves a thread behind."""
-        out = []
-        for threads in (1, 2):
-            monkeypatch.setattr(forward, "_THREADS", threads)
-            before = threading.active_count()
-            out.append(run())
-            assert threading.active_count() == before
-            assert len(started) == threads - 1
-        return out
 
     def assert_same_trajectory(self, serial, parts):
         for name in ("slices", "final", "mass"):
             assert np.array_equal(getattr(serial, name), getattr(parts, name)), name
 
     @pytest.mark.parametrize("store", ["all", "final"])
-    def test_forward_solve_is_bit_identical(self, monkeypatch, started, store):
+    def test_forward_solve_is_bit_identical(self, on_one_and_two_threads, store):
         # 13 probes: chunks of 8 and 5, so the cut falls at 8 and the second part is ragged
         V, probes = potential(), self.probes(13)
-        serial, parts = self.on_one_and_two_threads(
-            monkeypatch, started, lambda: evolve(V, probes, T=0.3, steps=12, store=store))
+        serial, parts = on_one_and_two_threads(
+            lambda: evolve(V, probes, T=0.3, steps=12, store=store))
         assert parts.slices.shape == ((13 if store == "all" else 1), 13, 32, 32)
         self.assert_same_trajectory(serial, parts)
 
     @pytest.mark.parametrize("store", ["all", "final"])
-    def test_backward_conjugate_solve_is_bit_identical(self, monkeypatch, started, store):
+    def test_backward_conjugate_solve_is_bit_identical(self, on_one_and_two_threads, store):
         V, probes = potential(), self.probes(13)
         V.field.data = V.field.data * (1.0 - 0.2j)
-        serial, parts = self.on_one_and_two_threads(
-            monkeypatch, started, lambda: evolve(V, probes, T=-0.3, steps=12, t0=0.3,
-                                                 conjugate_potential=True, store=store))
+        serial, parts = on_one_and_two_threads(
+            lambda: evolve(V, probes, T=-0.3, steps=12, t0=0.3,
+                           conjugate_potential=True, store=store))
         self.assert_same_trajectory(serial, parts)
 
-    def test_itf_map_on_reconstruct_probes_is_bit_identical(self, monkeypatch, started):
+    def test_itf_map_on_reconstruct_probes_is_bit_identical(self, monkeypatch,
+                                                              on_one_and_two_threads):
         cfg = cli.load_config(str(ROOT / "configs" / "reconstruct.yaml"))
         values = cli.read(cfg, {**cli.COMMON, **cli.TABLES["reconstruct"]})
         V = cli.build_inputs(values)["V"]
@@ -288,13 +267,12 @@ class TestTwoParts:
         reconstruction.reconstruct_potential(V, values["freq_radius"], T, steps)
         (probes,) = stacks
         assert len(probes) == 58  # cut at 32: parts of 32 and 26 probes
-        serial, parts = self.on_one_and_two_threads(
-            monkeypatch, started, lambda: itf_map(V, probes, T, steps))
+        serial, parts = on_one_and_two_threads(lambda: itf_map(V, probes, T, steps))
         assert np.array_equal(serial, parts)
 
     @pytest.mark.parametrize("count", [1, forward.CHUNK])
     def test_stack_of_one_chunk_starts_no_thread(self, monkeypatch, started, count):
-        monkeypatch.setattr(forward, "_THREADS", 2)
+        monkeypatch.setattr(parallel, "_THREADS", 2)
         evolve(potential(), self.probes(count), T=0.3, steps=4)
         evolve(potential(), packet(7), T=0.3, steps=4)
         assert started == []
@@ -302,15 +280,15 @@ class TestTwoParts:
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_exception_in_either_part_propagates_and_worker_is_joined(
             self, monkeypatch, started, failing):
-        monkeypatch.setattr(forward, "_THREADS", 2)
-        sample = forward.sample_potential
+        monkeypatch.setattr(parallel, "_THREADS", 2)
+        weights = forward._slice_weights
 
-        def one_part_fails(V, t):
+        def one_part_fails(spec, t):
             if (threading.current_thread() is threading.main_thread()) == (failing == "caller"):
                 raise RuntimeError(f"{failing} part failed")
-            return sample(V, t)
+            return weights(spec, t)
 
-        monkeypatch.setattr(forward, "sample_potential", one_part_fails)
+        monkeypatch.setattr(forward, "_slice_weights", one_part_fails)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"{failing} part failed"):
             evolve(potential(), self.probes(13), T=0.3, steps=4)
@@ -424,7 +402,7 @@ class TestMemory:
         # one-probe |u|^2 buffer, phase, potential slice and FFT scratch, and the
         # two parts share the free step; an FFT pass that allocated its result
         # would add a chunk
-        monkeypatch.setattr(forward, "_THREADS", threads)
+        monkeypatch.setattr(parallel, "_THREADS", threads)
         V = potential()
         probes = np.stack([packet(80 + k) for k in range(16)])
         peak = traced_peak(lambda: evolve(V, probes, T=0.2, steps=8, store="final"))

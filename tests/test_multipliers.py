@@ -102,6 +102,14 @@ class TestApply:
         assert np.isfinite(out.data).all()
         kept = np.where(plan.dropped, 0.0, coeffs / np.where(plan.dropped, 1.0, plan.symbol))
         assert np.array_equal(out.data, plan.from_freq(kept).data)
+        assert plan.denom is not plan.symbol
+
+    def test_denominator_is_the_symbol_without_floored_modes(self):
+        # no mode floored: the symbol itself divides, with no second full-grid array
+        plan = plan_S_nu(SPEC, NU)
+        assert plan.dropped_count == 0
+        assert plan.denom is plan.symbol
+        assert plan.adjoint().denom is not plan.symbol
 
     def test_linearity(self):
         plan = plan_S(SPEC)
