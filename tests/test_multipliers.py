@@ -150,6 +150,18 @@ class TestUs:
         with pytest.raises(ValueError):
             u_s_multiplier(SPEC, 0.0)
 
+    @pytest.mark.parametrize("s", [0.7, -2.5])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_multiplier_matches_full_grid_formula(self, n, s):
+        # the per-axis product against one exp of |xi|^2 per mode
+        spec = GridSpec(n=n, box_time=np.pi, box_space=np.pi, pts_time=8, pts_space=8)
+        xi = spec.spatial_mesh(frequency=True)
+        damp = np.where(s * xi[-1] < 0.0, np.exp(s * xi[-1]), 0.0)
+        direct = 1j * np.sign(s) * np.exp(1j * s * sum(c**2 for c in xi)) * damp
+        mult = u_s_multiplier(spec, s)
+        assert mult.shape == (8,) * n
+        assert np.abs(mult - direct).max() <= 1e-13
+
     def test_apply_U_s_contracts(self):
         rng = np.random.default_rng(7)
         phi = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
@@ -165,6 +177,26 @@ class TestPropagator:
         # modes with tiny |xi_n| converge slowest; the offset floor is 1/2
         rel = np.abs(factor - recip) / np.abs(recip)
         assert rel.max() < 1e-6
+
+    def test_factor_converges_to_reciprocal_symbol_n3(self):
+        # the per-axis symbol has a third spatial factor in n = 3
+        spec = GridSpec(n=3, box_time=np.pi, box_space=np.pi, pts_time=8, pts_space=8)
+        plan = plan_S(spec)
+        factor = propagator_factor(plan, s_max=40.0, quad_pts=12000)
+        recip = 1.0 / plan.symbol
+        rel = np.abs(factor - recip) / np.abs(recip)
+        assert rel.max() < 1e-6
+
+    @pytest.mark.parametrize("s_max", [-5.0, 0.0, 1e-9, np.nan, np.inf, -np.inf])
+    def test_meaningless_s_max_rejected(self, s_max):
+        # unchecked, -5 gives a finite factor, 0 one of ~1e-9 and nan or inf NaN
+        with pytest.raises(ValueError, match="s_max"):
+            propagator_factor(plan_S(SPEC), s_max=s_max, quad_pts=100)
+
+    @pytest.mark.parametrize("quad_pts", [0, -10])
+    def test_quad_pts_below_one_rejected(self, quad_pts):
+        with pytest.raises(ValueError, match="quad_pts"):
+            propagator_factor(plan_S(SPEC), s_max=10.0, quad_pts=quad_pts)
 
     def test_apply_matches_direct_S(self):
         plan = plan_S(SPEC)
