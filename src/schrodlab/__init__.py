@@ -1,5 +1,5 @@
 """schrodlab: a numerical laboratory for conjugated Schrodinger multipliers,
-dispersive estimates, Birman-Schwinger contractions, CGO solutions, Born
+Strichartz estimates, Birman-Schwinger contractions, CGO solutions, Born
 reconstruction from initial-to-final-state data, and Bourgain-space
 embedding counterexamples."""
 

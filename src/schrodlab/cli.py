@@ -41,8 +41,8 @@ from .forward import evolve, integral_identity_check
 from .grid import GridSpec, save_field
 from .kernels import kernel_table
 from .reconstruction import reconstruct_potential
-from .reports import (COMMON, COUNT, EXPONENT, GRID, REQUIRED, ConfigError, EstimateReport,
-                      NoConvergence, config_hash, grid_spec, read, write_report)
+from .reports import (COMMON, COUNT, EXPONENT, GRID, NATURAL, REQUIRED, ConfigError,
+                      EstimateReport, NoConvergence, config_hash, grid_spec, read, write_report)
 from .symbols import NuVector
 
 EXIT_PASS = 0
@@ -254,7 +254,7 @@ def command(name: str, table):
 
 @command("verify-strichartz", sweep_table)
 def verify_strichartz(cfg, values, inputs):
-    """Measure nu-uniform Strichartz / gain / dispersive ratios."""
+    """Measure nu-uniform Strichartz / gain ratios."""
     report = sweep(cfg, values, inputs["spec"], inputs.get("pairs"))
     return f"{values['estimate']}_sweep", report, report.verdict in ("pass", "recorded"), {}
 
@@ -282,7 +282,7 @@ def kernel_table_cmd(cfg, values, inputs):
 
 
 @command("bs-norm-sweep", {**WITH_POTENTIAL, "nu_values": ([float], REQUIRED),
-                           "tol": (float, 1e-3), "seed": (int, 0)})
+                           "tol": (float, 1e-3), "seed": (NATURAL, 0)})
 def bs_norm_sweep(cfg, values, inputs):
     """Operator-norm decay of the sandwiched multiplier over nu."""
     report = bs_decay_sweep(inputs["V"], values["nu_values"], tol=values["tol"],
@@ -341,7 +341,7 @@ def forward_evolve(cfg, values, inputs):
 
 
 @command("identity-check", {**WITH_POTENTIAL, "T": (float, REQUIRED), "steps": (COUNT, 256),
-                            "trials": (COUNT, 3), "tol": (float, 1e-4), "seed": (int, 0)})
+                            "trials": (COUNT, 3), "tol": (float, 1e-4), "seed": (NATURAL, 0)})
 def identity_check(cfg, values, inputs):
     """Two-sided verification of the bilinear integral identity."""
     spec, V1 = inputs["spec"], inputs["V"]

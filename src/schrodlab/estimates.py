@@ -1,12 +1,11 @@
 """Sweep harness turning boundedness statements into measured ratio tables.
 
-Three ratios are measured:
+Two ratios are measured:
 
 * ``gain_ratio``: the |nu|-compensated hyperplane estimate
   ``|nu| sup_s ||S_nu f||_{L^2(R x H_s)} / int ||f(., ., s)|| ds``;
 * ``strichartz_ratio``: ``||S_nu f||_{q', r'} / ||f||_{q, r}`` for an
-  admissible pair (q, r);
-* ``dispersive_ratio``: ``|s|^{n/2} ||U_s phi||_inf / ||phi||_1``.
+  admissible pair (q, r).
 
 Acceptance asserts bounded (and nu-uniform) ratios under randomized
 sweeps, never specific constants.  The standard test family is a set of
@@ -22,9 +21,9 @@ import numpy as np
 
 from .birman_schwinger import plan_BS
 from .grid import Field, GridSpec, gaussian_packet, l2_norm, mixed_norm
-from .multipliers import MultiplierPlan, apply_plan, apply_U_s, plan_S_nu
-from .reports import (COMMON, EXPONENT, GRID, REQUIRED, ConfigError, EstimateReport,
-                      grid_spec, read)
+from .multipliers import MultiplierPlan, apply_plan, plan_S_nu
+from .reports import (COMMON, COUNT, EXPONENT, GRID, NATURAL, REQUIRED, ConfigError,
+                      EstimateReport, read)
 from .symbols import ExponentPair, NuVector
 
 logger = logging.getLogger(__name__)
@@ -32,9 +31,7 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "gain_ratio",
     "strichartz_ratio",
-    "dispersive_ratio",
     "standard_family",
-    "run_sweep",
     "sweep",
     "sweep_table",
     "read_pairs",
@@ -70,26 +67,14 @@ def gain_ratio(f: Field, plan: MultiplierPlan) -> float:
     return nu.magnitude * sup_u / integral_f
 
 
-def strichartz_ratio(f: Field, pair: ExponentPair, plan: MultiplierPlan) -> float:
-    """||S_nu f||_{q', r'} / ||f||_{q, r} for an admissible pair, with S_nu from ``plan``."""
+def strichartz_ratio(f: Field, Sf: Field, pair: ExponentPair) -> float:
+    """||S_nu f||_{q', r'} / ||f||_{q, r} for an admissible pair, with ``Sf`` = S_nu f."""
     if not pair.admissible:
         raise ValueError(f"pair {pair} is not admissible for n={pair.n}")
     if l2_norm(f) == 0.0:
         raise ValueError("strichartz_ratio rejects f = 0")
-    u = apply_plan(plan, f)
     dual = pair.dual_pair()
-    return mixed_norm(u, dual.q, dual.r) / mixed_norm(f, pair.q, pair.r)
-
-
-def dispersive_ratio(spec: GridSpec, phi: np.ndarray, s: float) -> float:
-    """``|s|^{n/2} ||U_s phi||_inf / ||phi||_1`` for a spatial slice."""
-    if s == 0.0:
-        raise ValueError("dispersive_ratio requires s != 0")
-    l1 = float(np.abs(phi).sum() * spec.dx**spec.n)
-    if l1 == 0.0:
-        raise ValueError("dispersive_ratio rejects phi = 0")
-    out = apply_U_s(spec, phi, s)
-    return abs(s) ** (spec.n / 2.0) * float(np.abs(out).max()) / l1
+    return mixed_norm(Sf, dual.q, dual.r) / mixed_norm(f, pair.q, pair.r)
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +138,12 @@ def standard_family(
 #: under another, and the nu_values and family defaults differ.
 SWEEP_TABLES = {
     name: {**COMMON, "grid": (GRID, REQUIRED), "estimate": ((name,), name),
-           "seed": (int, 0), "ceiling": (float, None), **keys}
+           "seed": (NATURAL, 0), "ceiling": (float, None), **keys}
     for name, keys in [
         ("strichartz", {"nu_values": ([float], [2, 4, 8, 16, 32, 64]),
-                        "pairs": ([[EXPONENT]], REQUIRED), "family": (int, 4)}),
-        ("gain", {"nu_values": ([float], [2, 4, 8, 16, 32]), "family": (int, 5),
+                        "pairs": ([[EXPONENT]], REQUIRED), "family": (COUNT, 4)}),
+        ("gain", {"nu_values": ([float], [2, 4, 8, 16, 32]), "family": (COUNT, 5),
                   "min_xi_n": (float, 1.0)}),
-        ("dispersive", {"s_values": ([float], [0.01, 0.1, 1.0, 10.0]),
-                        "width": (float, 0.25)}),
     ]
 }
 
@@ -185,22 +168,6 @@ def read_pairs(pairs: list, n: int) -> list[ExponentPair]:
             raise ConfigError(f"pairs: {entry!r} is not admissible for n = {n}")
         out.append(pair)
     return out
-
-
-def run_sweep(estimate: str, config: dict) -> EstimateReport:
-    """Run a named ratio sweep; deterministic given config['seed'].
-
-    Supported estimates: ``gain``, ``strichartz``, ``dispersive``.  The
-    config is read against the estimate's table in SWEEP_TABLES, and its
-    grid and pairs are checked, as the CLI does, so a bad key, grid or
-    pair raises ConfigError naming it.
-    """
-    if estimate not in SWEEP_TABLES:
-        raise ValueError(f"unknown estimate {estimate!r}")
-    values = read(config, SWEEP_TABLES[estimate])
-    spec = grid_spec(values["grid"])
-    pairs = read_pairs(values["pairs"], spec.n) if "pairs" in values else None
-    return sweep(config, values, spec, pairs)
 
 
 def sweep(config: dict, values: dict, spec: GridSpec,
@@ -230,30 +197,22 @@ def sweep(config: dict, values: dict, spec: GridSpec,
                 report.samples.append(
                     {"nu": float(mag), "field": k, "seed": seed, "ratio": ratio}
                 )
-    elif estimate == "strichartz":
-        fields = standard_family(spec, rng, values["family"])
-        for pair in pairs:
-            for mag in values["nu_values"]:
-                nu = NuVector.along_last_axis(mag, spec.n)
-                plan = plan_S_nu(spec, nu, offset_tau=True, offset_xin=False)
-                for k, f in enumerate(fields):
-                    ratio = strichartz_ratio(f, pair, plan)
-                    report.samples.append(
-                        {
-                            "pair": [str(pair.q), str(pair.r)],
-                            "nu": float(mag),
-                            "field": k,
-                            "seed": seed,
-                            "ratio": ratio,
-                        }
-                    )
     else:
-        width = values["width"] * spec.box_space
-        mesh = spec.spatial_mesh()
-        phi = np.exp(-sum(c**2 for c in mesh) / (2.0 * width**2)).astype(complex)
-        for s in values["s_values"]:
-            ratio = dispersive_ratio(spec, phi, s)
-            report.samples.append({"s": s, "seed": seed, "ratio": ratio})
+        # one S_nu apply per (nu, field): only the mixed norms differ between pairs,
+        # whose samples are emitted pair by pair
+        fields = standard_family(spec, rng, values["family"])
+        per_pair = [[] for _ in pairs]
+        for mag in values["nu_values"]:
+            nu = NuVector.along_last_axis(mag, spec.n)
+            plan = plan_S_nu(spec, nu, offset_tau=True, offset_xin=False)
+            for k, f in enumerate(fields):
+                u = apply_plan(plan, f)
+                for pair, samples in zip(pairs, per_pair):
+                    samples.append({"pair": [str(pair.q), str(pair.r)], "nu": float(mag),
+                                    "field": k, "seed": seed,
+                                    "ratio": strichartz_ratio(f, u, pair)})
+        for samples in per_pair:
+            report.samples.extend(samples)
 
     logger.info("%s sweep: %d samples, max ratio %s, verdict %s",
                 estimate, len(report.samples), report.max_ratio, report.verdict)

@@ -1,7 +1,7 @@
-"""Fourier multiplier operators: S, S_nu, U_s, and the mode-wise quadrature
-of the time-slice propagator representation of S.  The routes that apply S
-through that quadrature, whole or in dyadic pieces, are test oracles and
-live in tests/oracles.py.
+"""Fourier multiplier operators S and S_nu, and the mode-wise quadrature of
+the time-slice propagator representation of S over the U_s symbol.  The
+routes that apply S through that quadrature, whole or in dyadic pieces,
+are test oracles and live in tests/oracles.py.
 
 Characteristic-set policy
 -------------------------
@@ -22,10 +22,10 @@ The symbol of U_s is i sign(s) e^{i s |xi|^2} 1(s xi_n < 0) e^{s xi_n}.
 Since |xi|^2 = xi_1^2 + ... + xi_n^2 and the damping involves xi_n alone,
 it is exactly the product of one factor per spatial axis: e^{i s xi_j^2}
 for j < n, and i sign(s) 1(s xi_n < 0) e^{i s xi_n^2 + s xi_n} for the
-last.  :func:`u_s_multiplier` and the propagator node sum both build it so,
-through one helper: a column of k s-nodes costs k n pts_space complex exps
-instead of k pts_space^n.  The product of exps equals the exp of the sum
-up to rounding, so values move only in the last digits.
+last.  The propagator node sum builds it so: a column of k s-nodes costs
+k n pts_space complex exps instead of k pts_space^n.  The product of exps
+equals the exp of the sum up to rounding, so values move only in the last
+digits.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ __all__ = [
     "apply_plan",
     "apply_S",
     "apply_symbol",
-    "apply_U_s",
-    "u_s_multiplier",
     "propagator_factor",
 ]
 
@@ -251,20 +249,6 @@ def _u_s_block(s: np.ndarray, xi: list[np.ndarray]) -> np.ndarray:
     for axis in reversed(xi[:-1]):
         block = (np.exp(1j * s * axis**2)[:, :, None] * block[:, None, :]).reshape(len(s), -1)
     return block
-
-
-def u_s_multiplier(spec: GridSpec, s: float) -> np.ndarray:
-    """The spatial symbol i sign(s) e^{i s |xi|^2} 1(s xi_n < 0) e^{s xi_n}."""
-    if s == 0.0:
-        raise ValueError("U_s requires s != 0")
-    block = _u_s_block(np.array([float(s)]), [spec.xi_axis()] * spec.n)
-    return block.reshape((spec.pts_space,) * spec.n)
-
-
-def apply_U_s(spec: GridSpec, phi: np.ndarray, s: float) -> np.ndarray:
-    """Apply U_s to a spatial slice (plain ndarray of shape (pts_space,)*n)."""
-    coeffs = np.fft.fftn(phi, norm="ortho")
-    return np.fft.ifftn(coeffs * u_s_multiplier(spec, s), norm="ortho")
 
 
 # ---------------------------------------------------------------------------

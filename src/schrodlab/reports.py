@@ -5,10 +5,9 @@ to CSV.  Wall-clock data is kept out of the serialized payload so that
 rerunning a configuration with the same seed reproduces files byte for
 byte; runtimes are surfaced through logging instead.
 
-The config reader ``read`` lives here too: every command, and the sweep
-harness for library callers, reads its config whole against a table of
-key paths, kinds and defaults, and rejects what the table does not allow
-with the same ConfigError.
+The config reader ``read`` lives here too: every command reads its config
+whole against a table of key paths, kinds and defaults, and rejects what
+the table does not allow with the same ConfigError.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ logger = logging.getLogger(__name__)
 SCHEMA_VERSION = 1
 
 __all__ = ["EstimateReport", "report_to_json", "write_report", "config_hash",
-           "ConfigError", "NoConvergence", "read", "REQUIRED", "COUNT", "EXPONENT", "COMMON",
-           "GRID", "grid_spec"]
+           "ConfigError", "NoConvergence", "read", "REQUIRED", "COUNT", "NATURAL", "EXPONENT",
+           "COMMON", "GRID", "grid_spec"]
 
 
 class ConfigError(Exception):
@@ -42,6 +41,8 @@ class NoConvergence(RuntimeError):
 REQUIRED = object()
 #: Kind of an int >= 1.
 COUNT = "count"
+#: Kind of an int >= 0, such as an RNG seed.
+NATURAL = "natural"
 #: Kind of a Lebesgue exponent: a number or a string such as "4/3", checked where it is used.
 EXPONENT = "exponent"
 
@@ -65,14 +66,14 @@ def read(cfg: dict, table: dict, path: str = "") -> dict:
     """The values of ``cfg`` as ``table`` reads them, every default filled in.
 
     ``table`` maps each key to ``(kind, default)``; the kinds are ``int``,
-    ``float``, ``COUNT``, ``str``, ``EXPONENT``, a tuple of allowed
-    strings, a nested table, and ``[kind]``, a non-empty list of one of
-    these.  An absent or null key takes its default, read as the key is
+    ``float``, ``COUNT``, ``NATURAL``, ``str``, ``EXPONENT``, a tuple of
+    allowed strings, a nested table, and ``[kind]``, a non-empty list of
+    one of these.  An absent or null key takes its default, read as the key is
     (a nested table's default is ``{}``: its keys' defaults); ``REQUIRED``
     makes it required.  An unknown key at any depth, a missing required
     key and a value of the wrong kind raise ConfigError naming the key
-    path.  A number is never a YAML boolean, an int or a count is
-    integral, and a float is finite.
+    path.  A number is never a YAML boolean, an int, a count or a natural
+    is integral, and a float is finite.
     """
     unknown = sorted(str(k) for k in set(cfg) - set(table))
     if unknown:
@@ -125,7 +126,7 @@ def _convert(value, kind, here: str):
         if math.isfinite(x):
             return x
         raise ValueError("a finite float")
-    if not x.is_integer() or (kind is COUNT and x < 1):
+    if not x.is_integer() or (kind is COUNT and x < 1) or (kind is NATURAL and x < 0):
         raise ValueError(want)
     return value if isinstance(value, int) else int(x)
 

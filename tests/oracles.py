@@ -1,9 +1,9 @@
 """Independent routes to quantities the package computes, for the tests to check it against.
 
 Nothing in the package calls these: each one recomputes a result by another
-route (a dense matrix, the propagator quadrature, the full-grid rho family,
-the free propagator), or measures a bound the reports do not carry (the PDE
-residual, the |nu|^{1/4} local-smoothing ratio).  The tests import them with
+route (a dense matrix, the propagator quadrature, the full-grid rho family),
+or measures a bound the reports do not carry (the PDE residual, the
+|nu|^{1/4} local-smoothing ratio).  The tests import them with
 ``from oracles import ...``.
 """
 
@@ -66,15 +66,6 @@ def apply_S_dyadic(f: Field, j: int, plan: MultiplierPlan, quad_pts: int = 400) 
                          np.concatenate([weights, weights]))
     coeffs = plan.to_freq(f)
     return plan.from_freq(coeffs * factor)
-
-
-def free_dispersive_ratio(spec: GridSpec, phi: np.ndarray, s: float) -> float:
-    """``|s|^{n/2} ||e^{is|xi|^2} phi||_inf / ||phi||_1``: ``dispersive_ratio`` without
-    the damping factor of U_s, so a Gaussian's free evolution has a closed form."""
-    l1 = float(np.abs(phi).sum() * spec.dx**spec.n)
-    sq = sum(c**2 for c in spec.spatial_mesh(frequency=True))
-    out = np.fft.ifftn(np.fft.fftn(phi, norm="ortho") * np.exp(1j * s * sq), norm="ortho")
-    return abs(s) ** (spec.n / 2.0) * float(np.abs(out).max()) / l1
 
 
 # ---------------------------------------------------------------------------

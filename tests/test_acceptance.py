@@ -26,7 +26,7 @@ from schrodlab.counterexample import (
     build_loglog_trace,
     embedding_ratio_sweep,
 )
-from schrodlab.estimates import gain_ratio, run_sweep, standard_family, strichartz_ratio
+from schrodlab.estimates import SWEEP_TABLES, standard_family, strichartz_ratio, sweep
 from schrodlab.forward import integral_identity_check
 from schrodlab.grid import (
     Field,
@@ -37,11 +37,13 @@ from schrodlab.grid import (
 from schrodlab.kernels import eval_K_sigma, eval_K_sigma_quadrature
 from schrodlab.multipliers import (
     apply_S,
+    apply_plan,
     plan_S,
     plan_S_nu,
     propagator_factor,
 )
 from schrodlab.reconstruction import reconstruct_potential
+from schrodlab.reports import grid_spec, read
 from schrodlab.symbols import NuVector
 
 from oracles import dense_bs_matrix, equation_residual, local_smoothing_check
@@ -132,28 +134,31 @@ def test_04_strichartz_ratios_nu_uniform():
             for mag in (2.0, 8.0, 32.0, 64.0):
                 nu = NuVector([0.0] * (n - 1) + [mag])
                 plan = plan_S_nu(spec, nu)
-                ratios.extend(strichartz_ratio(f, pair, plan) for f in fields)
+                ratios.extend(strichartz_ratio(f, apply_plan(plan, f), pair) for f in fields)
             assert max(ratios) / min(ratios) <= 10.0
         # scaling invariance on one sample
         pair = ExponentPair(*plist[0], n)
         nu = NuVector([0.0] * (n - 1) + [8.0])
         plan = plan_S_nu(spec, nu)
-        r1 = strichartz_ratio(fields[0], pair, plan)
-        r2 = strichartz_ratio(fields[0] * 1e3, pair, plan)
+        f, g = fields[0], fields[0] * 1e3
+        r1 = strichartz_ratio(f, apply_plan(plan, f), pair)
+        r2 = strichartz_ratio(g, apply_plan(plan, g), pair)
         assert abs(r1 - r2) <= 1e-10 * r1
 
 
 def test_05_gain_estimate_compensated_ratio_bounded():
     """The |nu|-compensated hyperplane-trace ratio stays within a 3x
     spread across the nu sweep on the Gaussian family, n = 2."""
-    report = run_sweep("gain", {
+    config = {
         "grid": {"n": 2, "box_time": PI, "box_space": PI,
                  "pts_time": 32, "pts_space": 32},
         "seed": 7,
         "nu_values": [2, 4, 8, 16, 32, 64],
         "family": 5,
         "min_xi_n": 1.0,
-    })
+    }
+    values = read(config, SWEEP_TABLES["gain"])
+    report = sweep(config, values, grid_spec(values["grid"]), None)
     per_nu = {}
     for s in report.samples:
         per_nu.setdefault(s["nu"], []).append(s["ratio"])

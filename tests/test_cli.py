@@ -20,7 +20,7 @@ from schrodlab.cli import (
     load_config,
     main,
 )
-from schrodlab.estimates import SWEEP_TABLES
+from schrodlab.estimates import SWEEP_TABLES, sweep_table
 from schrodlab.grid import l2_norm, load_field, random_band_limited, save_field
 from schrodlab.reports import COMMON, GRID as GRID_TABLE, REQUIRED, EstimateReport, read
 
@@ -136,10 +136,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("estimate,key", [
         ("gain", "seed"), ("gain", "family"), ("gain", "min_xi_n"), ("gain", "ceiling"),
-        ("gain", "nu_values"), ("dispersive", "width"), ("dispersive", "s_values"),
+        ("gain", "nu_values"),
     ])
     def test_bool_sweep_key(self, runner, tmp_path, estimate, key):
-        # run_sweep reads its own keys with reports.number: YAML true is no number
+        # the sweep reads its own keys against its table: YAML true is no number
         value = "[true]" if key.endswith("values") else "true"
         cfg = write(tmp_path, "c.yaml", GRID + f"estimate: {estimate}\n{key}: {value}\n")
         res = runner.invoke(main, ["verify-strichartz", "--config", cfg,
@@ -169,7 +169,8 @@ class TestExitCodes:
         res = runner.invoke(main, ["verify-strichartz", "--config", cfg,
                                    "--output", str(tmp_path)])
         assert res.exit_code == EXIT_CONFIG
-        assert f"config key {key} has wrong type (want int)" in res.output
+        want = kind_name(SWEEP_TABLES["gain"][key][0])
+        assert f"config key {key} has wrong type (want {want})" in res.output
         assert not (tmp_path / "gain_sweep.json").exists()
 
     @pytest.mark.parametrize("pairs", ["[[3, 3]]", "[[1, 2, 3]]", "[4]", "[[0.5, 2]]"],
@@ -222,10 +223,14 @@ class TestExitCodes:
         ("identity-check", GRID + POTENTIAL + "T: 0.1\ntrials: 0\n", "trials"),
         ("forward-evolve", GRID + POTENTIAL + "T: 0.1\nsteps: 0\n", "steps"),
         ("forward-evolve", GRID + POTENTIAL + "T: 0.1\nsteps: -1\n", "steps"),
+        ("verify-strichartz", GRID + "estimate: gain\nfamily: -3\n", "family"),
+        ("verify-strichartz", GRID + "estimate: strichartz\npairs: [[1, 2]]\nfamily: 0\n",
+         "family"),
     ], ids=["bs-nu_values", "gain-nu_values", "pairs", "sigmas", "rho_values", "x.count",
-            "trials", "steps-0", "steps-negative"])
+            "trials", "steps-0", "steps-negative", "family-negative", "family-0"])
     def test_nothing_to_sweep(self, runner, tmp_path, command, text, key):
-        # an empty sweep passed vacuously with zero samples; steps <= 0 raised ValueError
+        # an empty sweep passed vacuously with zero samples; steps <= 0 raised ValueError;
+        # a family below 1 ran on the hard case alone and exited 0, echoing the value
         cfg = write(tmp_path, "c.yaml", text)
         res = runner.invoke(main, [command, "--config", cfg, "--output", str(tmp_path)])
         assert res.exit_code == EXIT_CONFIG
@@ -247,20 +252,23 @@ class TestExitCodes:
         ("bs-norm-sweep", GRID + "potential: {kind: gaussian, widht: 0.1}\nnu_values: [4]\n",
          "unknown config key: potential.widht"),
         ("verify-strichartz", GRID + "estimate: dispersive\nfamily: 2\n",
-         "unknown config key: family"),
+         "config key estimate has wrong type (want one of strichartz, gain)"),
         ("verify-strichartz", GRID + "estimate: strichartz\npairs: [[1, 2]]\nmin_xi_n: 1.0\n",
          "unknown config key: min_xi_n"),
+        ("verify-strichartz", GRID + "estimate: gain\npairs: [[1, 2]]\n",
+         "unknown config key: pairs"),
         ("kernel-table", "sigmas: [.inf]\n" + KERNEL_X,
          "config key sigmas has wrong type (want a finite float)"),
         ("kernel-table", "sigmas: [0.5]\nx: {min: .nan, max: 1.0, count: 3}\n",
          "config key x.min has wrong type (want a finite float)"),
     ], ids=["bool-sigma", "bool-nu", "str-sigma", "str-nu", "str-rho", "packet-scalar",
             "initial-scalar", "potential-typo", "family-dispersive", "min_xi_n-strichartz",
-            "inf-sigma", "nan-x.min"])
+            "pairs-gain", "inf-sigma", "nan-x.min"])
     @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
     def test_bad_value_named(self, runner, tmp_path, command, text, message, dry_run):
         # each ran on a wrong value, or ended in a traceback with exit 1 (an infinite sigma in
-        # "math domain error"); a NaN x.min wrote a failing report
+        # "math domain error"); a NaN x.min wrote a failing report; the dispersive estimate
+        # is gone, and its name is no estimate
         cfg = write(tmp_path, "c.yaml", text)
         res = runner.invoke(main, [command, "--config", cfg, "--output", str(tmp_path)]
                             + ["--dry-run"] * dry_run)
@@ -296,6 +304,9 @@ class TestExitCodes:
         ("grid", "bs-norm-sweep",
          GRID.replace("pts_time: 16", "pts_time: 12") + POTENTIAL + "nu_values: [4]\n",
          "grid: pts_time must be a power of two, got 12"),
+        ("grid-gain", "verify-strichartz",
+         GRID.replace("pts_time: 16", "pts_time: 12") + "estimate: gain\n",
+         "grid: pts_time must be a power of two, got 12"),
         ("pairs", "verify-strichartz", GRID + "estimate: strichartz\npairs: [[2, 3]]\n",
          "pairs: [2, 3] is not admissible for n = 2"),
         ("sigma-zero", "kernel-table", "sigmas: [0.0, 1.0]\n" + KERNEL_X,
@@ -327,6 +338,23 @@ class TestExitCodes:
                             + ["--dry-run"] * dry_run)
         assert res.exit_code == EXIT_CONFIG
         assert message in res.output
+        assert not list(tmp_path.glob("*.json"))
+
+    @pytest.mark.parametrize("command,text", [
+        ("verify-strichartz", GRID + "estimate: strichartz\npairs: [[1, 2]]\n"),
+        ("verify-strichartz", GRID + "estimate: gain\n"),
+        ("bs-norm-sweep", GRID + POTENTIAL + "nu_values: [4]\n"),
+        ("identity-check", GRID + POTENTIAL + "T: 0.1\n"),
+    ], ids=["strichartz", "gain", "bs-norm-sweep", "identity-check"])
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+    def test_negative_seed(self, runner, tmp_path, command, text, dry_run):
+        # np.random.default_rng raised ValueError, exit 1 as if a verdict had failed, and
+        # --dry-run exited 0
+        cfg = write(tmp_path, "c.yaml", text + "seed: -1\n")
+        res = runner.invoke(main, [command, "--config", cfg, "--output", str(tmp_path)]
+                            + ["--dry-run"] * dry_run)
+        assert res.exit_code == EXIT_CONFIG
+        assert "config key seed has wrong type (want natural), got seed: -1" in res.output
         assert not list(tmp_path.glob("*.json"))
 
     def test_nonconvergence_exit(self, runner, tmp_path):
@@ -422,6 +450,10 @@ class TestRunAllScript:
         assert {cmd for cmd, _ in self.RUNS} == set(main.commands)
         committed = {f"configs/{p.name}" for p in (ROOT / "configs").glob("*.yaml")}
         assert {cfg for _, cfg in self.RUNS} == committed
+        # and every estimate of verify-strichartz, so that none is left unrun
+        configs = [load_config(str(ROOT / cfg)) for cmd, cfg in self.RUNS
+                   if cmd == "verify-strichartz"]
+        assert {read(c, sweep_table(c))["estimate"] for c in configs} == set(SWEEP_TABLES)
 
     @pytest.mark.parametrize("command,config", RUNS)
     def test_dry_run(self, runner, command, config):

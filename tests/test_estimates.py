@@ -3,19 +3,13 @@
 import numpy as np
 import pytest
 
-from schrodlab.estimates import (
-    dispersive_ratio,
-    gain_ratio,
-    run_sweep,
-    standard_family,
-    strichartz_ratio,
-)
-from schrodlab.grid import Field, GridSpec, gaussian_packet
-from schrodlab.multipliers import plan_S, plan_S_nu
-from schrodlab.reports import ConfigError
+from schrodlab import estimates
+from schrodlab.cli import build_inputs
+from schrodlab.estimates import gain_ratio, standard_family, strichartz_ratio, sweep, sweep_table
+from schrodlab.grid import Field, GridSpec
+from schrodlab.multipliers import apply_plan, plan_S, plan_S_nu
+from schrodlab.reports import ConfigError, read
 from schrodlab.symbols import ExponentPair, NuVector
-
-from oracles import free_dispersive_ratio
 
 SPEC = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=16, pts_space=16)
 NU = NuVector([0.0, 8.0])
@@ -29,6 +23,13 @@ GRID_CFG = {"n": 2, "box_time": np.pi, "box_space": np.pi,
 def packet(seed=0):
     rng = np.random.default_rng(seed)
     return standard_family(SPEC, rng, count=1, min_xi_n=1.0)[0]
+
+
+def run(config):
+    """The sweep of ``config``, read and built as verify-strichartz reads and builds it."""
+    values = read(config, sweep_table(config))
+    inputs = build_inputs(values)
+    return sweep(config, values, inputs["spec"], inputs.get("pairs"))
 
 
 class TestRatios:
@@ -55,39 +56,20 @@ class TestRatios:
     def test_strichartz_scaling_invariance(self):
         pair = ExponentPair("4/3", "4/3", 2)
         f = packet(2)
-        assert strichartz_ratio(f, pair, STRICHARTZ_PLAN) == pytest.approx(
-            strichartz_ratio(f * 0.01, pair, STRICHARTZ_PLAN), rel=1e-12
+        g = f * 0.01
+        assert strichartz_ratio(f, apply_plan(STRICHARTZ_PLAN, f), pair) == pytest.approx(
+            strichartz_ratio(g, apply_plan(STRICHARTZ_PLAN, g), pair), rel=1e-12
         )
 
     def test_strichartz_rejects_inadmissible(self):
+        f = packet()
         with pytest.raises(ValueError):
-            strichartz_ratio(packet(), ExponentPair(2, 2, 2), STRICHARTZ_PLAN)
+            strichartz_ratio(f, apply_plan(STRICHARTZ_PLAN, f), ExponentPair(2, 2, 2))
 
-    def test_dispersive_oracle_gaussian(self):
-        # without the damping cutoff, the free evolution of a Gaussian has
-        # the closed form sup |u(s)| = (1 + (2s/w^2)^2)^{-n/4} sup|phi|,
-        # so the compensated ratio approaches (4 pi)^{-n/2} * (L1/L1) shape
-        # factor for s large; here we just pin the exact Gaussian value
-        w = 0.4
-        x = SPEC.x_axis()
-        mesh = np.meshgrid(x, x, indexing="ij")
-        phi = np.exp(-(mesh[0] ** 2 + mesh[1] ** 2) / (2 * w**2)).astype(complex)
-        s = 0.05
-        r = free_dispersive_ratio(SPEC, phi, s)
-        l1 = float(np.abs(phi).sum() * SPEC.dx**2)
-        spread = (1.0 + (2.0 * s / w**2) ** 2) ** (-2 / 4)
-        expected = abs(s) * spread / l1
-        assert r == pytest.approx(expected, rel=1e-3)
-
-    def test_dispersive_uniform_in_s(self):
-        # the compensated sup-norm ratio is bounded by the universal
-        # dispersive constant (4 pi)^{-n/2} ~ 0.0796 for n = 2
-        w = 0.4
-        x = SPEC.x_axis()
-        mesh = np.meshgrid(x, x, indexing="ij")
-        phi = np.exp(-(mesh[0] ** 2 + mesh[1] ** 2) / (2 * w**2)).astype(complex)
-        for s in (0.02, 0.1, 0.5, 2.0):
-            assert dispersive_ratio(SPEC, phi, s) <= (4 * np.pi) ** -1 * 1.05
+    def test_strichartz_rejects_zero_field(self):
+        zero = Field(SPEC, "physical", np.zeros(SPEC.shape, dtype=np.complex128))
+        with pytest.raises(ValueError, match="f = 0"):
+            strichartz_ratio(zero, zero, ExponentPair("4/3", "4/3", 2))
 
 
 class TestStandardFamily:
@@ -116,8 +98,9 @@ class TestStandardFamily:
 
 class TestSweeps:
     def test_gain_sweep_nu_uniform(self):
-        report = run_sweep("gain", {
-            "grid": GRID_CFG, "seed": 0, "nu_values": [4, 16, 64], "family": 3,
+        report = run({
+            "grid": GRID_CFG, "estimate": "gain", "seed": 0, "nu_values": [4, 16, 64],
+            "family": 3,
         })
         per_nu = {}
         for s in report.samples:
@@ -126,39 +109,59 @@ class TestSweeps:
         assert max(maxima) / min(maxima) < 1.5
 
     def test_strichartz_sweep_shape(self):
-        report = run_sweep("strichartz", {
+        report = run({
             "grid": GRID_CFG, "seed": 0, "nu_values": [4, 16],
             "pairs": [["4/3", "4/3"], [1, 2]], "family": 2,
         })
         assert len(report.samples) == 2 * 2 * 3  # pairs x nu x (2 random + hard)
         assert all(s["ratio"] > 0 for s in report.samples)
 
-    def test_dispersive_sweep(self):
-        report = run_sweep("dispersive", {
-            "grid": GRID_CFG, "seed": 0, "s_values": [0.05, 0.2, 1.0],
-        })
-        assert len(report.samples) == 3
+    def test_strichartz_sweep_applies_once_per_nu_and_field(self, monkeypatch):
+        # the pair loop sat outside the nu loop: one plan per (pair, nu) and one apply per
+        # (pair, nu, field), though only the mixed norms differ between pairs
+        counts = {"apply_plan": 0, "plan_S_nu": 0}
+
+        def counted(name):
+            real = getattr(estimates, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(estimates, name, counted(name))
+        nu_values, family = [4, 16], 2
+        pairs = [["4/3", "4/3"], [1, 2]]
+        report = run({"grid": GRID_CFG, "seed": 5, "nu_values": nu_values, "pairs": pairs,
+                      "family": family})
+        assert counts == {"apply_plan": len(nu_values) * (family + 1),
+                          "plan_S_nu": len(nu_values)}
+        monkeypatch.undo()
+        fields = standard_family(SPEC, np.random.default_rng(5), family)
+        expected = []
+        for q, r in pairs:  # pair-major, as the report lists them
+            pair = ExponentPair(q, r, SPEC.n)
+            for mag in nu_values:
+                plan = plan_S_nu(SPEC, NuVector.along_last_axis(mag, SPEC.n))
+                expected += [(str(pair.q), str(pair.r), float(mag), k,
+                              strichartz_ratio(f, apply_plan(plan, f), pair))
+                             for k, f in enumerate(fields)]
+        assert [(*s["pair"], s["nu"], s["field"], s["ratio"])
+                for s in report.samples] == expected
 
     def test_unknown_estimate(self):
-        with pytest.raises(ValueError):
-            run_sweep("nope", {"grid": GRID_CFG})
-
-    @pytest.mark.parametrize("extra", [
-        {"nu_value": [4]}, {"nu_values": []}, {"pairs": [[1, 2]]},
-        {"grid": {**GRID_CFG, "pts_time": 12}},
-    ], ids=["typo", "empty", "strichartz-key", "bad-grid"])
-    def test_library_config_read_as_cli(self, extra):
-        # library callers get the CLI's checks, not a silent default or a ValueError
-        with pytest.raises(ConfigError):
-            run_sweep("gain", {"grid": GRID_CFG, "nu_values": [4], "family": 1, **extra})
+        with pytest.raises(ConfigError, match="estimate"):
+            sweep_table({"grid": GRID_CFG, "estimate": "nope"})
 
     def test_sweep_deterministic(self):
-        cfg = {"grid": GRID_CFG, "seed": 3, "nu_values": [4, 8], "family": 2}
-        r1 = run_sweep("gain", cfg)
-        r2 = run_sweep("gain", cfg)
+        cfg = {"grid": GRID_CFG, "estimate": "gain", "seed": 3, "nu_values": [4, 8],
+               "family": 2}
+        r1 = run(cfg)
+        r2 = run(cfg)
         assert r1.samples == r2.samples
 
     def test_ceiling_sets_verdict(self):
-        cfg = {"grid": GRID_CFG, "seed": 0, "nu_values": [4], "family": 1,
-               "ceiling": 1e-9}
-        assert run_sweep("gain", cfg).verdict == "fail"
+        cfg = {"grid": GRID_CFG, "estimate": "gain", "seed": 0, "nu_values": [4],
+               "family": 1, "ceiling": 1e-9}
+        assert run(cfg).verdict == "fail"

@@ -6,8 +6,8 @@ any change to the JSON schema or CSV column set fails here first.
 
 import pathlib
 
-from schrodlab.estimates import run_sweep
-from schrodlab.reports import write_report
+from schrodlab.estimates import SWEEP_TABLES, sweep
+from schrodlab.reports import grid_spec, read, write_report
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -23,7 +23,8 @@ CONFIG = {
 
 
 def regenerate(tmp_path, fmt):
-    report = run_sweep("gain", CONFIG)
+    values = read(CONFIG, SWEEP_TABLES["gain"])
+    report = sweep(CONFIG, values, grid_spec(values["grid"]), None)
     out = tmp_path / f"gain_sweep.{fmt}"
     write_report(report, out, fmt)
     return out.read_bytes()

@@ -10,13 +10,11 @@ from schrodlab.grid import Field, GridSpec, l2_norm, random_band_limited, transf
 from schrodlab import multipliers
 from schrodlab.multipliers import (
     apply_S,
-    apply_U_s,
     apply_plan,
     apply_symbol,
     plan_S,
     plan_S_nu,
     propagator_factor,
-    u_s_multiplier,
 )
 from schrodlab.symbols import NuVector
 
@@ -131,24 +129,26 @@ class TestApply:
         assert gain <= 1.0 / np.abs(plan.symbol).min() + 1e-12
 
 
+def u_s_symbol(spec, s):
+    """The U_s symbol of one s on the spatial lattice, from the propagator's per-axis block."""
+    block = multipliers._u_s_block(np.array([float(s)]), [spec.xi_axis()] * spec.n)
+    return block.reshape((spec.pts_space,) * spec.n)
+
+
 class TestUs:
     def test_multiplier_damping_support(self):
-        mult = u_s_multiplier(SPEC, 0.7)
+        mult = u_s_symbol(SPEC, 0.7)
         xin = SPEC.xi_axis()
         # modes with s * xi_n >= 0 are annihilated
         dead = mult[..., xin >= 0]
         assert np.abs(dead).max() == 0.0
 
     def test_multiplier_magnitude(self):
-        mult = u_s_multiplier(SPEC, -0.5)
+        mult = u_s_symbol(SPEC, -0.5)
         xin = SPEC.xi_axis()
         live = xin > 0
         expected = np.exp(-0.5 * xin[live])
         assert np.abs(np.abs(mult[0, live]) - expected).max() < 1e-12
-
-    def test_s_zero_rejected(self):
-        with pytest.raises(ValueError):
-            u_s_multiplier(SPEC, 0.0)
 
     @pytest.mark.parametrize("s", [0.7, -2.5])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -158,15 +158,9 @@ class TestUs:
         xi = spec.spatial_mesh(frequency=True)
         damp = np.where(s * xi[-1] < 0.0, np.exp(s * xi[-1]), 0.0)
         direct = 1j * np.sign(s) * np.exp(1j * s * sum(c**2 for c in xi)) * damp
-        mult = u_s_multiplier(spec, s)
+        mult = u_s_symbol(spec, s)
         assert mult.shape == (8,) * n
         assert np.abs(mult - direct).max() <= 1e-13
-
-    def test_apply_U_s_contracts(self):
-        rng = np.random.default_rng(7)
-        phi = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        out = apply_U_s(SPEC, phi, 1.0)
-        assert np.linalg.norm(out) <= np.linalg.norm(phi)
 
 
 class TestPropagator:

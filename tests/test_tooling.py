@@ -40,7 +40,6 @@ def test_tracing_targets_resolve():
 #: scripts/ or bench/ calls, each kept for a reason.
 UNCALLED = {
     "boundary_mass_fraction": "the per-run manifest of ROADMAP item 4 is to call it",
-    "run_sweep": "the sweep harness's library entry; the acceptance and golden tests call it",
 }
 
 #: Scripts that no test and no run_all.sh line runs, each kept for a reason.
