@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Run every committed experiment configuration through the CLI.
+# Run every committed experiment configuration through the CLI of this
+# checkout (src/ first on PYTHONPATH; no installed entry point needed).
 # Reports land in out/ (override with $1).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 OUT="${1:-out}"
+export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
 
 run() {
     echo "== schrodlab $1 --config $2"
-    schrodlab "$1" --config "$2" --output "$OUT"
+    python3 -m schrodlab.cli "$1" --config "$2" --output "$OUT"
 }
 
 run verify-strichartz    configs/strichartz.yaml

@@ -26,7 +26,7 @@ from .grid import Field, GridSpec, l2_norm
 from .multipliers import MultiplierPlan, apply_plan, plan_S_nu
 from .parallel import run_two
 from .reports import EstimateReport
-from .symbols import NuVector, potential_pair_check
+from .symbols import potential_pair_check
 
 logger = logging.getLogger(__name__)
 
@@ -68,14 +68,11 @@ class Potential:
     pair: tuple
 
     def __post_init__(self):
-        if self.field.rep != "physical":
-            raise ValueError("Potential wants a physical-representation field")
         s, t = self.window
         if not s < t:
             raise ValueError("empty time window")
         a, b = self.pair
-        verdict, _ = potential_pair_check(a, b, self.field.spec.n)
-        if not verdict:
+        if not potential_pair_check(a, b, self.field.spec.n):
             raise ValueError(f"pair {self.pair} fails the admissibility relation "
                              f"2 - 2/a = n/b (n = {self.field.spec.n})")
 
@@ -98,7 +95,7 @@ class FactorW:
     @cached_property
     def magnitude(self) -> "FactorW":
         mag = np.abs(self.field.data).astype(complex)
-        return FactorW(Field(self.field.spec, "physical", mag))
+        return FactorW(Field(self.field.spec, mag))
 
 
 def build_W(V: Potential) -> FactorW:
@@ -107,7 +104,7 @@ def build_W(V: Potential) -> FactorW:
     mag = np.abs(data)
     with np.errstate(invalid="ignore", divide="ignore"):
         w = np.where(mag > 0.0, data / np.sqrt(np.where(mag > 0.0, mag, 1.0)), 0.0)
-    return FactorW(Field(V.field.spec, "physical", w.astype(complex)))
+    return FactorW(Field(V.field.spec, w.astype(complex)))
 
 
 def _time_window_mask(spec: GridSpec, window: tuple[float, float]) -> np.ndarray:
@@ -124,12 +121,14 @@ def gaussian_potential(
     pair: tuple = (2, 2),
 ) -> Potential:
     """Spatial Gaussian bump, constant in time inside the window."""
+    if not width > 0.0:
+        raise ValueError(f"width must be > 0, got {width}")
     if window is None:
         window = (-0.5 * spec.box_time, 0.5 * spec.box_time)
     mesh = spec.spatial_mesh()
     bump = amplitude * np.exp(-sum(c**2 for c in mesh) / (2.0 * width**2))
     data = _time_window_mask(spec, window) * bump[None]
-    f = Field(spec, "physical", data.astype(complex))
+    f = Field(spec, data.astype(complex))
     return Potential(f, window, radius=4.0 * width, pair=pair)
 
 
@@ -150,6 +149,8 @@ def cusp_potential(
     """
     if not 0.0 < alpha * spec.n < 2.0 * spec.n:
         raise ValueError("alpha out of the integrable range")
+    if not cutoff > 0.0:
+        raise ValueError(f"cutoff must be > 0, got {cutoff}")
     if window is None:
         window = (-0.5 * spec.box_time, 0.5 * spec.box_time)
     mesh = spec.spatial_mesh()
@@ -157,7 +158,7 @@ def cusp_potential(
     rad = np.maximum(rad, 0.25 * spec.dx)  # keep samples finite at the tip
     bump = amplitude * rad ** (-alpha) * (rad <= cutoff)
     data = _time_window_mask(spec, window) * bump[None]
-    f = Field(spec, "physical", data.astype(complex))
+    f = Field(spec, data.astype(complex))
     return Potential(f, window, radius=cutoff, pair=pair)
 
 
@@ -166,7 +167,7 @@ def cusp_potential(
 # ---------------------------------------------------------------------------
 
 
-def plan_BS(spec: GridSpec, nu: NuVector) -> MultiplierPlan:
+def plan_BS(spec: GridSpec, nu: float) -> MultiplierPlan:
     """The plan of S_nu in the sandwich and in the gain sweep: half-bin offsets in tau and xi_n.
 
     The xi_n offset keeps the lattice off the xi_n = 0 plane, whose symbol
@@ -188,9 +189,9 @@ def apply_BS(
     Every step runs in one buffer: ``out`` if given (it may be ``v.data``),
     else one fresh array; :class:`MultiplierPlan` states what ``out`` must be.
     """
-    inner = Field(v.spec, "physical", np.multiply(W2.field.data, v.data, out=out))
+    inner = Field(v.spec, np.multiply(W2.field.data, v.data, out=out))
     mid = apply_plan(plan, inner, out=inner.data).data
-    return Field(v.spec, "physical", np.multiply(W1.field.data, mid, out=mid))
+    return Field(v.spec, np.multiply(W1.field.data, mid, out=mid))
 
 
 def _adjoint_plan(plan: MultiplierPlan) -> MultiplierPlan:
@@ -213,9 +214,9 @@ def apply_BS_adjoint(
     ``adjoint_plan`` is the adjoint of apply_BS's plan (``plan.adjoint()``);
     ``out`` works as in :func:`apply_BS` (it may be ``u.data``).
     """
-    inner = Field(u.spec, "physical", np.multiply(W1.conj, u.data, out=out))
+    inner = Field(u.spec, np.multiply(W1.conj, u.data, out=out))
     mid = apply_plan(adjoint_plan, inner, out=inner.data).data
-    return Field(u.spec, "physical", np.multiply(W2.conj, mid, out=mid))
+    return Field(u.spec, np.multiply(W2.conj, mid, out=mid))
 
 
 def op_norm(
@@ -254,7 +255,7 @@ def op_norm(
         """Draw start ``s`` and its Av buffer; return its power iteration."""
         rng = np.random.default_rng(s)
         data = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
-        v = Field(spec, "physical", data)
+        v = Field(spec, data)
         return partial(iterate, v, np.empty_like(v.data))
 
     def iterate(v: Field, av_buf: np.ndarray) -> tuple[float, int, bool]:
@@ -314,8 +315,8 @@ def split_W(W: FactorW, lam: float, radius: float) -> tuple[FactorW, FactorW]:
     sharp = sharp + np.where(~inside, W.field.data, 0.0)
     flat = W.field.data - sharp
     return (
-        FactorW(Field(spec, "physical", sharp)),
-        FactorW(Field(spec, "physical", flat)),
+        FactorW(Field(spec, sharp)),
+        FactorW(Field(spec, flat)),
     )
 
 
@@ -346,9 +347,8 @@ def bs_decay_sweep(
                 "tol": tol, "seed": seed},
     )
     for mag in nu_list:
-        nu = NuVector.along_last_axis(mag, spec.n)
         lam = float(mag) ** 0.25
-        est, diag = op_norm(W, W, plan_BS(spec, nu), tol=tol, seed=seed)
+        est, diag = op_norm(W, W, plan_BS(spec, mag), tol=tol, seed=seed)
         sharp, flat = split_W(W, lam, V.radius)
         report.samples.append(
             {

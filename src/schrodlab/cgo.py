@@ -1,9 +1,9 @@
 """Complex-geometrical-optics solutions built from a contraction argument.
 
-The conjugated equation (i d_t + Laplacian + 2 nu . grad - V) u = 0 is
-solved as u = u_sharp + u_flat, where u_sharp is a free wave packet
-supported on the hyperplane orthogonal to nu (so the drift term vanishes
-on it), and the remainder is produced by a Neumann series for
+The conjugated equation (i d_t + Laplacian + 2 nu d_n - V) u = 0, with the
+drift nu e_n along the last axis, is solved as u = u_sharp + u_flat, where
+u_sharp is a free wave packet constant along x_n (so the drift term
+vanishes on it), and the remainder is produced by a Neumann series for
 
     (Id - M_W S_nu M_{|W|}) v = W u_sharp,        u_flat = S_nu (|W| v).
 
@@ -25,7 +25,6 @@ from .birman_schwinger import FactorW, Potential, apply_BS, build_W, op_norm, pl
 from .grid import Field, GridSpec, l2_norm
 from .multipliers import MultiplierPlan, apply_plan, apply_symbol
 from .reports import EstimateReport, NoConvergence
-from .symbols import NuVector
 
 logger = logging.getLogger(__name__)
 
@@ -49,20 +48,16 @@ class NotContractive(RuntimeError):
 
 @dataclass
 class WavePacket:
-    """Frequency samples psi on the hyperplane lattice orthogonal to nu.
+    """Frequency samples psi on the hyperplane lattice orthogonal to the drift nu e_n.
 
     ``psi`` has shape (pts_space,) * (n - 1), indexed by the fft-ordered
-    frequency lattice of the first n - 1 spatial axes; nu must be aligned
-    with the last axis so that the hyperplane is a lattice plane.
+    frequency lattice of the first n - 1 spatial axes.
     """
 
     psi: np.ndarray
-    nu: NuVector
+    nu: float
 
     def __post_init__(self):
-        # u_sharp is repeated along axis -1, so only that axis solves the equation
-        if self.nu.aligned_axis != self.nu.n - 1:
-            raise ValueError("wave packets require nu aligned with the last axis")
         self.psi = np.asarray(self.psi, dtype=complex)
 
     def norm(self, spec: GridSpec) -> float:
@@ -73,7 +68,7 @@ class WavePacket:
 
 def gaussian_packet_on_hyperplane(
     spec: GridSpec,
-    nu: NuVector,
+    nu: float,
     center: float = 0.0,
     width: float = 2.0,
 ) -> WavePacket:
@@ -120,7 +115,7 @@ def wave_packet_usharp(packet: WavePacket, spec: GridSpec) -> Field:
     data = np.repeat(
         (amp * spatial)[..., None], spec.pts_space, axis=-1
     )
-    return Field(spec, "physical", data)
+    return Field(spec, data)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +127,7 @@ def wave_packet_usharp(packet: WavePacket, spec: GridSpec) -> Field:
 class CgoSolution:
     """A constructed solution with its convergence diagnostics."""
 
-    nu: NuVector
+    nu: float
     usharp: Field
     v: Field
     uflat: Field
@@ -167,10 +162,10 @@ def solve_v_neumann(
         raise NoConvergence("power iteration starts disagree on the sandwich norm")
     if rho > rho_cap:
         raise NotContractive(f"sandwich norm {rho:.3f} exceeds cap {rho_cap}")
-    rhs = Field(spec, "physical", W.field.data * usharp.data)
+    rhs = Field(spec, W.field.data * usharp.data)
     rhs_norm = l2_norm(rhs)
     if rhs_norm == 0.0:
-        zero = Field(spec, "physical", np.zeros(spec.shape, complex))
+        zero = Field(spec, np.zeros(spec.shape, complex))
         return zero, {"rho": rho, "terms": 0, "op_norm_diag": diag}
     v = rhs.copy()
     term = rhs
@@ -185,7 +180,7 @@ def solve_v_neumann(
 
 def build_uflat(W: FactorW, v: Field, plan: MultiplierPlan) -> Field:
     """u_flat = S_nu (|W| v), with S_nu the plan of :func:`solve_v_neumann`."""
-    inner = Field(v.spec, "physical", W.magnitude.field.data * v.data)
+    inner = Field(v.spec, W.magnitude.field.data * v.data)
     return apply_plan(plan, inner)
 
 
@@ -199,7 +194,7 @@ def build_cgo(
 
     Residuals recorded: the fixed-point defect ||(Id - A)v - W u_sharp||,
     and the remainder-equation defect
-    ||(i d_t + Lap + 2 nu.grad) u_flat - V (u_sharp + u_flat)||_2,
+    ||(i d_t + Lap + 2 nu d_n) u_flat - V (u_sharp + u_flat)||_2,
     both normalized by ||W u_sharp||_2.
     """
     spec = V.field.spec
@@ -210,13 +205,13 @@ def build_cgo(
     v, diag = solve_v_neumann(W, usharp, plan, tol=tol, rho_cap=rho_cap)
     uflat = build_uflat(W, v, plan)
 
-    rhs = Field(spec, "physical", W.field.data * usharp.data)
+    rhs = Field(spec, W.field.data * usharp.data)
     defect = v - apply_BS(v, W, W.magnitude, plan) - rhs
     rhs_norm = l2_norm(rhs)
     scale = rhs_norm if rhs_norm > 0.0 else 1.0
 
     applied = apply_symbol(plan, uflat)
-    forcing = Field(spec, "physical", V.field.data * (usharp.data + uflat.data))
+    forcing = Field(spec, V.field.data * (usharp.data + uflat.data))
     eq_defect = l2_norm(applied - forcing) / scale
 
     sol = CgoSolution(
@@ -233,8 +228,8 @@ def build_cgo(
         },
     )
     logger.info(
-        "cgo solve |nu|=%g: rho=%.3f terms=%d fixed-point %.2e equation %.2e",
-        nu.magnitude, sol.rho, sol.terms,
+        "cgo solve nu=%g: rho=%.3f terms=%d fixed-point %.2e equation %.2e",
+        nu, sol.rho, sol.terms,
         sol.residuals["fixed_point"], sol.residuals["remainder_equation"],
     )
     return sol
@@ -260,12 +255,11 @@ def remainder_decay_sweep(
     )
     W = build_W(V)
     for mag in nu_list:
-        nu = NuVector.along_last_axis(mag, spec.n)
-        packet = gaussian_packet_on_hyperplane(spec, nu)
+        packet = gaussian_packet_on_hyperplane(spec, mag)
         psi_norm = packet.norm(spec)
         sol = build_cgo(V, packet, tol=tol)
-        wflat = l2_norm(Field(spec, "physical", W.field.data * sol.uflat.data))
-        wsharp = l2_norm(Field(spec, "physical", W.field.data * sol.usharp.data))
+        wflat = l2_norm(Field(spec, W.field.data * sol.uflat.data))
+        wsharp = l2_norm(Field(spec, W.field.data * sol.usharp.data))
         report.samples.append(
             {
                 "nu": float(mag),

@@ -39,11 +39,10 @@ from .counterexample import (
 from .estimates import read_pairs, sweep, sweep_table
 from .forward import evolve, integral_identity_check
 from .grid import GridSpec, save_field
-from .kernels import kernel_table
+from .kernels import eval_K_sigma, eval_K_sigma_quadrature
 from .reconstruction import reconstruct_potential
 from .reports import (COMMON, COUNT, EXPONENT, GRID, NATURAL, REQUIRED, ConfigError,
                       EstimateReport, NoConvergence, config_hash, grid_spec, read, write_report)
-from .symbols import NuVector
 
 EXIT_PASS = 0
 EXIT_VERDICT = 1
@@ -131,10 +130,19 @@ def build_inputs(values: dict) -> dict:
     Every check made after reading is made here, so ``--dry-run`` makes
     it too: ``spec`` is the ``grid``, ``V`` the ``potential``, ``f`` the
     ``initial`` state, ``pairs`` the admissible Strichartz pairs and
-    ``trace`` the counterexample trace of ``trace_points`` points; no
-    kernel parameter in ``sigmas`` is 0, and ``rho_values`` holds at least
-    two rho, each positive with a finite family speed.
+    ``trace`` the counterexample trace of ``trace_points`` points; every
+    drift in ``nu`` or ``nu_values`` and the ``initial`` and ``packet``
+    widths are positive, no kernel parameter in ``sigmas`` is 0, and
+    ``rho_values`` holds at least two rho, each positive with a finite
+    family speed.
     """
+    for key in ("nu", "nu_values"):
+        for nu in np.ravel(values.get(key, [])):
+            if not nu > 0.0:
+                raise ConfigError(f"{key}: nu must be > 0, got {nu}")
+    for block in ("initial", "packet"):
+        if block in values and not values[block]["width"] > 0.0:
+            raise ConfigError(f"{block}.width: width must be > 0, got {values[block]['width']}")
     inputs = {}
     if "grid" in values:
         inputs["spec"] = grid_spec(values["grid"])
@@ -271,13 +279,13 @@ def kernel_table_cmd(cfg, values, inputs):
         estimate="kernel_table", grid={}, params={"sigmas": cfg["sigmas"], "tol": tol},
         ceiling=tol,
     )
-    table = kernel_table(values["sigmas"], np.linspace(x["min"], x["max"], x["count"]))
-    for closed, quad in zip(table[::2], table[1::2]):
-        report.samples.append({
-            "sigma": float(closed.parameter[0]), "x": float(closed.argument), "seed": 0,
-            "closed": closed.value.real, "quadrature": quad.value.real,
-            "ratio": abs(closed.value - quad.value),
-        })
+    xs = np.linspace(x["min"], x["max"], x["count"])
+    for sigma in values["sigmas"]:  # one vectorized quadrature per sigma
+        for point, quad in zip(xs, eval_K_sigma_quadrature(sigma, xs).tolist()):
+            closed = eval_K_sigma(sigma, point)
+            report.samples.append({"sigma": float(sigma), "x": float(point), "seed": 0,
+                                   "closed": closed, "quadrature": quad,
+                                   "ratio": abs(closed - quad)})
     return "kernel_table", report, report.verdict == "pass", {}
 
 
@@ -295,7 +303,8 @@ def bs_norm_sweep(cfg, values, inputs):
     if len(ratios) < 2:  # one nu compares nothing; it records, and exits 0
         decay = "not_compared"
     else:
-        decay = "pass" if ratios[-1] <= 0.5 * ratios[0] else "fail"
+        # a zero norm at the first nu (a zero potential) shows no decay
+        decay = "pass" if 0.0 < ratios[0] and ratios[-1] <= 0.5 * ratios[0] else "fail"
     report.params["decay_verdict"] = decay
     return "bs_norm_sweep", report, decay != "fail", {}
 
@@ -306,14 +315,13 @@ def bs_norm_sweep(cfg, values, inputs):
 def cgo_build(cfg, values, inputs):
     """Construct a CGO solution and record its diagnostics."""
     spec, V = inputs["spec"], inputs["V"]
-    nu_mag, tol, p = values["nu"], values["tol"], values["packet"]
-    packet = gaussian_packet_on_hyperplane(spec, NuVector.along_last_axis(nu_mag, spec.n),
-                                           center=p["center"], width=p["width"])
+    nu, tol, p = values["nu"], values["tol"], values["packet"]
+    packet = gaussian_packet_on_hyperplane(spec, nu, center=p["center"], width=p["width"])
     sol = build_cgo(V, packet, tol=tol, rho_cap=values["rho_cap"])
     report = EstimateReport(
         estimate="cgo_build",
         grid=dict(cfg["grid"]),
-        params={"nu": nu_mag, "tol": tol, "packet": dict(cfg.get("packet") or {}),
+        params={"nu": nu, "tol": tol, "packet": dict(cfg.get("packet") or {}),
                 "rho": sol.rho, "terms": sol.terms},
         ceiling=tol,
     )

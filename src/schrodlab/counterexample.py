@@ -35,7 +35,6 @@ import numpy as np
 from .grid import Field
 from .multipliers import plan_S, plan_S_nu
 from .reports import EstimateReport
-from .symbols import NuVector
 
 logger = logging.getLogger(__name__)
 
@@ -390,7 +389,7 @@ class RhoFamilyMember:
 def bourgain_norm(
     u: Field,
     weight: str = "homogeneous",
-    nu: NuVector | None = None,
+    nu: float | None = None,
     rho: float | None = None,
 ) -> float:
     """Weighted L^2 norm of the space-time Fourier transform.

@@ -24,7 +24,7 @@ from .grid import Field, GridSpec, gaussian_packet, l2_norm, mixed_norm
 from .multipliers import MultiplierPlan, apply_plan, plan_S_nu
 from .reports import (COMMON, COUNT, EXPONENT, GRID, NATURAL, REQUIRED, ConfigError,
                       EstimateReport, read)
-from .symbols import ExponentPair, NuVector
+from .symbols import ExponentPair, conjugate_exponent
 
 logger = logging.getLogger(__name__)
 
@@ -42,15 +42,12 @@ __all__ = [
 def gain_ratio(f: Field, plan: MultiplierPlan) -> float:
     """|nu|-compensated hyperplane-trace ratio for the S_nu of ``plan``.
 
-    Requires a plan of S_nu with axis-aligned nu (hyperplanes are lattice
-    planes).  The ratio is invariant under f -> c f.
+    The hyperplanes are the lattice planes x_n = s orthogonal to the drift.
+    The ratio is invariant under f -> c f.
     """
     nu = plan.nu
     if nu is None:
         raise ValueError("gain_ratio requires a plan of S_nu, which carries nu")
-    axis = nu.aligned_axis
-    if axis is None:
-        raise ValueError("gain_ratio requires an axis-aligned nu")
     if l2_norm(f) == 0.0:
         raise ValueError("gain_ratio rejects f = 0")
     u = apply_plan(plan, f)
@@ -58,13 +55,13 @@ def gain_ratio(f: Field, plan: MultiplierPlan) -> float:
     weight = spec.dt * spec.dx ** (spec.n - 1)
     # slab L^2 norms over time x hyperplane, per lattice plane s
     def slab_norms(g: Field) -> np.ndarray:
-        moved = np.moveaxis(g.data, 1 + axis, 0)
+        moved = np.moveaxis(g.data, -1, 0)
         flat = moved.reshape(spec.pts_space, -1)
         return np.sqrt((np.abs(flat) ** 2).sum(axis=1) * weight)
 
     sup_u = float(slab_norms(u).max())
     integral_f = float(slab_norms(f).sum() * spec.dx)
-    return nu.magnitude * sup_u / integral_f
+    return abs(nu) * sup_u / integral_f
 
 
 def strichartz_ratio(f: Field, Sf: Field, pair: ExponentPair) -> float:
@@ -73,8 +70,8 @@ def strichartz_ratio(f: Field, Sf: Field, pair: ExponentPair) -> float:
         raise ValueError(f"pair {pair} is not admissible for n={pair.n}")
     if l2_norm(f) == 0.0:
         raise ValueError("strichartz_ratio rejects f = 0")
-    dual = pair.dual_pair()
-    return mixed_norm(Sf, dual.q, dual.r) / mixed_norm(f, pair.q, pair.r)
+    q_dual, r_dual = conjugate_exponent(pair.q), conjugate_exponent(pair.r)
+    return mixed_norm(Sf, q_dual, r_dual) / mixed_norm(f, pair.q, pair.r)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +188,7 @@ def sweep(config: dict, values: dict, spec: GridSpec,
     if estimate == "gain":
         fields = standard_family(spec, rng, values["family"], min_xi_n=values["min_xi_n"])
         for mag in values["nu_values"]:
-            plan = plan_BS(spec, NuVector.along_last_axis(mag, spec.n))
+            plan = plan_BS(spec, mag)
             for k, f in enumerate(fields):
                 ratio = gain_ratio(f, plan)
                 report.samples.append(
@@ -203,8 +200,7 @@ def sweep(config: dict, values: dict, spec: GridSpec,
         fields = standard_family(spec, rng, values["family"])
         per_pair = [[] for _ in pairs]
         for mag in values["nu_values"]:
-            nu = NuVector.along_last_axis(mag, spec.n)
-            plan = plan_S_nu(spec, nu, offset_tau=True, offset_xin=False)
+            plan = plan_S_nu(spec, mag, offset_tau=True, offset_xin=False)
             for k, f in enumerate(fields):
                 u = apply_plan(plan, f)
                 for pair, samples in zip(pairs, per_pair):

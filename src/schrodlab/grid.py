@@ -1,4 +1,4 @@
-"""Space-time lattice, fields, transforms, and norms.
+"""Space-time lattice, fields and norms.
 
 The ambient domain R x R^n (n in {1, 2, 3}) is discretized as a periodic
 truncated lattice: the time axis covers [-box_time, box_time) with pts_time
@@ -9,9 +9,9 @@ configurations are expected to keep field mass away from the boundary (see
 
 Design notes
 ------------
-* The discrete Fourier transform is unitary (norm="ortho"), so Plancherel
-  holds without quadrature weights; weights enter only in the norm
-  operations.
+* A field holds physical samples; the multiplier plans take its unitary
+  DFT (norm="ortho"), so Plancherel holds without quadrature weights and
+  weights enter only in the norm operations.
 * Infinity exponents are computed as lattice maxima.
 * Fields serialize to a small binary container (little-endian header plus
   interleaved re/im doubles).
@@ -31,7 +31,6 @@ from .symbols import as_exponent
 __all__ = [
     "GridSpec",
     "Field",
-    "transform",
     "mixed_norm",
     "hyperplane_norm",
     "l2_norm",
@@ -45,9 +44,6 @@ __all__ = [
 ]
 
 _MAGIC = b"SLF1"
-
-PHYSICAL = "physical"
-FREQUENCY = "frequency"
 
 
 @dataclass(frozen=True)
@@ -166,19 +162,12 @@ class GridSpec:
 
 @dataclass
 class Field:
-    """A complex-valued sampled function on a :class:`GridSpec` lattice.
-
-    ``rep`` records whether ``data`` holds physical samples or unitary-DFT
-    coefficients; it flips only through :func:`transform`.
-    """
+    """Physical samples of a complex-valued function on a :class:`GridSpec` lattice."""
 
     spec: GridSpec
-    rep: str
     data: np.ndarray
 
     def __post_init__(self):
-        if self.rep not in (PHYSICAL, FREQUENCY):
-            raise ValueError(f"rep must be physical|frequency, got {self.rep!r}")
         self.data = np.ascontiguousarray(self.data, dtype=np.complex128)
         if self.data.shape != self.spec.shape:
             raise ValueError(
@@ -186,18 +175,18 @@ class Field:
             )
 
     def copy(self) -> "Field":
-        return Field(self.spec, self.rep, self.data.copy())
+        return Field(self.spec, self.data.copy())
 
     def __add__(self, other: "Field") -> "Field":
         _check_compatible(self, other)
-        return Field(self.spec, self.rep, self.data + other.data)
+        return Field(self.spec, self.data + other.data)
 
     def __sub__(self, other: "Field") -> "Field":
         _check_compatible(self, other)
-        return Field(self.spec, self.rep, self.data - other.data)
+        return Field(self.spec, self.data - other.data)
 
     def __mul__(self, scalar) -> "Field":
-        return Field(self.spec, self.rep, self.data * scalar)
+        return Field(self.spec, self.data * scalar)
 
     __rmul__ = __mul__
 
@@ -205,35 +194,11 @@ class Field:
 def _check_compatible(a: Field, b: Field) -> None:
     if a.spec != b.spec:
         raise ValueError("field grids do not match")
-    if a.rep != b.rep:
-        raise ValueError(f"field representations differ: {a.rep} vs {b.rep}")
 
 
 # ---------------------------------------------------------------------------
-# transforms and norms
+# norms
 # ---------------------------------------------------------------------------
-
-
-def transform(f: Field, direction: str = "forward") -> Field:
-    """Unitary DFT between physical and frequency representations.
-
-    ``forward`` maps physical -> frequency, ``inverse`` the other way; the
-    round trip is the identity to rounding and Plancherel holds exactly up
-    to rounding.
-    """
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"direction must be forward|inverse, got {direction!r}")
-    if np.isnan(f.data).any():
-        raise ValueError("field contains NaN")
-    if direction == "forward":
-        if f.rep != PHYSICAL:
-            raise ValueError("forward transform expects a physical-rep field")
-        out = np.fft.fftn(f.data, norm="ortho")
-        return Field(f.spec, FREQUENCY, out)
-    if f.rep != FREQUENCY:
-        raise ValueError("inverse transform expects a frequency-rep field")
-    out = np.fft.ifftn(f.data, norm="ortho")
-    return Field(f.spec, PHYSICAL, out)
 
 
 def l2_norm(f: Field) -> float:
@@ -253,8 +218,6 @@ def mixed_norm(f: Field, q, r) -> float:
     Infinity exponents are lattice maxima.  ``q``/``r`` may be ints, floats,
     Fractions, or infinity.
     """
-    if f.rep != PHYSICAL:
-        raise ValueError("mixed_norm expects a physical-rep field")
     if np.isnan(f.data).any():
         raise ValueError("field contains NaN")
     qv = float(as_exponent(q))
@@ -278,8 +241,6 @@ def hyperplane_norm(f: Field, axis: int, s: float) -> float:
     ``s`` is snapped to the nearest lattice plane.  For n = 1 the hyperplane
     is a point and the result is the time-line L^2 norm.
     """
-    if f.rep != PHYSICAL:
-        raise ValueError("hyperplane_norm expects a physical-rep field")
     spec = f.spec
     if not 0 <= axis < spec.n:
         raise ValueError(f"axis {axis} out of range for n={spec.n}")
@@ -295,8 +256,6 @@ def boundary_mass_fraction(f: Field, margin: float = 0.1) -> float:
     Used to check the periodic-truncation policy (mass near the boundary
     should stay below the configured tolerance).
     """
-    if f.rep != PHYSICAL:
-        raise ValueError("boundary_mass_fraction expects a physical-rep field")
     spec = f.spec
     x = spec.x_axis()
     interior = np.abs(x) <= (1.0 - margin) * spec.box_space
@@ -343,7 +302,7 @@ def gaussian_packet(
             -((x - center_x[j]) ** 2) / (2.0 * width_x**2) + 1j * mod_xi[j] * x
         )
         out = out * fac.reshape(shape)
-    return Field(spec, PHYSICAL, out)
+    return Field(spec, out)
 
 
 def random_band_limited(
@@ -368,7 +327,7 @@ def random_band_limited(
     m = int(mask.sum())
     vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     coeffs[mask] = vals
-    return transform(Field(spec, FREQUENCY, coeffs), "inverse")
+    return Field(spec, np.fft.ifftn(coeffs, norm="ortho"))
 
 
 # ---------------------------------------------------------------------------
@@ -388,24 +347,26 @@ def field_to_bytes(f: Field) -> bytes:
         spec.pts_space,
         spec.box_time,
         spec.box_space,
-        0 if f.rep == PHYSICAL else 1,
+        0,  # representation flag: physical samples
     )
     payload = np.ascontiguousarray(f.data, dtype="<c16").tobytes()
     return head + payload
 
 
 def field_from_bytes(buf: bytes) -> Field:
-    magic, version, n, pts_time, pts_space, box_time, box_space, repflag = (
+    magic, version, n, pts_time, pts_space, box_time, box_space, rep_flag = (
         _HEADER.unpack_from(buf)
     )
     if magic != _MAGIC:
         raise ValueError("not a field container (bad magic)")
     if version != 1:
         raise ValueError(f"unsupported container version {version}")
+    if rep_flag != 0:
+        raise ValueError(f"field container holds no physical samples (flag {rep_flag})")
     spec = GridSpec(n, box_time, box_space, pts_time, pts_space)
     data = np.frombuffer(buf, dtype="<c16", offset=_HEADER.size)
     data = data.reshape(spec.shape).astype(np.complex128)
-    return Field(spec, PHYSICAL if repflag == 0 else FREQUENCY, data)
+    return Field(spec, data)
 
 
 def save_field(f: Field, path) -> None:

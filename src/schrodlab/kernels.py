@@ -19,7 +19,6 @@ quadrature/closed-form agreement this convention guarantees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -27,10 +26,8 @@ import numpy as np
 from .reports import NoConvergence
 
 __all__ = [
-    "KernelSample",
     "eval_K_sigma",
     "eval_K_sigma_quadrature",
-    "kernel_table",
 ]
 
 # absolute tolerance of the quadrature: an error estimate above 100 * _TOL raises
@@ -45,16 +42,6 @@ _PANEL_PHASE = 10.0
 _S_LEVELS = 53
 # largest number of terms in one e^{-i x eta} block
 _CHUNK = 1 << 20
-
-
-@dataclass(frozen=True)
-class KernelSample:
-    """One kernel evaluation with provenance."""
-
-    parameter: tuple
-    argument: float
-    value: complex
-    method: str  # "closed_form" | "quadrature"
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +71,11 @@ def _k_sigma(sigma: float, x: float) -> float:
     return -math.exp(-(m - 1.0) * x / 2.0) / m
 
 
-def eval_K_sigma(sigma: float, x: float) -> KernelSample:
+def eval_K_sigma(sigma: float, x: float) -> float:
     """Closed-form K_sigma; sigma = 0 is rejected, sigma = 1/4 by limit."""
     if sigma == 0.0:
         raise ValueError("K_sigma is undefined at sigma = 0")
-    return KernelSample((sigma,), x, complex(_k_sigma(float(sigma), float(x))), "closed_form")
+    return _k_sigma(float(sigma), float(x))
 
 
 def eval_K_sigma_quadrature(sigma: float, xs) -> np.ndarray:
@@ -205,22 +192,3 @@ def _fourier_rule(h: float, offset: float, weight) -> tuple[np.ndarray, np.ndarr
     y = m * phi
     return y, m * h * dphi * weight(y)
 
-
-# ---------------------------------------------------------------------------
-# table export
-# ---------------------------------------------------------------------------
-
-
-def kernel_table(sigmas, xs) -> list[KernelSample]:
-    """Evaluate K_sigma over a (sigma, x) grid for the CSV export.
-
-    Each point contributes two consecutive samples: the closed form, then
-    the quadrature (one vectorized call per sigma).
-    """
-    out: list[KernelSample] = []
-    for sigma in sigmas:
-        quad = eval_K_sigma_quadrature(sigma, xs)
-        for x, q in zip(xs, quad):
-            out += [eval_K_sigma(sigma, x),
-                    KernelSample((float(sigma),), float(x), complex(q), "quadrature")]
-    return out

@@ -9,7 +9,7 @@ The reciprocal symbols 1/p and 1/p_nu are singular on the characteristic
 sets Gamma = {p = 0} and Gamma_nu = {p_nu = 0}.  Frequency lattices are
 offset by half a spacing (in xi_n for the normalized symbol, in tau for the
 conjugated one, both switchable per plan) so exact lattice zeros are
-avoided for generic drift vectors; residual near-zeros below the symbol
+avoided for generic drifts nu; residual near-zeros below the symbol
 floor are zeroed and counted, never silently discarded.
 
 The offset lattice is realized by modulation: a half-bin frequency shift
@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import PHYSICAL, Field, GridSpec
-from .symbols import NuVector, eval_p, eval_p_nu
+from .grid import Field, GridSpec
+from .symbols import eval_p, eval_p_nu
 
 __all__ = [
     "MultiplierPlan",
@@ -104,7 +104,7 @@ class MultiplierPlan:
     symbol: np.ndarray | None
     tau_offset: float
     xi_n_offset: float
-    nu: NuVector | None = None
+    nu: float | None = None
     # derived
     eps_floor: float = field(init=False)
     dropped: np.ndarray = field(init=False)
@@ -148,8 +148,6 @@ class MultiplierPlan:
 
     def to_freq(self, f: Field, out: np.ndarray | None = None) -> np.ndarray:
         """Coefficients of f on this plan's (offset) frequency lattice."""
-        if f.rep != PHYSICAL:
-            raise ValueError("plan transforms expect a physical-rep field")
         if out is None:
             out = np.empty_like(f.data)
         data = f.data
@@ -166,7 +164,7 @@ class MultiplierPlan:
                 np.multiply(self.demodulation, data, out=data)
             else:
                 np.multiply(data, self.demodulation, out=data)
-        return Field(self.spec, PHYSICAL, data)
+        return Field(self.spec, data)
 
 
 def plan_S(
@@ -184,11 +182,11 @@ def plan_S(
 
 def plan_S_nu(
     spec: GridSpec,
-    nu: NuVector,
+    nu: float,
     offset_tau: bool = True,
     offset_xin: bool = False,
 ) -> MultiplierPlan:
-    """Plan for the conjugated multiplier with symbol -tau - |xi|^2 + 2 i nu.xi."""
+    """Plan for the conjugated multiplier with symbol -tau - |xi|^2 + 2 i nu xi_n."""
     tau_off = 0.5 * spec.dtau if offset_tau else 0.0
     xin_off = 0.5 * spec.dxi if offset_xin else 0.0
     tau, *xi = spec.meshgrid_freq(tau_off, xin_off)
@@ -215,7 +213,7 @@ def apply_plan(plan: MultiplierPlan, f: Field, out: np.ndarray | None = None) ->
 def apply_symbol(plan: MultiplierPlan, f: Field) -> Field:
     """Apply the symbol itself: the differential operator on the offset lattice.
 
-    For the conjugated plan this is (i d_t + Laplacian + 2 nu . grad) applied
+    For the conjugated plan this is (i d_t + Laplacian + 2 nu d_n) applied
     spectrally; composing with :func:`apply_plan` is the identity on
     retained modes.
     """

@@ -15,7 +15,6 @@ from schrodlab.grid import Field, GridSpec
 from schrodlab.multipliers import (MultiplierPlan, _gauss_legendre_panels, _s_node_sum,
                                    propagator_factor)
 from schrodlab.reports import EstimateReport
-from schrodlab.symbols import NuVector
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +81,7 @@ def dense_bs_matrix(W1: FactorW, W2: FactorW, plan: MultiplierPlan) -> np.ndarra
     for k in range(spec.total_points):
         e = np.zeros(spec.total_points, dtype=complex)
         e[k] = 1.0
-        v = Field(spec, "physical", e.reshape(spec.shape))
+        v = Field(spec, e.reshape(spec.shape))
         cols.append(apply_BS(v, W1, W2, plan).data.ravel())
     return np.array(cols).T
 
@@ -124,7 +123,7 @@ def build_u_rho(rho: float, trace: LogLogTrace, spec: GridSpec) -> Field:
     ball = sum((c - cc) ** 2 for c, cc in zip(xis, center)) < rho**2
     fhat = rho ** (-n / 2.0) * ball
     uhat = gfac * fhat
-    return Field(spec, "frequency", uhat.astype(complex))
+    return Field(spec, np.fft.ifftn(uhat.astype(complex), norm="ortho"))
 
 
 def local_smoothing_check(fields, nu_list, T: float, R: float) -> EstimateReport:
@@ -149,11 +148,10 @@ def local_smoothing_check(fields, nu_list, T: float, R: float) -> EstimateReport
         params={"nu_values": list(map(float, nu_list)), "T": T, "R": R},
     )
     for mag in nu_list:
-        nu = NuVector.along_last_axis(mag, spec.n)
         comp = float(mag) ** 0.25 / (T**0.25 * R**0.25)
         for k, u in enumerate(fields):
             local = np.sqrt((np.abs(u.data[mask]) ** 2).sum() * spec.cell_volume)
-            denom = bourgain_norm(u, "homogeneous", nu=nu)
+            denom = bourgain_norm(u, "homogeneous", nu=mag)
             report.samples.append(
                 {"nu": float(mag), "field": k, "ratio": comp * local / denom, "seed": 0}
             )

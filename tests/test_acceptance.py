@@ -44,7 +44,6 @@ from schrodlab.multipliers import (
 )
 from schrodlab.reconstruction import reconstruct_potential
 from schrodlab.reports import grid_spec, read
-from schrodlab.symbols import NuVector
 
 from oracles import dense_bs_matrix, equation_residual, local_smoothing_check
 
@@ -68,13 +67,13 @@ def test_01_kernel_closed_form_matches_quadrature():
     for sigma in sigmas:
         quads = eval_K_sigma_quadrature(sigma, xs)
         for x, quad in zip(xs, quads):
-            closed = eval_K_sigma(sigma, float(x)).value
+            closed = eval_K_sigma(sigma, float(x))
             worst = max(worst, abs(closed - quad))
             sup_coarse = max(sup_coarse, abs(closed))
     assert worst <= 1e-6
     assert np.isfinite(sup_coarse)
     sup_fine = max(
-        abs(eval_K_sigma(sigma, float(x)).value)
+        abs(eval_K_sigma(sigma, float(x)))
         for sigma in sigmas
         for x in np.linspace(-20.0, 20.0, 400)
     )
@@ -91,7 +90,7 @@ def test_02_multiplier_inverts_conjugated_equation():
         rng = np.random.default_rng(n)
         fields = [random_band_limited(spec, rng, 4, 4) for _ in range(10)]
         for mag in (4.0, 16.0, 64.0):
-            nu = NuVector([0.0] * (n - 1) + [mag])
+            nu = mag
             plan = plan_S_nu(spec, nu, offset_tau=True, offset_xin=True)
             for f in fields:
                 assert equation_residual(plan, f) <= 1e-8
@@ -132,13 +131,13 @@ def test_04_strichartz_ratios_nu_uniform():
             pair = ExponentPair(q, r, n)
             ratios = []
             for mag in (2.0, 8.0, 32.0, 64.0):
-                nu = NuVector([0.0] * (n - 1) + [mag])
+                nu = mag
                 plan = plan_S_nu(spec, nu)
                 ratios.extend(strichartz_ratio(f, apply_plan(plan, f), pair) for f in fields)
             assert max(ratios) / min(ratios) <= 10.0
         # scaling invariance on one sample
         pair = ExponentPair(*plist[0], n)
-        nu = NuVector([0.0] * (n - 1) + [8.0])
+        nu = 8.0
         plan = plan_S_nu(spec, nu)
         f, g = fields[0], fields[0] * 1e3
         r1 = strichartz_ratio(f, apply_plan(plan, f), pair)
@@ -180,7 +179,7 @@ def test_06_sandwiched_norm_decays_and_matches_oracle():
         assert all(s["converged"] and s["starts_agree"] for s in report.samples)
     tiny = GridSpec(n=1, box_time=PI, box_space=PI, pts_time=16, pts_space=16)
     W = build_W(gaussian_potential(tiny, pair=(2, 1)))
-    nu = NuVector([8.0])
+    nu = 8.0
     plan = plan_BS(tiny, nu)
     exact = np.linalg.svd(dense_bs_matrix(W, W, plan), compute_uv=False)[0]
     est, diag = op_norm(W, W, plan, tol=1e-6)
@@ -194,7 +193,7 @@ def test_07_cgo_contraction_and_remainder_decay():
     is at most half its value at nu = 16."""
     spec = grid(2, 16, 16)
     V = gaussian_potential(spec, amplitude=0.5, width=0.6)
-    sol = build_cgo(V, gaussian_packet_on_hyperplane(spec, NuVector([0.0, 32.0])),
+    sol = build_cgo(V, gaussian_packet_on_hyperplane(spec, 32.0),
                     tol=1e-8, rho_cap=0.9)
     assert sol.rho <= 0.9
     assert sol.residuals["fixed_point"] <= 1e-6

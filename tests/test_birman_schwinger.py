@@ -25,20 +25,19 @@ from schrodlab.birman_schwinger import (
 )
 from schrodlab.grid import Field, GridSpec, l2_norm
 from schrodlab.multipliers import plan_S_nu
-from schrodlab.symbols import NuVector
 
 from oracles import dense_bs_matrix
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SPEC = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=16, pts_space=16)
 TINY = GridSpec(n=1, box_time=np.pi, box_space=np.pi, pts_time=16, pts_space=16)
-NU = NuVector([0.0, 8.0])
+NU = 8.0
 
 
 def rand_field(spec=SPEC, seed=0):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
-    return Field(spec, "physical", data)
+    return Field(spec, data)
 
 
 class TestPotentials:
@@ -130,8 +129,7 @@ class TestOperator:
 
     def test_dense_matrix_matches_apply(self):
         W = build_W(gaussian_potential(TINY, pair=(2, 1)))
-        nu = NuVector([4.0])
-        plan = plan_BS(TINY, nu)
+        plan = plan_BS(TINY, 4.0)
         A = dense_bs_matrix(W, W, plan)
         v = rand_field(TINY, 3)
         direct = apply_BS(v, W, W, plan).data.ravel()
@@ -146,8 +144,7 @@ class TestOperator:
 
     def test_power_iteration_matches_svd(self):
         W = build_W(gaussian_potential(TINY, pair=(2, 1)))
-        nu = NuVector([4.0])
-        plan = plan_BS(TINY, nu)
+        plan = plan_BS(TINY, 4.0)
         A = dense_bs_matrix(W, W, plan)
         exact = np.linalg.svd(A, compute_uv=False)[0]
         est, diag = op_norm(W, W, plan, tol=1e-6)
@@ -203,8 +200,8 @@ class TestOperator:
 
     def test_norm_decays_in_nu(self):
         W = build_W(gaussian_potential(SPEC))
-        small, _ = op_norm(W, W, plan_BS(SPEC, NuVector([0.0, 2.0])), tol=1e-3)
-        large, _ = op_norm(W, W, plan_BS(SPEC, NuVector([0.0, 64.0])), tol=1e-3)
+        small, _ = op_norm(W, W, plan_BS(SPEC, 2.0), tol=1e-3)
+        large, _ = op_norm(W, W, plan_BS(SPEC, 64.0), tol=1e-3)
         assert large < 0.5 * small
 
 

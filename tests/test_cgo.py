@@ -18,19 +18,12 @@ from schrodlab.cgo import (
 )
 from schrodlab.grid import Field, GridSpec, l2_norm
 from schrodlab.multipliers import apply_symbol, plan_S_nu
-from schrodlab.symbols import NuVector
 
 SPEC = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=16, pts_space=16)
-NU = NuVector([0.0, 32.0])
+NU = 32.0
 
 
 class TestWavePacket:
-    def test_requires_axis_aligned_nu(self):
-        with pytest.raises(ValueError):
-            WavePacket(np.ones(16), NuVector([3.0, 4.0]))
-        with pytest.raises(ValueError):
-            WavePacket(np.ones(16), NuVector([16.0, 0.0]))
-
     def test_band_cut(self):
         packet = gaussian_packet_on_hyperplane(SPEC, NU, width=50.0)
         xi = SPEC.xi_axis()
@@ -82,10 +75,10 @@ class TestNeumannSolve:
         # a huge potential at small drift breaks the contraction
         V = gaussian_potential(SPEC, amplitude=50.0)
         W = build_W(V)
-        packet = gaussian_packet_on_hyperplane(SPEC, NuVector([0.0, 2.0]))
+        packet = gaussian_packet_on_hyperplane(SPEC, 2.0)
         usharp = wave_packet_usharp(packet, SPEC)
         with pytest.raises(NotContractive):
-            solve_v_neumann(W, usharp, plan_BS(SPEC, NuVector([0.0, 2.0])), rho_cap=0.9)
+            solve_v_neumann(W, usharp, plan_BS(SPEC, 2.0), rho_cap=0.9)
 
     def test_no_convergence_raised(self):
         # cap the term count so a legitimate contraction cannot finish

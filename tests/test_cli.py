@@ -320,6 +320,26 @@ class TestExitCodes:
          "rho_values: rho = 1e+300 gives the unscaled family a speed of inf"),
         ("rho-single", "counterexample-sweep", "rho_values: [64]\n",
          "rho_values: the verdict compares at least 2 members, got 1"),
+        ("nu-zero-strichartz", "verify-strichartz",
+         GRID + "pairs: [[1, 2]]\nnu_values: [0, 8]\n", "nu_values: nu must be > 0, got 0.0"),
+        ("nu-zero-gain", "verify-strichartz", GRID + "estimate: gain\nnu_values: [0, 8]\n",
+         "nu_values: nu must be > 0, got 0.0"),
+        ("nu-zero-bs", "bs-norm-sweep", GRID + POTENTIAL + "nu_values: [0, 8]\n",
+         "nu_values: nu must be > 0, got 0.0"),
+        ("nu-negative-bs", "bs-norm-sweep", GRID + POTENTIAL + "nu_values: [8, -4]\n",
+         "nu_values: nu must be > 0, got -4.0"),
+        ("nu-zero-cgo", "cgo-build", GRID + POTENTIAL + "nu: 0\n", "nu: nu must be > 0, got 0.0"),
+        ("potential-width-zero", "bs-norm-sweep",
+         GRID + "potential: {kind: gaussian, width: 0}\nnu_values: [4, 8]\n",
+         "potential: width must be > 0, got 0.0"),
+        ("potential-cutoff-negative", "bs-norm-sweep",
+         GRID + "potential: {kind: cusp, cutoff: -1}\nnu_values: [4, 8]\n",
+         "potential: cutoff must be > 0, got -1.0"),
+        ("initial-width-zero", "forward-evolve",
+         GRID + POTENTIAL + "T: 0.1\ninitial: {width: 0}\n",
+         "initial.width: width must be > 0, got 0.0"),
+        ("packet-width-zero", "cgo-build", GRID + POTENTIAL + "nu: 32\npacket: {width: 0}\n",
+         "packet.width: width must be > 0, got 0.0"),
     ]
 
     @pytest.mark.parametrize("command,text,message,dry_run", [
@@ -331,8 +351,11 @@ class TestExitCodes:
         # of 0 or 1 points ended in ZeroDivisionError or IndexError, and sigma = 0 in a
         # ValueError (exit 1); rho < 0 wrote NaN ratios (exit 1), rho = 0 ended in
         # ZeroDivisionError and an overflowing rho^2 in OverflowError, and a single rho
-        # passed a growth verdict that compares none (exit 0); --dry-run stopped after
-        # reading and exited 0 on each of these
+        # passed a growth verdict that compares none (exit 0); nu = 0 ended in a ValueError
+        # (exit 1) and a negative nu in bs-norm-sweep in a TypeError; a zero potential width
+        # or a negative cutoff ended in split_W's ValueError (exit 1), a zero initial width
+        # wrote a NaN state (exit 1) and a zero packet width a NaN Neumann tail (exit 3);
+        # --dry-run stopped after reading and exited 0 on each of these
         cfg = write(tmp_path, "c.yaml", text)
         res = runner.invoke(main, [command, "--config", cfg, "--output", str(tmp_path)]
                             + ["--dry-run"] * dry_run)
@@ -423,6 +446,17 @@ class TestExitCodes:
         assert res.exit_code == code
         report = json.loads((tmp_path / "out" / "bs_norm_sweep.json").read_text())
         assert report["params"]["decay_verdict"] == decay
+
+    def test_zero_potential_fails_decay_verdict(self, runner, tmp_path):
+        # a zero potential has norm 0 at every nu, and 0 <= 0.5 * 0 passed (exit 0)
+        cfg = write(tmp_path, "bs.yaml", GRID +
+                    "potential: {kind: gaussian, amplitude: 0.0, width: 0.5}\n"
+                    f"nu_values: [4, 64]\noutput_dir: {tmp_path}/out\n")
+        res = runner.invoke(main, ["bs-norm-sweep", "--config", cfg])
+        assert res.exit_code == EXIT_VERDICT
+        report = json.loads((tmp_path / "out" / "bs_norm_sweep.json").read_text())
+        assert [s["ratio"] for s in report["samples"]] == [0.0, 0.0]
+        assert report["params"]["decay_verdict"] == "fail"
 
     def test_disagreeing_starts_exit(self, runner, tmp_path, monkeypatch):
         def sweep(V, nu_values, **kwargs):

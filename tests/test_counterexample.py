@@ -19,7 +19,6 @@ from schrodlab.counterexample import (
     embedding_ratio_sweep,
 )
 from schrodlab.grid import Field, GridSpec, l2_norm, random_band_limited
-from schrodlab.symbols import NuVector
 
 from oracles import _ball_profile, build_u_rho, local_smoothing_check
 
@@ -191,13 +190,12 @@ class TestLatticeCrossCheck:
     def test_lattice_ratio_agrees_with_semi_analytic(self, trace, profile):
         # at rho = 4 the assembled lattice field reproduces the
         # semi-analytic ratio up to box-truncation of the packet tails
-        from schrodlab.grid import mixed_norm, transform
+        from schrodlab.grid import mixed_norm
 
         spec = GridSpec(n=2, box_time=np.pi, box_space=np.pi,
                         pts_time=512, pts_space=32, max_points=1 << 20)
         rho = 4.0
-        u_hat = build_u_rho(rho, trace, spec)
-        u = transform(u_hat, "inverse")
+        u = build_u_rho(rho, trace, spec)
         mixed = mixed_norm(u, 4, 4)
         bourg = bourgain_norm(u, "shifted", rho=rho)
         member = RhoFamilyMember(rho, "shifted", trace)
@@ -228,7 +226,7 @@ class TestBourgainNorm:
 
     def test_scaling_linearity(self):
         u = self.rand(1)
-        nu = NuVector([0.0, 8.0])
+        nu = 8.0
         a = bourgain_norm(u, "homogeneous", nu=nu)
         b = bourgain_norm(u * 3.0, "homogeneous", nu=nu)
         assert b == pytest.approx(3.0 * a, rel=1e-12)

@@ -1,4 +1,4 @@
-"""Lattice container, transforms, norms, and serialization."""
+"""Lattice container, its unitary DFT, norms, and serialization."""
 
 import io
 
@@ -18,8 +18,8 @@ from schrodlab.grid import (
     mixed_norm,
     random_band_limited,
     save_field,
-    transform,
 )
+from schrodlab.multipliers import plan_S
 
 SPEC1 = GridSpec(n=1, box_time=np.pi, box_space=np.pi, pts_time=16, pts_space=16)
 SPEC2 = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=16, pts_space=16)
@@ -28,7 +28,7 @@ SPEC2 = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=16, pts_space=16
 def random_field(spec, seed=0):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
-    return Field(spec, "physical", data)
+    return Field(spec, data)
 
 
 class TestGridSpec:
@@ -57,15 +57,19 @@ class TestGridSpec:
 
 
 class TestTransforms:
+    """The unitary DFT that the multiplier plans take of a field, on the unoffset lattice."""
+
     @pytest.mark.parametrize("spec", [SPEC1, SPEC2])
     def test_plancherel(self, spec):
         f = random_field(spec, 3)
-        assert l2_norm(transform(f)) == pytest.approx(l2_norm(f), rel=1e-12)
+        coeffs = plan_S(spec, offset_xin=False).to_freq(f)
+        assert np.linalg.norm(coeffs) == pytest.approx(l2_norm(f), rel=1e-12)
 
     @pytest.mark.parametrize("spec", [SPEC1, SPEC2])
     def test_roundtrip(self, spec):
         f = random_field(spec, 4)
-        back = transform(transform(f), "inverse")
+        plan = plan_S(spec, offset_xin=False)
+        back = plan.from_freq(plan.to_freq(f))
         assert np.abs(back.data - f.data).max() < 1e-12
 
 
@@ -116,15 +120,11 @@ class TestBoundaryMass:
         # support only where |x_1| > (1 - margin) * box_space
         strip = np.abs(SPEC2.x_axis()) > 0.9 * SPEC2.box_space
         data = np.broadcast_to(strip[None, :, None], SPEC2.shape).astype(complex)
-        assert boundary_mass_fraction(Field(SPEC2, "physical", data), margin=0.1) == 1.0
+        assert boundary_mass_fraction(Field(SPEC2, data), margin=0.1) == 1.0
 
     def test_zero_field(self):
-        f = Field(SPEC2, "physical", np.zeros(SPEC2.shape))
+        f = Field(SPEC2, np.zeros(SPEC2.shape))
         assert boundary_mass_fraction(f) == 0.0
-
-    def test_frequency_rep_rejected(self):
-        with pytest.raises(ValueError):
-            boundary_mass_fraction(transform(random_field(SPEC2, 10)))
 
 
 class TestFactories:
@@ -136,7 +136,7 @@ class TestFactories:
     def test_band_limited_support(self):
         rng = np.random.default_rng(0)
         f = random_band_limited(SPEC2, rng, band_time=3, band_space=3)
-        coeffs = transform(f).data
+        coeffs = np.fft.fftn(f.data, norm="ortho")
         tau = SPEC2.tau_axis()
         out_band = np.abs(tau) > 3
         assert np.abs(coeffs[out_band]).max() < 1e-12
@@ -165,4 +165,18 @@ class TestSerialization:
         buf = bytearray(field_to_bytes(f))
         buf[0] = 0
         with pytest.raises(ValueError):
+            field_from_bytes(bytes(buf))
+
+    def test_header_flags_physical_samples(self):
+        # the last header byte is the representation flag: 0, physical samples
+        buf = field_to_bytes(random_field(SPEC1, 15))
+        assert buf[:4] == b"SLF1" and buf[4] == 1 and buf[30] == 0
+        assert len(buf) == 31 + 16 * SPEC1.total_points
+
+    @pytest.mark.parametrize("flag", [1, 255])
+    def test_other_representation_flag_rejected(self, flag):
+        # a container is input from outside the program: only physical samples are read
+        buf = bytearray(field_to_bytes(random_field(SPEC1, 16)))
+        buf[30] = flag
+        with pytest.raises(ValueError, match="physical samples"):
             field_from_bytes(bytes(buf))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from schrodlab.kernels import eval_K_sigma, eval_K_sigma_quadrature, kernel_table
+from schrodlab.kernels import eval_K_sigma, eval_K_sigma_quadrature
 
 SIGMAS = [-5.0, -1.0, -0.2, 0.05, 0.2, 0.3, 1.0, 10.0]
 XS = [-8.0, -3.0, -1.0, -0.25, 0.25, 1.0, 3.0, 8.0]
@@ -17,7 +17,7 @@ class TestKSigma:
     @pytest.mark.parametrize("sigma", SIGMAS)
     @pytest.mark.parametrize("x", XS)
     def test_closed_form_matches_quadrature(self, sigma, x):
-        closed = eval_K_sigma(sigma, x).value
+        closed = eval_K_sigma(sigma, x)
         quad = eval_K_sigma_quadrature(sigma, [x])[0]
         assert abs(closed - quad) < 1e-6
 
@@ -29,20 +29,20 @@ class TestKSigma:
 
     def test_quarter_branch_is_continuity_limit(self):
         x = -1.3
-        limit = eval_K_sigma(0.25, x).value
-        near_lo = eval_K_sigma(0.25 - 1e-7, x).value
-        near_hi = eval_K_sigma(0.25 + 1e-7, x).value
+        limit = eval_K_sigma(0.25, x)
+        near_lo = eval_K_sigma(0.25 - 1e-7, x)
+        near_hi = eval_K_sigma(0.25 + 1e-7, x)
         assert abs(near_lo - limit) < 1e-6
         assert abs(near_hi - limit) < 1e-6
 
     def test_positive_sigma_vanishes_right(self):
-        assert eval_K_sigma(0.5, 2.0).value == 0.0
-        assert eval_K_sigma(0.1, 2.0).value == 0.0
+        assert eval_K_sigma(0.5, 2.0) == 0.0
+        assert eval_K_sigma(0.1, 2.0) == 0.0
 
     def test_real_valued(self):
         for sigma in SIGMAS:
             for x in XS:
-                assert eval_K_sigma(sigma, x).value.imag == 0.0
+                assert type(eval_K_sigma(sigma, x)) is float
 
     @given(st.floats(min_value=-6.0, max_value=-0.05),
            st.floats(min_value=-5.0, max_value=5.0))
@@ -51,7 +51,7 @@ class TestKSigma:
         # branch-wise exponential decay at the residue rates
         m = math.sqrt(1.0 - 4.0 * sigma)
         rate = (m + 1.0) / 2.0 if x < 0 else (m - 1.0) / 2.0
-        val = abs(eval_K_sigma(sigma, x).value)
+        val = abs(eval_K_sigma(sigma, x))
         bound = math.exp(-rate * abs(x)) / m
         assert val <= bound * (1 + 1e-12)
 
@@ -77,7 +77,7 @@ class TestKSigmaQuadrature:
     def test_matches_closed_form(self, sigma, xs):
         quad = eval_K_sigma_quadrature(sigma, xs)
         for x, q in zip(xs, quad):
-            assert abs(q - eval_K_sigma(sigma, x).value.real) <= 1e-9
+            assert abs(q - eval_K_sigma(sigma, x)) <= 1e-9
 
     @pytest.mark.parametrize("sigma", [-2.0, -0.3, 0.1, 0.7, 6.0])
     def test_matches_quadpack(self, sigma):
@@ -98,15 +98,4 @@ class TestKSigmaQuadrature:
     def test_fixed_points_match_closed_form(self, sigma, xs):
         quad = eval_K_sigma_quadrature(sigma, xs)
         for x, q in zip(xs, quad):
-            assert abs(q - eval_K_sigma(sigma, x).value.real) <= 1e-9
-
-
-class TestKernelTable:
-    def test_table_shape_and_agreement(self):
-        rows = kernel_table([-1.0, 0.5], [-2.0, 1.0])
-        assert len(rows) == 8  # 2 sigma x 2 x x 2 methods
-        by_key = {}
-        for r in rows:
-            by_key.setdefault((r.parameter, r.argument), {})[r.method] = r.value
-        for vals in by_key.values():
-            assert abs(vals["closed_form"] - vals["quadrature"]) < 1e-6
+            assert abs(q - eval_K_sigma(sigma, x)) <= 1e-9

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schrodlab.grid import Field, GridSpec, l2_norm, random_band_limited, transform
+from schrodlab.grid import Field, GridSpec, l2_norm, random_band_limited
 from schrodlab import multipliers
 from schrodlab.multipliers import (
     apply_S,
@@ -16,12 +16,11 @@ from schrodlab.multipliers import (
     plan_S_nu,
     propagator_factor,
 )
-from schrodlab.symbols import NuVector
 
 from oracles import apply_S_dyadic, apply_S_via_propagator, equation_residual
 
 SPEC = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=16, pts_space=16)
-NU = NuVector([0.0, 8.0])
+NU = 8.0
 
 
 def node_loop(plan, nodes, weights):
@@ -38,7 +37,7 @@ def node_loop(plan, nodes, weights):
 def rand_field(spec=SPEC, seed=0):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
-    return Field(spec, "physical", data)
+    return Field(spec, data)
 
 
 class TestPlans:
@@ -63,10 +62,6 @@ class TestPlans:
         # tau = |xi'|^2, xi_n = 0 lattice points
         plan = plan_S(SPEC, offset_xin=False, offset_tau=False)
         assert plan.dropped_count > 0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            plan_S_nu(SPEC, NuVector([1.0]))
 
     def test_offset_transform_is_unitary(self):
         plan = plan_S_nu(SPEC, NU, offset_tau=True, offset_xin=True)
@@ -112,7 +107,7 @@ class TestApply:
     def test_linearity(self):
         plan = plan_S(SPEC)
         f, g = rand_field(seed=4), rand_field(seed=5)
-        lhs = apply_plan(plan, Field(SPEC, "physical", f.data + 2j * g.data))
+        lhs = apply_plan(plan, Field(SPEC, f.data + 2j * g.data))
         rhs = apply_plan(plan, f).data + 2j * apply_plan(plan, g).data
         assert np.abs(lhs.data - rhs).max() < 1e-12
 
@@ -194,11 +189,10 @@ class TestPropagator:
 
     def test_apply_matches_direct_S(self):
         plan = plan_S(SPEC)
-        f = Field(SPEC, "physical",
-                  random_band_limited(SPEC, np.random.default_rng(8), 2, 2).data)
+        f = Field(SPEC, random_band_limited(SPEC, np.random.default_rng(8), 2, 2).data)
         direct = apply_S(f, plan)
         via = apply_S_via_propagator(f, plan, quad_pts=6000, s_max=40.0)
-        rel = l2_norm(Field(SPEC, "physical", via.data - direct.data)) / l2_norm(direct)
+        rel = l2_norm(Field(SPEC, via.data - direct.data)) / l2_norm(direct)
         assert rel < 1e-6
 
     def test_truncation_error_decreases(self):
@@ -209,7 +203,7 @@ class TestPropagator:
         for s_max in (5.0, 20.0):
             via = apply_S_via_propagator(f, plan, quad_pts=4000, s_max=s_max)
             errs.append(
-                l2_norm(Field(SPEC, "physical", via.data - direct.data)) / l2_norm(direct)
+                l2_norm(Field(SPEC, via.data - direct.data)) / l2_norm(direct)
             )
         assert errs[1] < errs[0]
 
@@ -233,7 +227,7 @@ class TestPropagator:
     def test_batched_node_sum_matches_node_loop(self, n, conjugated, offset_tau, offset_xin):
         spec = GridSpec(n=n, box_time=np.pi, box_space=np.pi, pts_time=8, pts_space=8)
         if conjugated:
-            plan = plan_S_nu(spec, NuVector.along_last_axis(8.0, n),
+            plan = plan_S_nu(spec, 8.0,
                              offset_tau=offset_tau, offset_xin=offset_xin)
         else:
             plan = plan_S(spec, offset_xin=offset_xin, offset_tau=offset_tau)

@@ -22,11 +22,10 @@ from schrodlab.birman_schwinger import (
 )
 from schrodlab.grid import Field, GridSpec, l2_norm
 from schrodlab.multipliers import apply_plan, plan_S, plan_S_nu
-from schrodlab.symbols import NuVector
 
 # (pts_time, pts_space) with n = 2: 64 KiB, 256 KiB and 512 KiB of complex128
 SIZES = [(16, 16), (16, 32), (32, 32)]
-NU = NuVector.along_last_axis(8.0, 2)
+NU = 8.0
 
 
 def grid(pts_time, pts_space):
@@ -37,12 +36,12 @@ def grid(pts_time, pts_space):
 def random_field(spec, seed=0):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
-    return Field(spec, "physical", data)
+    return Field(spec, data)
 
 
 def factors(spec):
     W = build_W(gaussian_potential(spec, amplitude=2.0, width=0.6))
-    return W, FactorW(Field(spec, "physical", np.abs(W.field.data).astype(complex)))
+    return W, FactorW(Field(spec, np.abs(W.field.data).astype(complex)))
 
 
 # -- the oracle: plain expressions, one fresh array per step -----------------
@@ -65,13 +64,13 @@ def oracle_apply_plan(plan, f):
 
 
 def oracle_apply_BS(v, W1, W2, plan):
-    inner = Field(v.spec, "physical", W2.field.data * v.data)
+    inner = Field(v.spec, W2.field.data * v.data)
     mid = oracle_apply_plan(plan, inner)
     return W1.field.data * mid
 
 
 def oracle_apply_BS_adjoint(u, W1, W2, adjoint_plan):
-    inner = Field(u.spec, "physical", np.conj(W1.field.data) * u.data)
+    inner = Field(u.spec, np.conj(W1.field.data) * u.data)
     mid = oracle_apply_plan(adjoint_plan, inner)
     return np.conj(W2.field.data) * mid
 
@@ -85,8 +84,8 @@ def oracle_op_norm_estimates(W1, W2, plan, seed=0, tol=1e-3, max_iter=200):
         v = v * (1.0 / l2_norm(v))
         est = 0.0
         for _ in range(max_iter):
-            av = Field(spec, "physical", oracle_apply_BS(v, W1, W2, plan))
-            w = Field(spec, "physical", oracle_apply_BS_adjoint(av, W1, W2, adj))
+            av = Field(spec, oracle_apply_BS(v, W1, W2, plan))
+            w = Field(spec, oracle_apply_BS_adjoint(av, W1, W2, adj))
             new = l2_norm(av)
             v = w * (1.0 / l2_norm(w))
             if est > 0.0 and abs(new - est) <= tol * est:

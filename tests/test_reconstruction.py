@@ -93,7 +93,7 @@ class TestBornSample:
         mesh = np.meshgrid(x, x, indexing="ij")
         bump = eps * np.cos(2 * mesh[0])
         data = np.broadcast_to(bump[None], SPEC.shape).astype(complex)
-        V = Potential(Field(SPEC, "physical", data.copy()),
+        V = Potential(Field(SPEC, data.copy()),
                       (-np.pi, np.pi - 1e-9), radius=np.pi, pair=(2, 2))
         samples, _, _ = recorded_reconstruction(monkeypatch, V, 2.0, T=0.5, steps=128)
         s = samples[(2, 0)]
