@@ -18,10 +18,17 @@ from schrodlab.cgo import NotContractive, remainder_decay_sweep
 from schrodlab.grid import GridSpec
 
 
+def positive_nu(text: str) -> float:
+    nu = float(text)
+    if not nu > 0.0:
+        raise argparse.ArgumentTypeError(f"nu must be > 0, got {text}")
+    return nu
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--pts", type=int, default=32, help="lattice points per axis")
-    ap.add_argument("--nu", type=float, nargs="+",
+    ap.add_argument("--nu", type=positive_nu, nargs="+",
                     default=[4, 8, 16, 32, 64, 128])
     ap.add_argument("--output", default="out", help="output directory")
     args = ap.parse_args()
@@ -55,8 +62,8 @@ def main() -> None:
         print(f"{'nu':>8} {'op_norm':>12} {'remainder':>12}")
         for row in rows:
             rem = row.get("remainder_fraction")
-            print(f"{row['nu']:>8.0f} {row['op_norm']:>12.4e} "
-                  f"{rem if rem is None else f'{rem:.4e}':>12}")
+            rem_text = "-" if rem is None else f"{rem:.4e}"
+            print(f"{row['nu']:>8.0f} {row['op_norm']:>12.4e} {rem_text:>12}")
 
     out = pathlib.Path(args.output)
     out.mkdir(parents=True, exist_ok=True)

@@ -219,6 +219,36 @@ def apply_BS_adjoint(
     return Field(u.spec, np.multiply(W2.conj, mid, out=mid))
 
 
+def _time_hull(W: FactorW) -> slice:
+    """The time rows from the first to the last one on which W is nonzero."""
+    rows = np.flatnonzero(W.field.data.reshape(W.field.spec.pts_time, -1).any(axis=1))
+    return slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0)
+
+
+def _divide_rows(buf: np.ndarray, denom: np.ndarray, rows_in: slice, rows_out: slice) -> np.ndarray:
+    """F^-1 (F buf / denom) on the time rows ``rows_out``, in place in ``buf``.
+
+    F is the unitary DFT without modulation.  ``buf`` must be zero outside
+    the rows ``rows_in``: the spatial transforms run on those rows only, then
+    one transform along time on every row.  numpy's ``fftn`` transforms the
+    last axis first and time last, so this forward transform is ``fftn``
+    bit for bit.  The inverse runs along time first and on the rows
+    ``rows_out`` last, so it differs from ``ifftn`` in rounding only.  The
+    other rows are zeroed; the returned view holds the rows ``rows_out``.
+    """
+    space = tuple(range(1, buf.ndim))
+    part = buf[rows_in]
+    np.fft.fftn(part, axes=space, norm="ortho", out=part)
+    np.fft.fft(buf, axis=0, norm="ortho", out=buf)
+    np.divide(buf, denom, out=buf)
+    np.fft.ifft(buf, axis=0, norm="ortho", out=buf)
+    part = buf[rows_out]
+    np.fft.ifftn(part, axes=space, norm="ortho", out=part)
+    buf[:rows_out.start] = 0.0
+    buf[rows_out.stop:] = 0.0
+    return part
+
+
 def op_norm(
     W1: FactorW,
     W2: FactorW,
@@ -237,42 +267,65 @@ def op_norm(
     ``seed + 1``; they must agree within 2% or
     ``diagnostics['starts_agree']`` is False.  Non-convergence within
     ``_MAX_ITER`` (200) iterations is flagged, with the last iterate still
-    returned.  Each start holds two fields, v and Av, for all of its
-    iterations: A* Av is computed into v and rescaled there.
+    returned.
 
-    Where two CPUs are available the two starts run at once, the second on
-    a worker thread (:func:`schrodlab.parallel.run_two`); the adjoint plan,
-    conj(W1), conj(W2), both start vectors and both Av buffers are built on
-    the calling thread first, so the worker allocates no field.  Each start
-    runs the same operations as it does alone, so the results are
-    bit-identical to one thread.
+    The loop calls neither apply_BS nor the plan's transforms.  S_nu is
+    F^-1 D^-1 F conjugated by the half-bin modulation m, a unit-modulus
+    pointwise factor that commutes with M_W, so with u = m v
+
+        m A* A v = M_{conj W2} F^-1 conj(D)^-1 F M_{|W1|^2} F^-1 D^-1 F M_{W2} u,
+
+    and ||Av|| = ||M_{W1} F^-1 D^-1 F M_{W2} u||.  Each start is multiplied
+    by m once and then iterated as u.  The estimates equal those of the
+    modulated operator up to rounding.  W2 u vanishes outside the time
+    hull of W2 and only the hull of W1 is read back (:func:`_time_hull`),
+    so the spatial transforms run on those rows only
+    (:func:`_divide_rows`); a window over the whole box transforms every
+    row.  The denominators are the plan's and its adjoint's.
+
+    Each start holds one field, its iterate, for all of its iterations:
+    every step runs in place in it.  Where two CPUs are available the two
+    starts run at once, the second on a worker thread
+    (:func:`schrodlab.parallel.run_two`); the adjoint plan, conj(W1),
+    conj(W2) and both start fields are built on the calling thread first,
+    so the worker allocates no field.  Each start runs the same operations
+    as it does alone, so the results are bit-identical to one thread.
     """
     spec = plan.spec
     adj = _adjoint_plan(plan)
-    W1.conj, W2.conj  # cached before a worker thread reads them
+    h1, h2 = _time_hull(W1), _time_hull(W2)
+    w1, w1c = W1.field.data[h1], W1.conj[h1]  # conj built here, not on a worker thread
+    w2, w2c = W2.field.data[h2], W2.conj[h2]
 
     def start(s: int):
-        """Draw start ``s`` and its Av buffer; return its power iteration."""
+        """Draw start ``s``, modulated; return its power iteration."""
         rng = np.random.default_rng(s)
-        data = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
-        v = Field(spec, data)
-        return partial(iterate, v, np.empty_like(v.data))
+        v = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+        if plan.modulation is not None:
+            np.multiply(v, plan.modulation, out=v)
+        return partial(iterate, v)
 
-    def iterate(v: Field, av_buf: np.ndarray) -> tuple[float, int, bool]:
+    def iterate(v: np.ndarray) -> tuple[float, int, bool]:
         nrm = l2_norm(v)
         if nrm == 0.0:
             return 0.0, 0, True
-        np.multiply(v.data, 1.0 / nrm, out=v.data)
+        np.multiply(v, 1.0 / nrm, out=v)
+        v[:h2.start] = 0.0  # W2 vanishes there
+        v[h2.stop:] = 0.0
         est = 0.0
         for it in range(1, _MAX_ITER + 1):
-            av = apply_BS(v, W1, W2, plan, out=av_buf)
-            w = apply_BS_adjoint(av, W1, W2, adj, out=v.data)
+            u = v[h2]
+            np.multiply(w2, u, out=u)
+            av = _divide_rows(v, plan.denom, h2, h1)
+            np.multiply(w1, av, out=av)
             new = l2_norm(av)  # sqrt of the Rayleigh quotient of A*A
+            np.multiply(w1c, av, out=av)
+            w = _divide_rows(v, adj.denom, h1, h2)
+            np.multiply(w2c, w, out=w)
             wn = l2_norm(w)
             if wn == 0.0:
                 return 0.0, it, True
-            np.multiply(w.data, 1.0 / wn, out=w.data)
-            v = w
+            np.multiply(w, 1.0 / wn, out=w)
             if est > 0.0 and abs(new - est) <= tol * est:
                 return new, it, True
             est = new

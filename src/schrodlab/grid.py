@@ -201,14 +201,16 @@ def _check_compatible(a: Field, b: Field) -> None:
 # ---------------------------------------------------------------------------
 
 
-def l2_norm(f: Field) -> float:
-    """Plain (weight-free) two-norm of the samples.
+def l2_norm(f: Field | np.ndarray) -> float:
+    """Plain (weight-free) two-norm of the samples of a field, or of a
+    C-contiguous complex128 array such as a block of a field's time rows.
 
     The sum of squares runs in numpy's own einsum loop over the real view of
     the samples, never in BLAS, so it rounds the same whatever the BLAS
     thread count, and it leaves a second core free for a worker thread.
     """
-    x = f.data.reshape(-1).view(np.float64)
+    data = f.data if isinstance(f, Field) else f
+    x = data.reshape(-1).view(np.float64)
     return math.sqrt(np.einsum("i,i->", x, x))
 
 

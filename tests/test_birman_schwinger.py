@@ -1,5 +1,6 @@
 """Sandwiched multiplier operator: factorization, norms, splitting, decay."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -10,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from schrodlab import birman_schwinger, multipliers, parallel
+from schrodlab import birman_schwinger, cli, multipliers, parallel
 from schrodlab.birman_schwinger import (
     Potential,
     apply_BS,
@@ -153,7 +154,7 @@ class TestOperator:
         assert est == pytest.approx(exact, rel=1e-3)
 
     def test_memory_flat_in_iteration_count(self):
-        # each start keeps its two fields for all its iterations, never one per step
+        # each start keeps its one field for all its iterations, never one per step
         spec = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=32, pts_space=32)
         W = build_W(gaussian_potential(spec))
         plan = plan_BS(spec, NU)
@@ -187,14 +188,14 @@ class TestOperator:
         return peak / (16 * spec.total_points)
 
     def test_memory_peak_below_four_fields(self, monkeypatch):
-        # one start at a time: v, Av, the adjoint plan's denominator and the start's
-        # random draw; the adjoint plan conjugates no symbol, which apply_plan never reads
+        # one start at a time: its iterate, the adjoint plan's denominator and the
+        # start's random draw; the adjoint plan conjugates no symbol, which nothing reads
         monkeypatch.setattr(parallel, "_THREADS", 1)
         assert self.traced_peak_in_fields() < 3.75
 
     def test_memory_peak_of_both_starts_at_once(self, monkeypatch):
-        # v and Av of both starts, all drawn and allocated before the worker starts,
-        # the adjoint plan's denominator and one draw; the worker allocates no field
+        # the iterates of both starts, both drawn before the worker starts, the
+        # adjoint plan's denominator and one draw; the worker allocates no field
         monkeypatch.setattr(parallel, "_THREADS", 2)
         assert self.traced_peak_in_fields() < 2 * 2 + 1 + 0.75
 
@@ -243,14 +244,14 @@ class TestTwoStarts:
     def test_exception_in_either_start_propagates_and_worker_is_joined(
             self, monkeypatch, started, failing):
         monkeypatch.setattr(parallel, "_THREADS", 2)
-        apply = birman_schwinger.apply_BS
+        divide = birman_schwinger._divide_rows  # the transform pair each step runs twice
 
         def one_start_fails(*args, **kwargs):
             if (threading.current_thread() is threading.main_thread()) == (failing == "caller"):
                 raise RuntimeError(f"{failing} start failed")
-            return apply(*args, **kwargs)
+            return divide(*args, **kwargs)
 
-        monkeypatch.setattr(birman_schwinger, "apply_BS", one_start_fails)
+        monkeypatch.setattr(birman_schwinger, "_divide_rows", one_start_fails)
         W = build_W(gaussian_potential(SPEC))
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"{failing} start failed"):
@@ -304,6 +305,16 @@ class TestSweep:
         r1 = bs_decay_sweep(V, [4, 8], seed=1)
         r2 = bs_decay_sweep(V, [4, 8], seed=1)
         assert r1.samples == r2.samples
+
+    def test_committed_sweep_matches_the_benchmark_reference(self):
+        # the benchmark checks these ratios at rtol 1e-9 on every run; a drift shows here first
+        values = cli.read(cli.load_config(ROOT / "configs" / "bs_sweep.yaml"),
+                          {**cli.COMMON, **cli.TABLES["bs-norm-sweep"]})
+        report = bs_decay_sweep(cli.build_inputs(values)["V"], values["nu_values"],
+                                tol=values["tol"], seed=values["seed"])
+        reference = json.loads((ROOT / "bench" / "reference.json").read_text())["bs_sweep"]
+        ratios = [s["ratio"] for s in report.samples]
+        assert ratios == pytest.approx(reference["ratio"], rel=1e-12, abs=0.0)
 
     def test_sweep_independent_of_blas_threads(self):
         # l2_norm sums in numpy's einsum loop, not in BLAS, whose threads split the sum

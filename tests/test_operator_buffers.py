@@ -1,12 +1,17 @@
 """The buffered operator core against plain numpy expressions, bit for bit.
 
 ``apply_plan``, ``apply_BS``, ``apply_BS_adjoint`` and ``op_norm`` work in place
-in one buffer.  The oracle below writes the same operators as plain expressions
+in one buffer.  The oracles below write the same operators as plain expressions
 with a fresh array per step, and numpy evaluates each product its own way.  numpy elides the temporary of a
 commutative product of arrays of at least 256 KiB, so ``data * np.conj(mod)``
 is evaluated as ``conj(mod) * data`` from that size up, and complex products
 are not bitwise commutative.  The grids straddle that size: 16^3 is 64 KiB,
 16 x 32^2 is exactly 256 KiB, 32^3 is 512 KiB and 64^3 is 4 MiB.
+
+``op_norm`` iterates the modulation-free normal operator on the time rows where
+W is nonzero; ``oracle_op_norm`` is that loop.  ``modulated_op_norm`` is the
+power iteration on apply_BS and apply_BS_adjoint, which ``op_norm`` must match
+up to rounding, step for step.
 """
 
 import numpy as np
@@ -17,8 +22,10 @@ from schrodlab.birman_schwinger import (
     apply_BS,
     apply_BS_adjoint,
     build_W,
+    cusp_potential,
     gaussian_potential,
     op_norm,
+    plan_BS,
 )
 from schrodlab.grid import Field, GridSpec, l2_norm
 from schrodlab.multipliers import apply_plan, plan_S, plan_S_nu
@@ -75,15 +82,16 @@ def oracle_apply_BS_adjoint(u, W1, W2, adjoint_plan):
     return np.conj(W2.field.data) * mid
 
 
-def oracle_op_norm_estimates(W1, W2, plan, seed=0, tol=1e-3, max_iter=200):
+def modulated_op_norm(W1, W2, plan, seed=0, tol=1e-3, max_iter=200):
+    """Estimates and steps of each start of the power iteration on apply_BS's A*A."""
     spec = W1.field.spec
     adj = plan.adjoint()
-    estimates = []
+    estimates, steps = [], []
     for s in (seed, seed + 1):
         v = random_field(spec, s)
         v = v * (1.0 / l2_norm(v))
         est = 0.0
-        for _ in range(max_iter):
+        for it in range(1, max_iter + 1):
             av = Field(spec, oracle_apply_BS(v, W1, W2, plan))
             w = Field(spec, oracle_apply_BS_adjoint(av, W1, W2, adj))
             new = l2_norm(av)
@@ -93,7 +101,57 @@ def oracle_op_norm_estimates(W1, W2, plan, seed=0, tol=1e-3, max_iter=200):
                 break
             est = new
         estimates.append(est)
-    return estimates
+        steps.append(it)
+    return estimates, steps
+
+
+def oracle_hull(W):
+    rows = [k for k in range(W.field.spec.pts_time) if np.any(W.field.data[k] != 0)]
+    return slice(rows[0], rows[-1] + 1) if rows else slice(0, 0)
+
+
+def oracle_divide_rows(x, denom, rows_in, rows_out):
+    """Rows ``rows_out`` of ifftn(fftn(x) / denom), for x zero outside ``rows_in``."""
+    space = tuple(range(1, x.ndim))
+    y = np.zeros_like(x)
+    y[rows_in] = np.fft.fftn(x[rows_in], axes=space, norm="ortho")
+    coeffs = np.fft.fft(y, axis=0, norm="ortho") / denom
+    back = np.fft.ifft(coeffs, axis=0, norm="ortho")
+    return np.fft.ifftn(back[rows_out], axes=space, norm="ortho")
+
+
+def oracle_op_norm(W1, W2, plan, seed=0, tol=1e-3, max_iter=200):
+    """Estimates and steps of each start of op_norm's modulation-free loop on hull rows."""
+    spec = W1.field.spec
+    h1, h2 = oracle_hull(W1), oracle_hull(W2)
+    w1, w2 = W1.field.data[h1], W2.field.data[h2]
+    w1c, w2c = np.conj(w1), np.conj(w2)
+    adj = plan.adjoint()
+    estimates, steps = [], []
+    for s in (seed, seed + 1):
+        v = random_field(spec, s).data
+        if plan.modulation is not None:
+            v = v * plan.modulation
+        u = (v * (1.0 / l2_norm(v)))[h2]
+        est = 0.0
+        for it in range(1, max_iter + 1):
+            x = np.zeros(spec.shape, complex)
+            x[h2] = w2 * u
+            g = oracle_divide_rows(x, plan.denom, h2, h1)
+            av = w1 * g
+            new = l2_norm(av)
+            y = np.zeros(spec.shape, complex)
+            y[h1] = w1c * av
+            g = oracle_divide_rows(y, adj.denom, h1, h2)
+            w = w2c * g
+            u = w * (1.0 / l2_norm(w))
+            if est > 0.0 and abs(new - est) <= tol * est:
+                est = new
+                break
+            est = new
+        estimates.append(est)
+        steps.append(it)
+    return estimates, steps
 
 
 def plans(spec):
@@ -166,4 +224,55 @@ def test_op_norm_estimates_bit_exact(pts):
     W, absW = factors(spec)
     plan = plan_S_nu(spec, NU, offset_tau=True, offset_xin=True)
     _, diag = op_norm(W, absW, plan, seed=5)
-    assert diag["estimates"] == oracle_op_norm_estimates(W, absW, plan, seed=5)
+    estimates, steps = oracle_op_norm(W, absW, plan, seed=5)
+    assert diag["estimates"] == estimates
+    assert diag["iterations"] == max(steps)
+
+
+def gaussian_W(spec, **kwargs):
+    return build_W(gaussian_potential(spec, amplitude=2.0, width=0.6, **kwargs))
+
+
+def sandwich(W, plan):
+    return W, W, plan
+
+
+CUBE = grid(32, 32)
+HYPERCUBE = GridSpec(n=3, box_time=np.pi, box_space=np.pi, pts_time=16, pts_space=16)
+# (W1, W2, plan) of each case
+MODULATED_CASES = {
+    # the potential of configs/bs_sweep.yaml at its first and last nu
+    "bs_sweep_nu4": lambda: sandwich(gaussian_W(CUBE), plan_BS(CUBE, 4.0)),
+    "bs_sweep_nu64": lambda: sandwich(gaussian_W(CUBE), plan_BS(CUBE, 64.0)),
+    "full_box_window": lambda: sandwich(gaussian_W(CUBE, window=(-np.pi, np.pi)),
+                                        plan_BS(CUBE, NU)),
+    "cusp": lambda: sandwich(build_W(cusp_potential(CUBE)), plan_BS(CUBE, NU)),
+    "different_windows": lambda: (gaussian_W(CUBE, window=(-1.0, 0.5)),
+                                  gaussian_W(CUBE, window=(-2.0, 2.5)).magnitude,
+                                  plan_BS(CUBE, NU)),
+    "no_offsets": lambda: sandwich(gaussian_W(CUBE), plan_S_nu(CUBE, NU, offset_tau=False)),
+    "n3_16^4": lambda: sandwich(gaussian_W(HYPERCUBE, pair=(2, 3)), plan_BS(HYPERCUBE, NU)),
+}
+
+
+@pytest.mark.parametrize("case", MODULATED_CASES)
+def test_op_norm_matches_the_modulated_iteration(case):
+    W1, W2, plan = MODULATED_CASES[case]()
+    pts_time = plan.spec.pts_time
+    hull_rows = [h.stop - h.start for h in (oracle_hull(W1), oracle_hull(W2))]
+    if case == "full_box_window":
+        assert hull_rows == [pts_time] * 2
+    else:
+        assert max(hull_rows) < pts_time
+    assert (plan.modulation is None) == (case == "no_offsets")
+    _, diag = op_norm(W1, W2, plan)
+    estimates, steps = modulated_op_norm(W1, W2, plan)
+    assert diag["estimates"] == pytest.approx(estimates, rel=1e-12, abs=0.0)
+    assert diag["iterations"] == max(steps)
+    assert diag["converged"] and diag["starts_agree"]
+
+
+def test_op_norm_of_a_zero_potential():
+    W = build_W(gaussian_potential(CUBE, amplitude=0.0))
+    assert op_norm(W, W, plan_BS(CUBE, NU)) == (
+        0.0, {"iterations": 1, "converged": True, "starts_agree": True, "estimates": [0.0, 0.0]})

@@ -12,6 +12,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -163,14 +165,38 @@ def test_cli_import_starts_no_thread():
     assert out.stdout.strip() == "1"
 
 
+def run_norm_decay_scan(tmp_path, *nu):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "norm_decay_scan.py"), "--pts", "16",
+         "--nu", *nu, "--output", str(tmp_path)],
+        capture_output=True, text=True, env=src_env())
+
+
 def test_norm_decay_scan_runs(tmp_path):
     # the only caller of the sandwiched-norm sweep on the unbounded cusp outside a config
-    subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "norm_decay_scan.py"), "--pts", "16",
-         "--nu", "32", "64", "--output", str(tmp_path)],
-        capture_output=True, text=True, env=src_env(), check=True)
+    out = run_norm_decay_scan(tmp_path, "32", "64")
+    assert out.returncode == 0, out.stderr
     table = json.loads((tmp_path / "norm_decay_scan.json").read_text())
     assert sorted(table) == ["cusp", "gaussian"]
     for rows in table.values():
         assert [row["nu"] for row in rows] == [32.0, 64.0]
         assert all(math.isfinite(row["op_norm"]) and row["op_norm"] > 0.0 for row in rows)
+
+
+def test_norm_decay_scan_prints_a_skipped_remainder(tmp_path):
+    # below the contraction threshold the cusp's remainder sweep is skipped and its rows carry
+    # no remainder; the table prints a placeholder there and the JSON is still written
+    out = run_norm_decay_scan(tmp_path, "0.01", "0.02")
+    assert out.returncode == 0, out.stderr
+    assert "[cusp] remainder sweep skipped" in out.stdout
+    table = json.loads((tmp_path / "norm_decay_scan.json").read_text())
+    assert [row["nu"] for row in table["cusp"]] == [0.01, 0.02]
+    assert not any("remainder_fraction" in row for row in table["cusp"])
+
+
+@pytest.mark.parametrize("nu", ["-4", "0"])
+def test_norm_decay_scan_rejects_nonpositive_nu(tmp_path, nu):
+    out = run_norm_decay_scan(tmp_path, nu, "8")
+    assert out.returncode == 2
+    assert "argument --nu: nu must be > 0" in out.stderr
+    assert not (tmp_path / "norm_decay_scan.json").exists()
