@@ -63,7 +63,7 @@ def main() -> None:
         for row in rows:
             rem = row.get("remainder_fraction")
             rem_text = "-" if rem is None else f"{rem:.4e}"
-            print(f"{row['nu']:>8.0f} {row['op_norm']:>12.4e} {rem_text:>12}")
+            print(f"{row['nu']:>8g} {row['op_norm']:>12.4e} {rem_text:>12}")
 
     out = pathlib.Path(args.output)
     out.mkdir(parents=True, exist_ok=True)

@@ -23,7 +23,7 @@ import logging
 import numpy as np
 
 from .grid import Field, GridSpec, l2_norm
-from .multipliers import MultiplierPlan, apply_plan, plan_S_nu
+from .multipliers import MultiplierPlan, plan_S_nu
 from .parallel import run_two
 from .reports import EstimateReport
 from .symbols import potential_pair_check
@@ -177,21 +177,13 @@ def plan_BS(spec: GridSpec, nu: float) -> MultiplierPlan:
     return plan_S_nu(spec, nu, offset_tau=True, offset_xin=True)
 
 
-def apply_BS(
-    v: Field,
-    W1: FactorW,
-    W2: FactorW,
-    plan: MultiplierPlan,
-    out: np.ndarray | None = None,
-) -> Field:
+def apply_BS(v: Field, W1: FactorW, W2: FactorW, plan: MultiplierPlan) -> Field:
     """Compute M_{W1} S_nu M_{W2} v, with S_nu and nu from ``plan``.
 
-    Every step runs in one buffer: ``out`` if given (it may be ``v.data``),
-    else one fresh array; :class:`MultiplierPlan` states what ``out`` must be.
+    :func:`_sandwich` conjugated once by the plan's modulation (the
+    identity is stated there), in one fresh field.
     """
-    inner = Field(v.spec, np.multiply(W2.field.data, v.data, out=out))
-    mid = apply_plan(plan, inner, out=inner.data).data
-    return Field(v.spec, np.multiply(W1.field.data, mid, out=mid))
+    return _conjugated(v, W1.field.data, W2.field.data, plan)
 
 
 def _adjoint_plan(plan: MultiplierPlan) -> MultiplierPlan:
@@ -202,42 +194,43 @@ def _adjoint_plan(plan: MultiplierPlan) -> MultiplierPlan:
     return plan.adjoint()
 
 
-def apply_BS_adjoint(
-    u: Field,
-    W1: FactorW,
-    W2: FactorW,
-    adjoint_plan: MultiplierPlan,
-    out: np.ndarray | None = None,
-) -> Field:
+def apply_BS_adjoint(u: Field, W1: FactorW, W2: FactorW, adjoint_plan: MultiplierPlan) -> Field:
     """Adjoint of apply_BS: M_{conj W2} S_nu^* M_{conj W1} u.
 
-    ``adjoint_plan`` is the adjoint of apply_BS's plan (``plan.adjoint()``);
-    ``out`` works as in :func:`apply_BS` (it may be ``u.data``).
+    ``adjoint_plan`` is the adjoint of apply_BS's plan (``plan.adjoint()``).
     """
-    inner = Field(u.spec, np.multiply(W1.conj, u.data, out=out))
-    mid = apply_plan(adjoint_plan, inner, out=inner.data).data
-    return Field(u.spec, np.multiply(W2.conj, mid, out=mid))
+    return _conjugated(u, W2.conj, W1.conj, adjoint_plan)
 
 
-def _time_hull(W: FactorW) -> slice:
-    """The time rows from the first to the last one on which W is nonzero."""
-    rows = np.flatnonzero(W.field.data.reshape(W.field.spec.pts_time, -1).any(axis=1))
+def _time_hull(w: np.ndarray) -> slice:
+    """The time rows from the first to the last one on which ``w`` is nonzero."""
+    rows = np.flatnonzero(w.reshape(w.shape[0], -1).any(axis=1))
     return slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0)
 
 
-def _divide_rows(buf: np.ndarray, denom: np.ndarray, rows_in: slice, rows_out: slice) -> np.ndarray:
-    """F^-1 (F buf / denom) on the time rows ``rows_out``, in place in ``buf``.
+def _sandwich(buf: np.ndarray, w_in: np.ndarray, rows_in: slice, denom: np.ndarray,
+              w_out: np.ndarray, rows_out: slice) -> np.ndarray:
+    """M_{w_out} F^-1 D^-1 F M_{w_in} buf in place in ``buf``, with D = ``denom``.
 
-    F is the unitary DFT without modulation.  ``buf`` must be zero outside
-    the rows ``rows_in``: the spatial transforms run on those rows only, then
-    one transform along time on every row.  numpy's ``fftn`` transforms the
-    last axis first and time last, so this forward transform is ``fftn``
-    bit for bit.  The inverse runs along time first and on the rows
-    ``rows_out`` last, so it differs from ``ifftn`` in rounding only.  The
-    other rows are zeroed; the returned view holds the rows ``rows_out``.
+    F is the unitary DFT without modulation.  A plan's S is conj(m) F^-1
+    D^-1 F m, with m its half-bin modulation, a unit-modulus pointwise
+    factor that commutes with every M_W, so
+
+        M_{W1} S M_{W2} = conj(m) M_{W1} F^-1 D^-1 F M_{W2} m,
+
+    and this kernel is the middle of that product.  ``rows_in`` and
+    ``rows_out`` are the time hulls of ``w_in`` and ``w_out``
+    (:func:`_time_hull`) and ``buf`` must be zero outside ``rows_in``, so
+    the spatial transforms run on those rows only, with one transform along
+    time on every row; a window over the whole box transforms every row.
+    numpy's ``fftn`` transforms time last, so the forward transform is
+    ``fftn`` bit for bit; the inverse transforms time first and differs
+    from ``ifftn`` in rounding only.  The other rows are zeroed; the
+    returned view holds the rows ``rows_out``.
     """
     space = tuple(range(1, buf.ndim))
     part = buf[rows_in]
+    np.multiply(w_in[rows_in], part, out=part)
     np.fft.fftn(part, axes=space, norm="ortho", out=part)
     np.fft.fft(buf, axis=0, norm="ortho", out=buf)
     np.divide(buf, denom, out=buf)
@@ -246,7 +239,22 @@ def _divide_rows(buf: np.ndarray, denom: np.ndarray, rows_in: slice, rows_out: s
     np.fft.ifftn(part, axes=space, norm="ortho", out=part)
     buf[:rows_out.start] = 0.0
     buf[rows_out.stop:] = 0.0
-    return part
+    return np.multiply(w_out[rows_out], part, out=part)
+
+
+def _conjugated(v: Field, w_out: np.ndarray, w_in: np.ndarray, plan: MultiplierPlan) -> Field:
+    """M_{w_out} S M_{w_in} v for the S of ``plan``: :func:`_sandwich` conjugated by m."""
+    rows_in, rows_out = _time_hull(w_in), _time_hull(w_out)
+    buf = np.zeros(v.spec.shape, dtype=np.complex128)
+    part = buf[rows_in]
+    if plan.modulation is None:
+        part[...] = v.data[rows_in]
+    else:
+        np.multiply(v.data[rows_in], plan.modulation[rows_in], out=part)
+    part = _sandwich(buf, w_in, rows_in, plan.denom, w_out, rows_out)
+    if plan.demodulation is not None:
+        np.multiply(part, plan.demodulation[rows_out], out=part)
+    return Field(v.spec, buf)
 
 
 def op_norm(
@@ -269,19 +277,12 @@ def op_norm(
     ``_MAX_ITER`` (200) iterations is flagged, with the last iterate still
     returned.
 
-    The loop calls neither apply_BS nor the plan's transforms.  S_nu is
-    F^-1 D^-1 F conjugated by the half-bin modulation m, a unit-modulus
-    pointwise factor that commutes with M_W, so with u = m v
-
-        m A* A v = M_{conj W2} F^-1 conj(D)^-1 F M_{|W1|^2} F^-1 D^-1 F M_{W2} u,
-
-    and ||Av|| = ||M_{W1} F^-1 D^-1 F M_{W2} u||.  Each start is multiplied
-    by m once and then iterated as u.  The estimates equal those of the
-    modulated operator up to rounding.  W2 u vanishes outside the time
-    hull of W2 and only the hull of W1 is read back (:func:`_time_hull`),
-    so the spatial transforms run on those rows only
-    (:func:`_divide_rows`); a window over the whole box transforms every
-    row.  The denominators are the plan's and its adjoint's.
+    The loop calls neither apply_BS nor the plan's transforms: each start
+    is multiplied once by the modulation m and iterated as u = m v, two
+    :func:`_sandwich` calls per step.  With B = F^-1 D^-1 F and that
+    kernel's identity, m A* A v = M_{conj W2} B* M_{|W1|^2} B M_{W2} u and
+    ||Av|| = ||M_{W1} B M_{W2} u||, so the estimates equal those of the
+    modulated operator up to rounding.
 
     Each start holds one field, its iterate, for all of its iterations:
     every step runs in place in it.  Where two CPUs are available the two
@@ -293,9 +294,9 @@ def op_norm(
     """
     spec = plan.spec
     adj = _adjoint_plan(plan)
-    h1, h2 = _time_hull(W1), _time_hull(W2)
-    w1, w1c = W1.field.data[h1], W1.conj[h1]  # conj built here, not on a worker thread
-    w2, w2c = W2.field.data[h2], W2.conj[h2]
+    w1, w2 = W1.field.data, W2.field.data
+    w1c, w2c = W1.conj, W2.conj  # built here, not on a worker thread
+    h1, h2 = _time_hull(w1), _time_hull(w2)
 
     def start(s: int):
         """Draw start ``s``, modulated; return its power iteration."""
@@ -314,14 +315,9 @@ def op_norm(
         v[h2.stop:] = 0.0
         est = 0.0
         for it in range(1, _MAX_ITER + 1):
-            u = v[h2]
-            np.multiply(w2, u, out=u)
-            av = _divide_rows(v, plan.denom, h2, h1)
-            np.multiply(w1, av, out=av)
+            av = _sandwich(v, w2, h2, plan.denom, w1, h1)
             new = l2_norm(av)  # sqrt of the Rayleigh quotient of A*A
-            np.multiply(w1c, av, out=av)
-            w = _divide_rows(v, adj.denom, h1, h2)
-            np.multiply(w2c, w, out=w)
+            w = _sandwich(v, w1c, h1, adj.denom, w2c, h2)
             wn = l2_norm(w)
             if wn == 0.0:
                 return 0.0, it, True

@@ -84,12 +84,12 @@ class MultiplierPlan:
     after the inverse transform; it is built once here rather than per
     transform.
 
-    Work buffers: :meth:`to_freq`, :meth:`from_freq` and :func:`apply_plan`
-    take an optional ``out``, a C-contiguous complex128 array of the grid
-    shape that receives the result and doubles as the only work space.
-    ``out`` may alias the input (``f.data`` or ``coeffs``), because every
-    step reads each sample before it writes it; it must not alias the
-    plan's own arrays.  Without ``out`` each call allocates one fresh array.
+    Work buffers: :meth:`to_freq` allocates one fresh array and works in
+    it.  Only :meth:`from_freq` takes an ``out``, a C-contiguous complex128
+    array of the grid shape that receives the result and doubles as the
+    only work space; it may be ``coeffs`` itself, because every step reads
+    each sample before it writes it.  :func:`apply_plan` passes its
+    coefficients there, so one application allocates one array.
 
     In-place products keep numpy's own evaluation order, so results are
     bit-identical to the plain expressions ``f.data * modulation`` and
@@ -146,14 +146,10 @@ class MultiplierPlan:
 
     # -- modulated (offset-lattice) transforms ---------------------------
 
-    def to_freq(self, f: Field, out: np.ndarray | None = None) -> np.ndarray:
+    def to_freq(self, f: Field) -> np.ndarray:
         """Coefficients of f on this plan's (offset) frequency lattice."""
-        if out is None:
-            out = np.empty_like(f.data)
-        data = f.data
-        if self.modulation is not None:
-            data = np.multiply(data, self.modulation, out=out)
-        return np.fft.fftn(data, norm="ortho", out=out)
+        data = f.data.copy() if self.modulation is None else f.data * self.modulation
+        return np.fft.fftn(data, norm="ortho", out=data)
 
     def from_freq(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> Field:
         if out is None:
@@ -199,13 +195,13 @@ def plan_S_nu(
 # ---------------------------------------------------------------------------
 
 
-def apply_plan(plan: MultiplierPlan, f: Field, out: np.ndarray | None = None) -> Field:
+def apply_plan(plan: MultiplierPlan, f: Field) -> Field:
     """Apply the reciprocal symbol 1/p on retained modes (floored modes -> 0).
 
-    Every step runs in one buffer: ``out`` if given (it may be ``f.data``),
-    else one fresh array.
+    Every step runs in the one array that :meth:`MultiplierPlan.to_freq`
+    allocates.
     """
-    coeffs = plan.to_freq(f, out)
+    coeffs = plan.to_freq(f)
     np.divide(coeffs, plan.denom, out=coeffs)
     return plan.from_freq(coeffs, out=coeffs)
 

@@ -244,14 +244,14 @@ class TestTwoStarts:
     def test_exception_in_either_start_propagates_and_worker_is_joined(
             self, monkeypatch, started, failing):
         monkeypatch.setattr(parallel, "_THREADS", 2)
-        divide = birman_schwinger._divide_rows  # the transform pair each step runs twice
+        kernel = birman_schwinger._sandwich  # each step runs it twice
 
         def one_start_fails(*args, **kwargs):
             if (threading.current_thread() is threading.main_thread()) == (failing == "caller"):
                 raise RuntimeError(f"{failing} start failed")
-            return divide(*args, **kwargs)
+            return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(birman_schwinger, "_divide_rows", one_start_fails)
+        monkeypatch.setattr(birman_schwinger, "_sandwich", one_start_fails)
         W = build_W(gaussian_potential(SPEC))
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"{failing} start failed"):

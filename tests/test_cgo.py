@@ -1,9 +1,12 @@
 """Wave packets, the contraction solve, and remainder decay."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
-from schrodlab import cgo
+from schrodlab import cgo, cli
 from schrodlab.birman_schwinger import build_W, gaussian_potential, plan_BS
 from schrodlab.cgo import (
     NoConvergence,
@@ -21,6 +24,7 @@ from schrodlab.multipliers import apply_symbol, plan_S_nu
 
 SPEC = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=16, pts_space=16)
 NU = 32.0
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestWavePacket:
@@ -126,6 +130,26 @@ class TestNeumannSolve:
             lambda: solve_v_neumann(W, usharp, plan, tol=1e-8))
         assert diag1 == diag2
         assert np.array_equal(v1.data, v2.data)
+
+    def test_committed_build_matches_the_benchmark_reference(self):
+        # the benchmark checks rho and the uflat fingerprint at rtol 1e-9 on every run;
+        # a drift in the Neumann path shows here first
+        values = cli.read(cli.load_config(ROOT / "configs" / "cgo.yaml"),
+                          {**cli.COMMON, **cli.TABLES["cgo-build"]})
+        V, p = cli.build_inputs(values)["V"], values["packet"]
+        packet = gaussian_packet_on_hyperplane(V.field.spec, values["nu"],
+                                               center=p["center"], width=p["width"])
+        sol = build_cgo(V, packet, tol=values["tol"], rho_cap=values["rho_cap"])
+        reference = json.loads((ROOT / "bench" / "reference.json").read_text())["cgo"]
+        assert sol.rho == pytest.approx(reference["rho"][0], rel=1e-12, abs=0.0)
+        # norm and a fixed random projection, as bench/execute.py's fingerprint
+        a = sol.uflat.data.ravel()
+        rng = np.random.default_rng(0)
+        r = rng.standard_normal(a.size) + 1j * rng.standard_normal(a.size)
+        proj = np.vdot(r / np.linalg.norm(r), a)
+        got = [np.linalg.norm(a), proj.real, proj.imag]
+        ref = reference["uflat"]
+        assert np.abs(np.subtract(got, ref)).max() <= 1e-12 * abs(ref[0])
 
 
 class TestSweep:

@@ -1,22 +1,29 @@
 """The buffered operator core against plain numpy expressions, bit for bit.
 
-``apply_plan``, ``apply_BS``, ``apply_BS_adjoint`` and ``op_norm`` work in place
-in one buffer.  The oracles below write the same operators as plain expressions
-with a fresh array per step, and numpy evaluates each product its own way.  numpy elides the temporary of a
-commutative product of arrays of at least 256 KiB, so ``data * np.conj(mod)``
-is evaluated as ``conj(mod) * data`` from that size up, and complex products
-are not bitwise commutative.  The grids straddle that size: 16^3 is 64 KiB,
-16 x 32^2 is exactly 256 KiB, 32^3 is 512 KiB and 64^3 is 4 MiB.
+``apply_plan`` works in place in one buffer, and ``apply_BS``,
+``apply_BS_adjoint`` and ``op_norm`` in place through one kernel on the time
+rows where W is nonzero.  The oracles below write the same operators as plain
+expressions with a fresh array per step, and numpy evaluates each product its
+own way.  numpy elides the temporary of a commutative product of arrays of at
+least 256 KiB, so ``data * np.conj(mod)`` is evaluated as ``conj(mod) * data``
+from that size up, and complex products are not bitwise commutative.  The
+grids straddle that size: 16^3 is 64 KiB, 16 x 32^2 is exactly 256 KiB, 32^3
+is 512 KiB and 64^3 is 4 MiB.
 
-``op_norm`` iterates the modulation-free normal operator on the time rows where
-W is nonzero; ``oracle_op_norm`` is that loop.  ``modulated_op_norm`` is the
-power iteration on apply_BS and apply_BS_adjoint, which ``op_norm`` must match
-up to rounding, step for step.
+``oracle_apply_BS`` and ``oracle_apply_BS_adjoint`` are the modulated operator
+on the full grid, through ``apply_plan``'s expressions; ``modulated_op_norm``
+is the power iteration on them.  ``oracle_hull_apply`` and ``oracle_op_norm``
+are the kernel's modulation-free transforms on hull rows (built on
+``oracle_divide_rows``), which ``apply_BS``, ``apply_BS_adjoint`` and
+``op_norm`` match bit for bit and the modulated oracles up to rounding.
 """
+
+import pathlib
 
 import numpy as np
 import pytest
 
+from schrodlab import cli
 from schrodlab.birman_schwinger import (
     FactorW,
     apply_BS,
@@ -105,8 +112,8 @@ def modulated_op_norm(W1, W2, plan, seed=0, tol=1e-3, max_iter=200):
     return estimates, steps
 
 
-def oracle_hull(W):
-    rows = [k for k in range(W.field.spec.pts_time) if np.any(W.field.data[k] != 0)]
+def oracle_hull(w):
+    rows = [k for k in range(w.shape[0]) if np.any(w[k] != 0)]
     return slice(rows[0], rows[-1] + 1) if rows else slice(0, 0)
 
 
@@ -120,10 +127,27 @@ def oracle_divide_rows(x, denom, rows_in, rows_out):
     return np.fft.ifftn(back[rows_out], axes=space, norm="ortho")
 
 
+def oracle_hull_apply(v, w_out, w_in, plan):
+    """M_{w_out} S M_{w_in} v for the S of ``plan``: m v in on w_in's hull, conj(m) out."""
+    h_in, h_out = oracle_hull(w_in), oracle_hull(w_out)
+    mv = v.data[h_in]
+    if plan.modulation is not None:
+        mv = mv * plan.modulation[h_in]
+    x = np.zeros(v.spec.shape, complex)
+    x[h_in] = w_in[h_in] * mv
+    g = oracle_divide_rows(x, plan.denom, h_in, h_out)
+    out = w_out[h_out] * g
+    if plan.modulation is not None:
+        out = out * np.conj(plan.modulation)[h_out]
+    y = np.zeros(v.spec.shape, complex)
+    y[h_out] = out
+    return y
+
+
 def oracle_op_norm(W1, W2, plan, seed=0, tol=1e-3, max_iter=200):
     """Estimates and steps of each start of op_norm's modulation-free loop on hull rows."""
     spec = W1.field.spec
-    h1, h2 = oracle_hull(W1), oracle_hull(W2)
+    h1, h2 = oracle_hull(W1.field.data), oracle_hull(W2.field.data)
     w1, w2 = W1.field.data[h1], W2.field.data[h2]
     w1c, w2c = np.conj(w1), np.conj(w2)
     adj = plan.adjoint()
@@ -178,17 +202,6 @@ def test_apply_plan_bit_exact(pts):
         assert np.array_equal(got, oracle_apply_plan(plan, f)), name
 
 
-def test_apply_plan_into_its_input():
-    spec = grid(32, 32)
-    for name, plan in plans(spec).items():
-        f = random_field(spec, 3)
-        want = apply_plan(plan, f).data
-        buf = f.data
-        got = apply_plan(plan, f, out=f.data)
-        assert got.data is buf, name
-        assert np.array_equal(got.data, want), name
-
-
 def test_transforms_keep_their_input():
     spec = grid(16, 32)
     plan = plan_S_nu(spec, NU, offset_tau=True, offset_xin=True)
@@ -206,16 +219,16 @@ def test_transforms_keep_their_input():
 @pytest.mark.parametrize("pts", SIZES + [(64, 64)])
 def test_apply_BS_bit_exact(pts):
     spec = grid(*pts)
-    W, absW = factors(spec)
+    W = gaussian_W(spec, window=(-1.0, 0.5))
+    absW = gaussian_W(spec, window=(-2.0, 2.5)).magnitude
     plan = plan_S_nu(spec, NU, offset_tau=True, offset_xin=True)
     v = random_field(spec, 1)
-    want = apply_BS(v, W, absW, plan).data
-    assert np.array_equal(want, oracle_apply_BS(v, W, absW, plan))
+    got = apply_BS(v, W, absW, plan).data
+    assert np.array_equal(got, oracle_hull_apply(v, W.field.data, absW.field.data, plan))
     adj = plan.adjoint()
     got = apply_BS_adjoint(v, W, absW, adj).data
-    assert np.array_equal(got, oracle_apply_BS_adjoint(v, W, absW, adj))
-    # into the input's own buffer
-    assert np.array_equal(apply_BS(v, W, absW, plan, out=v.data).data, want)
+    assert np.array_equal(got, oracle_hull_apply(v, np.conj(absW.field.data),
+                                                 np.conj(W.field.data), adj))
 
 
 @pytest.mark.parametrize("pts", SIZES)
@@ -259,7 +272,8 @@ MODULATED_CASES = {
 def test_op_norm_matches_the_modulated_iteration(case):
     W1, W2, plan = MODULATED_CASES[case]()
     pts_time = plan.spec.pts_time
-    hull_rows = [h.stop - h.start for h in (oracle_hull(W1), oracle_hull(W2))]
+    hull_rows = [h.stop - h.start for h in (oracle_hull(W1.field.data),
+                                            oracle_hull(W2.field.data))]
     if case == "full_box_window":
         assert hull_rows == [pts_time] * 2
     else:
@@ -276,3 +290,57 @@ def test_op_norm_of_a_zero_potential():
     W = build_W(gaussian_potential(CUBE, amplitude=0.0))
     assert op_norm(W, W, plan_BS(CUBE, NU)) == (
         0.0, {"iterations": 1, "converged": True, "starts_agree": True, "estimates": [0.0, 0.0]})
+
+
+def relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("case", MODULATED_CASES)
+def test_apply_BS_matches_the_modulated_oracle(case):
+    W1, W2, plan = MODULATED_CASES[case]()
+    v = random_field(plan.spec, 2)
+    got = apply_BS(v, W1, W2, plan).data
+    assert relative_error(got, oracle_apply_BS(v, W1, W2, plan)) <= 1e-12
+    adj = plan.adjoint()
+    got = apply_BS_adjoint(v, W1, W2, adj).data
+    assert relative_error(got, oracle_apply_BS_adjoint(v, W1, W2, adj)) <= 1e-12
+
+
+def test_apply_BS_is_zero_outside_the_output_hull():
+    W1, W2, plan = MODULATED_CASES["different_windows"]()
+    h1, h2 = oracle_hull(W1.field.data), oracle_hull(W2.field.data)
+    assert h1.stop - h1.start < h2.stop - h2.start < plan.spec.pts_time
+    v = random_field(plan.spec, 3)
+    for got, hull in ((apply_BS(v, W1, W2, plan).data, h1),
+                      (apply_BS_adjoint(v, W1, W2, plan.adjoint()).data, h2)):
+        assert np.all(got[:hull.start] == 0.0) and np.all(got[hull.stop:] == 0.0)
+        assert np.all(np.any(got[hull] != 0.0, axis=(1, 2)))
+
+
+def test_apply_BS_of_a_zero_potential():
+    W = build_W(gaussian_potential(CUBE, amplitude=0.0))
+    plan = plan_BS(CUBE, NU)
+    v = random_field(CUBE, 4)
+    assert np.array_equal(apply_BS(v, W, W, plan).data, np.zeros(CUBE.shape))
+    assert np.array_equal(apply_BS_adjoint(v, W, W, plan.adjoint()).data, np.zeros(CUBE.shape))
+
+
+def test_apply_BS_transforms_only_the_rows_of_W2(monkeypatch):
+    # on the bs_sweep grid the window holds half the time rows; the modulated route
+    # through apply_plan transforms all of them in space
+    config = pathlib.Path(__file__).resolve().parents[1] / "configs" / "bs_sweep.yaml"
+    values = cli.read(cli.load_config(config), {**cli.COMMON, **cli.TABLES["bs-norm-sweep"]})
+    V = cli.build_inputs(values)["V"]
+    spec, W = V.field.spec, build_W(V)
+    hull = oracle_hull(W.field.data)
+    assert hull.stop - hull.start < spec.pts_time
+    shapes, fftn = [], np.fft.fftn
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return fftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", recording)
+    apply_BS(random_field(spec), W, W.magnitude, plan_BS(spec, values["nu_values"][0]))
+    assert shapes == [(hull.stop - hull.start,) + (spec.pts_space,) * spec.n]

@@ -189,6 +189,8 @@ def test_norm_decay_scan_prints_a_skipped_remainder(tmp_path):
     out = run_norm_decay_scan(tmp_path, "0.01", "0.02")
     assert out.returncode == 0, out.stderr
     assert "[cusp] remainder sweep skipped" in out.stdout
+    for nu in ("0.01", "0.02"):  # a table row per nu, labelled with its value
+        assert len(re.findall(rf"^ *{re.escape(nu)} ", out.stdout, re.M)) == 2, out.stdout
     table = json.loads((tmp_path / "norm_decay_scan.json").read_text())
     assert [row["nu"] for row in table["cusp"]] == [0.01, 0.02]
     assert not any("remainder_fraction" in row for row in table["cusp"])
