@@ -259,12 +259,11 @@ def remainder_decay_sweep(
         psi_norm = packet.norm(spec)
         sol = build_cgo(V, packet, tol=tol)
         wflat = l2_norm(Field(spec, W.field.data * sol.uflat.data))
-        wsharp = l2_norm(Field(spec, W.field.data * sol.usharp.data))
         report.samples.append(
             {
                 "nu": float(mag),
                 "ratio": wflat / psi_norm,
-                "leading_ratio": wsharp / psi_norm,
+                "leading_ratio": sol.residuals["rhs_norm"] / psi_norm,  # ||W u_sharp||
                 "rho": sol.rho,
                 "terms": sol.terms,
                 "fixed_point_residual": sol.residuals["fixed_point"],

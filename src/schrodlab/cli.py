@@ -4,8 +4,8 @@ Every subcommand reads one config file (YAML or JSON; schema documented
 in docs/config_schema.md), runs its experiment, writes reports into the
 configured output directory, and exits with:
 
-* 0 - experiment ran and every verdict passed,
-* 1 - experiment ran but a verdict failed,
+* 0 - experiment ran and its report passed (``EstimateReport.passed``),
+* 1 - experiment ran but its verdict or one of its rules failed,
 * 2 - usage or configuration error (message names the offending key),
 * 3 - numerical non-convergence.
 
@@ -201,7 +201,7 @@ def run_experiment(experiment, table, config_path, output_override, fmt, dry_run
     if dry_run:
         click.echo(json.dumps(values, indent=2, sort_keys=True, default=str))
         return EXIT_PASS
-    stem, report, ok, artifacts = experiment(cfg, values, inputs)
+    stem, report, artifacts = experiment(cfg, values, inputs)
     report.runtime = time.perf_counter() - start
     directory = pathlib.Path(output_override or values["output_dir"])
     directory.mkdir(parents=True, exist_ok=True)
@@ -217,7 +217,7 @@ def run_experiment(experiment, table, config_path, output_override, fmt, dry_run
         else:
             np.save(path, value)
         click.echo(f"wrote {path}")
-    return EXIT_PASS if ok else EXIT_VERDICT
+    return EXIT_PASS if report.passed else EXIT_VERDICT
 
 
 @click.group()
@@ -234,9 +234,9 @@ def command(name: str, table):
     config where the table depends on a key); ``values`` is the config as
     read against it, beside the raw ``cfg`` that reports echo, and
     ``inputs`` what :func:`build_inputs` built from ``values``.  The
-    experiment returns ``(report stem, EstimateReport, passed,
-    artifacts)`` where ``artifacts`` maps file names (``.npy`` arrays,
-    ``.slf`` fields) to the values written beside the report.
+    experiment returns ``(report stem, EstimateReport, artifacts)``; the
+    report alone decides the exit code, and ``artifacts`` maps file names
+    (``.npy`` arrays, ``.slf`` fields) to the values written beside it.
     """
     TABLES[name] = table
 
@@ -264,7 +264,7 @@ def command(name: str, table):
 def verify_strichartz(cfg, values, inputs):
     """Measure nu-uniform Strichartz / gain ratios."""
     report = sweep(cfg, values, inputs["spec"], inputs.get("pairs"))
-    return f"{values['estimate']}_sweep", report, report.verdict in ("pass", "recorded"), {}
+    return f"{values['estimate']}_sweep", report, {}
 
 
 @command("kernel-table", {
@@ -286,7 +286,7 @@ def kernel_table_cmd(cfg, values, inputs):
             report.samples.append({"sigma": float(sigma), "x": float(point), "seed": 0,
                                    "closed": closed, "quadrature": quad,
                                    "ratio": abs(closed - quad)})
-    return "kernel_table", report, report.verdict == "pass", {}
+    return "kernel_table", report, {}
 
 
 @command("bs-norm-sweep", {**WITH_POTENTIAL, "nu_values": ([float], REQUIRED),
@@ -301,12 +301,12 @@ def bs_norm_sweep(cfg, values, inputs):
         raise NoConvergence("power iteration starts disagree")
     ratios = report.ratios
     if len(ratios) < 2:  # one nu compares nothing; it records, and exits 0
-        decay = "not_compared"
+        report.params["decay_verdict"] = "not_compared"
     else:
         # a zero norm at the first nu (a zero potential) shows no decay
-        decay = "pass" if 0.0 < ratios[0] and ratios[-1] <= 0.5 * ratios[0] else "fail"
-    report.params["decay_verdict"] = decay
-    return "bs_norm_sweep", report, decay != "fail", {}
+        report.rules["decay"] = 0.0 < ratios[0] and ratios[-1] <= 0.5 * ratios[0]
+        report.params["decay_verdict"] = "pass" if report.rules["decay"] else "fail"
+    return "bs_norm_sweep", report, {}
 
 
 @command("cgo-build", {**WITH_POTENTIAL, "nu": (float, REQUIRED), "tol": (float, 1e-8),
@@ -328,7 +328,7 @@ def cgo_build(cfg, values, inputs):
     for kind in ("fixed_point", "remainder_equation"):
         report.samples.append({"seed": 0, "ratio": sol.residuals[kind], "kind": kind})
     artifacts = {"uflat.slf": sol.uflat, "usharp.slf": sol.usharp}
-    return "cgo_build", report, report.verdict == "pass", artifacts
+    return "cgo_build", report, artifacts
 
 
 @command("forward-evolve", {
@@ -345,7 +345,7 @@ def forward_evolve(cfg, values, inputs):
         ceiling=1e-8,
     )
     report.samples.append({"seed": 0, "ratio": traj.mass_drift(), "kind": "mass_drift"})
-    return "forward_evolve", report, report.verdict == "pass", {"final_state.npy": traj.final}
+    return "forward_evolve", report, {"final_state.npy": traj.final}
 
 
 @command("identity-check", {**WITH_POTENTIAL, "T": (float, REQUIRED), "steps": (COUNT, 256),
@@ -373,7 +373,7 @@ def identity_check(cfg, values, inputs):
         report.samples.append(
             {"seed": seed, "trial": k, "ratio": out["normalized_residual"]}
         )
-    return "identity_check", report, report.verdict == "pass", {}
+    return "identity_check", report, {}
 
 
 @command("reconstruct", {**WITH_POTENTIAL, "T": (float, REQUIRED), "freq_radius": (float, 8.0),
@@ -391,7 +391,7 @@ def reconstruct(cfg, values, inputs):
         ceiling=values["tol"],
     )
     report.samples.append({"seed": 0, "ratio": rep["relative_l2_error"]})
-    return "reconstruct", report, report.verdict == "pass", {"potential_estimate.npy": est}
+    return "reconstruct", report, {"potential_estimate.npy": est}
 
 
 @command("counterexample-sweep", {"rho_values": ([float], REQUIRED),
@@ -406,13 +406,13 @@ def counterexample_sweep(cfg, values, inputs):
                                    profile=profile)
     ratios = report.ratios
     if family == "control":
-        ok = max(ratios) <= 2.0 * min(ratios)
+        report.rules["growth"] = max(ratios) <= 2.0 * min(ratios)
     else:
         increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
-        ok = increasing and ratios[-1] / ratios[0] >= threshold
+        report.rules["growth"] = increasing and ratios[-1] / ratios[0] >= threshold
     report.params["growth_threshold"] = threshold
-    report.params["verdict_growth"] = "pass" if ok else "fail"
-    return f"counterexample_{family}", report, ok, {}
+    report.params["verdict_growth"] = "pass" if report.rules["growth"] else "fail"
+    return f"counterexample_{family}", report, {}
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ the table does not allow with the same ConfigError.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import logging
@@ -145,7 +146,8 @@ class EstimateReport:
     (vacuously "pass" for an empty sweep, "fail" for samples without a
     ratio; a non-finite ratio fails even without a ceiling); ``samples``
     records every parameter/seed combination so a sweep can be replayed
-    sample by sample.
+    sample by sample.  ``rules`` holds a command's own rules beside the
+    verdict (name -> held), and ``passed`` joins them with it.
     """
 
     estimate: str
@@ -154,6 +156,7 @@ class EstimateReport:
     samples: list = field(default_factory=list)  # dicts incl. seed + ratio
     ceiling: float | None = None
     runtime: float = 0.0  # seconds, set by the CLI; excluded from serialization
+    rules: dict[str, bool] = field(default_factory=dict)  # excluded from serialization
 
     @property
     def ratios(self) -> list:
@@ -177,6 +180,11 @@ class EstimateReport:
         if self.ceiling is None:
             return "recorded"
         return "pass" if r and max(r) <= self.ceiling else "fail"
+
+    @property
+    def passed(self) -> bool:
+        """The run's outcome (CLI exit 0): the verdict is not "fail" and every rule holds."""
+        return self.verdict != "fail" and all(self.rules.values())
 
     def to_dict(self) -> dict:
         return {
@@ -203,9 +211,9 @@ def write_report(report: EstimateReport, path, fmt: str = "json") -> None:
     elif fmt == "csv":
         keys = sorted({k for s in report.samples for k in s})
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(keys) + "\n")
-            for s in report.samples:
-                fh.write(",".join(repr(s.get(k, "")) for k in keys) + "\n")
+            writer = csv.writer(fh, lineterminator="\n")  # quotes a cell holding a comma
+            writer.writerow(keys)
+            writer.writerows([repr(s.get(k, "")) for k in keys] for s in report.samples)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
     logger.info("wrote %s report to %s (runtime %.2fs)", report.estimate, path, report.runtime)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
+import csv
 import json
 import logging
 import pathlib
@@ -472,6 +473,61 @@ class TestExitCodes:
         res = runner.invoke(main, ["bs-norm-sweep", "--config", cfg])
         assert res.exit_code == EXIT_NONCONVERGENCE
         assert not (tmp_path / "out" / "bs_norm_sweep.json").exists()
+
+
+class TestReportDecidesExit:
+    """run_experiment alone maps a report to exit 0 or 1: verdict and rules together."""
+
+    def test_control_nan_ratio_exits_1(self, runner, tmp_path, monkeypatch):
+        # max and min skip a NaN that is not first, so the control rule passes; the
+        # report's verdict fails, and the run exited 0 while its report said "fail"
+        def sweep(rho_list, family, **kwargs):
+            report = EstimateReport("embedding_ratio", {}, {"family": family})
+            report.samples = [{"rho": float(rho), "ratio": r, "seed": 0}
+                              for rho, r in zip(rho_list, [0.5, float("nan"), 0.7])]
+            return report
+
+        monkeypatch.setattr(cli, "embedding_ratio_sweep", sweep)
+        cfg = write(tmp_path, "c.yaml", "rho_values: [4, 16, 64]\nfamily: control\n"
+                    f"trace_points: 64\noutput_dir: {tmp_path}/out\n")
+        res = runner.invoke(main, ["counterexample-sweep", "--config", cfg])
+        assert res.exit_code == EXIT_VERDICT
+        report = json.loads((tmp_path / "out" / "counterexample_control.json").read_text())
+        assert report["verdict"] == "fail"
+        assert report["params"]["verdict_growth"] == "pass"
+
+    def test_decay_nan_ratio_exits_1(self, runner, tmp_path, monkeypatch):
+        # the decay rule reads only the first and last norms, so a NaN between them
+        # passed it, and the run exited 0 while its report said "fail"
+        def sweep(V, nu_values, **kwargs):
+            report = EstimateReport("bs_decay", {}, {})
+            report.samples = [{"nu": float(nu), "ratio": r, "converged": True,
+                               "starts_agree": True, "seed": 0}
+                              for nu, r in zip(nu_values, [0.5, float("nan"), 0.1])]
+            return report
+
+        monkeypatch.setattr(cli, "bs_decay_sweep", sweep)
+        cfg = write(tmp_path, "bs.yaml", GRID +
+                    "potential: {kind: gaussian, amplitude: 1.0, width: 0.5}\n"
+                    f"nu_values: [4, 16, 64]\noutput_dir: {tmp_path}/out\n")
+        res = runner.invoke(main, ["bs-norm-sweep", "--config", cfg])
+        assert res.exit_code == EXIT_VERDICT
+        report = json.loads((tmp_path / "out" / "bs_norm_sweep.json").read_text())
+        assert report["verdict"] == "fail"
+        assert report["params"]["decay_verdict"] == "pass"
+
+    def test_strichartz_csv_rows_have_header_width(self, runner, tmp_path):
+        # the pair cell ['4/3', '4/3'] split into two columns: a 5-field header, 6-field rows
+        res = runner.invoke(main, ["verify-strichartz", "--config",
+                                   str(ROOT / "configs" / "strichartz.yaml"),
+                                   "--output", str(tmp_path), "--format", "csv"])
+        assert res.exit_code == EXIT_PASS, res.output
+        with open(tmp_path / "strichartz_sweep.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["field", "nu", "pair", "ratio", "seed"]
+        assert len(rows) == 90
+        assert all(len(row) == len(header) for row in rows)
+        assert rows[0][2] == "['4/3', '4/3']"
 
 
 class TestRunAllScript:

@@ -61,6 +61,36 @@ class TestVerdicts:
         assert rep.max_ratio is None
 
 
+class TestPassed:
+    """``passed`` decides the CLI exit code: the verdict and every rule must hold."""
+
+    def test_empty_sweep_passes(self):
+        assert EstimateReport("gain", {}, {}).passed
+
+    def test_recorded_sweep_passes(self):
+        rep = sample_report()
+        rep.ceiling = None
+        assert rep.verdict == "recorded"
+        assert rep.passed
+
+    def test_failing_rule_fails(self):
+        rep = sample_report()
+        rep.rules = {"decay": True, "growth": False}
+        assert rep.verdict == "pass"
+        assert not rep.passed
+
+    def test_nan_ratio_fails_with_passing_rule(self):
+        rep = EstimateReport("embedding_ratio", {}, {})
+        rep.samples = [{"seed": 0, "ratio": r} for r in (0.5, math.nan, 0.7)]
+        rep.rules["growth"] = True
+        assert not rep.passed
+
+    def test_rules_not_serialized(self):
+        rep = sample_report()
+        rep.rules["decay"] = False
+        assert report_to_json(rep) == report_to_json(sample_report())
+
+
 class TestSerialization:
     def test_runtime_excluded(self):
         payload = json.loads(report_to_json(sample_report()))
