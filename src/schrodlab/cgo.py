@@ -36,7 +36,6 @@ __all__ = [
     "gaussian_packet_on_hyperplane",
     "wave_packet_usharp",
     "solve_v_neumann",
-    "build_uflat",
     "build_cgo",
     "remainder_decay_sweep",
 ]
@@ -129,7 +128,6 @@ class CgoSolution:
 
     nu: float
     usharp: Field
-    v: Field
     uflat: Field
     rho: float
     terms: int
@@ -144,7 +142,7 @@ def solve_v_neumann(
     rho_cap: float = 0.9,
     max_terms: int = 200,
 ) -> tuple[Field, dict]:
-    """Solve (Id - M_W S_nu M_{|W|}) v = W u_sharp by Neumann iteration.
+    """Solve (Id - A) v = W u_sharp, A = M_W S_nu M_{|W|}, by Neumann iteration.
 
     S_nu is ``plan``, from :func:`plan_BS`.  Raises :class:`NotContractive`
     when the estimated sandwich norm exceeds ``rho_cap`` (|nu| below the
@@ -152,6 +150,11 @@ def solve_v_neumann(
     tail has not dropped below ``tol`` after ``max_terms`` terms.  The estimate enters the contraction
     test and the tail bound, so a power iteration that did not converge, or
     whose two starts disagree, raises :class:`NoConvergence` as well.
+
+    The diagnostics hold ``rho``, the ``terms`` summed, ``rhs_norm`` =
+    ||W u_sharp||, ``remainder_norm`` = ||A v|| = ||W u_flat|| (u_flat =
+    S_nu(|W| v)) and ``fixed_point`` = ||v - A v - W u_sharp|| / ||W u_sharp||
+    (over 1 when W u_sharp = 0, which gives v = 0 and no terms).
     """
     spec = usharp.spec
     absW = W.magnitude
@@ -165,23 +168,20 @@ def solve_v_neumann(
     rhs = Field(spec, W.field.data * usharp.data)
     rhs_norm = l2_norm(rhs)
     if rhs_norm == 0.0:
-        zero = Field(spec, np.zeros(spec.shape, complex))
-        return zero, {"rho": rho, "terms": 0, "op_norm_diag": diag}
-    v = rhs.copy()
-    term = rhs
-    for k in range(1, max_terms + 1):
-        term = apply_BS(term, W, absW, plan)
-        v = v + term
-        tail = l2_norm(term) * rho / max(1.0 - rho, 1e-12)
-        if tail <= tol * rhs_norm:
-            return v, {"rho": rho, "terms": k, "tail": tail, "op_norm_diag": diag}
-    raise NoConvergence(f"Neumann tail {tail:.2e} above {tol:.2e} after {max_terms} terms")
-
-
-def build_uflat(W: FactorW, v: Field, plan: MultiplierPlan) -> Field:
-    """u_flat = S_nu (|W| v), with S_nu the plan of :func:`solve_v_neumann`."""
-    inner = Field(v.spec, W.magnitude.field.data * v.data)
-    return apply_plan(plan, inner)
+        v, k = Field(spec, np.zeros(spec.shape, complex)), 0
+    else:
+        v, term = rhs.copy(), rhs
+        for k in range(1, max_terms + 1):
+            term = apply_BS(term, W, absW, plan)
+            np.add(v.data, term.data, out=v.data)
+            tail = l2_norm(term) * rho / max(1.0 - rho, 1e-12)
+            if tail <= tol * rhs_norm:
+                break
+        else:
+            raise NoConvergence(f"Neumann tail {tail:.2e} above {tol:.2e} after {max_terms} terms")
+    av = apply_BS(v, W, absW, plan)
+    return v, {"rho": rho, "terms": k, "rhs_norm": rhs_norm, "remainder_norm": l2_norm(av),
+               "fixed_point": l2_norm(v - av - rhs) / (rhs_norm or 1.0)}
 
 
 def build_cgo(
@@ -190,9 +190,9 @@ def build_cgo(
     tol: float = 1e-8,
     rho_cap: float = 0.9,
 ) -> CgoSolution:
-    """Full pipeline: packet -> u_sharp -> v -> u_flat, with residuals.
+    """Full pipeline: packet -> u_sharp -> v -> u_flat = S_nu(|W| v), with residuals.
 
-    Residuals recorded: the fixed-point defect ||(Id - A)v - W u_sharp||,
+    Residuals recorded: the fixed-point defect of :func:`solve_v_neumann`,
     and the remainder-equation defect
     ||(i d_t + Lap + 2 nu d_n) u_flat - V (u_sharp + u_flat)||_2,
     both normalized by ||W u_sharp||_2.
@@ -203,29 +203,19 @@ def build_cgo(
     plan = plan_BS(spec, nu)
     usharp = wave_packet_usharp(packet, spec)
     v, diag = solve_v_neumann(W, usharp, plan, tol=tol, rho_cap=rho_cap)
-    uflat = build_uflat(W, v, plan)
-
-    rhs = Field(spec, W.field.data * usharp.data)
-    defect = v - apply_BS(v, W, W.magnitude, plan) - rhs
-    rhs_norm = l2_norm(rhs)
-    scale = rhs_norm if rhs_norm > 0.0 else 1.0
+    uflat = apply_plan(plan, Field(spec, W.magnitude.field.data * v.data))
 
     applied = apply_symbol(plan, uflat)
     forcing = Field(spec, V.field.data * (usharp.data + uflat.data))
-    eq_defect = l2_norm(applied - forcing) / scale
+    eq_defect = l2_norm(applied - forcing) / (diag["rhs_norm"] or 1.0)
 
     sol = CgoSolution(
         nu=nu,
         usharp=usharp,
-        v=v,
         uflat=uflat,
         rho=diag["rho"],
         terms=diag["terms"],
-        residuals={
-            "fixed_point": l2_norm(defect) / scale,
-            "remainder_equation": eq_defect,
-            "rhs_norm": rhs_norm,
-        },
+        residuals={"fixed_point": diag["fixed_point"], "remainder_equation": eq_defect},
     )
     logger.info(
         "cgo solve nu=%g: rho=%.3f terms=%d fixed-point %.2e equation %.2e",
@@ -244,7 +234,9 @@ def remainder_decay_sweep(
 
     Also records the leading-term ratio ||W u_sharp||_2 / ||psi||, which
     should stay bounded across the sweep.  Each nu uses the default packet
-    (width 2) and contraction cap (0.9) of :func:`build_cgo`.
+    (width 2) and contraction cap (0.9) of :func:`build_cgo`.  V is factored
+    once, and each nu runs only :func:`solve_v_neumann`, whose
+    ``remainder_norm`` is ||W u_flat||.
     """
     spec = V.field.spec
     report = EstimateReport(
@@ -257,16 +249,16 @@ def remainder_decay_sweep(
     for mag in nu_list:
         packet = gaussian_packet_on_hyperplane(spec, mag)
         psi_norm = packet.norm(spec)
-        sol = build_cgo(V, packet, tol=tol)
-        wflat = l2_norm(Field(spec, W.field.data * sol.uflat.data))
+        usharp = wave_packet_usharp(packet, spec)
+        _, diag = solve_v_neumann(W, usharp, plan_BS(spec, mag), tol=tol)
         report.samples.append(
             {
                 "nu": float(mag),
-                "ratio": wflat / psi_norm,
-                "leading_ratio": sol.residuals["rhs_norm"] / psi_norm,  # ||W u_sharp||
-                "rho": sol.rho,
-                "terms": sol.terms,
-                "fixed_point_residual": sol.residuals["fixed_point"],
+                "ratio": diag["remainder_norm"] / psi_norm,  # ||W u_flat||
+                "leading_ratio": diag["rhs_norm"] / psi_norm,  # ||W u_sharp||
+                "rho": diag["rho"],
+                "terms": diag["terms"],
+                "fixed_point_residual": diag["fixed_point"],
                 "seed": 0,
             }
         )

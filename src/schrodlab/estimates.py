@@ -20,7 +20,7 @@ import logging
 import numpy as np
 
 from .birman_schwinger import plan_BS
-from .grid import Field, GridSpec, gaussian_packet, l2_norm, mixed_norm
+from .grid import Field, GridSpec, gaussian_packet, hyperplane_norm, l2_norm, mixed_norm
 from .multipliers import MultiplierPlan, apply_plan, plan_S_nu
 from .reports import (COMMON, COUNT, EXPONENT, GRID, NATURAL, REQUIRED, ConfigError,
                       EstimateReport, read)
@@ -51,16 +51,8 @@ def gain_ratio(f: Field, plan: MultiplierPlan) -> float:
     if l2_norm(f) == 0.0:
         raise ValueError("gain_ratio rejects f = 0")
     u = apply_plan(plan, f)
-    spec = f.spec
-    weight = spec.dt * spec.dx ** (spec.n - 1)
-    # slab L^2 norms over time x hyperplane, per lattice plane s
-    def slab_norms(g: Field) -> np.ndarray:
-        moved = np.moveaxis(g.data, -1, 0)
-        flat = moved.reshape(spec.pts_space, -1)
-        return np.sqrt((np.abs(flat) ** 2).sum(axis=1) * weight)
-
-    sup_u = float(slab_norms(u).max())
-    integral_f = float(slab_norms(f).sum() * spec.dx)
+    sup_u = float(hyperplane_norm(u).max())
+    integral_f = float(hyperplane_norm(f).sum() * f.spec.dx)
     return abs(nu) * sup_u / integral_f
 
 

@@ -237,19 +237,16 @@ def mixed_norm(f: Field, q, r) -> float:
     return float(((slice_norms**qv).sum() * spec.dt) ** (1.0 / qv))
 
 
-def hyperplane_norm(f: Field, axis: int, s: float) -> float:
-    """L^2 norm over time x the hyperplane {x_axis = s} (axis-aligned).
+def hyperplane_norm(f: Field) -> np.ndarray:
+    """L^2 norms over time x the hyperplane {x_n = s}, one per lattice plane s.
 
-    ``s`` is snapped to the nearest lattice plane.  For n = 1 the hyperplane
-    is a point and the result is the time-line L^2 norm.
+    The planes are orthogonal to the last spatial axis.  For n = 1 each
+    hyperplane is a point and each norm is a time-line L^2 norm.
     """
     spec = f.spec
-    if not 0 <= axis < spec.n:
-        raise ValueError(f"axis {axis} out of range for n={spec.n}")
-    idx = int(round((s + spec.box_space) / spec.dx)) % spec.pts_space
-    slab = np.take(f.data, idx, axis=1 + axis)
     weight = spec.dt * spec.dx ** (spec.n - 1)
-    return float(np.sqrt((np.abs(slab) ** 2).sum() * weight))
+    flat = np.moveaxis(f.data, -1, 0).reshape(spec.pts_space, -1)
+    return np.sqrt((np.abs(flat) ** 2).sum(axis=1) * weight)
 
 
 def boundary_mass_fraction(f: Field, margin: float = 0.1) -> float:

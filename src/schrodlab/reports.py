@@ -143,8 +143,8 @@ class EstimateReport:
     """A sweep record: parameter grid, per-sample ratios, verdict.
 
     ``verdict`` is "pass" iff every ratio is finite and max_ratio <= ceiling
-    (vacuously "pass" for an empty sweep, "fail" for samples without a
-    ratio; a non-finite ratio fails even without a ceiling); ``samples``
+    (vacuously "pass" for an empty sweep); a sample without a ratio or a
+    non-finite ratio fails it, with or without a ceiling; ``samples``
     records every parameter/seed combination so a sweep can be replayed
     sample by sample.  ``rules`` holds a command's own rules beside the
     verdict (name -> held), and ``passed`` joins them with it.
@@ -175,11 +175,11 @@ class EstimateReport:
         if not self.samples:
             return "pass"  # vacuous
         r = self.ratios
-        if not all(math.isfinite(x) for x in r):
+        if len(r) < len(self.samples) or not all(math.isfinite(x) for x in r):
             return "fail"
         if self.ceiling is None:
             return "recorded"
-        return "pass" if r and max(r) <= self.ceiling else "fail"
+        return "pass" if max(r) <= self.ceiling else "fail"
 
     @property
     def passed(self) -> bool:

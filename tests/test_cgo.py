@@ -7,20 +7,19 @@ import numpy as np
 import pytest
 
 from schrodlab import cgo, cli
-from schrodlab.birman_schwinger import build_W, gaussian_potential, plan_BS
+from schrodlab.birman_schwinger import apply_BS, build_W, gaussian_potential, plan_BS
 from schrodlab.cgo import (
     NoConvergence,
     NotContractive,
     WavePacket,
     build_cgo,
-    build_uflat,
     gaussian_packet_on_hyperplane,
     remainder_decay_sweep,
     solve_v_neumann,
     wave_packet_usharp,
 )
 from schrodlab.grid import Field, GridSpec, l2_norm
-from schrodlab.multipliers import apply_symbol, plan_S_nu
+from schrodlab.multipliers import apply_plan, apply_symbol, plan_S_nu
 
 SPEC = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=16, pts_space=16)
 NU = 32.0
@@ -109,17 +108,35 @@ class TestNeumannSolve:
         with pytest.raises(NoConvergence):
             solve_v_neumann(W, usharp, plan_BS(SPEC, NU), tol=1e-8)
 
-    def test_uflat_from_v(self):
+    def test_diag_fixed_point_is_the_build_residual(self):
         V = gaussian_potential(SPEC, amplitude=0.5)
-        W = build_W(V)
         packet = gaussian_packet_on_hyperplane(SPEC, NU)
+        W, plan = build_W(V), plan_BS(SPEC, NU)
         usharp = wave_packet_usharp(packet, SPEC)
+        v, diag = solve_v_neumann(W, usharp, plan, tol=1e-8)
+        rhs = Field(SPEC, W.field.data * usharp.data)
+        defect = v - apply_BS(v, W, W.magnitude, plan) - rhs
+        assert diag["rhs_norm"] == l2_norm(rhs)
+        assert diag["fixed_point"] == l2_norm(defect) / l2_norm(rhs)
+        assert diag["fixed_point"] == build_cgo(V, packet, tol=1e-8).residuals["fixed_point"]
+
+    def test_remainder_norm_is_the_norm_of_W_uflat(self):
+        W = build_W(gaussian_potential(SPEC, amplitude=0.5))
+        usharp = wave_packet_usharp(gaussian_packet_on_hyperplane(SPEC, NU), SPEC)
         plan = plan_BS(SPEC, NU)
         v, diag = solve_v_neumann(W, usharp, plan, tol=1e-8)
-        uflat = build_uflat(W, v, plan)
-        assert l2_norm(uflat) > 0.0
-        assert diag["rho"] < 1.0
+        uflat = apply_plan(plan, Field(SPEC, W.magnitude.field.data * v.data))
+        expected = l2_norm(Field(SPEC, W.field.data * uflat.data))
+        assert expected > 0.0
+        assert diag["remainder_norm"] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
+    def test_zero_potential_gives_zero_v(self):
+        W = build_W(gaussian_potential(SPEC, amplitude=0.0))
+        usharp = wave_packet_usharp(gaussian_packet_on_hyperplane(SPEC, NU), SPEC)
+        v, diag = solve_v_neumann(W, usharp, plan_BS(SPEC, NU))
+        assert not v.data.any()
+        assert diag["terms"] == 0
+        assert diag["fixed_point"] == diag["remainder_norm"] == diag["rhs_norm"] == 0.0
 
     def test_solve_is_bit_identical_on_one_and_two_threads(self, on_one_and_two_threads):
         # op_norm runs its two starts at once on two threads (fixture in conftest.py)
@@ -161,6 +178,16 @@ class TestSweep:
         assert ratios[-1] < 0.5 * ratios[0]
         # the leading term stays of one size across the sweep
         assert max(leading) / min(leading) < 2.0
+
+    def test_sweep_factors_V_once_and_builds_no_uflat(self, monkeypatch):
+        calls = dict.fromkeys(["build_W", "apply_plan", "apply_symbol"], 0)
+        for name in calls:
+            def counted(*args, _real=getattr(cgo, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cgo, name, counted)
+        remainder_decay_sweep(gaussian_potential(SPEC, amplitude=0.5), [16, 32, 64], tol=1e-8)
+        assert calls == {"build_W": 1, "apply_plan": 0, "apply_symbol": 0}
 
     def test_sweep_records_diagnostics(self):
         V = gaussian_potential(SPEC, amplitude=0.5)

@@ -60,6 +60,16 @@ class TestVerdicts:
         assert rep.verdict == "fail"
         assert rep.max_ratio is None
 
+    def test_sample_without_ratio_fails_without_ceiling(self):
+        rep = EstimateReport("gain", {}, {})
+        rep.samples.append({"seed": 0})
+        assert rep.verdict == "fail"
+
+    def test_sample_without_ratio_fails_beside_a_passing_one(self):
+        rep = EstimateReport("gain", {}, {}, ceiling=1.0)
+        rep.samples = [{"seed": 0, "ratio": 0.5}, {"seed": 0}]
+        assert rep.verdict == "fail"
+
 
 class TestPassed:
     """``passed`` decides the CLI exit code: the verdict and every rule must hold."""

@@ -13,13 +13,15 @@ import subprocess
 import sys
 
 import pytest
+import yaml
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def load_tracing():
-    path = ROOT / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+def load_bench(name: str):
+    """A module of bench/, loaded by path: bench/ is not a package."""
+    path = ROOT / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -28,7 +30,7 @@ def load_tracing():
 def test_tracing_targets_resolve():
     # bench/run.py --trace 1 wraps each (module, attribute) by name; a
     # rename in src/ would otherwise only surface when the tracer runs
-    targets = load_tracing().TARGETS
+    targets = load_bench("tracing").TARGETS
     assert targets
     for module, attr, _layer, _amount in targets:
         owner = importlib.import_module(module)
@@ -92,12 +94,12 @@ def public_names() -> tuple[set[str], dict[str, str]]:
 
 def test_every_public_name_has_a_caller():
     # a public name that only its own tests call is dead weight: wire it into a
-    # report or delete it, or say here why it stays
+    # report or delete it, or say here why it stays; the tracer's TARGETS name what
+    # it wraps, and a wrapped name that no program path calls is uncalled too
     called = set()
     for folder in ("src", "scripts", "bench"):
         for path in (ROOT / folder).rglob("*.py"):
             called |= references(path)
-    called |= {part for _m, attr, _l, _a in load_tracing().TARGETS for part in attr.split(".")}
     public, members = public_names()
     uncalled = (public - called) | {q for q, name in members.items() if name not in called}
     assert sorted(uncalled - set(UNCALLED)) == []
@@ -202,3 +204,20 @@ def test_norm_decay_scan_rejects_nonpositive_nu(tmp_path, nu):
     assert out.returncode == 2
     assert "argument --nu: nu must be > 0" in out.stderr
     assert not (tmp_path / "norm_decay_scan.json").exists()
+
+
+def test_bench_disagreeing_seed_exits_3_without_a_report(tmp_path):
+    # bench/selftest.py runs bs_sweep at DISAGREEING_SEED and then reads its report; there
+    # the two power-iteration starts disagree, so bs-norm-sweep exits 3 and writes no
+    # report, and the self-test step must expect that (ROADMAP item 4)
+    seed = load_bench("selftest").DISAGREEING_SEED
+    cfg = yaml.safe_load((ROOT / "configs" / "bs_sweep.yaml").read_text())
+    config = tmp_path / "bs_sweep.json"
+    config.write_text(json.dumps({**cfg, "seed": seed}))
+    out = subprocess.run(
+        [sys.executable, "-m", "schrodlab.cli", "bs-norm-sweep", "--config", str(config),
+         "--output", str(tmp_path / "out")],
+        capture_output=True, text=True, env=src_env())
+    assert out.returncode == 3, out.stderr
+    assert "starts disagree" in out.stderr
+    assert not (tmp_path / "out" / "bs_norm_sweep.json").exists()
