@@ -147,7 +147,8 @@ def solve_v_neumann(
     S_nu is ``plan``, from :func:`plan_BS`.  Raises :class:`NotContractive`
     when the estimated sandwich norm exceeds ``rho_cap`` (|nu| below the
     contraction threshold) and :class:`NoConvergence` when the geometric
-    tail has not dropped below ``tol`` after ``max_terms`` terms.  The estimate enters the contraction
+    tail has not dropped below ``tol`` after ``max_terms`` terms, which
+    must be at least 1.  The estimate enters the contraction
     test and the tail bound, so a power iteration that did not converge, or
     whose two starts disagree, raises :class:`NoConvergence` as well.
 
@@ -156,6 +157,8 @@ def solve_v_neumann(
     S_nu(|W| v)) and ``fixed_point`` = ||v - A v - W u_sharp|| / ||W u_sharp||
     (over 1 when W u_sharp = 0, which gives v = 0 and no terms).
     """
+    if max_terms < 1:
+        raise ValueError(f"max_terms must be at least 1, got {max_terms!r}")
     spec = usharp.spec
     absW = W.magnitude
     rho, diag = op_norm(W, absW, plan, tol=1e-3)

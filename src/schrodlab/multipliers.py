@@ -172,8 +172,7 @@ def plan_S(
     tau_off = 0.5 * spec.dtau if offset_tau else 0.0
     xin_off = 0.5 * spec.dxi if offset_xin else 0.0
     tau, *xi = spec.meshgrid_freq(tau_off, xin_off)
-    symbol = np.broadcast_to(eval_p(tau, xi), spec.shape).copy()
-    return MultiplierPlan(spec, symbol, tau_off, xin_off)
+    return MultiplierPlan(spec, eval_p(tau, xi), tau_off, xin_off)
 
 
 def plan_S_nu(
@@ -186,8 +185,7 @@ def plan_S_nu(
     tau_off = 0.5 * spec.dtau if offset_tau else 0.0
     xin_off = 0.5 * spec.dxi if offset_xin else 0.0
     tau, *xi = spec.meshgrid_freq(tau_off, xin_off)
-    symbol = np.broadcast_to(eval_p_nu(tau, xi, nu), spec.shape).copy()
-    return MultiplierPlan(spec, symbol, tau_off, xin_off, nu)
+    return MultiplierPlan(spec, eval_p_nu(tau, xi, nu), tau_off, xin_off, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +323,5 @@ def propagator_factor(
         raise ValueError(f"s_max must be finite and above {_S_INNER:g}, got {s_max!r}")
     if quad_pts < 1:
         raise ValueError(f"quad_pts must be at least 1, got {quad_pts!r}")
-    nodes, weights = [], []
-    for sign in (+1.0, -1.0):
-        s_nodes, s_weights = _s_panels(_S_INNER, s_max, quad_pts // 2)
-        nodes.append(sign * s_nodes)
-        weights.append(s_weights)
-    return _s_node_sum(plan, np.concatenate(nodes), np.concatenate(weights))
+    s, w = _s_panels(_S_INNER, s_max, quad_pts // 2)
+    return _s_node_sum(plan, np.concatenate([s, -s]), np.concatenate([w, w]))

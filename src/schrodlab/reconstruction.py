@@ -19,7 +19,6 @@ exact in integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import logging
 
 import numpy as np
@@ -30,27 +29,14 @@ from .grid import GridSpec
 
 logger = logging.getLogger(__name__)
 
-# largest ||V||_inf * T at which a Born sample counts as first order
+# largest ||V||_inf * T at which a run's Born samples count as first order
 _BORN_THRESHOLD = 0.5
 
 __all__ = [
-    "FreqSample",
     "lattice_parametrization",
     "born_sample",
     "reconstruct_potential",
 ]
-
-
-@dataclass
-class FreqSample:
-    """One sampled space-time frequency of the potential."""
-
-    tau: float
-    xi: tuple
-    eta: tuple
-    kappa: tuple
-    amplitude: complex
-    born_ok: bool
 
 
 def lattice_parametrization(xi):
@@ -79,14 +65,12 @@ def _window_factor(tau: float, T: float) -> complex:
     return (1.0 - np.exp(-1j * tau * T)) / (1j * tau)
 
 
-def born_sample(spec: GridSpec, xi, T: float, scattered_hat: np.ndarray,
-                born_ok: bool) -> FreqSample:
+def born_sample(spec: GridSpec, xi, T: float, scattered_hat: np.ndarray) -> complex:
     """Estimate the Fourier coefficient of V at the lattice target xi.
 
     ``scattered_hat`` is the unnormalized FFT of the scattered wave
-    u(T) - e^{-i |eta|^2 T} e^{i eta.x} of the target's probe eta, and
-    ``born_ok`` whether ||V||_inf * T is at most 0.5.  The returned
-    amplitude approximates the coefficient c_xi(tau) in
+    u(T) - e^{-i |eta|^2 T} e^{i eta.x} of the target's probe eta.  The
+    returned amplitude approximates the coefficient c_xi(tau) in
     V(t, x) = sum_xi c_xi(t) e^{i xi.x} averaged against the time window
     (up to the O(V^2) Born correction).
     """
@@ -99,9 +83,7 @@ def born_sample(spec: GridSpec, xi, T: float, scattered_hat: np.ndarray,
     # e^{-i |kappa|^2 T} times the space-time transform of V at (tau, xi)
     win = _window_factor(tau_f, T)
     box = (2.0 * spec.box_space) ** spec.n
-    amplitude = lhs * np.exp(1j * sq_kappa * T) / (win * box)
-    return FreqSample(tau=float(tau_f), xi=tuple(int(c) for c in xi), eta=eta, kappa=kappa,
-                      amplitude=complex(amplitude), born_ok=born_ok)
+    return complex(lhs * np.exp(1j * sq_kappa * T) / (win * box))
 
 
 def reconstruct_potential(
@@ -141,20 +123,19 @@ def reconstruct_potential(
     scattered -= probes
     np.fft.fftn(scattered, lattice, axes, out=scattered)
 
-    born_ok = float(np.abs(V.field.data).max()) * abs(T) <= _BORN_THRESHOLD
-    samples = [born_sample(spec, xi, T, scattered[row[eta]], born_ok)
-               for xi, eta in zip(targets, etas)]
-
     # the band-limited estimate: targets that alias onto one bin add up
     est = np.zeros(lattice, dtype=complex)
-    for s in samples:
-        index, sign = _bin(spec, s.xi)
-        est[index] += sign * s.amplitude
+    sampled = np.zeros(lattice, dtype=bool)
+    for xi, eta in zip(targets, etas):
+        index, sign = _bin(spec, xi)
+        est[index] += sign * born_sample(spec, xi, T, scattered[row[eta]])
+        sampled[index] = True
     np.fft.ifftn(est, norm="forward", out=est)
 
+    born_ok = float(np.abs(V.field.data).max()) * abs(T) <= _BORN_THRESHOLD
     report = {
-        "n_samples": len(samples),
-        "n_not_born": sum(not s.born_ok for s in samples),
+        "n_samples": len(targets),
+        "n_not_born": 0 if born_ok else len(targets),
         "freq_radius": freq_radius,
         "T": T,
         "steps": steps,
@@ -162,11 +143,8 @@ def reconstruct_potential(
     if reference is not None:
         ref_hat = np.fft.fftn(reference, norm="ortho")
         est_hat = np.fft.fftn(est, norm="ortho")
-        mask = np.zeros_like(ref_hat, dtype=bool)
-        for xi in targets:
-            mask[_bin(spec, xi)[0]] = True
-        num = np.sqrt((np.abs(est_hat - ref_hat)[mask] ** 2).sum())
-        den = np.sqrt((np.abs(ref_hat)[mask] ** 2).sum())
+        num = np.sqrt((np.abs(est_hat - ref_hat)[sampled] ** 2).sum())
+        den = np.sqrt((np.abs(ref_hat)[sampled] ** 2).sum())
         report["relative_l2_error"] = float(num / den) if den > 0 else float("nan")
-    logger.info("reconstruction: %d samples", len(samples))
+    logger.info("reconstruction: %d samples", len(targets))
     return est, report

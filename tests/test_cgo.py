@@ -92,6 +92,18 @@ class TestNeumannSolve:
         with pytest.raises(NoConvergence):
             solve_v_neumann(W, usharp, plan_BS(SPEC, NU), tol=1e-14, max_terms=1)
 
+    @pytest.mark.parametrize("max_terms", [0, -1])
+    def test_term_cap_below_one_rejected(self, monkeypatch, max_terms):
+        # rejected before the norm estimate runs, not as an unbound tail after it
+        def no_norm(*args, **kwargs):
+            raise AssertionError("op_norm ran")
+
+        monkeypatch.setattr(cgo, "op_norm", no_norm)
+        W = build_W(gaussian_potential(SPEC, amplitude=0.5))
+        usharp = wave_packet_usharp(gaussian_packet_on_hyperplane(SPEC, NU), SPEC)
+        with pytest.raises(ValueError, match="max_terms"):
+            solve_v_neumann(W, usharp, plan_BS(SPEC, NU), max_terms=max_terms)
+
     @pytest.mark.parametrize("flag", ["converged", "starts_agree"])
     def test_unconverged_norm_raised(self, monkeypatch, flag):
         # the norm estimate is the contraction test and the tail bound; one that did not

@@ -51,6 +51,14 @@ class TestPlans:
         assert plan.tau_offset == 0.5 * SPEC.dtau
         assert plan.xi_n_offset == 0.0
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_symbol_is_a_fresh_full_grid_array(self, n):
+        spec = GridSpec(n=n, box_time=np.pi, box_space=np.pi, pts_time=16, pts_space=8)
+        for plan in (plan_S(spec), plan_S_nu(spec, NU)):
+            symbol = plan.symbol
+            assert symbol.shape == spec.shape and symbol.dtype == np.complex128
+            assert symbol.flags.c_contiguous and symbol.flags.owndata
+
     def test_offset_kills_lattice_zeros(self):
         plan = plan_S(SPEC)
         assert plan.dropped_count == 0
@@ -186,6 +194,21 @@ class TestPropagator:
     def test_quad_pts_below_one_rejected(self, quad_pts):
         with pytest.raises(ValueError, match="quad_pts"):
             propagator_factor(plan_S(SPEC), s_max=10.0, quad_pts=quad_pts)
+
+    def test_one_side_of_panels_mirrored(self, monkeypatch):
+        # the s < 0 nodes are the s > 0 ones negated, with the same weights
+        calls, real = [], multipliers._s_panels
+        monkeypatch.setattr(multipliers, "_s_panels",
+                            lambda *args: calls.append(args) or real(*args))
+        sums = []
+        monkeypatch.setattr(multipliers, "_s_node_sum",
+                            lambda plan, nodes, weights: sums.append((nodes, weights)))
+        propagator_factor(plan_S(SPEC), 10.0, 300)
+        assert calls == [(multipliers._S_INNER, 10.0, 150)]
+        (nodes, weights), = sums
+        half, w = real(multipliers._S_INNER, 10.0, 150)
+        assert np.array_equal(nodes, np.concatenate([half, -half]))
+        assert np.array_equal(weights, np.concatenate([w, w]))
 
     def test_apply_matches_direct_S(self):
         plan = plan_S(SPEC)

@@ -1,13 +1,15 @@
 """Plane-wave probing and low-frequency potential recovery."""
 
 import itertools
+import json
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schrodlab import forward, reconstruction
+from schrodlab import cli, forward, reconstruction
 from schrodlab.birman_schwinger import Potential, gaussian_potential
 from schrodlab.forward import itf_map
 from schrodlab.grid import Field, GridSpec
@@ -18,6 +20,7 @@ from schrodlab.reconstruction import (
 )
 
 SPEC = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=8, pts_space=64)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def small_potential(eps=0.05, width=0.7, spec=SPEC):
@@ -60,17 +63,16 @@ def oracle_reconstruction(V, freq_radius, T, steps):
     return amplitudes, est
 
 
-def recorded_reconstruction(monkeypatch, V, freq_radius, T, steps):
-    """reconstruct_potential, with every FreqSample it makes recorded by target."""
+def recorded_reconstruction(monkeypatch, V, freq_radius, T, steps, reference=None):
+    """reconstruct_potential, with every Born amplitude it makes recorded by target."""
     samples = {}
 
-    def recording(*args):
-        s = born_sample(*args)
-        samples[s.xi] = s
-        return s
+    def recording(spec, xi, *args):
+        samples[tuple(xi)] = amplitude = born_sample(spec, xi, *args)
+        return amplitude
 
     monkeypatch.setattr(reconstruction, "born_sample", recording)
-    est, report = reconstruct_potential(V, freq_radius, T, steps)
+    est, report = reconstruct_potential(V, freq_radius, T, steps, reference=reference)
     return samples, est, report
 
 
@@ -95,17 +97,15 @@ class TestBornSample:
         data = np.broadcast_to(bump[None], SPEC.shape).astype(complex)
         V = Potential(Field(SPEC, data.copy()),
                       (-np.pi, np.pi - 1e-9), radius=np.pi, pair=(2, 2))
-        samples, _, _ = recorded_reconstruction(monkeypatch, V, 2.0, T=0.5, steps=128)
-        s = samples[(2, 0)]
+        samples, _, report = recorded_reconstruction(monkeypatch, V, 2.0, T=0.5, steps=128)
         # the cos splits into e^{+-i 2 x} with coefficient eps/2 each
-        assert abs(s.amplitude - eps / 2) < 0.05 * eps
-        assert s.born_ok
+        assert abs(samples[(2, 0)] - eps / 2) < 0.05 * eps
+        assert report["n_not_born"] == 0
 
-    def test_born_flag(self, monkeypatch):
+    def test_born_flag(self):
         V = gaussian_potential(SPEC, amplitude=10.0,
                                window=(-np.pi, np.pi - 1e-9))
-        samples, _, report = recorded_reconstruction(monkeypatch, V, 1.0, T=0.5, steps=32)
-        assert not samples[(1, 0)].born_ok
+        _, report = reconstruct_potential(V, 1.0, T=0.5, steps=32)
         assert report["n_not_born"] == report["n_samples"] == 5
 
     def test_given_final_state_matches_own_evolution(self):
@@ -117,10 +117,10 @@ class TestBornSample:
         u_final = itf_map(V, [probe], T=T, steps=32)[0]
         sq_eta = sum((e * SPEC.dxi) ** 2 for e in eta)
         scattered_hat = np.fft.fftn(u_final - probe * np.exp(-1j * sq_eta * T))
-        s = born_sample(SPEC, xi, T, scattered_hat, True)
+        amplitude = born_sample(SPEC, xi, T, scattered_hat)
         expected = oracle_amplitude(V, xi, T, u_final)
-        assert abs(s.amplitude - expected) <= 1e-12 * abs(expected)
-        assert (s.eta, s.kappa, s.born_ok) == (eta, (eta[0] + 2, eta[1] + 1), True)
+        assert isinstance(amplitude, complex)
+        assert abs(amplitude - expected) <= 1e-12 * abs(expected)
 
 
 #: (grid, freq_radius): xi = 0 alone, a ball inside the band, and a ball that
@@ -147,7 +147,7 @@ class TestTransformsMatchOracle:
         assert report["n_samples"] == len(amplitudes)
         scale = max(abs(c) for c in amplitudes.values())
         for xi, c in amplitudes.items():
-            assert abs(samples[xi].amplitude - c) <= 1e-12 * scale, xi
+            assert abs(samples[xi] - c) <= 1e-12 * scale, xi
         assert np.abs(est - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_aliased_targets_add_up(self, monkeypatch):
@@ -156,7 +156,7 @@ class TestTransformsMatchOracle:
                                                   freq_radius, T=0.5, steps=8)
         # xi = -8 and 8 are one lattice function, (-1)^8 e^{i pi j}; both coefficients count
         nyquist = np.fft.fft(est)[8] / spec.pts_space
-        assert nyquist == pytest.approx(samples[(8,)].amplitude + samples[(-8,)].amplitude,
+        assert nyquist == pytest.approx(samples[(8,)] + samples[(-8,)],
                                         rel=1e-12)
 
 
@@ -213,3 +213,26 @@ class TestReconstruction:
         finally:
             tracemalloc.stop()
         assert peak < 3 * trajectory
+
+    def test_committed_run_matches_the_benchmark_reference(self, monkeypatch):
+        # the benchmark checks the error and the estimate fingerprint on every run;
+        # a drift in the Born path shows here first
+        values = cli.read(cli.load_config(ROOT / "configs" / "reconstruct.yaml"),
+                          {**cli.COMMON, **cli.TABLES["reconstruct"]})
+        V = cli.build_inputs(values)["V"]
+        reference = V.field.data[V.field.spec.pts_time // 2]
+        samples, est, report = recorded_reconstruction(
+            monkeypatch, V, values["freq_radius"], values["T"], values["steps"],
+            reference=reference)
+        assert len(samples) == 197  # lattice points with |xi| <= 8
+        expected = json.loads((ROOT / "bench" / "reference.json").read_text())["reconstruct"]
+        assert report["relative_l2_error"] == pytest.approx(
+            expected["relative_l2_error"][0], rel=1e-12, abs=0.0)
+        # norm and a fixed random projection, as bench/execute.py's fingerprint
+        a = est.ravel()
+        rng = np.random.default_rng(0)
+        r = rng.standard_normal(a.size) + 1j * rng.standard_normal(a.size)
+        proj = np.vdot(r / np.linalg.norm(r), a)
+        got = [np.linalg.norm(a), proj.real, proj.imag]
+        ref = expected["potential_estimate"]
+        assert np.abs(np.subtract(got, ref)).max() <= 1e-12 * abs(ref[0])
