@@ -17,6 +17,8 @@ run verify-strichartz    configs/gain.yaml
 run kernel-table         configs/kernel_table.yaml
 run bs-norm-sweep        configs/bs_sweep.yaml
 run cgo-build            configs/cgo.yaml
+run cgo-remainder-sweep  configs/cgo_remainder.yaml
+run cgo-remainder-sweep  configs/cgo_remainder_cusp.yaml
 run forward-evolve       configs/forward.yaml
 run identity-check       configs/identity.yaml
 run reconstruct          configs/reconstruct.yaml

@@ -27,7 +27,7 @@ import yaml
 
 from . import __version__
 from .birman_schwinger import Potential, bs_decay_sweep, cusp_potential, gaussian_potential
-from .cgo import NotContractive, build_cgo, gaussian_packet_on_hyperplane
+from .cgo import NotContractive, build_cgo, gaussian_packet_on_hyperplane, remainder_decay_sweep
 from .counterexample import (
     LogLogTrace,
     build_dispersion_profile,
@@ -131,15 +131,21 @@ def build_inputs(values: dict) -> dict:
     it too: ``spec`` is the ``grid``, ``V`` the ``potential``, ``f`` the
     ``initial`` state, ``pairs`` the admissible Strichartz pairs and
     ``trace`` the counterexample trace of ``trace_points`` points; every
-    drift in ``nu`` or ``nu_values`` and the ``initial`` and ``packet``
-    widths are positive, no kernel parameter in ``sigmas`` is 0, and
-    ``rho_values`` holds at least two rho, each positive with a finite
-    family speed.
+    drift in ``nu`` or ``nu_values``, ``tol`` and the ``initial`` and
+    ``packet`` widths are positive, ``T`` is not 0, ``freq_radius`` is not
+    negative, no kernel parameter in ``sigmas`` is 0, and ``rho_values``
+    holds at least two rho, each positive with a finite family speed.
     """
     for key in ("nu", "nu_values"):
         for nu in np.ravel(values.get(key, [])):
             if not nu > 0.0:
                 raise ConfigError(f"{key}: nu must be > 0, got {nu}")
+    if not values.get("tol", 1.0) > 0.0:
+        raise ConfigError(f"tol: tol must be > 0, got {values['tol']}")
+    if values.get("T") == 0.0:  # a negative T evolves backward
+        raise ConfigError("T: the final time must not be 0")
+    if values.get("freq_radius", 0.0) < 0.0:
+        raise ConfigError(f"freq_radius: the radius must be >= 0, got {values['freq_radius']}")
     for block in ("initial", "packet"):
         if block in values and not values[block]["width"] > 0.0:
             raise ConfigError(f"{block}.width: width must be > 0, got {values[block]['width']}")
@@ -329,6 +335,14 @@ def cgo_build(cfg, values, inputs):
         report.samples.append({"seed": 0, "ratio": sol.residuals[kind], "kind": kind})
     artifacts = {"uflat.slf": sol.uflat, "usharp.slf": sol.usharp}
     return "cgo_build", report, artifacts
+
+
+@command("cgo-remainder-sweep", {**WITH_POTENTIAL, "nu_values": ([float], REQUIRED),
+                                 "tol": (float, 1e-8)})
+def cgo_remainder_sweep(cfg, values, inputs):
+    """Decay of the CGO remainder ||W u_flat|| over nu."""
+    report = remainder_decay_sweep(inputs["V"], values["nu_values"], tol=values["tol"])
+    return f"cgo_remainder_sweep_{values['potential']['kind']}", report, {}
 
 
 @command("forward-evolve", {

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from schrodlab import cgo, cli, kernels
+from schrodlab.birman_schwinger import cusp_potential
 from schrodlab.cli import (
     EXIT_CONFIG,
     EXIT_NONCONVERGENCE,
@@ -341,6 +342,18 @@ class TestExitCodes:
          "initial.width: width must be > 0, got 0.0"),
         ("packet-width-zero", "cgo-build", GRID + POTENTIAL + "nu: 32\npacket: {width: 0}\n",
          "packet.width: width must be > 0, got 0.0"),
+        ("nu-zero-cgo-remainder", "cgo-remainder-sweep", GRID + POTENTIAL + "nu_values: [8, 0]\n",
+         "nu_values: nu must be > 0, got 0.0"),
+        ("tol-negative-bs", "bs-norm-sweep", GRID + POTENTIAL + "nu_values: [4, 8]\ntol: -1\n",
+         "tol: tol must be > 0, got -1.0"),
+        ("tol-zero-cgo", "cgo-build", GRID + POTENTIAL + "nu: 32\ntol: 0\n",
+         "tol: tol must be > 0, got 0.0"),
+        ("T-zero-identity", "identity-check", GRID + POTENTIAL + "T: 0\n",
+         "T: the final time must not be 0"),
+        ("T-zero-reconstruct", "reconstruct", GRID + POTENTIAL + "T: 0.0\n",
+         "T: the final time must not be 0"),
+        ("freq_radius-negative", "reconstruct", GRID + POTENTIAL + "T: 0.1\nfreq_radius: -1\n",
+         "freq_radius: the radius must be >= 0, got -1.0"),
     ]
 
     @pytest.mark.parametrize("command,text,message,dry_run", [
@@ -356,6 +369,9 @@ class TestExitCodes:
         # (exit 1) and a negative nu in bs-norm-sweep in a TypeError; a zero potential width
         # or a negative cutoff ended in split_W's ValueError (exit 1), a zero initial width
         # wrote a NaN state (exit 1) and a zero packet width a NaN Neumann tail (exit 3);
+        # a tol <= 0 ran every power iteration or Neumann series to its cap (exit 3) or
+        # failed cgo-build's residual ceiling (exit 1); T = 0 wrote a ratio of 1.0 or NaN
+        # (exit 1), and a negative freq_radius ended in a ValueError (exit 1);
         # --dry-run stopped after reading and exited 0 on each of these
         cfg = write(tmp_path, "c.yaml", text)
         res = runner.invoke(main, [command, "--config", cfg, "--output", str(tmp_path)]
@@ -363,6 +379,13 @@ class TestExitCodes:
         assert res.exit_code == EXIT_CONFIG
         assert message in res.output
         assert not list(tmp_path.glob("*.json"))
+
+    @pytest.mark.parametrize("command", ["forward-evolve", "identity-check", "reconstruct"])
+    def test_negative_final_time_accepted(self, runner, tmp_path, command):
+        # a negative T evolves backward; only T = 0 is out of range
+        cfg = write(tmp_path, "c.yaml", GRID + self.POTENTIAL + "T: -0.1\n")
+        res = runner.invoke(main, [command, "--config", cfg, "--dry-run"])
+        assert res.exit_code == EXIT_PASS, res.output
 
     @pytest.mark.parametrize("command,text", [
         ("verify-strichartz", GRID + "estimate: strichartz\npairs: [[1, 2]]\n"),
@@ -407,6 +430,16 @@ class TestExitCodes:
         assert res.exit_code == EXIT_NONCONVERGENCE
         assert "non-convergence" in res.output
         assert not (tmp_path / "out" / "cgo_build.json").exists()
+
+    def test_cgo_remainder_sweep_below_threshold_exit(self, runner, tmp_path):
+        # at nu = 0.01 the cusp's sandwich norm is far above the contraction cap
+        cfg = write(tmp_path, "c.yaml", GRID + "potential: {kind: cusp, alpha: 0.75}\n"
+                    "nu_values: [0.01, 0.02]\n")
+        res = runner.invoke(main, ["cgo-remainder-sweep", "--config", cfg,
+                                   "--output", str(tmp_path)])
+        assert res.exit_code == EXIT_NONCONVERGENCE
+        assert "non-convergence: sandwich norm" in res.output
+        assert not list(tmp_path.glob("*.json"))
 
     def test_kernel_quadrature_nonconvergence_exit(self, runner, tmp_path, monkeypatch):
         # no error estimate meets a 1e-28 ceiling, so the check that guards the table fires
@@ -627,6 +660,17 @@ class TestCommands:
         assert res.exit_code == EXIT_PASS
         report = json.loads((tmp_path / "out" / "kernel_table.json").read_text())
         assert report["verdict"] == "pass"
+
+    def test_cgo_remainder_sweep_records_the_sweep(self, runner, tmp_path):
+        cfg = write(tmp_path, "c.yaml", GRID + "potential: {kind: cusp, alpha: 0.75}\n"
+                    "nu_values: [16, 64]\n")
+        res = runner.invoke(main, ["cgo-remainder-sweep", "--config", cfg,
+                                   "--output", str(tmp_path)])
+        assert res.exit_code == EXIT_PASS, res.output
+        report = json.loads((tmp_path / "cgo_remainder_sweep_cusp.json").read_text())
+        assert report["verdict"] == "recorded"
+        V = cusp_potential(build_grid(load_config(cfg)), alpha=0.75)
+        assert report["samples"] == cgo.remainder_decay_sweep(V, [16.0, 64.0]).samples
 
     def test_forward_evolve_pass(self, runner, tmp_path):
         cfg = write(tmp_path, "f.yaml", GRID.replace("pts_space: 16", "pts_space: 32") +
