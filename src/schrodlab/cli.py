@@ -132,9 +132,10 @@ def build_inputs(values: dict) -> dict:
     ``initial`` state, ``pairs`` the admissible Strichartz pairs and
     ``trace`` the counterexample trace of ``trace_points`` points; every
     drift in ``nu`` or ``nu_values``, ``tol`` and the ``initial`` and
-    ``packet`` widths are positive, ``T`` is not 0, ``freq_radius`` is not
-    negative, no kernel parameter in ``sigmas`` is 0, and ``rho_values``
-    holds at least two rho, each positive with a finite family speed.
+    ``packet`` widths are positive, ``T`` is not 0 unless the run returns
+    an ``initial`` state, ``freq_radius`` is not negative, no kernel
+    parameter in ``sigmas`` is 0, and ``rho_values`` holds at least two
+    rho, each positive with a finite family speed.
     """
     for key in ("nu", "nu_values"):
         for nu in np.ravel(values.get(key, [])):
@@ -142,7 +143,9 @@ def build_inputs(values: dict) -> dict:
                 raise ConfigError(f"{key}: nu must be > 0, got {nu}")
     if not values.get("tol", 1.0) > 0.0:
         raise ConfigError(f"tol: tol must be > 0, got {values['tol']}")
-    if values.get("T") == 0.0:  # a negative T evolves backward
+    # T = 0 leaves identity-check and reconstruct no evolution to measure; forward-evolve
+    # then returns its initial state, and a negative T evolves backward
+    if values.get("T") == 0.0 and "initial" not in values:
         raise ConfigError("T: the final time must not be 0")
     if values.get("freq_radius", 0.0) < 0.0:
         raise ConfigError(f"freq_radius: the radius must be >= 0, got {values['freq_radius']}")
@@ -337,11 +340,10 @@ def cgo_build(cfg, values, inputs):
     return "cgo_build", report, artifacts
 
 
-@command("cgo-remainder-sweep", {**WITH_POTENTIAL, "nu_values": ([float], REQUIRED),
-                                 "tol": (float, 1e-8)})
+@command("cgo-remainder-sweep", {**WITH_POTENTIAL, "nu_values": ([float], REQUIRED)})
 def cgo_remainder_sweep(cfg, values, inputs):
     """Decay of the CGO remainder ||W u_flat|| over nu."""
-    report = remainder_decay_sweep(inputs["V"], values["nu_values"], tol=values["tol"])
+    report = remainder_decay_sweep(inputs["V"], values["nu_values"])
     return f"cgo_remainder_sweep_{values['potential']['kind']}", report, {}
 
 

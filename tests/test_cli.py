@@ -387,6 +387,15 @@ class TestExitCodes:
         res = runner.invoke(main, [command, "--config", cfg, "--dry-run"])
         assert res.exit_code == EXIT_PASS, res.output
 
+    def test_forward_evolve_zero_time_is_the_identity(self, runner, tmp_path):
+        # identity-check and reconstruct refuse T = 0; forward-evolve returns its initial state
+        cfg = write(tmp_path, "c.yaml", GRID + self.POTENTIAL + "T: 0\nsteps: 4\n")
+        res = runner.invoke(main, ["forward-evolve", "--config", cfg, "--output", str(tmp_path)])
+        assert res.exit_code == EXIT_PASS, res.output
+        spec = build_grid(load_config(cfg))
+        initial = cli.initial_state(spec, {"center": None, "width": 0.5, "modulation": None})
+        np.testing.assert_allclose(np.load(tmp_path / "final_state.npy"), initial, atol=1e-12)
+
     @pytest.mark.parametrize("command,text", [
         ("verify-strichartz", GRID + "estimate: strichartz\npairs: [[1, 2]]\n"),
         ("verify-strichartz", GRID + "estimate: gain\n"),
