@@ -107,10 +107,15 @@ def build_W(V: Potential) -> FactorW:
     return FactorW(Field(V.field.spec, w.astype(complex)))
 
 
-def _time_window_mask(spec: GridSpec, window: tuple[float, float]) -> np.ndarray:
+def _windowed(spec: GridSpec, bump: np.ndarray, window, radius: float, pair: tuple) -> Potential:
+    """The spatial ``bump`` inside ``window`` (None: the centred half-box), 0 outside it."""
+    if window is None:
+        window = (-0.5 * spec.box_time, 0.5 * spec.box_time)
     t = spec.t_axis()
     mask = ((t >= window[0]) & (t <= window[1])).astype(float)
-    return mask.reshape((spec.pts_time,) + (1,) * spec.n)
+    data = mask.reshape((spec.pts_time,) + (1,) * spec.n) * bump[None]
+    f = Field(spec, data.astype(complex))
+    return Potential(f, window, radius=radius, pair=pair)
 
 
 def gaussian_potential(
@@ -123,13 +128,9 @@ def gaussian_potential(
     """Spatial Gaussian bump, constant in time inside the window."""
     if not width > 0.0:
         raise ValueError(f"width must be > 0, got {width}")
-    if window is None:
-        window = (-0.5 * spec.box_time, 0.5 * spec.box_time)
     mesh = spec.spatial_mesh()
     bump = amplitude * np.exp(-sum(c**2 for c in mesh) / (2.0 * width**2))
-    data = _time_window_mask(spec, window) * bump[None]
-    f = Field(spec, data.astype(complex))
-    return Potential(f, window, radius=4.0 * width, pair=pair)
+    return _windowed(spec, bump, window, 4.0 * width, pair)
 
 
 def cusp_potential(
@@ -151,15 +152,11 @@ def cusp_potential(
         raise ValueError("alpha out of the integrable range")
     if not cutoff > 0.0:
         raise ValueError(f"cutoff must be > 0, got {cutoff}")
-    if window is None:
-        window = (-0.5 * spec.box_time, 0.5 * spec.box_time)
     mesh = spec.spatial_mesh()
     rad = np.sqrt(sum((c - center) ** 2 for c in mesh))
     rad = np.maximum(rad, 0.25 * spec.dx)  # keep samples finite at the tip
     bump = amplitude * rad ** (-alpha) * (rad <= cutoff)
-    data = _time_window_mask(spec, window) * bump[None]
-    f = Field(spec, data.astype(complex))
-    return Potential(f, window, radius=cutoff, pair=pair)
+    return _windowed(spec, bump, window, cutoff, pair)
 
 
 # ---------------------------------------------------------------------------

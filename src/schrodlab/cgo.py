@@ -28,6 +28,9 @@ from .reports import EstimateReport, NoConvergence
 
 logger = logging.getLogger(__name__)
 
+# Neumann term cap of solve_v_neumann; reaching it raises NoConvergence
+_MAX_TERMS = 200
+
 __all__ = [
     "NotContractive",
     "NoConvergence",
@@ -140,25 +143,22 @@ def solve_v_neumann(
     plan: MultiplierPlan,
     tol: float = 1e-8,
     rho_cap: float = 0.9,
-    max_terms: int = 200,
 ) -> tuple[Field, dict]:
     """Solve (Id - A) v = W u_sharp, A = M_W S_nu M_{|W|}, by Neumann iteration.
 
     S_nu is ``plan``, from :func:`plan_BS`.  Raises :class:`NotContractive`
     when the estimated sandwich norm exceeds ``rho_cap`` (|nu| below the
     contraction threshold) and :class:`NoConvergence` when the geometric
-    tail has not dropped below ``tol`` after ``max_terms`` terms, which
-    must be at least 1.  The estimate enters the contraction
-    test and the tail bound, so a power iteration that did not converge, or
-    whose two starts disagree, raises :class:`NoConvergence` as well.
+    tail has not dropped below ``tol`` after ``_MAX_TERMS`` (200) terms.
+    The estimate enters the contraction test and the tail bound, so a power
+    iteration that did not converge, or whose two starts disagree, raises
+    :class:`NoConvergence` as well.
 
     The diagnostics hold ``rho``, the ``terms`` summed, ``rhs_norm`` =
     ||W u_sharp||, ``remainder_norm`` = ||A v|| = ||W u_flat|| (u_flat =
     S_nu(|W| v)) and ``fixed_point`` = ||v - A v - W u_sharp|| / ||W u_sharp||
     (over 1 when W u_sharp = 0, which gives v = 0 and no terms).
     """
-    if max_terms < 1:
-        raise ValueError(f"max_terms must be at least 1, got {max_terms!r}")
     spec = usharp.spec
     absW = W.magnitude
     rho, diag = op_norm(W, absW, plan, tol=1e-3)
@@ -174,14 +174,14 @@ def solve_v_neumann(
         v, k = Field(spec, np.zeros(spec.shape, complex)), 0
     else:
         v, term = rhs.copy(), rhs
-        for k in range(1, max_terms + 1):
+        for k in range(1, _MAX_TERMS + 1):
             term = apply_BS(term, W, absW, plan)
             np.add(v.data, term.data, out=v.data)
             tail = l2_norm(term) * rho / max(1.0 - rho, 1e-12)
             if tail <= tol * rhs_norm:
                 break
         else:
-            raise NoConvergence(f"Neumann tail {tail:.2e} above {tol:.2e} after {max_terms} terms")
+            raise NoConvergence(f"Neumann tail {tail:.2e} above {tol:.2e} after {_MAX_TERMS} terms")
     av = apply_BS(v, W, absW, plan)
     return v, {"rho": rho, "terms": k, "rhs_norm": rhs_norm, "remainder_norm": l2_norm(av),
                "fixed_point": l2_norm(v - av - rhs) / (rhs_norm or 1.0)}
@@ -228,32 +228,28 @@ def build_cgo(
     return sol
 
 
-def remainder_decay_sweep(
-    V: Potential,
-    nu_list,
-    tol: float = 1e-8,
-) -> EstimateReport:
+def remainder_decay_sweep(V: Potential, nu_list) -> EstimateReport:
     """Table of ||W u_flat||_2 / ||psi|| per nu; the decay diagnostic.
 
     Also records the leading-term ratio ||W u_sharp||_2 / ||psi||, which
     should stay bounded across the sweep.  Each nu uses the default packet
-    (width 2) and contraction cap (0.9) of :func:`build_cgo`.  V is factored
-    once, and each nu runs only :func:`solve_v_neumann`, whose
-    ``remainder_norm`` is ||W u_flat||.
+    (width 2), tolerance (1e-8) and contraction cap (0.9) of
+    :func:`build_cgo`.  V is factored once, and each nu runs only
+    :func:`solve_v_neumann`, whose ``remainder_norm`` is ||W u_flat||.
     """
     spec = V.field.spec
     report = EstimateReport(
         estimate="cgo_remainder",
         grid=spec.as_dict(),
         params={"nu_values": list(map(float, nu_list)), "packet_width": 2.0,
-                "tol": tol, "rho_cap": 0.9},
+                "tol": 1e-8, "rho_cap": 0.9},
     )
     W = build_W(V)
     for mag in nu_list:
         packet = gaussian_packet_on_hyperplane(spec, mag)
         psi_norm = packet.norm(spec)
         usharp = wave_packet_usharp(packet, spec)
-        _, diag = solve_v_neumann(W, usharp, plan_BS(spec, mag), tol=tol)
+        _, diag = solve_v_neumann(W, usharp, plan_BS(spec, mag))
         report.samples.append(
             {
                 "nu": float(mag),

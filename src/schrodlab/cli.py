@@ -51,12 +51,24 @@ EXIT_NONCONVERGENCE = 3
 
 #: The config table of each command (verify-strichartz: a function of the config).
 TABLES = {}
-#: The ``potential`` block; the Potential checks window, alpha and pair on construction.
-POTENTIAL = {"kind": (("gaussian", "cusp"), REQUIRED), "amplitude": (float, 1.0),
-             "width": (float, 0.5), "alpha": (float, 0.75), "center": (float, 0.0),
-             "cutoff": (float, 1.0), "window": ([float], None), "pair": ([EXPONENT], [2, 2])}
+#: The ``potential`` block of each kind; the Potential checks window, alpha and pair on
+#: construction.
+POTENTIALS = {kind: {"kind": (("gaussian", "cusp"), REQUIRED), "amplitude": (float, 1.0), **own,
+                     "window": ([float], None), "pair": ([EXPONENT], [2, 2])}
+              for kind, own in (("gaussian", {"width": (float, 0.5)}),
+                                ("cusp", {"alpha": (float, 0.75), "center": (float, 0.0),
+                                          "cutoff": (float, 1.0)}))}
+
+
+def potential_table(block: dict) -> dict:
+    """The table of the ``potential`` kind ``block`` names; with none named, every kind's keys,
+    so that the error names ``potential.kind``."""
+    named = [table for kind, table in POTENTIALS.items() if block.get("kind") == kind]
+    return named[0] if named else {**POTENTIALS["gaussian"], **POTENTIALS["cusp"]}
+
+
 #: The blocks of every command that runs on a potential.
-WITH_POTENTIAL = {"grid": (GRID, REQUIRED), "potential": (POTENTIAL, REQUIRED)}
+WITH_POTENTIAL = {"grid": (GRID, REQUIRED), "potential": (potential_table, REQUIRED)}
 
 
 # ---------------------------------------------------------------------------
@@ -84,14 +96,12 @@ def build_grid(cfg: dict) -> GridSpec:
 
 
 def build_potential(spec: GridSpec, p: dict) -> Potential:
-    """The potential of a ``potential`` block read against POTENTIAL."""
-    shared = {"amplitude": p["amplitude"], "pair": tuple(p["pair"]),
-              "window": tuple(p["window"]) if p["window"] else None}
+    """The potential of a ``potential`` block read against its kind's table."""
+    kw = {**p, "pair": tuple(p["pair"]), "window": tuple(p["window"]) if p["window"] else None}
     try:
-        if p["kind"] == "gaussian":
-            return gaussian_potential(spec, width=p["width"], **shared)
-        return cusp_potential(spec, alpha=p["alpha"], center=p["center"],
-                              cutoff=p["cutoff"], **shared)
+        if kw.pop("kind") == "gaussian":
+            return gaussian_potential(spec, **kw)
+        return cusp_potential(spec, **kw)
     except ValueError as exc:  # window, alpha and pair are checked on construction
         raise ConfigError(f"potential: {exc}") from exc
 

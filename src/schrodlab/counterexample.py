@@ -433,15 +433,11 @@ def bourgain_norm(
 
 def embedding_ratio_sweep(
     rho_list,
-    family: str = "shifted",
-    trace: LogLogTrace | None = None,
-    profile: DispersionProfile | None = None,
+    family: str,
+    trace: LogLogTrace,
+    profile: DispersionProfile,
 ) -> EstimateReport:
-    """ratio(rho) = mixed norm / Bourgain norm over the rho family."""
-    if trace is None:
-        trace = build_gaussian_trace() if family == "control" else build_loglog_trace()
-    if profile is None:
-        profile = build_dispersion_profile()
+    """ratio(rho) = mixed norm / Bourgain norm over the rho family, on its trace and profile."""
     report = EstimateReport(
         estimate="embedding_ratio",
         grid={"semi_analytic": True, "n": 2},

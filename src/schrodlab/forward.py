@@ -235,16 +235,14 @@ def evolve(
     return Trajectory(spec, times, slices, mass, final)
 
 
-def itf_map(V: Potential, probes, T: float, steps: int = 256) -> np.ndarray:
+def itf_map(V: Potential, probes: np.ndarray, T: float, steps: int = 256) -> np.ndarray:
     """Apply the initial-to-final-state map f -> u(T) to each probe.
 
     ``probes`` is a stack along a leading probe axis, passed as it is to
     one ``evolve`` call that stores no intermediate step (its working copy
-    is the only copy), or an iterable of states, stacked first.  Returns
-    the final states along the same leading axis.
+    is the only copy).  Returns the final states along the same leading
+    axis.
     """
-    if not isinstance(probes, np.ndarray):
-        probes = np.array(list(probes), dtype=complex)
     if len(probes) == 0:
         raise ValueError("itf_map wants at least one probe")
     return evolve(V, probes, T, steps, store="final").final
@@ -296,13 +294,12 @@ def integral_identity_check(
     g: np.ndarray,
     T: float,
     steps: int = 256,
-) -> dict | list[dict]:
+) -> list[dict]:
     """Residual of the bilinear identity, both sides independently solved.
 
-    ``f`` and ``g`` are one state each, or stacks of trials along a leading
-    axis; a single pair gives one dict, a stack a list of dicts, one per
-    trial.  The trapezoid integrand is summed as u_1 is stepped forward, so
-    no forward trajectory is held.  With V_2 = None every trial's u_1 is
+    ``f`` and ``g`` are stacks of trials along a leading axis; the result
+    holds one dict per trial.  The trapezoid integrand is summed as u_1 is
+    stepped forward, so no forward trajectory is held.  With V_2 = None every trial's u_1 is
     stepped in one loop and the free v_2 of every trial is built at each
     time; otherwise the trials run one at a time, each holding its
     backward solve of v_2 as the one trajectory kept.
@@ -314,14 +311,13 @@ def integral_identity_check(
     lattice = (spec.pts_space,) * spec.n
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
-    if f.shape != g.shape or f.shape[-spec.n:] != lattice or f.ndim not in (spec.n, spec.n + 1):
-        raise ValueError("f and g must be matching states or stacks on the spatial lattice")
-    fs, gs = f.reshape((-1,) + lattice), g.reshape((-1,) + lattice)
+    if f.shape != g.shape or f.shape[1:] != lattice:
+        raise ValueError("f and g must be matching stacks on the spatial lattice")
     if V2 is None:
-        sides = _identity_sides(V1, None, fs, gs, T, steps)
+        sides = _identity_sides(V1, None, f, g, T, steps)
     else:  # one trial at a time, so one backward trajectory is held
-        sides = [s for j in range(len(fs))
-                 for s in _identity_sides(V1, V2, fs[j:j + 1], gs[j:j + 1], T, steps)]
+        sides = [s for j in range(len(f))
+                 for s in _identity_sides(V1, V2, f[j:j + 1], g[j:j + 1], T, steps)]
 
     outs = []
     for lhs, rhs in sides:
@@ -339,4 +335,4 @@ def integral_identity_check(
             out["lhs"], out["rhs"], out["normalized_residual"],
         )
         outs.append(out)
-    return outs[0] if f.ndim == spec.n else outs
+    return outs

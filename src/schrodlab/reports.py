@@ -68,8 +68,9 @@ def read(cfg: dict, table: dict, path: str = "") -> dict:
 
     ``table`` maps each key to ``(kind, default)``; the kinds are ``int``,
     ``float``, ``COUNT``, ``NATURAL``, ``str``, ``EXPONENT``, a tuple of
-    allowed strings, a nested table, and ``[kind]``, a non-empty list of
-    one of these.  An absent or null key takes its default, read as the key is
+    allowed strings, a nested table (or a function of the block that
+    returns its table), and ``[kind]``, a non-empty list of one of these.
+    An absent or null key takes its default, read as the key is
     (a nested table's default is ``{}``: its keys' defaults); ``REQUIRED``
     makes it required.  An unknown key at any depth, a missing required
     key and a value of the wrong kind raise ConfigError naming the key
@@ -96,6 +97,8 @@ def read(cfg: dict, table: dict, path: str = "") -> dict:
 
 def _convert(value, kind, here: str):
     """``value`` read as ``kind``; a ValueError carries what was wanted."""
+    if callable(kind) and not isinstance(kind, type):  # the table depends on the block
+        kind = kind(value) if isinstance(value, dict) else {}
     if isinstance(kind, dict):
         if not isinstance(value, dict):
             raise ValueError("mapping")

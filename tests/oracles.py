@@ -3,8 +3,9 @@
 Nothing in the package calls these: each one recomputes a result by another
 route (a dense matrix, the propagator quadrature, the full-grid rho family),
 or measures a bound the reports do not carry (the PDE residual, the
-|nu|^{1/4} local-smoothing ratio).  The tests import them with
-``from oracles import ...``.
+|nu|^{1/4} local-smoothing ratio).  ``fingerprint`` condenses an output
+field as bench/execute.py does, for the checks against bench/reference.json.
+The tests import them with ``from oracles import ...``.
 """
 
 import numpy as np
@@ -156,3 +157,17 @@ def local_smoothing_check(fields, nu_list, T: float, R: float) -> EstimateReport
                 {"nu": float(mag), "field": k, "ratio": comp * local / denom, "seed": 0}
             )
     return report
+
+
+# ---------------------------------------------------------------------------
+# benchmark references
+# ---------------------------------------------------------------------------
+
+
+def fingerprint(array) -> list[float]:
+    """Norm and a fixed random projection of an array, as bench/execute.py's fingerprint."""
+    a = np.asarray(array, dtype=complex).ravel()
+    rng = np.random.default_rng(0)
+    r = rng.standard_normal(a.size) + 1j * rng.standard_normal(a.size)
+    proj = np.vdot(r / np.linalg.norm(r), a)
+    return [np.linalg.norm(a), proj.real, proj.imag]

@@ -23,6 +23,7 @@ from schrodlab.cgo import build_cgo, gaussian_packet_on_hyperplane, remainder_de
 from schrodlab.cli import main as cli_main
 from schrodlab.counterexample import (
     build_dispersion_profile,
+    build_gaussian_trace,
     build_loglog_trace,
     embedding_ratio_sweep,
 )
@@ -197,7 +198,7 @@ def test_07_cgo_contraction_and_remainder_decay():
                     tol=1e-8, rho_cap=0.9)
     assert sol.rho <= 0.9
     assert sol.residuals["fixed_point"] <= 1e-6
-    report = remainder_decay_sweep(V, [16, 64], tol=1e-8)
+    report = remainder_decay_sweep(V, [16, 64])
     ratios = [s["ratio"] for s in report.samples]
     assert ratios[-1] <= 0.5 * ratios[0]
 
@@ -215,7 +216,7 @@ def test_08_integral_identity_two_sided():
     g = np.exp(-((mesh[0] - 0.3) ** 2 + mesh[1] ** 2) / 0.5) * np.exp(-1j * mesh[1])
     res = {}
     for steps in (64, 128, 256):
-        out = integral_identity_check(V, None, f, g, T=0.5, steps=steps)
+        [out] = integral_identity_check(V, None, f[None], g[None], T=0.5, steps=steps)
         res[steps] = out["normalized_residual"]
     assert res[256] <= 1e-4
     for steps in (64, 128):
@@ -257,7 +258,7 @@ def test_10_endpoint_embedding_fails_with_loglog_growth():
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] / ratios[0] >= 1.15
     control = embedding_ratio_sweep([4, 16, 64, 256, 1024], "control",
-                                    profile=profile)
+                                    build_gaussian_trace(), profile)
     ratios = [s["ratio"] for s in control.samples]
     assert max(ratios) / min(ratios) <= 2.0
 

@@ -253,6 +253,18 @@ class TestExitCodes:
          "config key initial has wrong type (want mapping)"),
         ("bs-norm-sweep", GRID + "potential: {kind: gaussian, widht: 0.1}\nnu_values: [4]\n",
          "unknown config key: potential.widht"),
+        ("bs-norm-sweep", GRID + "potential: {kind: cusp, width: 0.6}\nnu_values: [4]\n",
+         "unknown config key: potential.width"),
+        ("bs-norm-sweep", GRID + "potential: {kind: gaussian, cutoff: -3}\nnu_values: [4]\n",
+         "unknown config key: potential.cutoff"),
+        ("cgo-remainder-sweep", GRID + "potential: {kind: gaussian, alpha: 0.5}\nnu_values: [8]\n",
+         "unknown config key: potential.alpha"),
+        ("bs-norm-sweep", GRID + "potential: {kind: disk, cutoff: 1}\nnu_values: [4]\n",
+         "config key potential.kind has wrong type (want one of gaussian, cusp)"),
+        ("bs-norm-sweep", GRID + "potential: {width: 0.6, cutoff: 1}\nnu_values: [4]\n",
+         "missing config key: potential.kind"),
+        ("bs-norm-sweep", GRID + "potential: 3\nnu_values: [4]\n",
+         "config key potential has wrong type (want mapping)"),
         ("verify-strichartz", GRID + "estimate: dispersive\nfamily: 2\n",
          "config key estimate has wrong type (want one of strichartz, gain)"),
         ("verify-strichartz", GRID + "estimate: strichartz\npairs: [[1, 2]]\nmin_xi_n: 1.0\n",
@@ -264,7 +276,9 @@ class TestExitCodes:
         ("kernel-table", "sigmas: [0.5]\nx: {min: .nan, max: 1.0, count: 3}\n",
          "config key x.min has wrong type (want a finite float)"),
     ], ids=["bool-sigma", "bool-nu", "str-sigma", "str-nu", "str-rho", "packet-scalar",
-            "initial-scalar", "potential-typo", "family-dispersive", "min_xi_n-strichartz",
+            "initial-scalar", "potential-typo", "width-cusp", "cutoff-gaussian",
+            "alpha-gaussian", "potential-kind-unknown", "potential-kind-missing",
+            "potential-scalar", "family-dispersive", "min_xi_n-strichartz",
             "pairs-gain", "inf-sigma", "nan-x.min"])
     @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
     def test_bad_value_named(self, runner, tmp_path, command, text, message, dry_run):
@@ -287,6 +301,17 @@ class TestExitCodes:
             assert res.exit_code == EXIT_CONFIG
             assert "potential: pair (2, 3)" in res.output
             assert not list(tmp_path.glob("*.json"))
+
+    @pytest.mark.parametrize("kind,keys", [
+        ("gaussian", ["amplitude", "kind", "pair", "width", "window"]),
+        ("cusp", ["alpha", "amplitude", "center", "cutoff", "kind", "pair", "window"]),
+    ], ids=["gaussian", "cusp"])
+    def test_dry_run_echoes_only_the_kinds_potential_keys(self, runner, tmp_path, kind, keys):
+        # the block was read against every kind's keys, so a cusp echoed a gaussian width
+        cfg = write(tmp_path, "c.yaml", GRID + f"potential: {{kind: {kind}}}\nnu_values: [4]\n")
+        res = runner.invoke(main, ["bs-norm-sweep", "--config", cfg, "--dry-run"])
+        assert res.exit_code == EXIT_PASS, res.output
+        assert sorted(json.loads(res.output)["potential"]) == keys
 
     # (case, command, config text, message) for values checked only after the config is read
     POST_READ = [
@@ -599,7 +624,9 @@ def kind_name(kind):
         return f"list of {kind_name(kind[0])}"
     if isinstance(kind, tuple):
         return "one of " + ", ".join(kind)
-    return "mapping" if isinstance(kind, dict) else getattr(kind, "__name__", kind)
+    if isinstance(kind, dict) or kind is cli.potential_table:
+        return "mapping"
+    return getattr(kind, "__name__", kind)
 
 
 def schema_rows(table, path=""):
@@ -610,7 +637,7 @@ def schema_rows(table, path=""):
     for key, (kind, default) in table.items():
         here = f"{path}.{key}" if path else key
         yield here, kind_name(kind), "required" if default is REQUIRED else json.dumps(default)
-        if isinstance(kind, dict) and kind not in (GRID_TABLE, cli.POTENTIAL):
+        if isinstance(kind, dict) and kind is not GRID_TABLE:
             yield from schema_rows(kind, here)
 
 
@@ -620,7 +647,8 @@ def test_schema_doc_matches_tables():
                           for row in rows.splitlines()[2:]]
                   for title, rows in re.findall(r"^### (.+)\n\n((?:\|.*\n)+)", text, re.M)}
     expected = {"grid": list(schema_rows(GRID_TABLE, "grid")),
-                "potential": list(schema_rows(cli.POTENTIAL, "potential"))}
+                **{f"potential ({kind})": list(schema_rows(table, "potential"))
+                   for kind, table in cli.POTENTIALS.items()}}
     for name, table in cli.TABLES.items():
         if callable(table):  # verify-strichartz: one table per estimate
             expected.update({f"{name} ({est})": list(schema_rows(t))

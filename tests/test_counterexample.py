@@ -1,13 +1,15 @@
 """Endpoint embedding failure (divergent families) and the positive
 local-smoothing control."""
 
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from scipy.special import j0 as scipy_j0  # the oracle for the numpy J_0
 
-from schrodlab import counterexample
+from schrodlab import cli, counterexample
 from schrodlab.counterexample import (
     RhoFamilyMember,
     _j0,
@@ -21,6 +23,8 @@ from schrodlab.counterexample import (
 from schrodlab.grid import Field, GridSpec, l2_norm, random_band_limited
 
 from oracles import _ball_profile, build_u_rho, local_smoothing_check
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -175,9 +179,21 @@ class TestDivergence:
 
     def test_control_family_flat(self, profile):
         report = embedding_ratio_sweep([4, 16, 64, 256, 1024], "control",
-                                       profile=profile)
+                                       build_gaussian_trace(), profile)
         ratios = [s["ratio"] for s in report.samples]
         assert max(ratios) / min(ratios) < 2.0
+
+
+    def test_committed_sweep_matches_the_benchmark_reference(self):
+        # the benchmark checks these norms at rtol 1e-9 on every run; a drift in the
+        # trace, the profile or the rho family shows here first
+        cfg = cli.load_config(ROOT / "configs" / "counterexample.yaml")
+        values = cli.read(cfg, {**cli.COMMON, **cli.TABLES["counterexample-sweep"]})
+        _, report, _ = cli.counterexample_sweep(cfg, values, cli.build_inputs(values))
+        reference = json.loads((ROOT / "bench" / "reference.json").read_text())["counterexample"]
+        for key in ("mixed_norm", "bourgain_norm", "ratio"):
+            got = [s[key] for s in report.samples]
+            assert got == pytest.approx(reference[key], rel=1e-12, abs=0.0), key
 
 
 class TestLatticeCrossCheck:

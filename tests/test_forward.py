@@ -1,5 +1,6 @@
 """Split-step evolution, mass conservation, and the bilinear identity."""
 
+import json
 import logging
 import pathlib
 import threading
@@ -17,6 +18,8 @@ from schrodlab.forward import (
     sample_potential,
 )
 from schrodlab.grid import GridSpec
+
+from oracles import fingerprint
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SPEC = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=8, pts_space=32)
@@ -296,10 +299,21 @@ class TestTwoParts:
         assert threading.active_count() == before
 
 
+def test_committed_run_matches_the_benchmark_reference():
+    # the benchmark checks the final-state fingerprint on every run; a drift in the
+    # step loop shows here first
+    cfg = cli.load_config(ROOT / "configs" / "forward.yaml")
+    values = cli.read(cfg, {**cli.COMMON, **cli.TABLES["forward-evolve"]})
+    _, _, artifacts = cli.forward_evolve(cfg, values, cli.build_inputs(values))
+    ref = json.loads((ROOT / "bench" / "reference.json").read_text())["forward"]["final_state"]
+    got = fingerprint(artifacts["final_state.npy"])
+    assert np.abs(np.subtract(got, ref)).max() <= 1e-12 * abs(ref[0])
+
+
 class TestItfMap:
     def test_stacked_finals_own_their_memory(self):
         V = potential()
-        probes = [packet(5), packet(6)]
+        probes = np.stack([packet(5), packet(6)])
         finals = itf_map(V, probes, T=0.2, steps=32)
         assert finals.shape == (2, 32, 32)
         # no view into a trajectory: each (steps + 1)-slice array is freed
@@ -311,7 +325,7 @@ class TestItfMap:
         # a given stack goes to evolve as it is, so the only other stack is
         # evolve's working copy (which becomes the finals)
         V = potential()
-        itf_map(V, [packet(0)], T=0.2, steps=1)  # first-call FFT set-up, not counted
+        itf_map(V, packet(0)[None], T=0.2, steps=1)  # first-call FFT set-up, not counted
         tracemalloc.start()
         try:
             probes = np.empty((64,) + (SPEC.pts_space,) * 2, dtype=complex)
@@ -326,26 +340,26 @@ class TestItfMap:
 
     def test_empty_probes_rejected(self):
         with pytest.raises(ValueError):
-            itf_map(potential(), [], T=0.2)
+            itf_map(potential(), np.empty((0,) + (SPEC.pts_space,) * 2, dtype=complex), T=0.2)
 
 
 class TestIntegralIdentity:
     def test_holds_against_free_reference(self):
-        out = integral_identity_check(potential(0.6), None, packet(7), packet(8),
-                                      T=0.5, steps=256)
+        [out] = integral_identity_check(potential(0.6), None, packet(7)[None], packet(8)[None],
+                                        T=0.5, steps=256)
         assert out["normalized_residual"] < 1e-4
 
     def test_residual_is_second_order(self):
-        f, g = packet(9), packet(10)
+        f, g = packet(9)[None], packet(10)[None]
         V = potential(0.6)
-        r64 = integral_identity_check(V, None, f, g, T=0.5, steps=64)
-        r256 = integral_identity_check(V, None, f, g, T=0.5, steps=256)
+        [r64] = integral_identity_check(V, None, f, g, T=0.5, steps=64)
+        [r256] = integral_identity_check(V, None, f, g, T=0.5, steps=256)
         gain = r64["normalized_residual"] / r256["normalized_residual"]
         assert 8.0 < gain < 32.0  # ~16x for a second-order scheme
 
     def test_two_potentials(self):
-        out = integral_identity_check(potential(0.8), potential(0.3),
-                                      packet(11), packet(12), T=0.4, steps=256)
+        [out] = integral_identity_check(potential(0.8), potential(0.3),
+                                        packet(11)[None], packet(12)[None], T=0.4, steps=256)
         assert out["normalized_residual"] < 1e-4
 
     @pytest.mark.parametrize("second", [None, 0.3])
@@ -353,7 +367,7 @@ class TestIntegralIdentity:
         V1 = potential(0.8)
         V2 = None if second is None else potential(second)
         f, g = packet(15), packet(16, mod=(-1.0, 1.0))
-        out = integral_identity_check(V1, V2, f, g, T=0.4, steps=32)
+        [out] = integral_identity_check(V1, V2, f[None], g[None], T=0.4, steps=32)
         assert (out["lhs"], out["rhs"], out["residual"]) == identity_oracle(V1, V2, f, g, 0.4, 32)
 
     @pytest.mark.parametrize("second", [None, 0.3])
@@ -366,18 +380,23 @@ class TestIntegralIdentity:
         outs = integral_identity_check(V1, V2, fs, gs, T=0.4, steps=16)
         assert isinstance(outs, list) and len(outs) == 3
         for out, f, g in zip(outs, fs, gs):
-            one = integral_identity_check(V1, V2, f, g, T=0.4, steps=16)
+            [one] = integral_identity_check(V1, V2, f[None], g[None], T=0.4, steps=16)
             assert out.keys() == one.keys()
             assert np.array_equal(list(out.values()), list(one.values()))
 
     def test_mismatched_trials_rejected(self):
         with pytest.raises(ValueError):
             integral_identity_check(potential(), None, np.stack([packet(1), packet(2)]),
-                                    packet(3), T=0.2, steps=8)
+                                    packet(3)[None], T=0.2, steps=8)
+
+    def test_single_states_rejected(self):
+        # the identity takes stacks of trials; one state is a stack of one
+        with pytest.raises(ValueError, match="stacks"):
+            integral_identity_check(potential(), None, packet(1), packet(2), T=0.2, steps=8)
 
     def test_identical_potentials_give_zero_lhs(self):
         V = potential(0.5)
-        out = integral_identity_check(V, V, packet(13), packet(14), T=0.3, steps=64)
+        [out] = integral_identity_check(V, V, packet(13)[None], packet(14)[None], T=0.3, steps=64)
         assert abs(out["lhs"]) < 1e-10
         assert abs(out["rhs"]) < 1e-10
 

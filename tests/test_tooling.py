@@ -1,5 +1,6 @@
-"""Tooling checks: the tracer's patch targets exist, every public name has a caller, every
-test oracle is used, the CLI's import stays light, and the scripts run."""
+"""Tooling checks: the tracer's patch targets exist, every public name has a caller and every
+defaulted parameter a caller that passes it, every test oracle is used, the CLI's import stays
+light, and the scripts run."""
 
 import ast
 import importlib
@@ -41,10 +42,16 @@ def test_tracing_targets_resolve():
 #: Public names, and public members (``Class.name``) of public classes, that nothing in src/,
 #: scripts/ or bench/ calls, each kept for a reason.
 UNCALLED = {
+    "apply_BS_adjoint": "bench/tracing.py TARGETS wraps it by name, and the tests use it as "
+                        "the adjoint reference",
     "boundary_mass_fraction": "the per-run manifest of ROADMAP item 4 is to call it",
     "bourgain_norm": "bench/tracing.py TARGETS wraps it by name, so it moves to "
                      "tests/oracles.py at the next change to bench/ (ROADMAP item 4)",
 }
+
+#: Defaulted parameters, as ``name(parameter)``, of called public functions and methods that
+#: no caller in src/, scripts/ or bench/ passes, each kept for a reason.
+UNPASSED = {}
 
 #: Scripts that no test and no run_all.sh line runs, each kept for a reason.
 UNRUN_SCRIPTS = {}
@@ -87,23 +94,27 @@ def references(path: pathlib.Path) -> tuple[set[str], set[str]]:
     return names, attrs
 
 
-def public_names() -> tuple[set[str], dict[str, str]]:
-    """The names in every module's ``__all__``, and the public methods and properties
-    of the classes among them, as ``Class.name`` mapped to ``name``."""
-    public, members = set(), {}
+def is_command(node: ast.AST) -> bool:
+    """Whether a definition is registered as a CLI command by ``@command(...)``."""
+    return any(isinstance(d, ast.Call) and ast.unparse(d.func) == "command"
+               for d in node.decorator_list)
+
+
+def public_definitions() -> dict[str, ast.AST]:
+    """Every top-level public function and class of the package, and the public methods and
+    properties of those classes as ``Class.name``. The one exception: the CLI commands, which
+    ``@command`` registers and click calls."""
+    found = {}
     for path in (ROOT / "src" / "schrodlab").glob("*.py"):
-        body = ast.parse(path.read_text()).body
-        names = set()
-        for node in body:
-            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
-                names |= set(ast.literal_eval(node.value))
-        for node in body:
-            if isinstance(node, ast.ClassDef) and node.name in names:
-                members.update({f"{node.name}.{fn.name}": fn.name for fn in node.body
-                                if isinstance(fn, ast.FunctionDef)
-                                and not fn.name.startswith("_")})
-        public |= names
-    return public, members
+        for node in ast.parse(path.read_text()).body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_") or is_command(node)):
+                continue
+            found[node.name] = node
+            if isinstance(node, ast.ClassDef):
+                found.update({f"{node.name}.{fn.name}": fn for fn in node.body
+                              if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")})
+    return found
 
 
 def test_every_public_name_has_a_caller():
@@ -116,10 +127,53 @@ def test_every_public_name_has_a_caller():
             names, attrs = references(path)
             called |= names
             read |= attrs
-    public, members = public_names()
-    uncalled = (public - called) | {q for q, name in members.items() if name not in read}
+    uncalled = {q for q in public_definitions()
+                if q.rpartition(".")[2] not in (read if "." in q else called)}
     assert sorted(uncalled - set(UNCALLED)) == []
     assert sorted(set(UNCALLED) - uncalled) == []  # the list is no longer than needed
+
+
+def call_sites() -> dict[str, list[ast.Call]]:
+    """Every call in src/, scripts/ and bench/, by the name called: ``f`` of ``f(...)`` and
+    of ``x.f(...)``."""
+    sites = {}
+    for folder in ("src", "scripts", "bench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                    name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                    sites.setdefault(name, []).append(node)
+    return sites
+
+
+def passes(call: ast.Call, index: int | None, name: str) -> bool:
+    """Whether ``call`` passes the parameter ``name``, at position ``index`` (None when it is
+    keyword-only); a ``*`` or ``**`` argument may pass any."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    keywords = {k.arg for k in call.keywords}
+    return None in keywords or name in keywords or index is not None and index < len(call.args)
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that no program path overrides is a constant in disguise: make it one, or
+    # say here why the parameter stays; a method's calls are matched by attribute name
+    sites = call_sites()
+    unpassed = set()
+    for qualified, node in public_definitions().items():
+        if not isinstance(node, ast.FunctionDef) or qualified in UNCALLED:
+            continue
+        args = node.args
+        positional = (args.posonlyargs + args.args)[1 if "." in qualified else 0:]  # no self
+        first = len(positional) - len(args.defaults)
+        defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+        defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+        calls = sites.get(qualified.rpartition(".")[2], [])
+        unpassed |= {f"{qualified}({name})" for index, name in defaulted
+                     if not any(passes(call, index, name) for call in calls)}
+    assert sorted(unpassed - set(UNPASSED)) == []
+    assert sorted(set(UNPASSED) - unpassed) == []  # the list is no longer than needed
 
 
 def test_every_oracle_is_used():
