@@ -16,7 +16,7 @@ measuring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 import logging
 
@@ -388,7 +388,7 @@ def bs_decay_sweep(
     W = build_W(V)
     report = EstimateReport(
         estimate="bs_decay",
-        grid=spec.as_dict(),
+        grid=asdict(spec),
         params={"nu_values": list(map(float, nu_list)), "lambda_rule": "sqrt_nu",
                 "tol": tol, "seed": seed},
     )

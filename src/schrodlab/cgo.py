@@ -16,7 +16,7 @@ no exponentially growing factor is ever materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 import logging
 
 import numpy as np
@@ -30,6 +30,12 @@ logger = logging.getLogger(__name__)
 
 # Neumann term cap of solve_v_neumann; reaching it raises NoConvergence
 _MAX_TERMS = 200
+#: The settings every CGO solve runs at, and its reports record: the Neumann tail
+#: tolerance relative to ||W u_sharp||, the largest sandwich norm the series is run at,
+#: and the width of the hyperplane packet, which is centred at xi' = 0.
+NEUMANN_TOL = 1e-8
+RHO_CAP = 0.9
+PACKET_WIDTH = 2.0
 
 __all__ = [
     "NotContractive",
@@ -68,13 +74,8 @@ class WavePacket:
         return float(np.sqrt((np.abs(self.psi) ** 2).sum() * w))
 
 
-def gaussian_packet_on_hyperplane(
-    spec: GridSpec,
-    nu: float,
-    center: float = 0.0,
-    width: float = 2.0,
-) -> WavePacket:
-    """Gaussian profile in the hyperplane frequencies (default packet).
+def gaussian_packet_on_hyperplane(spec: GridSpec, nu: float) -> WavePacket:
+    """Gaussian profile of width ``PACKET_WIDTH`` in the hyperplane frequencies, centred at 0.
 
     Modes with |xi'|^2 beyond the time-frequency Nyquist range are cut:
     the superposed wave oscillates at tau = -|xi'|^2, and out-of-band
@@ -82,10 +83,9 @@ def gaussian_packet_on_hyperplane(
     """
     xi = spec.xi_axis()
     mesh = np.meshgrid(*([xi] * (spec.n - 1)), indexing="ij")
-    sq = sum((c - center) ** 2 for c in mesh)
-    sq0 = sum(c**2 for c in mesh)
+    sq = sum(c**2 for c in mesh)
     tau_max = np.pi / spec.dt
-    psi = np.exp(-sq / (2.0 * width**2)) * (sq0 <= tau_max)
+    psi = np.exp(-sq / (2.0 * PACKET_WIDTH**2)) * (sq <= tau_max)
     return WavePacket(psi.astype(complex), nu)
 
 
@@ -137,19 +137,13 @@ class CgoSolution:
     residuals: dict = dc_field(default_factory=dict)
 
 
-def solve_v_neumann(
-    W: FactorW,
-    usharp: Field,
-    plan: MultiplierPlan,
-    tol: float = 1e-8,
-    rho_cap: float = 0.9,
-) -> tuple[Field, dict]:
+def solve_v_neumann(W: FactorW, usharp: Field, plan: MultiplierPlan) -> tuple[Field, dict]:
     """Solve (Id - A) v = W u_sharp, A = M_W S_nu M_{|W|}, by Neumann iteration.
 
     S_nu is ``plan``, from :func:`plan_BS`.  Raises :class:`NotContractive`
-    when the estimated sandwich norm exceeds ``rho_cap`` (|nu| below the
+    when the estimated sandwich norm exceeds ``RHO_CAP`` (|nu| below the
     contraction threshold) and :class:`NoConvergence` when the geometric
-    tail has not dropped below ``tol`` after ``_MAX_TERMS`` (200) terms.
+    tail has not dropped below ``NEUMANN_TOL`` after ``_MAX_TERMS`` (200) terms.
     The estimate enters the contraction test and the tail bound, so a power
     iteration that did not converge, or whose two starts disagree, raises
     :class:`NoConvergence` as well.
@@ -166,8 +160,8 @@ def solve_v_neumann(
         raise NoConvergence("power iteration for the sandwich norm hit the iteration cap")
     if not diag["starts_agree"]:
         raise NoConvergence("power iteration starts disagree on the sandwich norm")
-    if rho > rho_cap:
-        raise NotContractive(f"sandwich norm {rho:.3f} exceeds cap {rho_cap}")
+    if rho > RHO_CAP:
+        raise NotContractive(f"sandwich norm {rho:.3f} exceeds cap {RHO_CAP}")
     rhs = Field(spec, W.field.data * usharp.data)
     rhs_norm = l2_norm(rhs)
     if rhs_norm == 0.0:
@@ -178,21 +172,17 @@ def solve_v_neumann(
             term = apply_BS(term, W, absW, plan)
             np.add(v.data, term.data, out=v.data)
             tail = l2_norm(term) * rho / max(1.0 - rho, 1e-12)
-            if tail <= tol * rhs_norm:
+            if tail <= NEUMANN_TOL * rhs_norm:
                 break
         else:
-            raise NoConvergence(f"Neumann tail {tail:.2e} above {tol:.2e} after {_MAX_TERMS} terms")
+            raise NoConvergence(f"Neumann tail {tail:.2e} above {NEUMANN_TOL:.2e} "
+                                f"after {_MAX_TERMS} terms")
     av = apply_BS(v, W, absW, plan)
     return v, {"rho": rho, "terms": k, "rhs_norm": rhs_norm, "remainder_norm": l2_norm(av),
                "fixed_point": l2_norm(v - av - rhs) / (rhs_norm or 1.0)}
 
 
-def build_cgo(
-    V: Potential,
-    packet: WavePacket,
-    tol: float = 1e-8,
-    rho_cap: float = 0.9,
-) -> CgoSolution:
+def build_cgo(V: Potential, packet: WavePacket) -> CgoSolution:
     """Full pipeline: packet -> u_sharp -> v -> u_flat = S_nu(|W| v), with residuals.
 
     Residuals recorded: the fixed-point defect of :func:`solve_v_neumann`,
@@ -205,7 +195,7 @@ def build_cgo(
     W = build_W(V)
     plan = plan_BS(spec, nu)
     usharp = wave_packet_usharp(packet, spec)
-    v, diag = solve_v_neumann(W, usharp, plan, tol=tol, rho_cap=rho_cap)
+    v, diag = solve_v_neumann(W, usharp, plan)
     uflat = apply_plan(plan, Field(spec, W.magnitude.field.data * v.data))
 
     applied = apply_symbol(plan, uflat)
@@ -232,17 +222,17 @@ def remainder_decay_sweep(V: Potential, nu_list) -> EstimateReport:
     """Table of ||W u_flat||_2 / ||psi|| per nu; the decay diagnostic.
 
     Also records the leading-term ratio ||W u_sharp||_2 / ||psi||, which
-    should stay bounded across the sweep.  Each nu uses the default packet
-    (width 2), tolerance (1e-8) and contraction cap (0.9) of
-    :func:`build_cgo`.  V is factored once, and each nu runs only
-    :func:`solve_v_neumann`, whose ``remainder_norm`` is ||W u_flat||.
+    should stay bounded across the sweep.  Each nu uses the packet, tolerance
+    and contraction cap of :func:`build_cgo`.  V is factored once, and each
+    nu runs only :func:`solve_v_neumann`, whose ``remainder_norm`` is
+    ||W u_flat||.
     """
     spec = V.field.spec
     report = EstimateReport(
         estimate="cgo_remainder",
-        grid=spec.as_dict(),
-        params={"nu_values": list(map(float, nu_list)), "packet_width": 2.0,
-                "tol": 1e-8, "rho_cap": 0.9},
+        grid=asdict(spec),
+        params={"nu_values": list(map(float, nu_list)), "packet_width": PACKET_WIDTH,
+                "tol": NEUMANN_TOL, "rho_cap": RHO_CAP},
     )
     W = build_W(V)
     for mag in nu_list:

@@ -25,11 +25,10 @@ import click
 import numpy as np
 import yaml
 
-from . import __version__
+from . import __version__, cgo
 from .birman_schwinger import Potential, bs_decay_sweep, cusp_potential, gaussian_potential
 from .cgo import NotContractive, build_cgo, gaussian_packet_on_hyperplane, remainder_decay_sweep
 from .counterexample import (
-    LogLogTrace,
     build_dispersion_profile,
     build_gaussian_trace,
     build_loglog_trace,
@@ -125,24 +124,14 @@ def initial_state(spec: GridSpec, init: dict) -> np.ndarray:
                           init["modulation"] or origin)
 
 
-def build_trace(family: str, points: int) -> LogLogTrace:
-    """The counterexample trace of ``family`` sampled at ``points`` points."""
-    try:
-        return (build_gaussian_trace(points=points) if family == "control"
-                else build_loglog_trace(points=points))
-    except ValueError as exc:  # fewer than two samples have no spacing
-        raise ConfigError(f"trace_points: {exc}") from exc
-
-
 def build_inputs(values: dict) -> dict:
     """The objects a run builds from the values read, each built once.
 
     Every check made after reading is made here, so ``--dry-run`` makes
     it too: ``spec`` is the ``grid``, ``V`` the ``potential``, ``f`` the
-    ``initial`` state, ``pairs`` the admissible Strichartz pairs and
-    ``trace`` the counterexample trace of ``trace_points`` points; every
-    drift in ``nu`` or ``nu_values``, ``tol`` and the ``initial`` and
-    ``packet`` widths are positive, ``T`` is not 0 unless the run returns
+    ``initial`` state and ``pairs`` the admissible Strichartz pairs; every
+    drift in ``nu`` or ``nu_values``, ``tol`` and the ``initial`` width
+    are positive, ``T`` is not 0 unless the run returns
     an ``initial`` state, ``freq_radius`` is not negative, no kernel
     parameter in ``sigmas`` is 0, and ``rho_values`` holds at least two
     rho, each positive with a finite family speed.
@@ -159,9 +148,8 @@ def build_inputs(values: dict) -> dict:
         raise ConfigError("T: the final time must not be 0")
     if values.get("freq_radius", 0.0) < 0.0:
         raise ConfigError(f"freq_radius: the radius must be >= 0, got {values['freq_radius']}")
-    for block in ("initial", "packet"):
-        if block in values and not values[block]["width"] > 0.0:
-            raise ConfigError(f"{block}.width: width must be > 0, got {values[block]['width']}")
+    if "initial" in values and not values["initial"]["width"] > 0.0:
+        raise ConfigError(f"initial.width: width must be > 0, got {values['initial']['width']}")
     inputs = {}
     if "grid" in values:
         inputs["spec"] = grid_spec(values["grid"])
@@ -171,8 +159,6 @@ def build_inputs(values: dict) -> dict:
         inputs["f"] = initial_state(inputs["spec"], values["initial"])
     if "pairs" in values:
         inputs["pairs"] = read_pairs(values["pairs"], inputs["spec"].n)
-    if "trace_points" in values:
-        inputs["trace"] = build_trace(values["family"], values["trace_points"])
     if 0.0 in values.get("sigmas", ()):
         raise ConfigError("sigmas: K_sigma is undefined at sigma = 0")
     for rho in values.get("rho_values", ()):
@@ -225,6 +211,8 @@ def run_experiment(experiment, table, config_path, output_override, fmt, dry_run
     directory = pathlib.Path(output_override or values["output_dir"])
     directory.mkdir(parents=True, exist_ok=True)
     report.params["config_hash"] = config_hash(cfg)  # the config as written
+    if "potential" in cfg:
+        report.params["potential"] = cfg["potential"]
     report.params["version"] = __version__
     path = directory / f"{stem}.{fmt}"
     write_report(report, path, fmt)
@@ -287,13 +275,13 @@ def verify_strichartz(cfg, values, inputs):
 
 
 @command("kernel-table", {
-    "sigmas": ([float], REQUIRED), "tol": (float, 1e-6),
+    "sigmas": ([float], REQUIRED),
     "x": ({"min": (float, REQUIRED), "max": (float, REQUIRED), "count": (COUNT, REQUIRED)},
           REQUIRED)})
 def kernel_table_cmd(cfg, values, inputs):
     """Tabulate the resolvent kernel, closed form vs quadrature."""
     # tol is only the report ceiling; the quadrature checks its own error estimates (exit 3)
-    x, tol = values["x"], values["tol"]
+    x, tol = values["x"], 1e-6
     report = EstimateReport(
         estimate="kernel_table", grid={}, params={"sigmas": cfg["sigmas"], "tol": tol},
         ceiling=tol,
@@ -328,21 +316,18 @@ def bs_norm_sweep(cfg, values, inputs):
     return "bs_norm_sweep", report, {}
 
 
-@command("cgo-build", {**WITH_POTENTIAL, "nu": (float, REQUIRED), "tol": (float, 1e-8),
-                       "rho_cap": (float, 0.9),
-                       "packet": ({"center": (float, 0.0), "width": (float, 2.0)}, {})})
+@command("cgo-build", {**WITH_POTENTIAL, "nu": (float, REQUIRED)})
 def cgo_build(cfg, values, inputs):
     """Construct a CGO solution and record its diagnostics."""
-    spec, V = inputs["spec"], inputs["V"]
-    nu, tol, p = values["nu"], values["tol"], values["packet"]
-    packet = gaussian_packet_on_hyperplane(spec, nu, center=p["center"], width=p["width"])
-    sol = build_cgo(V, packet, tol=tol, rho_cap=values["rho_cap"])
+    spec, V, nu = inputs["spec"], inputs["V"], values["nu"]
+    sol = build_cgo(V, gaussian_packet_on_hyperplane(spec, nu))
     report = EstimateReport(
         estimate="cgo_build",
         grid=dict(cfg["grid"]),
-        params={"nu": nu, "tol": tol, "packet": dict(cfg.get("packet") or {}),
+        params={"nu": nu, "tol": cgo.NEUMANN_TOL,
+                "packet": {"center": 0.0, "width": cgo.PACKET_WIDTH},
                 "rho": sol.rho, "terms": sol.terms},
-        ceiling=tol,
+        ceiling=cgo.NEUMANN_TOL,
     )
     for kind in ("fixed_point", "remainder_equation"):
         report.samples.append({"seed": 0, "ratio": sol.residuals[kind], "kind": kind})
@@ -375,11 +360,12 @@ def forward_evolve(cfg, values, inputs):
 
 
 @command("identity-check", {**WITH_POTENTIAL, "T": (float, REQUIRED), "steps": (COUNT, 256),
-                            "trials": (COUNT, 3), "tol": (float, 1e-4), "seed": (NATURAL, 0)})
+                            "seed": (NATURAL, 0)})
 def identity_check(cfg, values, inputs):
     """Two-sided verification of the bilinear integral identity."""
     spec, V1 = inputs["spec"], inputs["V"]
-    T, steps, tol, seed = values["T"], values["steps"], values["tol"], values["seed"]
+    T, steps, seed = values["T"], values["steps"], values["seed"]
+    tol = 1e-4  # ceiling on the normalized two-sided residual
     rng = np.random.default_rng(seed)
 
     def packet():
@@ -393,7 +379,7 @@ def identity_check(cfg, values, inputs):
         params={"T": T, "steps": steps, "tol": tol, "seed": seed},
         ceiling=tol,
     )
-    pairs = [(packet(), packet()) for _ in range(values["trials"])]  # f0, g0, f1, g1, ...
+    pairs = [(packet(), packet()) for _ in range(3)]  # f0, g0, f1, g1, ...
     fs, gs = (np.stack(side) for side in zip(*pairs))
     for k, out in enumerate(integral_identity_check(V1, None, fs, gs, T, steps)):
         report.samples.append(
@@ -403,7 +389,7 @@ def identity_check(cfg, values, inputs):
 
 
 @command("reconstruct", {**WITH_POTENTIAL, "T": (float, REQUIRED), "freq_radius": (float, 8.0),
-                         "steps": (COUNT, 256), "tol": (float, 0.2)})
+                         "steps": (COUNT, 256)})
 def reconstruct(cfg, values, inputs):
     """Born reconstruction of a potential from final-state data."""
     spec, V = inputs["spec"], inputs["V"]
@@ -414,22 +400,21 @@ def reconstruct(cfg, values, inputs):
         estimate="reconstruct", grid=dict(cfg["grid"]),
         params={"T": T, "steps": steps, "freq_radius": radius,
                 "n_samples": rep["n_samples"], "n_not_born": rep["n_not_born"]},
-        ceiling=values["tol"],
+        ceiling=0.2,
     )
     report.samples.append({"seed": 0, "ratio": rep["relative_l2_error"]})
     return "reconstruct", report, {"potential_estimate.npy": est}
 
 
 @command("counterexample-sweep", {"rho_values": ([float], REQUIRED),
-                                  "family": (("shifted", "unscaled", "control"), "shifted"),
-                                  "growth_threshold": (float, 1.15),
-                                  "trace_points": (int, 1 << 15)})
+                                  "family": (("shifted", "unscaled", "control"), "shifted")})
 def counterexample_sweep(cfg, values, inputs):
     """Divergence of the endpoint embedding ratio over the rho family."""
-    family, threshold = values["family"], values["growth_threshold"]
-    profile = build_dispersion_profile()
-    report = embedding_ratio_sweep(values["rho_values"], family, trace=inputs["trace"],
-                                   profile=profile)
+    family = values["family"]
+    threshold = 1.15  # least ratio[-1] / ratio[0] of a divergent family
+    trace = build_gaussian_trace() if family == "control" else build_loglog_trace()
+    report = embedding_ratio_sweep(values["rho_values"], family, trace=trace,
+                                   profile=build_dispersion_profile())
     ratios = report.ratios
     if family == "control":
         report.rules["growth"] = max(ratios) <= 2.0 * min(ratios)

@@ -38,8 +38,9 @@ from .reports import EstimateReport
 
 logger = logging.getLogger(__name__)
 
-# traces are sampled on (-1/2, 1/2); the log log cutoff chi runs from 1
-# inside 1/(2e) to 0 beyond 1/e, and the control bump has width 0.3
+# traces are sampled at 2^15 points on (-1/2, 1/2); the log log cutoff chi
+# runs from 1 inside 1/(2e) to 0 beyond 1/e, and the control bump has width 0.3
+_TRACE_POINTS = 1 << 15
 _HALF_WIDTH = 0.5
 _INNER = 1.0 / (2.0 * math.e)
 _OUTER = 1.0 / math.e
@@ -103,21 +104,19 @@ def _h_half_norm(g: np.ndarray, dt: float) -> float:
     return float(np.sqrt((weight * np.abs(ghat) ** 2).sum() * (sigma[1] - sigma[0])))
 
 
-def _sampled_trace(points: int, evaluate, **params) -> LogLogTrace:
+def _sampled_trace(evaluate, **params) -> LogLogTrace:
     """Sample ``evaluate`` on (-1/2, 1/2), offset by half a cell."""
-    if points < 2:
-        raise ValueError(f"a trace needs at least 2 points, got {points}")
-    dt = 2.0 * _HALF_WIDTH / points
-    t = -_HALF_WIDTH + dt * (np.arange(points) + 0.5)
+    dt = 2.0 * _HALF_WIDTH / _TRACE_POINTS
+    t = -_HALF_WIDTH + dt * (np.arange(_TRACE_POINTS) + 0.5)
     g = evaluate(t)
     return LogLogTrace(
         t=t, g=g, dt=dt, h_half_norm=_h_half_norm(g, dt),
-        params={"points": points, "half_width": _HALF_WIDTH, **params},
+        params={"points": _TRACE_POINTS, "half_width": _HALF_WIDTH, **params},
         evaluate=evaluate,
     )
 
 
-def build_loglog_trace(points: int = 1 << 15) -> LogLogTrace:
+def build_loglog_trace() -> LogLogTrace:
     """Sample g(t) = chi(t) log log (1/|t|) on an offset lattice.
 
     The lattice is offset by half a cell so t = 0 (where g diverges) is
@@ -135,16 +134,16 @@ def build_loglog_trace(points: int = 1 << 15) -> LogLogTrace:
         chi[r >= _OUTER] = 0.0
         return out * chi
 
-    return _sampled_trace(points, evaluate, inner=_INNER, outer=_OUTER, kind="loglog")
+    return _sampled_trace(evaluate, inner=_INNER, outer=_OUTER, kind="loglog")
 
 
-def build_gaussian_trace(points: int = 1 << 15) -> LogLogTrace:
+def build_gaussian_trace() -> LogLogTrace:
     """Smooth control trace: a Gaussian bump of comparable support."""
     def evaluate(tt):
         tt = np.asarray(tt, dtype=float)
         return np.exp(-(tt**2) / (2.0 * _CONTROL_WIDTH**2))
 
-    return _sampled_trace(points, evaluate, width=_CONTROL_WIDTH, kind="gaussian")
+    return _sampled_trace(evaluate, width=_CONTROL_WIDTH, kind="gaussian")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ Design notes
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 from typing import Sequence
 
@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 _MAGIC = b"SLF1"
+#: Memory budget of a GridSpec, in total complex samples.
+_MAX_POINTS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -57,11 +59,8 @@ class GridSpec:
     box_time, box_space:
         Half-widths of the time window and of each spatial axis.
     pts_time, pts_space:
-        Samples per axis; powers of two.
-    max_points:
-        Soft memory budget in total complex samples.  It bounds
-        construction only, so it is not part of the grid's identity: two
-        grids with the same lattice compare equal whatever their budgets.
+        Samples per axis; powers of two, at most ``_MAX_POINTS`` (2^24)
+        samples in all.
     """
 
     n: int
@@ -69,8 +68,6 @@ class GridSpec:
     box_space: float
     pts_time: int
     pts_space: int
-
-    max_points: int = field(default=1 << 24, compare=False)
 
     def __post_init__(self):
         if self.n not in (1, 2, 3):
@@ -82,15 +79,8 @@ class GridSpec:
                 raise ValueError(f"{name} must be >= 8, got {pts}")
             if pts & (pts - 1):
                 raise ValueError(f"{name} must be a power of two, got {pts}")
-        if self.total_points > self.max_points:
-            raise ValueError(
-                f"grid of {self.total_points} points exceeds budget {self.max_points}"
-            )
-
-    def as_dict(self) -> dict:
-        """The lattice parameters as echoed in report ``grid`` blocks."""
-        return {"n": self.n, "box_time": self.box_time, "box_space": self.box_space,
-                "pts_time": self.pts_time, "pts_space": self.pts_space}
+        if self.total_points > _MAX_POINTS:
+            raise ValueError(f"grid of {self.total_points} points exceeds budget {_MAX_POINTS}")
 
     # -- lattice geometry -------------------------------------------------
 

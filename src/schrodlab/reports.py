@@ -51,8 +51,7 @@ EXPONENT = "exponent"
 COMMON = {"output_dir": (str, ".")}
 #: The ``grid`` block; GridSpec checks the values on construction.
 GRID = {"n": (int, REQUIRED), "box_time": (float, REQUIRED), "box_space": (float, REQUIRED),
-        "pts_time": (int, REQUIRED), "pts_space": (int, REQUIRED),
-        "max_points": (int, GridSpec.max_points)}
+        "pts_time": (int, REQUIRED), "pts_space": (int, REQUIRED)}
 
 
 def grid_spec(grid: dict) -> GridSpec:

@@ -8,6 +8,8 @@ field as bench/execute.py does, for the checks against bench/reference.json.
 The tests import them with ``from oracles import ...``.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 
 from schrodlab.birman_schwinger import FactorW, apply_BS
@@ -145,7 +147,7 @@ def local_smoothing_check(fields, nu_list, T: float, R: float) -> EstimateReport
     mask = window & ball
     report = EstimateReport(
         estimate="local_smoothing",
-        grid=spec.as_dict(),
+        grid=asdict(spec),
         params={"nu_values": list(map(float, nu_list)), "T": T, "R": R},
     )
     for mag in nu_list:

@@ -51,10 +51,8 @@ from oracles import dense_bs_matrix, equation_residual, local_smoothing_check
 PI = np.pi
 
 
-def grid(n, pts_time, pts_space, cap=None):
-    kw = {"max_points": cap} if cap else {}
-    return GridSpec(n=n, box_time=PI, box_space=PI,
-                    pts_time=pts_time, pts_space=pts_space, **kw)
+def grid(n, pts_time, pts_space):
+    return GridSpec(n=n, box_time=PI, box_space=PI, pts_time=pts_time, pts_space=pts_space)
 
 
 def test_01_kernel_closed_form_matches_quadrature():
@@ -125,7 +123,7 @@ def test_04_strichartz_ratios_nu_uniform():
         3: [(2, "6/5"), (1, 2), ("4/3", "3/2")],
     }
     for n, plist in pairs.items():
-        spec = grid(n, 16, 16, cap=1 << 20)
+        spec = grid(n, 16, 16)
         rng = np.random.default_rng(20 + n)
         fields = standard_family(spec, rng, count=3)
         for q, r in plist:
@@ -171,7 +169,7 @@ def test_06_sandwiched_norm_decays_and_matches_oracle():
     at nu = 4, for both a bounded Gaussian potential and an unbounded
     cusp; on a tiny grid the power iteration matches a dense SVD within
     1%."""
-    spec = grid(2, 32, 32, cap=1 << 20)
+    spec = grid(2, 32, 32)
     for V in (gaussian_potential(spec, amplitude=2.0, width=0.6),
               cusp_potential(spec, alpha=0.75, amplitude=1.0)):
         report = bs_decay_sweep(V, [4, 64], tol=1e-3)
@@ -194,8 +192,7 @@ def test_07_cgo_contraction_and_remainder_decay():
     is at most half its value at nu = 16."""
     spec = grid(2, 16, 16)
     V = gaussian_potential(spec, amplitude=0.5, width=0.6)
-    sol = build_cgo(V, gaussian_packet_on_hyperplane(spec, 32.0),
-                    tol=1e-8, rho_cap=0.9)
+    sol = build_cgo(V, gaussian_packet_on_hyperplane(spec, 32.0))
     assert sol.rho <= 0.9
     assert sol.residuals["fixed_point"] <= 1e-6
     report = remainder_decay_sweep(V, [16, 64])
@@ -207,7 +204,7 @@ def test_08_integral_identity_two_sided():
     """The bilinear identity holds to 1e-4 normalized residual at 256
     steps on a 64^2 spatial grid (free reference solution), and the
     residual scales as steps^-2 within 30%."""
-    spec = grid(2, 8, 64, cap=1 << 20)
+    spec = grid(2, 8, 64)
     V = gaussian_potential(spec, amplitude=0.05, width=0.8,
                            window=(-PI, PI - 1e-9))
     x = spec.x_axis()
@@ -229,7 +226,7 @@ def test_09_born_reconstruction():
     |xi| <= 8 of a small Gaussian potential (eps = 0.05) to at most 20%
     relative error, and the error decreases monotonically as eps
     shrinks through {0.1, 0.05, 0.025}."""
-    spec = grid(2, 8, 64, cap=1 << 20)
+    spec = grid(2, 8, 64)
 
     def run(eps, radius):
         V = gaussian_potential(spec, amplitude=eps, width=0.7,

@@ -1,10 +1,12 @@
 """Wave packets, the contraction solve, and remainder decay."""
 
+from dataclasses import asdict
 import json
 import pathlib
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from schrodlab import cgo, cli
 from schrodlab.birman_schwinger import apply_BS, build_W, gaussian_potential, plan_BS
@@ -29,8 +31,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestWavePacket:
-    def test_band_cut(self):
-        packet = gaussian_packet_on_hyperplane(SPEC, NU, width=50.0)
+    def test_band_cut(self, monkeypatch):
+        monkeypatch.setattr(cgo, "PACKET_WIDTH", 50.0)
+        packet = gaussian_packet_on_hyperplane(SPEC, NU)
         xi = SPEC.xi_axis()
         tau_max = np.pi / SPEC.dt
         assert np.all(packet.psi[xi**2 > tau_max] == 0.0)
@@ -66,14 +69,15 @@ class TestWavePacket:
 class TestNeumannSolve:
     def test_fixed_point_residual(self):
         V = gaussian_potential(SPEC, amplitude=0.5)
-        sol = build_cgo(V, gaussian_packet_on_hyperplane(SPEC, NU), tol=1e-8)
+        sol = build_cgo(V, gaussian_packet_on_hyperplane(SPEC, NU))
         assert sol.residuals["fixed_point"] < 1e-7
         assert sol.rho < 0.9
         assert sol.terms >= 1
 
-    def test_remainder_equation_residual(self):
+    def test_remainder_equation_residual(self, monkeypatch):
+        monkeypatch.setattr(cgo, "NEUMANN_TOL", 1e-10)
         V = gaussian_potential(SPEC, amplitude=0.5)
-        sol = build_cgo(V, gaussian_packet_on_hyperplane(SPEC, NU), tol=1e-10)
+        sol = build_cgo(V, gaussian_packet_on_hyperplane(SPEC, NU))
         assert sol.residuals["remainder_equation"] < 1e-8
 
     def test_not_contractive_raised(self):
@@ -83,17 +87,18 @@ class TestNeumannSolve:
         packet = gaussian_packet_on_hyperplane(SPEC, 2.0)
         usharp = wave_packet_usharp(packet, SPEC)
         with pytest.raises(NotContractive):
-            solve_v_neumann(W, usharp, plan_BS(SPEC, 2.0), rho_cap=0.9)
+            solve_v_neumann(W, usharp, plan_BS(SPEC, 2.0))
 
     def test_no_convergence_raised(self, monkeypatch):
         # cap the term count so a legitimate contraction cannot finish
         monkeypatch.setattr(cgo, "_MAX_TERMS", 1)
+        monkeypatch.setattr(cgo, "NEUMANN_TOL", 1e-14)
         V = gaussian_potential(SPEC, amplitude=0.9)
         W = build_W(V)
         packet = gaussian_packet_on_hyperplane(SPEC, NU)
         usharp = wave_packet_usharp(packet, SPEC)
         with pytest.raises(NoConvergence, match="after 1 terms"):
-            solve_v_neumann(W, usharp, plan_BS(SPEC, NU), tol=1e-14)
+            solve_v_neumann(W, usharp, plan_BS(SPEC, NU))
 
     @pytest.mark.parametrize("flag", ["converged", "starts_agree"])
     def test_unconverged_norm_raised(self, monkeypatch, flag):
@@ -109,25 +114,25 @@ class TestNeumannSolve:
         W = build_W(gaussian_potential(SPEC, amplitude=0.5))
         usharp = wave_packet_usharp(gaussian_packet_on_hyperplane(SPEC, NU), SPEC)
         with pytest.raises(NoConvergence):
-            solve_v_neumann(W, usharp, plan_BS(SPEC, NU), tol=1e-8)
+            solve_v_neumann(W, usharp, plan_BS(SPEC, NU))
 
     def test_diag_fixed_point_is_the_build_residual(self):
         V = gaussian_potential(SPEC, amplitude=0.5)
         packet = gaussian_packet_on_hyperplane(SPEC, NU)
         W, plan = build_W(V), plan_BS(SPEC, NU)
         usharp = wave_packet_usharp(packet, SPEC)
-        v, diag = solve_v_neumann(W, usharp, plan, tol=1e-8)
+        v, diag = solve_v_neumann(W, usharp, plan)
         rhs = Field(SPEC, W.field.data * usharp.data)
         defect = v - apply_BS(v, W, W.magnitude, plan) - rhs
         assert diag["rhs_norm"] == l2_norm(rhs)
         assert diag["fixed_point"] == l2_norm(defect) / l2_norm(rhs)
-        assert diag["fixed_point"] == build_cgo(V, packet, tol=1e-8).residuals["fixed_point"]
+        assert diag["fixed_point"] == build_cgo(V, packet).residuals["fixed_point"]
 
     def test_remainder_norm_is_the_norm_of_W_uflat(self):
         W = build_W(gaussian_potential(SPEC, amplitude=0.5))
         usharp = wave_packet_usharp(gaussian_packet_on_hyperplane(SPEC, NU), SPEC)
         plan = plan_BS(SPEC, NU)
-        v, diag = solve_v_neumann(W, usharp, plan, tol=1e-8)
+        v, diag = solve_v_neumann(W, usharp, plan)
         uflat = apply_plan(plan, Field(SPEC, W.magnitude.field.data * v.data))
         expected = l2_norm(Field(SPEC, W.field.data * uflat.data))
         assert expected > 0.0
@@ -147,7 +152,7 @@ class TestNeumannSolve:
         usharp = wave_packet_usharp(gaussian_packet_on_hyperplane(SPEC, NU), SPEC)
         plan = plan_BS(SPEC, NU)
         (v1, diag1), (v2, diag2) = on_one_and_two_threads(
-            lambda: solve_v_neumann(W, usharp, plan, tol=1e-8))
+            lambda: solve_v_neumann(W, usharp, plan))
         assert diag1 == diag2
         assert np.array_equal(v1.data, v2.data)
 
@@ -156,10 +161,8 @@ class TestNeumannSolve:
         # a drift in the Neumann path shows here first
         values = cli.read(cli.load_config(ROOT / "configs" / "cgo.yaml"),
                           {**cli.COMMON, **cli.TABLES["cgo-build"]})
-        V, p = cli.build_inputs(values)["V"], values["packet"]
-        packet = gaussian_packet_on_hyperplane(V.field.spec, values["nu"],
-                                               center=p["center"], width=p["width"])
-        sol = build_cgo(V, packet, tol=values["tol"], rho_cap=values["rho_cap"])
+        V = cli.build_inputs(values)["V"]
+        sol = build_cgo(V, gaussian_packet_on_hyperplane(V.field.spec, values["nu"]))
         reference = json.loads((ROOT / "bench" / "reference.json").read_text())["cgo"]
         assert sol.rho == pytest.approx(reference["rho"][0], rel=1e-12, abs=0.0)
         ref = reference["uflat"]
@@ -194,3 +197,20 @@ class TestSweep:
         assert s["fixed_point_residual"] < 1e-7
         assert s["terms"] >= 1
         assert report.params["tol"] == 1e-8  # the tolerance every nu solves at
+
+
+def test_settings_have_one_source(monkeypatch, tmp_path):
+    # the Neumann tolerance is one constant: the sweep's params and cgo-build's params and
+    # ceiling follow it, where each used to state 1e-8 on its own
+    monkeypatch.setattr(cgo, "NEUMANN_TOL", 1e-9)
+    V = gaussian_potential(SPEC, amplitude=0.5)
+    assert remainder_decay_sweep(V, [32]).params["tol"] == 1e-9
+    config = tmp_path / "cgo.json"
+    config.write_text(json.dumps({"grid": asdict(SPEC), "nu": NU,
+                                  "potential": {"kind": "gaussian", "amplitude": 0.5}}))
+    res = CliRunner().invoke(cli.main, ["cgo-build", "--config", str(config),
+                                        "--output", str(tmp_path)])
+    assert res.exit_code == cli.EXIT_PASS, res.output
+    report = json.loads((tmp_path / "cgo_build.json").read_text())
+    assert report["ceiling"] == report["params"]["tol"] == 1e-9
+    assert report["params"]["packet"] == {"center": 0.0, "width": cgo.PACKET_WIDTH}

@@ -119,7 +119,10 @@ class TestExitCodes:
         ("verify-strichartz", "estimate: gain\noffset_xin: false\n", "offset_xin"),
         ("bs-norm-sweep", "potential: {kind: gaussian}\nnu_values: [4]\n"
          "lambda_rule: sqrt_nu\n", "lambda_rule"),
-    ], ids=["typo", "removed-offset_xin", "removed-lambda_rule"])
+        ("cgo-build", "potential: {kind: gaussian}\nnu: 32\nrho_cap: 0.9\n", "rho_cap"),
+        ("verify-strichartz", "  max_points: 65536\nestimate: gain\n", "grid.max_points"),
+    ], ids=["typo", "removed-offset_xin", "removed-lambda_rule", "removed-rho_cap",
+            "removed-max_points"])
     @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
     def test_unknown_top_level_key(self, runner, tmp_path, command, line, key, dry_run):
         # a typo or a removed option would otherwise run silently on the default
@@ -200,7 +203,7 @@ class TestExitCodes:
         values = json.loads(res.output)
         assert values["nu_values"] == [2, 4, 8, 16, 32] and values["family"] == 5
         assert values["min_xi_n"] == 1.0 and values["ceiling"] is None
-        assert values["grid"]["max_points"] == 1 << 24 and values["output_dir"] == "."
+        assert values["output_dir"] == "."
 
     def test_scalar_potential_pair(self, runner, tmp_path):
         # tuple(3) raised TypeError, exit 1 as if a verdict had failed
@@ -222,14 +225,13 @@ class TestExitCodes:
         ("kernel-table", "sigmas: []\n" + KERNEL_X, "sigmas"),
         ("counterexample-sweep", "rho_values: []\n", "rho_values"),
         ("kernel-table", "sigmas: [0.5]\nx: {min: -1.0, max: 1.0, count: 0}\n", "x.count"),
-        ("identity-check", GRID + POTENTIAL + "T: 0.1\ntrials: 0\n", "trials"),
         ("forward-evolve", GRID + POTENTIAL + "T: 0.1\nsteps: 0\n", "steps"),
         ("forward-evolve", GRID + POTENTIAL + "T: 0.1\nsteps: -1\n", "steps"),
         ("verify-strichartz", GRID + "estimate: gain\nfamily: -3\n", "family"),
         ("verify-strichartz", GRID + "estimate: strichartz\npairs: [[1, 2]]\nfamily: 0\n",
          "family"),
     ], ids=["bs-nu_values", "gain-nu_values", "pairs", "sigmas", "rho_values", "x.count",
-            "trials", "steps-0", "steps-negative", "family-negative", "family-0"])
+            "steps-0", "steps-negative", "family-negative", "family-0"])
     def test_nothing_to_sweep(self, runner, tmp_path, command, text, key):
         # an empty sweep passed vacuously with zero samples; steps <= 0 raised ValueError;
         # a family below 1 ran on the hard case alone and exited 0, echoing the value
@@ -247,8 +249,6 @@ class TestExitCodes:
         ("bs-norm-sweep", GRID + POTENTIAL + "nu_values: [a]\n",
          "config key nu_values has wrong type"),
         ("counterexample-sweep", "rho_values: [a]\n", "config key rho_values has wrong type"),
-        ("cgo-build", GRID + POTENTIAL + "nu: 8\npacket: 3\n",
-         "config key packet has wrong type (want mapping)"),
         ("forward-evolve", GRID + POTENTIAL + "T: 0.1\ninitial: 3\n",
          "config key initial has wrong type (want mapping)"),
         ("bs-norm-sweep", GRID + "potential: {kind: gaussian, widht: 0.1}\nnu_values: [4]\n",
@@ -275,8 +275,8 @@ class TestExitCodes:
          "config key sigmas has wrong type (want a finite float)"),
         ("kernel-table", "sigmas: [0.5]\nx: {min: .nan, max: 1.0, count: 3}\n",
          "config key x.min has wrong type (want a finite float)"),
-    ], ids=["bool-sigma", "bool-nu", "str-sigma", "str-nu", "str-rho", "packet-scalar",
-            "initial-scalar", "potential-typo", "width-cusp", "cutoff-gaussian",
+    ], ids=["bool-sigma", "bool-nu", "str-sigma", "str-nu", "str-rho", "initial-scalar",
+            "potential-typo", "width-cusp", "cutoff-gaussian",
             "alpha-gaussian", "potential-kind-unknown", "potential-kind-missing",
             "potential-scalar", "family-dispersive", "min_xi_n-strichartz",
             "pairs-gain", "inf-sigma", "nan-x.min"])
@@ -321,13 +321,6 @@ class TestExitCodes:
         ("long-modulation", "forward-evolve",
          GRID + POTENTIAL + "T: 0.1\ninitial: {modulation: [1.0, 2.0, 3.0]}\n",
          "initial.modulation: want 2 entries, one per grid axis, got 3"),
-        ("trace_points-0", "counterexample-sweep", "rho_values: [4, 16]\ntrace_points: 0\n",
-         "trace_points: a trace needs at least 2 points, got 0"),
-        ("trace_points-1", "counterexample-sweep", "rho_values: [4, 16]\ntrace_points: 1\n",
-         "trace_points: a trace needs at least 2 points, got 1"),
-        ("trace_points-negative", "counterexample-sweep",
-         "rho_values: [4]\nfamily: control\ntrace_points: -3\n",
-         "trace_points: a trace needs at least 2 points, got -3"),
         ("grid", "bs-norm-sweep",
          GRID.replace("pts_time: 16", "pts_time: 12") + POTENTIAL + "nu_values: [4]\n",
          "grid: pts_time must be a power of two, got 12"),
@@ -365,14 +358,10 @@ class TestExitCodes:
         ("initial-width-zero", "forward-evolve",
          GRID + POTENTIAL + "T: 0.1\ninitial: {width: 0}\n",
          "initial.width: width must be > 0, got 0.0"),
-        ("packet-width-zero", "cgo-build", GRID + POTENTIAL + "nu: 32\npacket: {width: 0}\n",
-         "packet.width: width must be > 0, got 0.0"),
         ("nu-zero-cgo-remainder", "cgo-remainder-sweep", GRID + POTENTIAL + "nu_values: [8, 0]\n",
          "nu_values: nu must be > 0, got 0.0"),
         ("tol-negative-bs", "bs-norm-sweep", GRID + POTENTIAL + "nu_values: [4, 8]\ntol: -1\n",
          "tol: tol must be > 0, got -1.0"),
-        ("tol-zero-cgo", "cgo-build", GRID + POTENTIAL + "nu: 32\ntol: 0\n",
-         "tol: tol must be > 0, got 0.0"),
         ("T-zero-identity", "identity-check", GRID + POTENTIAL + "T: 0\n",
          "T: the final time must not be 0"),
         ("T-zero-reconstruct", "reconstruct", GRID + POTENTIAL + "T: 0.0\n",
@@ -386,17 +375,15 @@ class TestExitCodes:
         for case, command, text, message in POST_READ for dry_run in (False, True)])
     def test_value_checked_after_reading_named(self, runner, tmp_path, command, text, message,
                                                dry_run):
-        # a short or long initial list was cut or padded to the grid axes (exit 0); a trace
-        # of 0 or 1 points ended in ZeroDivisionError or IndexError, and sigma = 0 in a
-        # ValueError (exit 1); rho < 0 wrote NaN ratios (exit 1), rho = 0 ended in
+        # a short or long initial list was cut or padded to the grid axes (exit 0); sigma = 0
+        # ended in a ValueError (exit 1); rho < 0 wrote NaN ratios (exit 1), rho = 0 ended in
         # ZeroDivisionError and an overflowing rho^2 in OverflowError, and a single rho
         # passed a growth verdict that compares none (exit 0); nu = 0 ended in a ValueError
         # (exit 1) and a negative nu in bs-norm-sweep in a TypeError; a zero potential width
         # or a negative cutoff ended in split_W's ValueError (exit 1), a zero initial width
-        # wrote a NaN state (exit 1) and a zero packet width a NaN Neumann tail (exit 3);
-        # a tol <= 0 ran every power iteration or Neumann series to its cap (exit 3) or
-        # failed cgo-build's residual ceiling (exit 1); T = 0 wrote a ratio of 1.0 or NaN
-        # (exit 1), and a negative freq_radius ended in a ValueError (exit 1);
+        # wrote a NaN state (exit 1); a tol <= 0 ran every power iteration to its cap
+        # (exit 3); T = 0 wrote a ratio of 1.0 or NaN (exit 1), and a negative freq_radius
+        # ended in a ValueError (exit 1);
         # --dry-run stopped after reading and exited 0 on each of these
         cfg = write(tmp_path, "c.yaml", text)
         res = runner.invoke(main, [command, "--config", cfg, "--output", str(tmp_path)]
@@ -442,7 +429,7 @@ class TestExitCodes:
         # a strong potential at tiny nu breaks the CGO contraction
         cfg = write(tmp_path, "cgo.yaml", GRID +
                     "potential: {kind: gaussian, amplitude: 50.0, width: 0.6}\n"
-                    "nu: 2\ntol: 1.0e-8\nrho_cap: 0.9\n"
+                    "nu: 2\n"
                     f"output_dir: {tmp_path}/out\n")
         res = runner.invoke(main, ["cgo-build", "--config", cfg])
         assert res.exit_code == EXIT_NONCONVERGENCE
@@ -556,7 +543,7 @@ class TestReportDecidesExit:
 
         monkeypatch.setattr(cli, "embedding_ratio_sweep", sweep)
         cfg = write(tmp_path, "c.yaml", "rho_values: [4, 16, 64]\nfamily: control\n"
-                    f"trace_points: 64\noutput_dir: {tmp_path}/out\n")
+                    f"output_dir: {tmp_path}/out\n")
         res = runner.invoke(main, ["counterexample-sweep", "--config", cfg])
         assert res.exit_code == EXIT_VERDICT
         report = json.loads((tmp_path / "out" / "counterexample_control.json").read_text())
@@ -683,7 +670,7 @@ class TestCommands:
     def test_kernel_table_pass_and_csv(self, runner, tmp_path):
         cfg = write(tmp_path, "k.yaml",
                     "sigmas: [-1, 0.5]\nx: {min: -3.0, max: 3.0, count: 5}\n"
-                    "tol: 1.0e-6\n" + f"output_dir: {tmp_path}/out\n")
+                    f"output_dir: {tmp_path}/out\n")
         res = runner.invoke(main, ["kernel-table", "--config", cfg,
                                    "--format", "csv"])
         assert res.exit_code == EXIT_PASS
@@ -708,6 +695,17 @@ class TestCommands:
         assert report["verdict"] == "recorded"
         V = cusp_potential(build_grid(load_config(cfg)), alpha=0.75)
         assert report["samples"] == cgo.remainder_decay_sweep(V, [16.0, 64.0]).samples
+
+    def test_remainder_sweep_reports_name_their_potential(self, runner, tmp_path):
+        # the Gaussian and cusp reports of run_all.sh differed only in name and config_hash
+        for config in ("cgo_remainder.yaml", "cgo_remainder_cusp.yaml"):
+            res = runner.invoke(main, ["cgo-remainder-sweep", "--config",
+                                       str(ROOT / "configs" / config), "--output", str(tmp_path)])
+            assert res.exit_code == EXIT_PASS, res.output
+        named = {kind: json.loads((tmp_path / f"cgo_remainder_sweep_{kind}.json").read_text())
+                 ["params"]["potential"] for kind in ("gaussian", "cusp")}
+        assert named == {"gaussian": {"kind": "gaussian", "amplitude": 2.0, "width": 0.6},
+                         "cusp": {"kind": "cusp", "alpha": 0.75, "amplitude": 1.0}}
 
     def test_forward_evolve_pass(self, runner, tmp_path):
         cfg = write(tmp_path, "f.yaml", GRID.replace("pts_space: 16", "pts_space: 32") +

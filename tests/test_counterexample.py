@@ -209,7 +209,7 @@ class TestLatticeCrossCheck:
         from schrodlab.grid import mixed_norm
 
         spec = GridSpec(n=2, box_time=np.pi, box_space=np.pi,
-                        pts_time=512, pts_space=32, max_points=1 << 20)
+                        pts_time=512, pts_space=32)
         rho = 4.0
         u = build_u_rho(rho, trace, spec)
         mixed = mixed_norm(u, 4, 4)

@@ -47,8 +47,7 @@ class TestGridSpec:
 
     def test_resource_cap(self):
         with pytest.raises(ValueError):
-            GridSpec(n=3, box_time=1.0, box_space=1.0, pts_time=1024,
-                     pts_space=1024, max_points=1 << 20)
+            GridSpec(n=3, box_time=1.0, box_space=1.0, pts_time=1024, pts_space=1024)
 
     def test_axes_cover_box(self):
         t = SPEC2.t_axis()

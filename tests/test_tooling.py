@@ -1,6 +1,6 @@
-"""Tooling checks: the tracer's patch targets exist, every public name has a caller and every
-defaulted parameter a caller that passes it, every test oracle is used, the CLI's import stays
-light, and the scripts run."""
+"""Tooling checks: the tracer's patch targets exist, every public name has a caller, every
+defaulted parameter a caller that passes it and every config default a run that moves it, every
+test oracle is used, the CLI's import stays light, and the scripts run."""
 
 import ast
 import importlib
@@ -13,6 +13,10 @@ import subprocess
 import sys
 
 import yaml
+
+from schrodlab import cli
+from schrodlab.estimates import SWEEP_TABLES
+from schrodlab.reports import COMMON, REQUIRED, read
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -174,6 +178,67 @@ def test_every_defaulted_parameter_is_passed():
                      if not any(passes(call, index, name) for call in calls)}
     assert sorted(unpassed - set(UNPASSED)) == []
     assert sorted(set(UNPASSED) - unpassed) == []  # the list is no longer than needed
+
+
+#: Defaulted config keys that every run of scripts/run_all.sh leaves at its default, as
+#: ``command.key``, or as ``output_dir``, ``grid.key`` and ``potential.key``, which the commands
+#: share, each kept for a reason.
+AT_DEFAULT = {
+    "bs-norm-sweep.tol": "op_norm's stopping tolerance, which ROADMAP item 2 replaces",
+    "bs-norm-sweep.seed": "bench/selftest.py runs bs_sweep at its DISAGREEING_SEED",
+    **dict.fromkeys(["potential.pair", "potential.alpha", "potential.center",
+                     "potential.cutoff"], "ROADMAP item 18 reworks the potential block"),
+    "verify-strichartz.estimate": "it picks the table, in which it has one value",
+    **dict.fromkeys(["verify-strichartz.family", "verify-strichartz.min_xi_n"],
+                    "the sweep's params echo the config as written, so dropping the key "
+                    "changes gain_sweep.json and tests/golden/"),
+    "identity-check.steps": "the time step of the experiment, which forward-evolve and "
+                            "reconstruct move",
+    "reconstruct.freq_radius": "the frequency ball of the experiment, not a method setting",
+    "forward-evolve.initial.width": "the initial state, whose center and modulation "
+                                    "forward.yaml moves",
+}
+
+
+def defaulted(table: dict, values: dict | None = None, path: str = ""):
+    """(key path, default, value) of each defaulted leaf of a config table; ``values`` is a
+    config read against the table, and without it each value is None and the ``potential``
+    block has the keys of every kind."""
+    for key, (kind, default) in table.items():
+        here = f"{path}.{key}" if path else key
+        value = None if values is None else values[key]
+        if callable(kind) and not isinstance(kind, type):  # potential_table
+            kind = kind(value or {})
+        if isinstance(kind, dict):
+            yield from defaulted(kind, value, here)
+        elif default is not REQUIRED:
+            yield here, default, value
+
+
+def test_every_config_default_is_moved():
+    # a config key that every committed run leaves at its default is a constant in disguise:
+    # make it one, or say here why the key stays
+    def name(command, path):
+        return path if path.split(".")[0] in ("output_dir", "grid", "potential") else \
+            f"{command}.{path}"
+
+    keys = set()
+    for command, table in cli.TABLES.items():
+        if callable(table):  # verify-strichartz: every estimate's keys
+            table = {k: v for t in SWEEP_TABLES.values() for k, v in t.items()}
+        keys |= {name(command, path) for path, _, _ in defaulted({**COMMON, **table})}
+    runs = re.findall(r"^run\s+(\S+)\s+(\S+)\s*$",
+                      (ROOT / "scripts" / "run_all.sh").read_text(), re.M)
+    moved = set()
+    for command, config in runs:
+        cfg = cli.load_config(ROOT / config)
+        table = cli.TABLES[command]
+        table = {**COMMON, **(table(cfg) if callable(table) else table)}
+        moved |= {name(command, path) for path, default, value
+                  in defaulted(table, read(cfg, table)) if value != default}
+    assert runs and moved <= keys
+    assert sorted(keys - moved - set(AT_DEFAULT)) == []
+    assert sorted(set(AT_DEFAULT) - (keys - moved)) == []  # the list is no longer than needed
 
 
 def test_every_oracle_is_used():
