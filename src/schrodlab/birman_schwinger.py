@@ -81,9 +81,11 @@ class Potential:
 class FactorW:
     """Pointwise square-root factor W with |W| W = V.
 
-    ``conj`` is conj(W), used by the adjoint, and ``magnitude`` the factor
-    |W| (complex-typed), used by the CGO solve.  Each is built on first use
-    and kept, so ``field.data`` must not change after that.
+    ``conj`` is conj(W), used by :func:`apply_BS_adjoint` only (the power
+    iteration applies the adjoint by conjugation and never builds it), and
+    ``magnitude`` the factor |W| (complex-typed), used by the CGO solve.
+    Each is built on first use and kept, so ``field.data`` must not change
+    after that.
     """
 
     field: Field
@@ -187,6 +189,8 @@ def _adjoint_plan(plan: MultiplierPlan) -> MultiplierPlan:
     """Plan applying the L2 adjoint S_nu^* (see :meth:`MultiplierPlan.adjoint`).
 
     A named function so that bench/tracing.py can count adjoint plans.
+    :func:`op_norm` builds none: it applies the adjoint through the plan
+    itself, by conjugation.
     """
     return plan.adjoint()
 
@@ -206,7 +210,7 @@ def _time_hull(w: np.ndarray) -> slice:
 
 
 def _sandwich(buf: np.ndarray, w_in: np.ndarray, rows_in: slice, denom: np.ndarray,
-              w_out: np.ndarray, rows_out: slice) -> np.ndarray:
+              w_out: np.ndarray, rows_out: slice, reverse: bool = False) -> np.ndarray:
     """M_{w_out} F^-1 D^-1 F M_{w_in} buf in place in ``buf``, with D = ``denom``.
 
     F is the unitary DFT without modulation.  A plan's S is conj(m) F^-1
@@ -215,25 +219,31 @@ def _sandwich(buf: np.ndarray, w_in: np.ndarray, rows_in: slice, denom: np.ndarr
 
         M_{W1} S M_{W2} = conj(m) M_{W1} F^-1 D^-1 F M_{W2} m,
 
-    and this kernel is the middle of that product.  ``rows_in`` and
-    ``rows_out`` are the time hulls of ``w_in`` and ``w_out``
-    (:func:`_time_hull`) and ``buf`` must be zero outside ``rows_in``, so
-    the spatial transforms run on those rows only, with one transform along
-    time on every row; a window over the whole box transforms every row.
-    numpy's ``fftn`` transforms time last, so the forward transform is
-    ``fftn`` bit for bit; the inverse transforms time first and differs
-    from ``ifftn`` in rounding only.  The other rows are zeroed; the
-    returned view holds the rows ``rows_out``.
+    and this kernel is the middle of that product.  With ``reverse`` the
+    transforms swap places, M_{w_out} F D^-1 F^-1 M_{w_in}: conjugated on
+    both sides, that is the adjoint of the kernel with w_in and w_out
+    exchanged (see :func:`op_norm`).  ``rows_in`` and ``rows_out`` are the
+    time hulls of ``w_in`` and ``w_out`` (:func:`_time_hull`) and ``buf``
+    must be zero outside ``rows_in``, so the spatial transforms run on
+    those rows only, with one transform along time on every row; a window
+    over the whole box transforms every row.  numpy's ``fftn`` transforms
+    time last, so the forward transform is ``fftn`` bit for bit; the
+    inverse transforms time first and differs from ``ifftn`` in rounding
+    only.  The other rows are zeroed; the returned view holds the rows
+    ``rows_out``.
     """
+    fft = np.fft  # looked up per call, so that patched transforms are seen
+    first, first_n, last, last_n = ((fft.ifft, fft.ifftn, fft.fft, fft.fftn) if reverse
+                                    else (fft.fft, fft.fftn, fft.ifft, fft.ifftn))
     space = tuple(range(1, buf.ndim))
     part = buf[rows_in]
     np.multiply(w_in[rows_in], part, out=part)
-    np.fft.fftn(part, axes=space, norm="ortho", out=part)
-    np.fft.fft(buf, axis=0, norm="ortho", out=buf)
+    first_n(part, axes=space, norm="ortho", out=part)
+    first(buf, axis=0, norm="ortho", out=buf)
     np.divide(buf, denom, out=buf)
-    np.fft.ifft(buf, axis=0, norm="ortho", out=buf)
+    last(buf, axis=0, norm="ortho", out=buf)
     part = buf[rows_out]
-    np.fft.ifftn(part, axes=space, norm="ortho", out=part)
+    last_n(part, axes=space, norm="ortho", out=part)
     buf[:rows_out.start] = 0.0
     buf[rows_out.stop:] = 0.0
     return np.multiply(w_out[rows_out], part, out=part)
@@ -279,26 +289,39 @@ def op_norm(
     :func:`_sandwich` calls per step.  With B = F^-1 D^-1 F and that
     kernel's identity, m A* A v = M_{conj W2} B* M_{|W1|^2} B M_{W2} u and
     ||Av|| = ||M_{W1} B M_{W2} u||, so the estimates equal those of the
-    modulated operator up to rounding.
+    modulated operator up to rounding.  The adjoint half of a step uses
+
+        M_{conj W2} B* M_{conj W1} y = conj(M_{W2} F D^-1 F^-1 M_{W1} conj(y)),
+
+    the kernel with ``reverse`` between two in-place conjugations, so the
+    loop reads only ``plan.denom``, W1 and W2: no conjugated denominator
+    (:meth:`MultiplierPlan.adjoint`) and no conj(W) (:attr:`FactorW.conj`)
+    is built.  The identity holds bit for bit, not only up to rounding:
+    numpy's pocketfft runs each inverse pass as its forward pass with
+    conjugated twiddles, and its complex division and products commute
+    with conjugation exactly (``tests/oracles.py``,
+    ``adjoint_plan_op_norm``, is the iteration on the adjoint plan that
+    this matches).
 
     Each start holds one field, its iterate, for all of its iterations:
-    every step runs in place in it.  Where two CPUs are available the two
-    starts run at once, the second on a worker thread
-    (:func:`schrodlab.parallel.run_two`); the adjoint plan, conj(W1),
-    conj(W2) and both start fields are built on the calling thread first,
-    so the worker allocates no field.  Each start runs the same operations
-    as it does alone, so the results are bit-identical to one thread.
+    every step runs in place in it, and each start is drawn into it in
+    place, real parts first.  Where two CPUs are available the two starts
+    run at once, the second on a worker thread
+    (:func:`schrodlab.parallel.run_two`); both start fields are built on
+    the calling thread first, so the worker allocates no field.  Each start
+    runs the same operations as it does alone, so the results are
+    bit-identical to one thread.
     """
     spec = plan.spec
-    adj = _adjoint_plan(plan)
     w1, w2 = W1.field.data, W2.field.data
-    w1c, w2c = W1.conj, W2.conj  # built here, not on a worker thread
     h1, h2 = _time_hull(w1), _time_hull(w2)
 
     def start(s: int):
         """Draw start ``s``, modulated; return its power iteration."""
         rng = np.random.default_rng(s)
-        v = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+        v = np.empty(spec.shape, dtype=np.complex128)
+        v.real = rng.standard_normal(spec.shape)
+        v.imag = rng.standard_normal(spec.shape)
         if plan.modulation is not None:
             np.multiply(v, plan.modulation, out=v)
         return partial(iterate, v)
@@ -314,7 +337,9 @@ def op_norm(
         for it in range(1, _MAX_ITER + 1):
             av = _sandwich(v, w2, h2, plan.denom, w1, h1)
             new = l2_norm(av)  # sqrt of the Rayleigh quotient of A*A
-            w = _sandwich(v, w1c, h1, adj.denom, w2c, h2)
+            np.conjugate(av, out=av)
+            w = _sandwich(v, w1, h1, plan.denom, w2, h2, reverse=True)
+            np.conjugate(w, out=w)
             wn = l2_norm(w)
             if wn == 0.0:
                 return 0.0, it, True
@@ -396,6 +421,8 @@ def bs_decay_sweep(
         lam = float(mag) ** 0.25
         est, diag = op_norm(W, W, plan_BS(spec, mag), tol=tol, seed=seed)
         sharp, flat = split_W(W, lam, V.radius)
+        masses = l2_norm(sharp.field), l2_norm(flat.field)
+        del sharp, flat  # two fields, not to be held through the next nu's power iteration
         report.samples.append(
             {
                 "nu": float(mag),
@@ -404,8 +431,8 @@ def bs_decay_sweep(
                 "iterations": diag["iterations"],
                 "converged": diag["converged"],
                 "starts_agree": diag["starts_agree"],
-                "sharp_mass": l2_norm(sharp.field),
-                "flat_mass": l2_norm(flat.field),
+                "sharp_mass": masses[0],
+                "flat_mass": masses[1],
                 "seed": seed,
             }
         )

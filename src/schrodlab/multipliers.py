@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,7 +69,7 @@ class MultiplierPlan:
     ``symbol`` is p or p_nu evaluated on the (possibly offset) dual
     lattice; ``dropped`` flags modes with |symbol| below the floor
     (``_EPS_FLOOR_REL`` of the largest |symbol|), which the application
-    zeroes and reports.  Two arrays are cached once per plan and shared by
+    zeroes and reports.  Two arrays are built with the plan and shared by
     every transform and by the adjoint:
 
     * ``modulation``: the half-bin offset phase e^{-i(tau_off t + xi_n_off
@@ -81,8 +82,10 @@ class MultiplierPlan:
       copy; nothing writes into either.
 
     ``demodulation`` is ``conj(modulation)``, which undoes the offset phase
-    after the inverse transform; it is built once here rather than per
-    transform.
+    after the inverse transform.  It is built on first use and kept, once
+    per plan rather than per transform; a plan used only by
+    :func:`schrodlab.birman_schwinger.op_norm`, which never demodulates,
+    never builds it.
 
     Work buffers: :meth:`to_freq` allocates one fresh array and works in
     it.  Only :meth:`from_freq` takes an ``out``, a C-contiguous complex128
@@ -111,7 +114,6 @@ class MultiplierPlan:
     dropped_count: int = field(init=False)
     denom: np.ndarray = field(init=False)
     modulation: np.ndarray | None = field(init=False)
-    demodulation: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
         mag = np.abs(self.symbol)
@@ -120,7 +122,7 @@ class MultiplierPlan:
         self.dropped_count = int(self.dropped.sum())
         self.denom = (np.where(self.dropped, np.inf, self.symbol) if self.dropped_count
                       else self.symbol)
-        self.modulation = self.demodulation = None
+        self.modulation = None
         if self.tau_offset != 0.0 or self.xi_n_offset != 0.0:
             spec = self.spec
             t = spec.t_axis().reshape((-1,) + (1,) * spec.n)
@@ -131,13 +133,17 @@ class MultiplierPlan:
             if self.xi_n_offset != 0.0:
                 phase = phase + self.xi_n_offset * x
             self.modulation = np.exp(-1j * phase)
-            self.demodulation = np.conj(self.modulation)
+
+    @cached_property
+    def demodulation(self) -> np.ndarray | None:
+        return None if self.modulation is None else np.conj(self.modulation)
 
     def adjoint(self) -> "MultiplierPlan":
         """The plan of the L^2 adjoint, for :func:`apply_plan` only.
 
         It shares the lattice, floor and modulation and conjugates only
-        ``denom``; its ``symbol`` is None.
+        ``denom``; its ``symbol`` is None.  The power iteration does not
+        use it: it applies the adjoint through this plan by conjugation.
         """
         adj = copy.copy(self)
         adj.symbol = None

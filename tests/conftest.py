@@ -2,6 +2,8 @@
 
 import threading
 
+import numpy.fft  # numpy imports these on first use; here, so that no traced peak counts them
+import numpy.random
 import pytest
 
 from schrodlab import parallel

@@ -1,9 +1,9 @@
 """Independent routes to quantities the package computes, for the tests to check it against.
 
 Nothing in the package calls these: each one recomputes a result by another
-route (a dense matrix, the propagator quadrature, the full-grid rho family),
-or measures a bound the reports do not carry (the PDE residual, the
-|nu|^{1/4} local-smoothing ratio).  ``fingerprint`` condenses an output
+route (a dense matrix, the propagator quadrature, the full-grid rho family,
+the power iteration on the adjoint plan), or measures a bound the reports do
+not carry (the PDE residual, the |nu|^{1/4} local-smoothing ratio).  ``fingerprint`` condenses an output
 field as bench/execute.py does, for the checks against bench/reference.json.
 The tests import them with ``from oracles import ...``.
 """
@@ -12,9 +12,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from schrodlab.birman_schwinger import FactorW, apply_BS
+from schrodlab.birman_schwinger import _MAX_ITER, FactorW, _sandwich, _time_hull, apply_BS
 from schrodlab.counterexample import LogLogTrace, _j0, _radial_rule, _radial_sum, bourgain_norm
-from schrodlab.grid import Field, GridSpec
+from schrodlab.grid import Field, GridSpec, l2_norm
 from schrodlab.multipliers import (MultiplierPlan, _gauss_legendre_panels, _s_node_sum,
                                    propagator_factor)
 from schrodlab.reports import EstimateReport
@@ -87,6 +87,61 @@ def dense_bs_matrix(W1: FactorW, W2: FactorW, plan: MultiplierPlan) -> np.ndarra
         v = Field(spec, e.reshape(spec.shape))
         cols.append(apply_BS(v, W1, W2, plan).data.ravel())
     return np.array(cols).T
+
+
+def adjoint_plan_op_norm(W1: FactorW, W2: FactorW, plan: MultiplierPlan, tol: float = 1e-3,
+                         seed: int = 0) -> tuple[float, dict]:
+    """op_norm's power iteration with the adjoint half of each step on the adjoint plan.
+
+    Each step applies A* as M_{conj W2} F^-1 conj(D)^-1 F M_{conj W1}: the
+    kernel in its forward order on ``plan.adjoint()``'s conjugated
+    denominator and on conj(W1) and conj(W2), with each start drawn as
+    ``a + 1j * b``, both starts in turn on one thread.  op_norm instead
+    runs conj(M_{W2} F D^-1 F^-1 M_{W1} conj(y)), on ``plan.denom``, W1
+    and W2, and matches this bit for bit.  numpy's pocketfft runs each
+    inverse pass as its forward pass with conjugated twiddles, and scales
+    both by the same 1/sqrt(N), so the inverse transform of conj(x) is the
+    conjugate of the forward transform of x exactly.  numpy divides complex
+    numbers by Smith's rule, which branches on |Re d| >= |Im d| and so
+    takes the same branch for conj(d): conj(x) / d is conj(x / conj(d))
+    exactly.  A complex product, with w or its conjugate, commutes with
+    conjugation too, since negating an operand only negates products.
+    """
+    spec = plan.spec
+    adj = plan.adjoint()
+    w1, w2 = W1.field.data, W2.field.data
+    w1c, w2c = np.conj(w1), np.conj(w2)
+    h1, h2 = _time_hull(w1), _time_hull(w2)
+
+    def iterate(s: int) -> tuple[float, int, bool]:
+        rng = np.random.default_rng(s)
+        v = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+        if plan.modulation is not None:
+            np.multiply(v, plan.modulation, out=v)
+        nrm = l2_norm(v)
+        if nrm == 0.0:
+            return 0.0, 0, True
+        np.multiply(v, 1.0 / nrm, out=v)
+        v[:h2.start] = 0.0
+        v[h2.stop:] = 0.0
+        est = 0.0
+        for it in range(1, _MAX_ITER + 1):
+            new = l2_norm(_sandwich(v, w2, h2, plan.denom, w1, h1))
+            w = _sandwich(v, w1c, h1, adj.denom, w2c, h2)
+            wn = l2_norm(w)
+            if wn == 0.0:
+                return 0.0, it, True
+            np.multiply(w, 1.0 / wn, out=w)
+            if est > 0.0 and abs(new - est) <= tol * est:
+                return new, it, True
+            est = new
+        return est, _MAX_ITER, False
+
+    (e1, it1, conv1), (e2, it2, conv2) = iterate(seed), iterate(seed + 1)
+    top = max(e1, e2)
+    agree = top == 0.0 or abs(e1 - e2) <= 0.02 * top
+    return top, {"iterations": max(it1, it2), "converged": bool(conv1 and conv2),
+                 "starts_agree": bool(agree), "estimates": [e1, e2]}
 
 
 # ---------------------------------------------------------------------------

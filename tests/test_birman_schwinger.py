@@ -27,7 +27,7 @@ from schrodlab.birman_schwinger import (
 from schrodlab.grid import Field, GridSpec, l2_norm
 from schrodlab.multipliers import plan_S_nu
 
-from oracles import dense_bs_matrix
+from oracles import adjoint_plan_op_norm, dense_bs_matrix
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SPEC = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=16, pts_space=16)
@@ -158,7 +158,6 @@ class TestOperator:
         spec = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=32, pts_space=32)
         W = build_W(gaussian_potential(spec))
         plan = plan_BS(spec, NU)
-        op_norm(W, W, plan, tol=0.5)  # lazily built state out of the traced runs
         field_bytes = 16 * spec.total_points
         peaks, iterations = [], []
         for tol in (1e-3, 1e-4):
@@ -178,7 +177,6 @@ class TestOperator:
         spec = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=32, pts_space=32)
         W = build_W(gaussian_potential(spec))
         plan = plan_BS(spec, NU)
-        op_norm(W, W, plan, tol=0.5)  # lazily built state out of the traced run
         tracemalloc.start()
         try:
             op_norm(W, W, plan)
@@ -187,17 +185,59 @@ class TestOperator:
             tracemalloc.stop()
         return peak / (16 * spec.total_points)
 
-    def test_memory_peak_below_four_fields(self, monkeypatch):
-        # one start at a time: its iterate, the adjoint plan's denominator and the
-        # start's random draw; the adjoint plan conjugates no symbol, which nothing reads
+    def test_memory_peak_below_two_fields(self, monkeypatch):
+        # one start at a time: its iterate and half a field of its random draw; the
+        # adjoint half of each step builds neither a conjugated denominator nor conj(W)
         monkeypatch.setattr(parallel, "_THREADS", 1)
-        assert self.traced_peak_in_fields() < 3.75
+        assert self.traced_peak_in_fields() < 1.75
 
     def test_memory_peak_of_both_starts_at_once(self, monkeypatch):
-        # the iterates of both starts, both drawn before the worker starts, the
-        # adjoint plan's denominator and one draw; the worker allocates no field
+        # the iterates of both starts, both drawn before the worker starts, and half a
+        # field of one draw; the worker allocates no field
         monkeypatch.setattr(parallel, "_THREADS", 2)
-        assert self.traced_peak_in_fields() < 2 * 2 + 1 + 0.75
+        assert self.traced_peak_in_fields() < 2 + 0.75
+
+    def test_op_norm_builds_no_demodulation(self):
+        # op_norm never demodulates, so its plan never builds conj(modulation); the
+        # transforms that do build it on first use, with the bits of np.conj
+        plan = plan_BS(SPEC, NU)
+        W = build_W(gaussian_potential(SPEC))
+        op_norm(W, W, plan)
+        assert "demodulation" not in plan.__dict__
+        apply_BS(rand_field(), W, W, plan)
+        assert np.array_equal(plan.__dict__["demodulation"], np.conj(plan.modulation))
+        plan = plan_BS(SPEC, NU)
+        coeffs = rand_field(seed=1).data
+        out = plan.from_freq(coeffs).data
+        assert np.array_equal(plan.__dict__["demodulation"], np.conj(plan.modulation))
+        assert np.array_equal(out, np.fft.ifftn(coeffs, norm="ortho") * np.conj(plan.modulation))
+
+    @pytest.mark.parametrize("case", ["n1", "n2_cusp", "n3", "complex_W", "magnitude",
+                                      "no_offsets", "floored"])
+    def test_op_norm_matches_the_adjoint_plan_bit_for_bit(self, monkeypatch, case):
+        # the adjoint half of each step, run by conjugation on the plan's own
+        # denominator and W, gives the estimates of the adjoint plan and conj(W)
+        spec = {"n1": TINY, "n3": GridSpec(n=3, box_time=np.pi, box_space=np.pi,
+                                           pts_time=16, pts_space=16)}.get(case, SPEC)
+        if case == "floored":
+            monkeypatch.setattr(multipliers, "_EPS_FLOOR_REL", 0.05)
+        if case == "n2_cusp":
+            V = cusp_potential(spec)
+        else:
+            V = gaussian_potential(spec, pair=(2, spec.n))
+        if case == "complex_W":
+            x = spec.spatial_mesh()[-1][None]
+            V = Potential(Field(spec, V.field.data * np.exp(1j * x)), V.window, V.radius,
+                          V.pair)
+        W = build_W(V)
+        W2 = W.magnitude if case == "magnitude" else W
+        plan = (plan_S_nu(spec, NU, offset_tau=False) if case == "no_offsets"
+                else plan_BS(spec, NU))
+        assert (plan.dropped_count > 0) == (case in ("no_offsets", "floored"))
+        assert np.any(V.field.data.imag != 0.0) == (case == "complex_W")
+        got = op_norm(W, W2, plan, tol=1e-4, seed=3)
+        assert got == adjoint_plan_op_norm(W, W2, plan, tol=1e-4, seed=3)
+        assert got[1]["iterations"] > 1
 
     def test_norm_decays_in_nu(self):
         W = build_W(gaussian_potential(SPEC))
@@ -299,6 +339,21 @@ class TestSweep:
         for s in report.samples:
             assert s["converged"] and s["starts_agree"]
             assert s["lambda"] == pytest.approx(s["nu"] ** 0.25)
+
+    def test_memory_peak_flat_in_sweep_length(self):
+        # the split fields of one nu are dropped once their masses are taken, so the
+        # next nu's plan and power iteration do not run beside them
+        spec = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=32, pts_space=32)
+        V = gaussian_potential(spec)
+        peaks = []
+        for nu_values in ([4.0], [4.0, 16.0, 64.0]):
+            tracemalloc.start()
+            try:
+                bs_decay_sweep(V, nu_values)
+                peaks.append(tracemalloc.get_traced_memory()[1] / (16 * spec.total_points))
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 0.25
 
     def test_sweep_deterministic(self):
         V = gaussian_potential(SPEC)

@@ -5,12 +5,13 @@ import json
 import logging
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from schrodlab import cgo, cli, kernels
+from schrodlab import cgo, cli, kernels, parallel
 from schrodlab.birman_schwinger import cusp_potential
 from schrodlab.cli import (
     EXIT_CONFIG,
@@ -695,6 +696,21 @@ class TestCommands:
         assert report["verdict"] == "recorded"
         V = cusp_potential(build_grid(load_config(cfg)), alpha=0.75)
         assert report["samples"] == cgo.remainder_decay_sweep(V, [16.0, 64.0]).samples
+
+    def test_bs_norm_sweep_memory_peak(self, runner, tmp_path, monkeypatch):
+        # the committed 32^3 sweep at its peak: V, W, the plan's symbol and modulation,
+        # both iterates and half a field of one draw; measured at 6.61-6.66 fields
+        monkeypatch.setattr(parallel, "_THREADS", 2)
+        tracemalloc.start()
+        try:
+            res = runner.invoke(main, ["bs-norm-sweep", "--config",
+                                       str(ROOT / "configs" / "bs_sweep.yaml"),
+                                       "--output", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.exit_code == EXIT_PASS, res.output
+        assert peak / (16 * 32**3) < 6.66 + 0.5
 
     def test_remainder_sweep_reports_name_their_potential(self, runner, tmp_path):
         # the Gaussian and cusp reports of run_all.sh differed only in name and config_hash
