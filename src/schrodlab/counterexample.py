@@ -251,12 +251,6 @@ def _radial_rule() -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _radial_sum(s: float, bessel: np.ndarray) -> np.ndarray:
-    """2 pi sum_k J_0(y r_k) e^{i s r_k^2} r_k w_k, given the rows J_0(y r_k)."""
-    r, w = _radial_rule()
-    return 2.0 * np.pi * (bessel @ (np.exp(1j * s * r**2) * r * w))
-
-
 @dataclass
 class DispersionProfile:
     """Tabulated h(u) with a fitted dispersive tail beyond the table.
@@ -280,24 +274,53 @@ class DispersionProfile:
         return out
 
 
+def _ball_profiles(u_grid: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """P(u, y) = 2 pi sum_k J_0(y r_k) e^{i u r_k^2} r_k w_k for each u of ``u_grid``.
+
+    Each u takes y = 0.1, 0.3, ... below 2u + 40.  arange's i-th value
+    depends only on i, so each of these axes is a prefix of the longest,
+    which is returned with one P row per u.  J_0(y r) is evaluated once for
+    every u, ``_J0_BLOCK_ROWS`` rows of y at a time: each block is cast to
+    complex once and multiplied into the weights of every u that reaches
+    it, so neither the whole table nor a complex copy of it exists.  Each
+    P value is the dot product of one GEMV per u over its whole table, bit
+    for bit, as long as no product has a single row: a one-row product
+    rounds differently.  So a last y row left alone joins the block before
+    it, and a u that ends one row into a block takes a second row and
+    drops it.  One GEMM over all u would round differently as well.
+    """
+    r, w = _radial_rule()
+    y = np.arange(0.0, 2.0 * u_grid[-1] + 40.0, 0.2) + 0.1
+    weights = [np.exp(1j * s * r**2) * r * w for s in u_grid]
+    rows = [np.empty(np.arange(0.0, 2.0 * s + 40.0, 0.2).size, dtype=np.complex128)
+            for s in u_grid]
+    edges = list(range(0, y.size, _J0_BLOCK_ROWS)) + [y.size]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        block = _j0(np.outer(y[lo:hi], r)).astype(np.complex128)
+        for p, wk in zip(rows, weights):
+            take = min(hi, p.size) - lo
+            if take > 0:
+                p[lo:lo + take] = (block[:max(take, 2)] @ wk)[:take]
+    for p in rows:
+        p *= 2.0 * np.pi
+    return y, rows
+
+
 def build_dispersion_profile() -> DispersionProfile:
     """Tabulate h(u) for (n, r') = (2, 4) by radial quadrature of the evolved ball packet.
 
     The table has 70 samples on [0, 80]; beyond u = 80 the tail
-    c |u|^{-1/2} takes over (exponent n (1/2 - 1/r') = 1/2).
+    c |u|^{-1/2} takes over (exponent n (1/2 - 1/r') = 1/2).  Each sample
+    sums |P(u, y)|^4 y over its own y axis (:func:`_ball_profiles`); any
+    other summation moves the last digit of the counterexample reports.
     """
     u_grid = np.concatenate([[0.0], np.geomspace(0.05, 80.0, 69)])
-    # arange's i-th value depends only on i, so each u's y axis is a prefix
-    # of the longest one, and J_0(y r) is evaluated once for every u.  One
-    # GEMM over all u would round differently from the per-u GEMV and move
-    # the last digit of the counterexample reports.
-    bessel = _j0(np.outer(np.arange(0.0, 2.0 * u_grid[-1] + 40.0, 0.2) + 0.1,
-                          _radial_rule()[0]))
+    y, rows = _ball_profiles(u_grid)
     vals = np.empty_like(u_grid)
-    for k, s in enumerate(u_grid):
-        y = np.arange(0.0, 2.0 * s + 40.0, 0.2) + 0.1
-        p = _radial_sum(s, bessel[:y.size])
-        integral = ((np.abs(p) ** 4) * y).sum() * 0.2 * 2.0 * np.pi
+    for k, p in enumerate(rows):
+        integral = ((np.abs(p) ** 4) * y[:p.size]).sum() * 0.2 * 2.0 * np.pi
         vals[k] = (2.0 * np.pi) ** -1.0 * integral**0.25
     exponent = 0.5
     c = vals[-1] * u_grid[-1] ** exponent

@@ -40,8 +40,16 @@ _LEVELS = ((2, 0.1), (1, 0.2))
 _PANEL_PHASE = 10.0
 # s-panels [2^-k, 2^(1-k)] for k <= _S_LEVELS, then one down to s = 0
 _S_LEVELS = 53
-# largest number of terms in one e^{-i x eta} block
-_CHUNK = 1 << 20
+# terms in one e^{-i x eta} block of _fourier_sum (see there for its rows).
+# The eight quadratures of configs/kernel_table.yaml (200 x, up to 1152
+# terms a row): median of 30 alternating rounds on a shared 2-vCPU host,
+# and the tracemalloc peak of one round; every chunk gives the same bits:
+#   chunk       2^15   2^16   2^17   2^20
+#   ms          64.9   65.2   72.3   70.9
+#   peak KiB    1055   2090   4134   5646
+# Times are flat within the host's noise, and 2^15 keeps a block at
+# 512 KiB; below it the rest of the quadrature sets the peak (992 KiB at 2^14).
+_CHUNK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +171,21 @@ def _gauss_legendre(edges: np.ndarray, parts: int):
 
 
 def _fourier_sum(xs: np.ndarray, eta: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_k weights_k e^{-i x eta_k} for each x, in blocks of at most _CHUNK terms."""
-    rows = max(1, _CHUNK // eta.size)
-    return np.concatenate([np.exp(-1j * np.outer(xs[i:i + rows], eta)) @ weights
-                           for i in range(0, xs.size, rows)])
+    """sum_k weights_k e^{-i x eta_k} for each x, in blocks of about _CHUNK terms.
+
+    Every block holds at least two x, and a last x left alone joins the
+    block before it: a product over one row rounds differently from the
+    same row inside a block, which gives each x the bits of one product
+    over all of them.
+    """
+    rows = max(2, _CHUNK // eta.size)
+    edges = list(range(0, xs.size, rows)) + [xs.size]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    out = np.empty(xs.size, dtype=np.complex128)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        out[lo:hi] = np.exp(-1j * np.outer(xs[lo:hi], eta)) @ weights
+    return out
 
 
 def _fourier_rule(h: float, offset: float, weight) -> tuple[np.ndarray, np.ndarray]:

@@ -73,9 +73,14 @@ class MultiplierPlan:
     every transform and by the adjoint:
 
     * ``modulation``: the half-bin offset phase e^{-i(tau_off t + xi_n_off
-      x_n)} (``None`` without offsets).  It is kept as a full-grid array
-      built by one ``exp`` of the summed phase; broadcasting two separable
-      1-D factors instead rounds differently and moves report bytes.
+      x_n)} (``None`` without offsets).  It depends on t and x_n alone, so
+      it is a (pts_time, 1, ..., 1, pts_space) table that every product
+      broadcasts, one ``exp`` of the summed phase per (t, x_n).  That is
+      exact: each entry is the exp of the same sum as on the full grid,
+      and numpy's broadcast complex products give the bits of full-array
+      products in either operand order.  A product of per-axis exps,
+      e^{-i tau_off t} e^{-i xi_n_off x_n}, rounds differently from the
+      exp of the sum and moves report bytes.
     * ``denom``: the symbol with ``inf`` on floored modes, so that
       ``coeffs / denom`` is the reciprocal on retained modes and exactly 0
       on floored ones.  With no floored mode it is ``symbol`` itself, not a
@@ -95,12 +100,12 @@ class MultiplierPlan:
     coefficients there, so one application allocates one array.
 
     In-place products keep numpy's own evaluation order, so results are
-    bit-identical to the plain expressions ``f.data * modulation`` and
-    ``ifftn(coeffs) * conj(modulation)``.  Complex multiplication is not
-    bitwise commutative, and for arrays of at least 256 KiB numpy elides
-    the temporary ``conj(modulation)`` and evaluates that second product
-    as ``conj(modulation) * data``; below 256 KiB it is ``data *
-    conj(modulation)``.  :meth:`from_freq` follows the same rule.
+    bit-identical to the full-grid expressions ``f.data * m`` and
+    ``ifftn(coeffs) * conj(m)``, with m the modulation broadcast to the
+    grid.  Complex multiplication is not bitwise commutative, and for
+    arrays of at least 256 KiB numpy elides the temporary ``conj(m)`` and
+    evaluates that second product as ``conj(m) * data``; below 256 KiB it
+    is ``data * conj(m)``.  :meth:`from_freq` follows the same rule.
     """
 
     spec: GridSpec
@@ -127,7 +132,7 @@ class MultiplierPlan:
             spec = self.spec
             t = spec.t_axis().reshape((-1,) + (1,) * spec.n)
             x = spec.x_axis().reshape((1,) * spec.n + (-1,))
-            phase = np.zeros(spec.shape)
+            phase = np.zeros((spec.pts_time,) + (1,) * (spec.n - 1) + (spec.pts_space,))
             if self.tau_offset != 0.0:
                 phase = phase + self.tau_offset * t
             if self.xi_n_offset != 0.0:

@@ -3,6 +3,7 @@
 import threading
 
 import numpy.fft  # numpy imports these on first use; here, so that no traced peak counts them
+import numpy.ma  # np.unique's first call imports it: 1 MiB of module objects
 import numpy.random
 import pytest
 

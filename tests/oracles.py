@@ -13,7 +13,7 @@ from dataclasses import asdict
 import numpy as np
 
 from schrodlab.birman_schwinger import _MAX_ITER, FactorW, _sandwich, _time_hull, apply_BS
-from schrodlab.counterexample import LogLogTrace, _j0, _radial_rule, _radial_sum, bourgain_norm
+from schrodlab.counterexample import LogLogTrace, _j0, _radial_rule, bourgain_norm
 from schrodlab.grid import Field, GridSpec, l2_norm
 from schrodlab.multipliers import (MultiplierPlan, _gauss_legendre_panels, _s_node_sum,
                                    propagator_factor)
@@ -150,8 +150,12 @@ def adjoint_plan_op_norm(W1: FactorW, W2: FactorW, plan: MultiplierPlan, tol: fl
 
 
 def _ball_profile(s: float, y: np.ndarray) -> np.ndarray:
-    """P(s, y) = 2 pi int_0^1 J_0(y r) e^{i s r^2} r dr (n = 2, radial; 480 nodes)."""
-    return _radial_sum(s, _j0(np.outer(y, _radial_rule()[0])))
+    """P(s, y) = 2 pi int_0^1 J_0(y r) e^{i s r^2} r dr (n = 2, radial; 480 nodes).
+
+    One GEMV over the whole J_0(y r) table of this s.
+    """
+    r, w = _radial_rule()
+    return 2.0 * np.pi * (_j0(np.outer(y, r)) @ (np.exp(1j * s * r**2) * r * w))
 
 
 def build_u_rho(rho: float, trace: LogLogTrace, spec: GridSpec) -> Field:

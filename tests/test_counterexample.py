@@ -4,6 +4,7 @@ local-smoothing control."""
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scipy.special import j0 as scipy_j0  # the oracle for the numpy J_0
 from schrodlab import cli, counterexample
 from schrodlab.counterexample import (
     RhoFamilyMember,
+    _ball_profiles,
     _j0,
     _radial_rule,
     bourgain_norm,
@@ -94,7 +96,7 @@ class TestJ0:
         self.assert_matches_scipy(x)
 
     def test_radial_table(self):
-        # the 1000 x 480 table that build_dispersion_profile evaluates
+        # the 1000 x 480 table that build_dispersion_profile evaluates block by block
         self.assert_matches_scipy(np.outer(np.arange(0.0, 200.0, 0.2) + 0.1, _radial_rule()[0]))
 
 
@@ -119,7 +121,7 @@ class TestDispersionProfile:
         assert profile(-30.0) == profile(30.0)
 
     def test_table_equals_per_u_quadrature(self, profile):
-        # the table shares one J_0 matrix across u; any other summation
+        # the table shares its J_0 blocks across u; any other summation
         # (one GEMM over all u) moves the last digit of the reports
         expected = []
         for s in profile.u:
@@ -128,6 +130,33 @@ class TestDispersionProfile:
             integral = ((np.abs(p) ** 4) * y).sum() * 0.2 * 2.0 * np.pi
             expected.append((2.0 * np.pi) ** -1.0 * integral**0.25)
         assert np.array_equal(profile.values, expected)
+
+    @pytest.mark.parametrize("block_rows", [32, 37])
+    def test_blocked_rows_equal_per_u_rows(self, profile, monkeypatch, block_rows):
+        # at 32 rows a block one u ends one row into a block; at 37 four do, and the
+        # 1000-row table would end on a one-row block.  A one-row GEMV rounds
+        # differently, by too little to move h(u) here, so P itself is compared
+        monkeypatch.setattr(counterexample, "_J0_BLOCK_ROWS", block_rows)
+        y, rows = _ball_profiles(profile.u)
+        assert [p.size for p in rows][-1] == y.size == 1000
+        ends = [p.size % block_rows == 1 for p in rows]
+        assert sum(ends) == {32: 1, 37: 4}[block_rows] and ends[-1] == (block_rows == 37)
+        for s, p in zip(profile.u, rows):
+            assert np.array_equal(p, _ball_profile(s, y[:p.size])), s
+        assert np.array_equal(build_dispersion_profile().values, profile.values)
+
+    def test_memory_peak(self):
+        # one complex block of 32 x 480 J_0 values (240 KiB), the weights of the 70 u
+        # (525 KiB) and their P rows (341 KiB); measured at 2.31 MiB, against 11.0
+        # MiB for the whole 1000 x 480 table and its complex copy per u
+        _radial_rule()  # built once per process
+        tracemalloc.start()
+        try:
+            build_dispersion_profile()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**20 < 2.31 + 0.5
 
     def test_values_match_scipy_j0(self, profile, monkeypatch):
         monkeypatch.setattr(counterexample, "_j0", scipy_j0)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from schrodlab import kernels
 from schrodlab.kernels import eval_K_sigma, eval_K_sigma_quadrature
 
 SIGMAS = [-5.0, -1.0, -0.2, 0.05, 0.2, 0.3, 1.0, 10.0]
@@ -99,3 +100,30 @@ class TestKSigmaQuadrature:
         quad = eval_K_sigma_quadrature(sigma, xs)
         for x, q in zip(xs, quad):
             assert abs(q - eval_K_sigma(sigma, x)) <= 1e-9
+
+
+class TestFourierSumBlocks:
+    """Blocks of _CHUNK terms give the bits of one 2^20-term block over all x."""
+
+    @pytest.mark.parametrize("terms", [1000, 40000], ids=["last-row-alone", "one-row-blocks"])
+    def test_bits_of_one_block(self, monkeypatch, terms):
+        # 2 blocks and one x more: the last x would make a one-row block, whose
+        # product rounds differently; with 40000 terms every block would be one row
+        rows = max(2, kernels._CHUNK // terms)
+        assert (kernels._CHUNK // terms < 2) == (terms == 40000)
+        rng = np.random.default_rng(7)
+        xs = rng.uniform(-20.0, 20.0, 2 * rows + 1)
+        eta = np.sort(rng.uniform(0.0, 30.0, terms))
+        weights = rng.standard_normal(terms) + 1j * rng.standard_normal(terms)
+        got = kernels._fourier_sum(xs, eta, weights)
+        monkeypatch.setattr(kernels, "_CHUNK", 1 << 20)
+        assert xs.size <= kernels._CHUNK // terms  # one block
+        assert np.array_equal(got, kernels._fourier_sum(xs, eta, weights))
+
+    @pytest.mark.parametrize("sigma", [-5.0, -1.0, -0.1, 0.1, 0.3, 0.5, 2.0, 10.0])
+    def test_kernel_table_bits_of_one_block(self, monkeypatch, sigma):
+        # the sigmas and x of configs/kernel_table.yaml
+        xs = np.linspace(-20.0, 20.0, 200)
+        got = eval_K_sigma_quadrature(sigma, xs)
+        monkeypatch.setattr(kernels, "_CHUNK", 1 << 20)
+        assert np.array_equal(got, eval_K_sigma_quadrature(sigma, xs))

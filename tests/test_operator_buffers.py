@@ -18,6 +18,7 @@ are the kernel's modulation-free transforms on hull rows (built on
 ``op_norm`` match bit for bit and the modulated oracles up to rounding.
 """
 
+import copy
 import pathlib
 
 import numpy as np
@@ -69,7 +70,9 @@ def oracle_to_freq(plan, f):
 def oracle_from_freq(plan, coeffs):
     data = np.fft.ifftn(coeffs, norm="ortho")
     if plan.modulation is not None:
-        data = data * np.conj(plan.modulation)
+        # the modulation is a (t, x_n) table; conj of its full-grid view is a
+        # full-grid temporary, which numpy elides from 256 KiB up
+        data = data * np.conj(np.broadcast_to(plan.modulation, data.shape))
     return data
 
 
@@ -344,3 +347,54 @@ def test_apply_BS_transforms_only_the_rows_of_W2(monkeypatch):
     monkeypatch.setattr(np.fft, "fftn", recording)
     apply_BS(random_field(spec), W, W.magnitude, plan_BS(spec, values["nu_values"][0]))
     assert shapes == [(hull.stop - hull.start,) + (spec.pts_space,) * spec.n]
+
+
+# -- the (t, x_n) modulation table against the full-grid one ------------------
+
+
+def full_grid_modulation(plan):
+    """exp(-1j * phase) of the summed offset phase on the whole grid, as plans built it before."""
+    spec = plan.spec
+    t = spec.t_axis().reshape((-1,) + (1,) * spec.n)
+    x = spec.x_axis().reshape((1,) * spec.n + (-1,))
+    phase = np.zeros(spec.shape)
+    if plan.tau_offset != 0.0:
+        phase = phase + plan.tau_offset * t
+    if plan.xi_n_offset != 0.0:
+        phase = phase + plan.xi_n_offset * x
+    return np.exp(-1j * phase)
+
+
+def with_full_grid_modulation(plan):
+    full = copy.copy(plan)
+    full.modulation = full_grid_modulation(plan)
+    full.__dict__.pop("demodulation", None)
+    return full
+
+
+# (n, pts_time, pts_space): 4 KiB and 512 KiB in n = 1, 64 KiB and 512 KiB in
+# n = 2, 1 MiB in n = 3, either side of numpy's 256 KiB elision threshold
+TABLE_GRIDS = [(1, 16, 16), (1, 128, 256), (2, 16, 16), (2, 32, 32), (3, 16, 16)]
+TABLE_PLANS = {
+    "tau_and_xi_n": lambda spec: plan_BS(spec, NU),
+    "xi_n": lambda spec: plan_S(spec),
+    "tau": lambda spec: plan_S(spec, offset_xin=False, offset_tau=True),
+}
+
+
+@pytest.mark.parametrize("kind", TABLE_PLANS)
+@pytest.mark.parametrize("dims", TABLE_GRIDS, ids=lambda d: "n%d_%dx%d" % d)
+def test_modulation_table_gives_the_full_grid_bits(dims, kind):
+    n, pts_time, pts_space = dims
+    spec = GridSpec(n=n, box_time=np.pi, box_space=np.pi, pts_time=pts_time,
+                    pts_space=pts_space)
+    plan = TABLE_PLANS[kind](spec)
+    assert plan.modulation.shape == (pts_time,) + (1,) * (n - 1) + (pts_space,)
+    full = with_full_grid_modulation(plan)
+    assert np.array_equal(np.broadcast_to(plan.modulation, spec.shape), full.modulation)
+    f = random_field(spec, 6)
+    assert np.array_equal(apply_plan(plan, f).data, apply_plan(full, f).data)
+    W = gaussian_W(spec, pair=(2, n))
+    absW = W.magnitude
+    assert np.array_equal(apply_BS(f, W, absW, plan).data, apply_BS(f, W, absW, full).data)
+    assert op_norm(W, absW, plan) == op_norm(W, absW, full)
