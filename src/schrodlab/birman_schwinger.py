@@ -17,7 +17,7 @@ measuring.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property, partial
+from functools import partial
 import logging
 
 import numpy as np
@@ -35,12 +35,12 @@ _MAX_ITER = 200
 
 __all__ = [
     "Potential",
-    "FactorW",
     "build_W",
     "gaussian_potential",
     "cusp_potential",
     "plan_BS",
     "apply_BS",
+    "apply_BS_adjoint",
     "op_norm",
     "split_W",
     "bs_decay_sweep",
@@ -77,36 +77,13 @@ class Potential:
                              f"2 - 2/a = n/b (n = {self.field.spec.n})")
 
 
-@dataclass
-class FactorW:
-    """Pointwise square-root factor W with |W| W = V.
-
-    ``conj`` is conj(W), used by :func:`apply_BS_adjoint` only (the power
-    iteration applies the adjoint by conjugation and never builds it), and
-    ``magnitude`` the factor |W| (complex-typed), used by the CGO solve.
-    Each is built on first use and kept, so ``field.data`` must not change
-    after that.
-    """
-
-    field: Field
-
-    @cached_property
-    def conj(self) -> np.ndarray:
-        return np.conj(self.field.data)
-
-    @cached_property
-    def magnitude(self) -> "FactorW":
-        mag = np.abs(self.field.data).astype(complex)
-        return FactorW(Field(self.field.spec, mag))
-
-
-def build_W(V: Potential) -> FactorW:
+def build_W(V: Potential) -> Field:
     """Factor V = |W| W pointwise; W vanishes exactly where V does."""
     data = V.field.data
     mag = np.abs(data)
     with np.errstate(invalid="ignore", divide="ignore"):
         w = np.where(mag > 0.0, data / np.sqrt(np.where(mag > 0.0, mag, 1.0)), 0.0)
-    return FactorW(Field(V.field.spec, w.astype(complex)))
+    return Field(V.field.spec, w.astype(complex))
 
 
 def _windowed(spec: GridSpec, bump: np.ndarray, window, radius: float, pair: tuple) -> Potential:
@@ -176,13 +153,19 @@ def plan_BS(spec: GridSpec, nu: float) -> MultiplierPlan:
     return plan_S_nu(spec, nu, offset_tau=True, offset_xin=True)
 
 
-def apply_BS(v: Field, W1: FactorW, W2: FactorW, plan: MultiplierPlan) -> Field:
+def apply_BS(v: Field, W1: Field, W2: Field, plan: MultiplierPlan) -> Field:
     """Compute M_{W1} S_nu M_{W2} v, with S_nu and nu from ``plan``.
 
     :func:`_sandwich` conjugated once by the plan's modulation (the
     identity is stated there), in one fresh field.
     """
-    return _conjugated(v, W1.field.data, W2.field.data, plan)
+    w_out, w_in = W1.data, W2.data
+    rows_in, rows_out = _time_hull(w_in), _time_hull(w_out)
+    buf = np.zeros(v.spec.shape, dtype=np.complex128)
+    np.multiply(v.data[rows_in], plan.modulation[rows_in], out=buf[rows_in])
+    part = _sandwich(buf, w_in, rows_in, plan.denom, w_out, rows_out)
+    np.multiply(part, plan.demodulation[rows_out], out=part)
+    return Field(v.spec, buf)
 
 
 def _adjoint_plan(plan: MultiplierPlan) -> MultiplierPlan:
@@ -195,12 +178,13 @@ def _adjoint_plan(plan: MultiplierPlan) -> MultiplierPlan:
     return plan.adjoint()
 
 
-def apply_BS_adjoint(u: Field, W1: FactorW, W2: FactorW, adjoint_plan: MultiplierPlan) -> Field:
+def apply_BS_adjoint(u: Field, W1: Field, W2: Field, adjoint_plan: MultiplierPlan) -> Field:
     """Adjoint of apply_BS: M_{conj W2} S_nu^* M_{conj W1} u.
 
     ``adjoint_plan`` is the adjoint of apply_BS's plan (``plan.adjoint()``).
     """
-    return _conjugated(u, W2.conj, W1.conj, adjoint_plan)
+    return apply_BS(u, Field(W2.spec, np.conj(W2.data)), Field(W1.spec, np.conj(W1.data)),
+                    adjoint_plan)
 
 
 def _time_hull(w: np.ndarray) -> slice:
@@ -249,24 +233,9 @@ def _sandwich(buf: np.ndarray, w_in: np.ndarray, rows_in: slice, denom: np.ndarr
     return np.multiply(w_out[rows_out], part, out=part)
 
 
-def _conjugated(v: Field, w_out: np.ndarray, w_in: np.ndarray, plan: MultiplierPlan) -> Field:
-    """M_{w_out} S M_{w_in} v for the S of ``plan``: :func:`_sandwich` conjugated by m."""
-    rows_in, rows_out = _time_hull(w_in), _time_hull(w_out)
-    buf = np.zeros(v.spec.shape, dtype=np.complex128)
-    part = buf[rows_in]
-    if plan.modulation is None:
-        part[...] = v.data[rows_in]
-    else:
-        np.multiply(v.data[rows_in], plan.modulation[rows_in], out=part)
-    part = _sandwich(buf, w_in, rows_in, plan.denom, w_out, rows_out)
-    if plan.demodulation is not None:
-        np.multiply(part, plan.demodulation[rows_out], out=part)
-    return Field(v.spec, buf)
-
-
 def op_norm(
-    W1: FactorW,
-    W2: FactorW,
+    W1: Field,
+    W2: Field,
     plan: MultiplierPlan,
     tol: float = 1e-3,
     seed: int = 0,
@@ -295,13 +264,12 @@ def op_norm(
 
     the kernel with ``reverse`` between two in-place conjugations, so the
     loop reads only ``plan.denom``, W1 and W2: no conjugated denominator
-    (:meth:`MultiplierPlan.adjoint`) and no conj(W) (:attr:`FactorW.conj`)
-    is built.  The identity holds bit for bit, not only up to rounding:
-    numpy's pocketfft runs each inverse pass as its forward pass with
-    conjugated twiddles, and its complex division and products commute
-    with conjugation exactly (``tests/oracles.py``,
-    ``adjoint_plan_op_norm``, is the iteration on the adjoint plan that
-    this matches).
+    (:meth:`MultiplierPlan.adjoint`) and no conj(W) is built.  The identity
+    holds bit for bit, not only up to rounding: numpy's pocketfft runs each
+    inverse pass as its forward pass with conjugated twiddles, and its
+    complex division and products commute with conjugation exactly
+    (``tests/oracles.py``, ``adjoint_plan_op_norm``, is the iteration on
+    the adjoint plan that this matches).
 
     Each start holds one field, its iterate, for all of its iterations:
     every step runs in place in it, and each start is drawn into it in
@@ -313,7 +281,7 @@ def op_norm(
     bit-identical to one thread.
     """
     spec = plan.spec
-    w1, w2 = W1.field.data, W2.field.data
+    w1, w2 = W1.data, W2.data
     h1, h2 = _time_hull(w1), _time_hull(w2)
 
     def start(s: int):
@@ -322,8 +290,7 @@ def op_norm(
         v = np.empty(spec.shape, dtype=np.complex128)
         v.real = rng.standard_normal(spec.shape)
         v.imag = rng.standard_normal(spec.shape)
-        if plan.modulation is not None:
-            np.multiply(v, plan.modulation, out=v)
+        np.multiply(v, plan.modulation, out=v)
         return partial(iterate, v)
 
     def iterate(v: np.ndarray) -> tuple[float, int, bool]:
@@ -368,7 +335,7 @@ def op_norm(
 # ---------------------------------------------------------------------------
 
 
-def split_W(W: FactorW, lam: float, radius: float) -> tuple[FactorW, FactorW]:
+def split_W(W: Field, lam: float, radius: float) -> tuple[Field, Field]:
     """Split W = W_sharp + W_flat.
 
     W_sharp keeps the small values inside the radius plus everything
@@ -377,18 +344,15 @@ def split_W(W: FactorW, lam: float, radius: float) -> tuple[FactorW, FactorW]:
     """
     if lam < 0.0 or radius <= 0.0:
         raise ValueError("split_W wants lam >= 0 and radius > 0")
-    spec = W.field.spec
+    spec = W.spec
     mesh = spec.spatial_mesh()
     rad = np.sqrt(sum(c**2 for c in mesh))[None]
     inside = rad <= radius
-    mag = np.abs(W.field.data)
-    sharp = np.where(inside & (mag <= lam), W.field.data, 0.0)
-    sharp = sharp + np.where(~inside, W.field.data, 0.0)
-    flat = W.field.data - sharp
-    return (
-        FactorW(Field(spec, sharp)),
-        FactorW(Field(spec, flat)),
-    )
+    mag = np.abs(W.data)
+    sharp = np.where(inside & (mag <= lam), W.data, 0.0)
+    sharp = sharp + np.where(~inside, W.data, 0.0)
+    flat = W.data - sharp
+    return Field(spec, sharp), Field(spec, flat)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +385,7 @@ def bs_decay_sweep(
         lam = float(mag) ** 0.25
         est, diag = op_norm(W, W, plan_BS(spec, mag), tol=tol, seed=seed)
         sharp, flat = split_W(W, lam, V.radius)
-        masses = l2_norm(sharp.field), l2_norm(flat.field)
+        masses = l2_norm(sharp), l2_norm(flat)
         del sharp, flat  # two fields, not to be held through the next nu's power iteration
         report.samples.append(
             {

@@ -21,7 +21,7 @@ import logging
 
 import numpy as np
 
-from .birman_schwinger import FactorW, Potential, apply_BS, build_W, op_norm, plan_BS
+from .birman_schwinger import Potential, apply_BS, build_W, op_norm, plan_BS
 from .grid import Field, GridSpec, l2_norm
 from .multipliers import MultiplierPlan, apply_plan, apply_symbol
 from .reports import EstimateReport, NoConvergence
@@ -137,7 +137,7 @@ class CgoSolution:
     residuals: dict = dc_field(default_factory=dict)
 
 
-def solve_v_neumann(W: FactorW, usharp: Field, plan: MultiplierPlan) -> tuple[Field, dict]:
+def solve_v_neumann(W: Field, usharp: Field, plan: MultiplierPlan) -> tuple[Field, dict]:
     """Solve (Id - A) v = W u_sharp, A = M_W S_nu M_{|W|}, by Neumann iteration.
 
     S_nu is ``plan``, from :func:`plan_BS`.  Raises :class:`NotContractive`
@@ -154,7 +154,7 @@ def solve_v_neumann(W: FactorW, usharp: Field, plan: MultiplierPlan) -> tuple[Fi
     (over 1 when W u_sharp = 0, which gives v = 0 and no terms).
     """
     spec = usharp.spec
-    absW = W.magnitude
+    absW = Field(spec, np.abs(W.data).astype(complex))
     rho, diag = op_norm(W, absW, plan, tol=1e-3)
     if not diag["converged"]:
         raise NoConvergence("power iteration for the sandwich norm hit the iteration cap")
@@ -162,7 +162,7 @@ def solve_v_neumann(W: FactorW, usharp: Field, plan: MultiplierPlan) -> tuple[Fi
         raise NoConvergence("power iteration starts disagree on the sandwich norm")
     if rho > RHO_CAP:
         raise NotContractive(f"sandwich norm {rho:.3f} exceeds cap {RHO_CAP}")
-    rhs = Field(spec, W.field.data * usharp.data)
+    rhs = Field(spec, W.data * usharp.data)
     rhs_norm = l2_norm(rhs)
     if rhs_norm == 0.0:
         v, k = Field(spec, np.zeros(spec.shape, complex)), 0
@@ -196,7 +196,7 @@ def build_cgo(V: Potential, packet: WavePacket) -> CgoSolution:
     plan = plan_BS(spec, nu)
     usharp = wave_packet_usharp(packet, spec)
     v, diag = solve_v_neumann(W, usharp, plan)
-    uflat = apply_plan(plan, Field(spec, W.magnitude.field.data * v.data))
+    uflat = apply_plan(plan, Field(spec, np.abs(W.data).astype(complex) * v.data))
 
     applied = apply_symbol(plan, uflat)
     forcing = Field(spec, V.field.data * (usharp.data + uflat.data))

@@ -70,6 +70,8 @@ def _k_sigma(sigma: float, x: float) -> float:
         return 0.0
     if sigma > 0.0:
         if x < 0.0:
+            if x < -1400.0:  # e^{x/2} underflows and sinh may overflow; the product does neither
+                return -math.expm1(m * x) * math.exp(x * (1.0 - m) / 2.0) / m
             return -2.0 * math.exp(x / 2.0) * math.sinh(m * x / 2.0) / m
         return 0.0
     # sigma < 0: one pole on each side of the real axis; both branches come
@@ -135,7 +137,7 @@ def _level(sigma: float, xs: np.ndarray, width: float, parts: int, h: float) -> 
     om = np.abs(xs)
     with np.errstate(divide="ignore", over="ignore"):  # x = 0 takes every s-panel
         k = np.clip(np.ceil(np.log2(1.0 / (om * a))), 0, _S_LEVELS + 1)
-    for depth in np.unique(k[k > 0]):
+    for depth in sorted(set(k[k > 0].tolist())):  # np.unique would import numpy.ma
         edges = 2.0 ** -np.arange(min(depth, _S_LEVELS), -1.0, -1.0)
         s, ws = _gauss_legendre(edges if depth <= _S_LEVELS else np.append(0.0, edges), parts)
         here = k == depth

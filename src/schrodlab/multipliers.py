@@ -73,14 +73,15 @@ class MultiplierPlan:
     every transform and by the adjoint:
 
     * ``modulation``: the half-bin offset phase e^{-i(tau_off t + xi_n_off
-      x_n)} (``None`` without offsets).  It depends on t and x_n alone, so
-      it is a (pts_time, 1, ..., 1, pts_space) table that every product
-      broadcasts, one ``exp`` of the summed phase per (t, x_n).  That is
-      exact: each entry is the exp of the same sum as on the full grid,
-      and numpy's broadcast complex products give the bits of full-array
-      products in either operand order.  A product of per-axis exps,
-      e^{-i tau_off t} e^{-i xi_n_off x_n}, rounds differently from the
-      exp of the sum and moves report bytes.
+      x_n)}, all ones on a plan without offsets, so every transform takes
+      one path.  It depends on t and x_n alone, so it is a (pts_time, 1,
+      ..., 1, pts_space) table that every product broadcasts, one ``exp``
+      of the summed phase per (t, x_n).  That is exact: each entry is the
+      exp of the same sum as on the full grid, and numpy's broadcast
+      complex products give the bits of full-array products in either
+      operand order.  A product of per-axis exps, e^{-i tau_off t}
+      e^{-i xi_n_off x_n}, rounds differently from the exp of the sum and
+      moves report bytes.
     * ``denom``: the symbol with ``inf`` on floored modes, so that
       ``coeffs / denom`` is the reciprocal on retained modes and exactly 0
       on floored ones.  With no floored mode it is ``symbol`` itself, not a
@@ -118,7 +119,7 @@ class MultiplierPlan:
     dropped: np.ndarray = field(init=False)
     dropped_count: int = field(init=False)
     denom: np.ndarray = field(init=False)
-    modulation: np.ndarray | None = field(init=False)
+    modulation: np.ndarray = field(init=False)
 
     def __post_init__(self):
         mag = np.abs(self.symbol)
@@ -127,21 +128,17 @@ class MultiplierPlan:
         self.dropped_count = int(self.dropped.sum())
         self.denom = (np.where(self.dropped, np.inf, self.symbol) if self.dropped_count
                       else self.symbol)
-        self.modulation = None
-        if self.tau_offset != 0.0 or self.xi_n_offset != 0.0:
-            spec = self.spec
-            t = spec.t_axis().reshape((-1,) + (1,) * spec.n)
-            x = spec.x_axis().reshape((1,) * spec.n + (-1,))
-            phase = np.zeros((spec.pts_time,) + (1,) * (spec.n - 1) + (spec.pts_space,))
-            if self.tau_offset != 0.0:
-                phase = phase + self.tau_offset * t
-            if self.xi_n_offset != 0.0:
-                phase = phase + self.xi_n_offset * x
-            self.modulation = np.exp(-1j * phase)
+        # a zero offset adds +-0.0 to the phase, which leaves every entry's bits alone
+        spec = self.spec
+        t = spec.t_axis().reshape((-1,) + (1,) * spec.n)
+        x = spec.x_axis().reshape((1,) * spec.n + (-1,))
+        phase = np.zeros((spec.pts_time,) + (1,) * (spec.n - 1) + (spec.pts_space,))
+        phase = phase + self.tau_offset * t + self.xi_n_offset * x
+        self.modulation = np.exp(-1j * phase)
 
     @cached_property
-    def demodulation(self) -> np.ndarray | None:
-        return None if self.modulation is None else np.conj(self.modulation)
+    def demodulation(self) -> np.ndarray:
+        return np.conj(self.modulation)
 
     def adjoint(self) -> "MultiplierPlan":
         """The plan of the L^2 adjoint, for :func:`apply_plan` only.
@@ -159,18 +156,17 @@ class MultiplierPlan:
 
     def to_freq(self, f: Field) -> np.ndarray:
         """Coefficients of f on this plan's (offset) frequency lattice."""
-        data = f.data.copy() if self.modulation is None else f.data * self.modulation
+        data = f.data * self.modulation
         return np.fft.fftn(data, norm="ortho", out=data)
 
     def from_freq(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> Field:
         if out is None:
             out = np.empty(coeffs.shape, dtype=np.complex128)
         data = np.fft.ifftn(coeffs, norm="ortho", out=out)
-        if self.demodulation is not None:
-            if data.nbytes >= _ELIDE_BYTES:
-                np.multiply(self.demodulation, data, out=data)
-            else:
-                np.multiply(data, self.demodulation, out=data)
+        if data.nbytes >= _ELIDE_BYTES:
+            np.multiply(self.demodulation, data, out=data)
+        else:
+            np.multiply(data, self.demodulation, out=data)
         return Field(self.spec, data)
 
 

@@ -25,7 +25,7 @@ logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
-__all__ = ["EstimateReport", "report_to_json", "write_report", "config_hash",
+__all__ = ["EstimateReport", "write_report", "config_hash",
            "ConfigError", "NoConvergence", "read", "REQUIRED", "COUNT", "NATURAL", "EXPONENT",
            "COMMON", "GRID", "grid_spec"]
 
@@ -201,15 +201,15 @@ class EstimateReport:
         }
 
 
-def report_to_json(report: EstimateReport) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
 def write_report(report: EstimateReport, path, fmt: str = "json") -> None:
-    """Persist a report with stable field ordering."""
+    """Persist a report with stable field ordering.
+
+    JSON is streamed into the file as it is encoded, never held whole.
+    """
     if fmt == "json":
         with open(path, "w") as fh:
-            fh.write(report_to_json(report))
+            json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
+            fh.write("\n")
     elif fmt == "csv":
         keys = sorted({k for s in report.samples for k in s})
         with open(path, "w", newline="") as fh:

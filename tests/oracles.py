@@ -12,7 +12,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from schrodlab.birman_schwinger import _MAX_ITER, FactorW, _sandwich, _time_hull, apply_BS
+from schrodlab.birman_schwinger import _MAX_ITER, _sandwich, _time_hull, apply_BS
 from schrodlab.counterexample import LogLogTrace, _j0, _radial_rule, bourgain_norm
 from schrodlab.grid import Field, GridSpec, l2_norm
 from schrodlab.multipliers import (MultiplierPlan, _gauss_legendre_panels, _s_node_sum,
@@ -75,7 +75,7 @@ def apply_S_dyadic(f: Field, j: int, plan: MultiplierPlan, quad_pts: int = 400) 
 # ---------------------------------------------------------------------------
 
 
-def dense_bs_matrix(W1: FactorW, W2: FactorW, plan: MultiplierPlan) -> np.ndarray:
+def dense_bs_matrix(W1: Field, W2: Field, plan: MultiplierPlan) -> np.ndarray:
     """Materialize the operator as a dense matrix (tiny grids only)."""
     spec = plan.spec
     if spec.total_points > 4096:
@@ -89,7 +89,7 @@ def dense_bs_matrix(W1: FactorW, W2: FactorW, plan: MultiplierPlan) -> np.ndarra
     return np.array(cols).T
 
 
-def adjoint_plan_op_norm(W1: FactorW, W2: FactorW, plan: MultiplierPlan, tol: float = 1e-3,
+def adjoint_plan_op_norm(W1: Field, W2: Field, plan: MultiplierPlan, tol: float = 1e-3,
                          seed: int = 0) -> tuple[float, dict]:
     """op_norm's power iteration with the adjoint half of each step on the adjoint plan.
 
@@ -109,15 +109,14 @@ def adjoint_plan_op_norm(W1: FactorW, W2: FactorW, plan: MultiplierPlan, tol: fl
     """
     spec = plan.spec
     adj = plan.adjoint()
-    w1, w2 = W1.field.data, W2.field.data
+    w1, w2 = W1.data, W2.data
     w1c, w2c = np.conj(w1), np.conj(w2)
     h1, h2 = _time_hull(w1), _time_hull(w2)
 
     def iterate(s: int) -> tuple[float, int, bool]:
         rng = np.random.default_rng(s)
         v = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
-        if plan.modulation is not None:
-            np.multiply(v, plan.modulation, out=v)
+        np.multiply(v, plan.modulation, out=v)
         nrm = l2_norm(v)
         if nrm == 0.0:
             return 0.0, 0, True

@@ -1,5 +1,6 @@
 """Closed-form kernels against independent quadrature oracles."""
 
+import decimal
 import math
 
 import numpy as np
@@ -39,6 +40,20 @@ class TestKSigma:
     def test_positive_sigma_vanishes_right(self):
         assert eval_K_sigma(0.5, 2.0) == 0.0
         assert eval_K_sigma(0.1, 2.0) == 0.0
+
+    @pytest.mark.parametrize("sigma", [0.01, 0.1, 0.2])
+    @pytest.mark.parametrize("x", [-1399.5, -1400.5, -1500.0, -5000.0, -1e6])
+    def test_sinh_branch_far_left(self, sigma, x):
+        # 0 < sigma < 1/4 far left of 0: e^{x/2} underflows and sinh(m x / 2) overflows,
+        # but the kernel is e^{x(1-m)/2} (1 - e^{m x}) / m, finite and often normal.
+        # Reference: -2 e^{x/2} sinh(m x/2) / m in 60-digit decimal arithmetic
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            m = (1 - 4 * decimal.Decimal(sigma)).sqrt()
+            half = decimal.Decimal(x) / 2
+            exact = float(-(half.exp() * ((m * half).exp() - (-m * half).exp())) / m)
+        got = eval_K_sigma(sigma, x)
+        assert abs(got - exact) <= 1e-12 * abs(exact)
 
     def test_real_valued(self):
         for sigma in SIGMAS:

@@ -26,7 +26,6 @@ import pytest
 
 from schrodlab import cli
 from schrodlab.birman_schwinger import (
-    FactorW,
     apply_BS,
     apply_BS_adjoint,
     build_W,
@@ -54,47 +53,54 @@ def random_field(spec, seed=0):
     return Field(spec, data)
 
 
+def magnitude(W):
+    """|W| as a complex field, as the CGO solve builds it."""
+    return Field(W.spec, np.abs(W.data).astype(complex))
+
+
 def factors(spec):
     W = build_W(gaussian_potential(spec, amplitude=2.0, width=0.6))
-    return W, FactorW(Field(spec, np.abs(W.field.data).astype(complex)))
+    return W, magnitude(W)
 
 
 # -- the oracle: plain expressions, one fresh array per step -----------------
 
 
 def oracle_to_freq(plan, f):
-    data = f.data if plan.modulation is None else f.data * plan.modulation
-    return np.fft.fftn(data, norm="ortho")
+    return np.fft.fftn(f.data * plan.modulation, norm="ortho")
 
 
 def oracle_from_freq(plan, coeffs):
     data = np.fft.ifftn(coeffs, norm="ortho")
-    if plan.modulation is not None:
-        # the modulation is a (t, x_n) table; conj of its full-grid view is a
-        # full-grid temporary, which numpy elides from 256 KiB up
-        data = data * np.conj(np.broadcast_to(plan.modulation, data.shape))
-    return data
+    # the modulation is a (t, x_n) table; conj of its full-grid view is a
+    # full-grid temporary, which numpy elides from 256 KiB up
+    return data * np.conj(np.broadcast_to(plan.modulation, data.shape))
 
 
 def oracle_apply_plan(plan, f):
     return oracle_from_freq(plan, oracle_to_freq(plan, f) / plan.denom)
 
 
+def plain_fft_apply_plan(plan, f):
+    """apply_plan's values without modulation: those of a plan with no offsets."""
+    return np.fft.ifftn(np.fft.fftn(f.data, norm="ortho") / plan.denom, norm="ortho")
+
+
 def oracle_apply_BS(v, W1, W2, plan):
-    inner = Field(v.spec, W2.field.data * v.data)
+    inner = Field(v.spec, W2.data * v.data)
     mid = oracle_apply_plan(plan, inner)
-    return W1.field.data * mid
+    return W1.data * mid
 
 
 def oracle_apply_BS_adjoint(u, W1, W2, adjoint_plan):
-    inner = Field(u.spec, np.conj(W1.field.data) * u.data)
+    inner = Field(u.spec, np.conj(W1.data) * u.data)
     mid = oracle_apply_plan(adjoint_plan, inner)
-    return np.conj(W2.field.data) * mid
+    return np.conj(W2.data) * mid
 
 
 def modulated_op_norm(W1, W2, plan, seed=0, tol=1e-3, max_iter=200):
     """Estimates and steps of each start of the power iteration on apply_BS's A*A."""
-    spec = W1.field.spec
+    spec = W1.spec
     adj = plan.adjoint()
     estimates, steps = [], []
     for s in (seed, seed + 1):
@@ -133,15 +139,11 @@ def oracle_divide_rows(x, denom, rows_in, rows_out):
 def oracle_hull_apply(v, w_out, w_in, plan):
     """M_{w_out} S M_{w_in} v for the S of ``plan``: m v in on w_in's hull, conj(m) out."""
     h_in, h_out = oracle_hull(w_in), oracle_hull(w_out)
-    mv = v.data[h_in]
-    if plan.modulation is not None:
-        mv = mv * plan.modulation[h_in]
+    mv = v.data[h_in] * plan.modulation[h_in]
     x = np.zeros(v.spec.shape, complex)
     x[h_in] = w_in[h_in] * mv
     g = oracle_divide_rows(x, plan.denom, h_in, h_out)
-    out = w_out[h_out] * g
-    if plan.modulation is not None:
-        out = out * np.conj(plan.modulation)[h_out]
+    out = w_out[h_out] * g * np.conj(plan.modulation)[h_out]
     y = np.zeros(v.spec.shape, complex)
     y[h_out] = out
     return y
@@ -149,16 +151,14 @@ def oracle_hull_apply(v, w_out, w_in, plan):
 
 def oracle_op_norm(W1, W2, plan, seed=0, tol=1e-3, max_iter=200):
     """Estimates and steps of each start of op_norm's modulation-free loop on hull rows."""
-    spec = W1.field.spec
-    h1, h2 = oracle_hull(W1.field.data), oracle_hull(W2.field.data)
-    w1, w2 = W1.field.data[h1], W2.field.data[h2]
+    spec = W1.spec
+    h1, h2 = oracle_hull(W1.data), oracle_hull(W2.data)
+    w1, w2 = W1.data[h1], W2.data[h2]
     w1c, w2c = np.conj(w1), np.conj(w2)
     adj = plan.adjoint()
     estimates, steps = [], []
     for s in (seed, seed + 1):
-        v = random_field(spec, s).data
-        if plan.modulation is not None:
-            v = v * plan.modulation
+        v = random_field(spec, s).data * plan.modulation
         u = (v * (1.0 / l2_norm(v)))[h2]
         est = 0.0
         for it in range(1, max_iter + 1):
@@ -197,12 +197,10 @@ def test_apply_plan_bit_exact(pts):
     spec = grid(*pts)
     f = random_field(spec)
     for name, plan in plans(spec).items():
-        if "plain" in name:
-            assert plan.modulation is None and plan.demodulation is None
-        else:
-            assert plan.demodulation is not None
         got = apply_plan(plan, f).data
         assert np.array_equal(got, oracle_apply_plan(plan, f)), name
+        # a plan without offsets modulates by exactly 1
+        assert np.array_equal(got, plain_fft_apply_plan(plan, f)) == ("plain" in name), name
 
 
 def test_transforms_keep_their_input():
@@ -223,15 +221,15 @@ def test_transforms_keep_their_input():
 def test_apply_BS_bit_exact(pts):
     spec = grid(*pts)
     W = gaussian_W(spec, window=(-1.0, 0.5))
-    absW = gaussian_W(spec, window=(-2.0, 2.5)).magnitude
+    absW = magnitude(gaussian_W(spec, window=(-2.0, 2.5)))
     plan = plan_S_nu(spec, NU, offset_tau=True, offset_xin=True)
     v = random_field(spec, 1)
     got = apply_BS(v, W, absW, plan).data
-    assert np.array_equal(got, oracle_hull_apply(v, W.field.data, absW.field.data, plan))
+    assert np.array_equal(got, oracle_hull_apply(v, W.data, absW.data, plan))
     adj = plan.adjoint()
     got = apply_BS_adjoint(v, W, absW, adj).data
-    assert np.array_equal(got, oracle_hull_apply(v, np.conj(absW.field.data),
-                                                 np.conj(W.field.data), adj))
+    assert np.array_equal(got, oracle_hull_apply(v, np.conj(absW.data),
+                                                 np.conj(W.data), adj))
 
 
 @pytest.mark.parametrize("pts", SIZES)
@@ -264,7 +262,7 @@ MODULATED_CASES = {
                                         plan_BS(CUBE, NU)),
     "cusp": lambda: sandwich(build_W(cusp_potential(CUBE)), plan_BS(CUBE, NU)),
     "different_windows": lambda: (gaussian_W(CUBE, window=(-1.0, 0.5)),
-                                  gaussian_W(CUBE, window=(-2.0, 2.5)).magnitude,
+                                  magnitude(gaussian_W(CUBE, window=(-2.0, 2.5))),
                                   plan_BS(CUBE, NU)),
     "no_offsets": lambda: sandwich(gaussian_W(CUBE), plan_S_nu(CUBE, NU, offset_tau=False)),
     "n3_16^4": lambda: sandwich(gaussian_W(HYPERCUBE, pair=(2, 3)), plan_BS(HYPERCUBE, NU)),
@@ -275,13 +273,15 @@ MODULATED_CASES = {
 def test_op_norm_matches_the_modulated_iteration(case):
     W1, W2, plan = MODULATED_CASES[case]()
     pts_time = plan.spec.pts_time
-    hull_rows = [h.stop - h.start for h in (oracle_hull(W1.field.data),
-                                            oracle_hull(W2.field.data))]
+    hull_rows = [h.stop - h.start for h in (oracle_hull(W1.data),
+                                            oracle_hull(W2.data))]
     if case == "full_box_window":
         assert hull_rows == [pts_time] * 2
     else:
         assert max(hull_rows) < pts_time
-    assert (plan.modulation is None) == (case == "no_offsets")
+    v = random_field(plan.spec, 2)
+    assert np.array_equal(apply_plan(plan, v).data,
+                          plain_fft_apply_plan(plan, v)) == (case == "no_offsets")
     _, diag = op_norm(W1, W2, plan)
     estimates, steps = modulated_op_norm(W1, W2, plan)
     assert diag["estimates"] == pytest.approx(estimates, rel=1e-12, abs=0.0)
@@ -312,7 +312,7 @@ def test_apply_BS_matches_the_modulated_oracle(case):
 
 def test_apply_BS_is_zero_outside_the_output_hull():
     W1, W2, plan = MODULATED_CASES["different_windows"]()
-    h1, h2 = oracle_hull(W1.field.data), oracle_hull(W2.field.data)
+    h1, h2 = oracle_hull(W1.data), oracle_hull(W2.data)
     assert h1.stop - h1.start < h2.stop - h2.start < plan.spec.pts_time
     v = random_field(plan.spec, 3)
     for got, hull in ((apply_BS(v, W1, W2, plan).data, h1),
@@ -336,7 +336,7 @@ def test_apply_BS_transforms_only_the_rows_of_W2(monkeypatch):
     values = cli.read(cli.load_config(config), {**cli.COMMON, **cli.TABLES["bs-norm-sweep"]})
     V = cli.build_inputs(values)["V"]
     spec, W = V.field.spec, build_W(V)
-    hull = oracle_hull(W.field.data)
+    hull = oracle_hull(W.data)
     assert hull.stop - hull.start < spec.pts_time
     shapes, fftn = [], np.fft.fftn
 
@@ -345,7 +345,7 @@ def test_apply_BS_transforms_only_the_rows_of_W2(monkeypatch):
         return fftn(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "fftn", recording)
-    apply_BS(random_field(spec), W, W.magnitude, plan_BS(spec, values["nu_values"][0]))
+    apply_BS(random_field(spec), W, magnitude(W), plan_BS(spec, values["nu_values"][0]))
     assert shapes == [(hull.stop - hull.start,) + (spec.pts_space,) * spec.n]
 
 
@@ -379,6 +379,7 @@ TABLE_PLANS = {
     "tau_and_xi_n": lambda spec: plan_BS(spec, NU),
     "xi_n": lambda spec: plan_S(spec),
     "tau": lambda spec: plan_S(spec, offset_xin=False, offset_tau=True),
+    "none": lambda spec: plan_S(spec, offset_xin=False),
 }
 
 
@@ -395,6 +396,6 @@ def test_modulation_table_gives_the_full_grid_bits(dims, kind):
     f = random_field(spec, 6)
     assert np.array_equal(apply_plan(plan, f).data, apply_plan(full, f).data)
     W = gaussian_W(spec, pair=(2, n))
-    absW = W.magnitude
+    absW = magnitude(W)
     assert np.array_equal(apply_BS(f, W, absW, plan).data, apply_BS(f, W, absW, full).data)
     assert op_norm(W, absW, plan) == op_norm(W, absW, full)

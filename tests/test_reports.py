@@ -2,13 +2,14 @@
 
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from schrodlab.reports import (
     EstimateReport,
     config_hash,
-    report_to_json,
     write_report,
 )
 
@@ -95,15 +96,18 @@ class TestPassed:
         rep.rules["growth"] = True
         assert not rep.passed
 
-    def test_rules_not_serialized(self):
+    def test_rules_not_serialized(self, tmp_path):
         rep = sample_report()
         rep.rules["decay"] = False
-        assert report_to_json(rep) == report_to_json(sample_report())
+        write_report(rep, tmp_path / "a.json")
+        write_report(sample_report(), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 class TestSerialization:
-    def test_runtime_excluded(self):
-        payload = json.loads(report_to_json(sample_report()))
+    def test_runtime_excluded(self, tmp_path):
+        write_report(sample_report(), tmp_path / "r.json")
+        payload = json.loads((tmp_path / "r.json").read_text())
         assert "runtime" not in payload
         assert payload["schema_version"] == 1
         assert payload["verdict"] == "pass"
@@ -114,6 +118,28 @@ class TestSerialization:
         write_report(rep, p)
         back = json.loads(p.read_text())
         assert back == rep.to_dict()
+
+    def test_json_is_streamed(self, tmp_path):
+        # the kernel table's 1600 samples: the encoded text is written as it is made,
+        # never joined whole.  Joining it peaked at 2.0 MiB traced for 0.3 MiB of text
+        rng = np.random.default_rng(0)
+        rep = EstimateReport("kernel_table", {}, {"tol": 1e-6}, ceiling=1e-6)
+        rep.samples = [{"sigma": float(s), "x": float(x), "seed": 0, "closed": float(c),
+                        "quadrature": float(c + e), "ratio": float(abs(e))}
+                       for s in (-5, -1, -0.1, 0.1, 0.3, 0.5, 2, 10)
+                       for x, c, e in zip(np.linspace(-20.0, 20.0, 200),
+                                          rng.standard_normal(200),
+                                          1e-16 * rng.standard_normal(200))]
+        path = tmp_path / "kernel_table.json"
+        tracemalloc.start()
+        try:
+            write_report(rep, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 250_000
+        assert peak < 0.25 * size
 
     def test_byte_identical_reruns(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,6 +1,7 @@
-"""Tooling checks: the tracer's patch targets exist, every public name has a caller, every
-defaulted parameter a caller that passes it and every config default a run that moves it, every
-test oracle is used, the CLI's import stays light, and the scripts run."""
+"""Tooling checks: the tracer's patch targets exist, every module's __all__ names its public
+definitions, every public name has a caller, every defaulted parameter a caller that passes it
+and every config default a run that moves it, every test oracle is used, the CLI's and the
+kernel quadrature's imports stay light, and the scripts run."""
 
 import ast
 import importlib
@@ -46,8 +47,9 @@ def test_tracing_targets_resolve():
 #: Public names, and public members (``Class.name``) of public classes, that nothing in src/,
 #: scripts/ or bench/ calls, each kept for a reason.
 UNCALLED = {
-    "apply_BS_adjoint": "bench/tracing.py TARGETS wraps it by name, and the tests use it as "
-                        "the adjoint reference",
+    "apply_BS_adjoint": "bench/tracing.py TARGETS wraps it by name; only tests call it, as "
+                        "the adjoint reference, so it moves to tests/oracles.py at the next "
+                        "change to bench/ (ROADMAP item 21)",
     "boundary_mass_fraction": "the per-run manifest of ROADMAP item 4 is to call it",
     "bourgain_norm": "bench/tracing.py TARGETS wraps it by name, so it moves to "
                      "tests/oracles.py at the next change to bench/ (ROADMAP item 4)",
@@ -135,6 +137,37 @@ def test_every_public_name_has_a_caller():
                 if q.rpartition(".")[2] not in (read if "." in q else called)}
     assert sorted(uncalled - set(UNCALLED)) == []
     assert sorted(set(UNCALLED) - uncalled) == []  # the list is no longer than needed
+
+
+#: Modules without ``__all__``, each for a reason.
+NO_ALL = {
+    "__init__": "the package module defines nothing",
+    "cli": "its public names are the click commands and the helpers tests/ reads by attribute",
+}
+
+
+def test_every_all_names_the_public_definitions():
+    # __all__ is each module's public surface: it names every public top-level function and
+    # class, and nothing the module no longer binds (a deleted or renamed definition)
+    missing, stale, without = {}, {}, set()
+    for path in (ROOT / "src" / "schrodlab").glob("*.py"):
+        module = importlib.import_module("schrodlab" if path.stem == "__init__"
+                                         else f"schrodlab.{path.stem}")
+        if not hasattr(module, "__all__"):
+            without.add(path.stem)
+            continue
+        declared = module.__all__
+        assert len(declared) == len(set(declared)), f"{path.stem}.__all__ repeats a name"
+        public = {node.name for node in ast.parse(path.read_text()).body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")}
+        if public - set(declared):
+            missing[path.stem] = sorted(public - set(declared))
+        if any(not hasattr(module, name) for name in declared):
+            stale[path.stem] = sorted(name for name in declared if not hasattr(module, name))
+    assert missing == {}
+    assert stale == {}
+    assert without == set(NO_ALL)
 
 
 def call_sites() -> dict[str, list[ast.Call]]:
@@ -292,6 +325,17 @@ def test_cli_import_leaves_out_scipy():
          "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
         capture_output=True, text=True, env=src_env(), check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_kernel_quadrature_leaves_out_numpy_ma():
+    # np.unique imports numpy.ma on first use, about 1 MiB of modules that a K_sigma
+    # quadrature does not need
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys; from schrodlab import kernels; "
+         "kernels.eval_K_sigma_quadrature(0.3, [-2.0, 0.0, 1e-20, 3.0]); "
+         "print('numpy.ma' in sys.modules)"],
+        capture_output=True, text=True, env=src_env(), check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_import_starts_no_thread():
