@@ -26,7 +26,7 @@ from .grid import Field, GridSpec, l2_norm
 from .multipliers import MultiplierPlan, plan_S_nu
 from .parallel import run_two
 from .reports import EstimateReport
-from .symbols import potential_pair_check
+from .symbols import as_exponent, potential_pair_check
 
 logger = logging.getLogger(__name__)
 
@@ -125,10 +125,14 @@ def cusp_potential(
 
     The tip lands between lattice points (center may be offset), so every
     sample is finite but the sup norm grows with resolution -- the
-    unbounded-potential stress case for the norm-decay sweep.
+    unbounded-potential stress case for the norm-decay sweep.  The tip is
+    in L^b, b the second exponent of ``pair``, only for 0 < alpha b < n,
+    so no alpha passes b = oo.
     """
-    if not 0.0 < alpha * spec.n < 2.0 * spec.n:
-        raise ValueError("alpha out of the integrable range")
+    _, b = map(as_exponent, pair)
+    if not 0.0 < alpha * float(b) < spec.n:
+        raise ValueError(f"alpha must satisfy 0 < alpha * b < n = {spec.n} for the pair's "
+                         f"b = {b}, got {alpha}")
     if not cutoff > 0.0:
         raise ValueError(f"cutoff must be > 0, got {cutoff}")
     mesh = spec.spatial_mesh()
@@ -150,7 +154,7 @@ def plan_BS(spec: GridSpec, nu: float) -> MultiplierPlan:
     does not depend on nu: it would stall the norm decay of the sandwich
     and swamp the compensated gain ratio.
     """
-    return plan_S_nu(spec, nu, offset_tau=True, offset_xin=True)
+    return plan_S_nu(spec, nu, offset_xin=True)
 
 
 def apply_BS(v: Field, W1: Field, W2: Field, plan: MultiplierPlan) -> Field:
@@ -164,7 +168,7 @@ def apply_BS(v: Field, W1: Field, W2: Field, plan: MultiplierPlan) -> Field:
     buf = np.zeros(v.spec.shape, dtype=np.complex128)
     np.multiply(v.data[rows_in], plan.modulation[rows_in], out=buf[rows_in])
     part = _sandwich(buf, w_in, rows_in, plan.denom, w_out, rows_out)
-    np.multiply(part, plan.demodulation[rows_out], out=part)
+    np.multiply(part, np.conj(plan.modulation[rows_out]), out=part)
     return Field(v.spec, buf)
 
 

@@ -192,7 +192,7 @@ def sweep(config: dict, values: dict, spec: GridSpec,
         fields = standard_family(spec, rng, values["family"])
         per_pair = [[] for _ in pairs]
         for mag in values["nu_values"]:
-            plan = plan_S_nu(spec, mag, offset_tau=True, offset_xin=False)
+            plan = plan_S_nu(spec, mag)
             for k, f in enumerate(fields):
                 u = apply_plan(plan, f)
                 for pair, samples in zip(pairs, per_pair):

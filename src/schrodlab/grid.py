@@ -111,13 +111,13 @@ class GridSpec:
     def x_axis(self) -> np.ndarray:
         return -self.box_space + self.dx * np.arange(self.pts_space)
 
-    def tau_axis(self, offset: float = 0.0) -> np.ndarray:
-        """Angular time-frequencies on the dual lattice (+ optional offset)."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.pts_time, d=self.dt) + offset
+    def tau_axis(self) -> np.ndarray:
+        """Angular time-frequencies on the dual lattice."""
+        return 2.0 * np.pi * np.fft.fftfreq(self.pts_time, d=self.dt)
 
-    def xi_axis(self, offset: float = 0.0) -> np.ndarray:
-        """Angular space-frequencies along one axis (+ optional offset)."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.pts_space, d=self.dx) + offset
+    def xi_axis(self) -> np.ndarray:
+        """Angular space-frequencies along one axis."""
+        return 2.0 * np.pi * np.fft.fftfreq(self.pts_space, d=self.dx)
 
     @property
     def dtau(self) -> float:
@@ -127,24 +127,11 @@ class GridSpec:
     def dxi(self) -> float:
         return np.pi / self.box_space
 
-    def meshgrid_freq(self, tau_offset: float = 0.0, xi_n_offset: float = 0.0):
-        """Broadcastable (tau, xi_1, ..., xi_n) arrays on the dual lattice.
-
-        The optional offsets shift the tau lattice and the last spatial
-        frequency lattice by the given amounts (used by the multiplier plans
-        to dodge characteristic sets).
-        """
-        axes = [self.tau_axis(tau_offset)]
-        for j in range(self.n):
-            off = xi_n_offset if j == self.n - 1 else 0.0
-            axes.append(self.xi_axis(off))
-        return np.meshgrid(*axes, indexing="ij", sparse=True)
-
     def spatial_mesh(self, frequency: bool = False):
         """Broadcastable (x_1, ..., x_n) arrays of one time slice.
 
         With ``frequency`` the arrays are (xi_1, ..., xi_n) instead, on
-        the dual lattice without offset.
+        the dual lattice.
         """
         axis = self.xi_axis() if frequency else self.x_axis()
         return np.meshgrid(*([axis] * self.n), indexing="ij", sparse=True)

@@ -8,9 +8,9 @@ Characteristic-set policy
 The reciprocal symbols 1/p and 1/p_nu are singular on the characteristic
 sets Gamma = {p = 0} and Gamma_nu = {p_nu = 0}.  Frequency lattices are
 offset by half a spacing (in xi_n for the normalized symbol, in tau for the
-conjugated one, both switchable per plan) so exact lattice zeros are
-avoided for generic drifts nu; residual near-zeros below the symbol
-floor are zeroed and counted, never silently discarded.
+conjugated one, each builder switching the other axis on or off) so exact
+lattice zeros are avoided for generic drifts nu; residual near-zeros below
+the symbol floor are zeroed and counted, never silently discarded.
 
 The offset lattice is realized by modulation: a half-bin frequency shift
 equals multiplication by a unit phase in physical space, so the offset DFT
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -66,12 +65,16 @@ _ELIDE_BYTES = 256 * 1024
 class MultiplierPlan:
     """Precomputed lattice data for one diagonal operator.
 
-    ``symbol`` is p or p_nu evaluated on the (possibly offset) dual
-    lattice; ``dropped`` flags modes with |symbol| below the floor
-    (``_EPS_FLOOR_REL`` of the largest |symbol|), which the application
-    zeroes and reports.  Two arrays are built with the plan and shared by
-    every transform and by the adjoint:
+    A plan is fixed by its grid, drift and half-bin offsets (:meth:`axes`)
+    and builds the rest: ``symbol``, p (``nu`` None) or p_nu on the offset
+    lattice; ``eps_floor``, below which |symbol| is floored (``_EPS_FLOOR_REL``
+    of its largest value), with ``dropped_count`` floored modes; and two
+    arrays shared by every transform and by the adjoint:
 
+    * ``denom``: the symbol with ``inf`` on floored modes, so that
+      ``coeffs / denom`` is the reciprocal on retained modes and exactly 0
+      on floored ones.  With no floored mode it is ``symbol`` itself, not a
+      copy; nothing writes into either.
     * ``modulation``: the half-bin offset phase e^{-i(tau_off t + xi_n_off
       x_n)}, all ones on a plan without offsets, so every transform takes
       one path.  It depends on t and x_n alone, so it is a (pts_time, 1,
@@ -81,17 +84,8 @@ class MultiplierPlan:
       complex products give the bits of full-array products in either
       operand order.  A product of per-axis exps, e^{-i tau_off t}
       e^{-i xi_n_off x_n}, rounds differently from the exp of the sum and
-      moves report bytes.
-    * ``denom``: the symbol with ``inf`` on floored modes, so that
-      ``coeffs / denom`` is the reciprocal on retained modes and exactly 0
-      on floored ones.  With no floored mode it is ``symbol`` itself, not a
-      copy; nothing writes into either.
-
-    ``demodulation`` is ``conj(modulation)``, which undoes the offset phase
-    after the inverse transform.  It is built on first use and kept, once
-    per plan rather than per transform; a plan used only by
-    :func:`schrodlab.birman_schwinger.op_norm`, which never demodulates,
-    never builds it.
+      moves report bytes.  Its conjugate, which undoes the phase after the
+      inverse transform, is taken from the table where it is applied.
 
     Work buffers: :meth:`to_freq` allocates one fresh array and works in
     it.  Only :meth:`from_freq` takes an ``out``, a C-contiguous complex128
@@ -110,24 +104,24 @@ class MultiplierPlan:
     """
 
     spec: GridSpec
-    symbol: np.ndarray | None
+    nu: float | None
     tau_offset: float
     xi_n_offset: float
-    nu: float | None = None
     # derived
+    symbol: np.ndarray | None = field(init=False)
     eps_floor: float = field(init=False)
-    dropped: np.ndarray = field(init=False)
     dropped_count: int = field(init=False)
     denom: np.ndarray = field(init=False)
     modulation: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        tau, *xi = np.meshgrid(*self.axes(), indexing="ij", sparse=True)
+        self.symbol = eval_p(tau, xi) if self.nu is None else eval_p_nu(tau, xi, self.nu)
         mag = np.abs(self.symbol)
         self.eps_floor = _EPS_FLOOR_REL * float(mag.max())
-        self.dropped = mag < self.eps_floor
-        self.dropped_count = int(self.dropped.sum())
-        self.denom = (np.where(self.dropped, np.inf, self.symbol) if self.dropped_count
-                      else self.symbol)
+        dropped = mag < self.eps_floor
+        self.dropped_count = int(dropped.sum())
+        self.denom = np.where(dropped, np.inf, self.symbol) if self.dropped_count else self.symbol
         # a zero offset adds +-0.0 to the phase, which leaves every entry's bits alone
         spec = self.spec
         t = spec.t_axis().reshape((-1,) + (1,) * spec.n)
@@ -136,9 +130,11 @@ class MultiplierPlan:
         phase = phase + self.tau_offset * t + self.xi_n_offset * x
         self.modulation = np.exp(-1j * phase)
 
-    @cached_property
-    def demodulation(self) -> np.ndarray:
-        return np.conj(self.modulation)
+    def axes(self) -> list[np.ndarray]:
+        """The 1-D lattice axes (tau, xi_1, ..., xi_n), tau and xi_n offset."""
+        spec = self.spec
+        xi = spec.xi_axis()
+        return [spec.tau_axis() + self.tau_offset] + [xi] * (spec.n - 1) + [xi + self.xi_n_offset]
 
     def adjoint(self) -> "MultiplierPlan":
         """The plan of the L^2 adjoint, for :func:`apply_plan` only.
@@ -163,10 +159,11 @@ class MultiplierPlan:
         if out is None:
             out = np.empty(coeffs.shape, dtype=np.complex128)
         data = np.fft.ifftn(coeffs, norm="ortho", out=out)
+        demodulation = np.conj(self.modulation)
         if data.nbytes >= _ELIDE_BYTES:
-            np.multiply(self.demodulation, data, out=data)
+            np.multiply(demodulation, data, out=data)
         else:
-            np.multiply(data, self.demodulation, out=data)
+            np.multiply(data, demodulation, out=data)
         return Field(self.spec, data)
 
 
@@ -176,23 +173,13 @@ def plan_S(
     offset_tau: bool = False,
 ) -> MultiplierPlan:
     """Plan for the normalized multiplier with symbol tau - |xi|^2 + i xi_n."""
-    tau_off = 0.5 * spec.dtau if offset_tau else 0.0
-    xin_off = 0.5 * spec.dxi if offset_xin else 0.0
-    tau, *xi = spec.meshgrid_freq(tau_off, xin_off)
-    return MultiplierPlan(spec, eval_p(tau, xi), tau_off, xin_off)
+    return MultiplierPlan(spec, None, 0.5 * spec.dtau if offset_tau else 0.0,
+                          0.5 * spec.dxi if offset_xin else 0.0)
 
 
-def plan_S_nu(
-    spec: GridSpec,
-    nu: float,
-    offset_tau: bool = True,
-    offset_xin: bool = False,
-) -> MultiplierPlan:
-    """Plan for the conjugated multiplier with symbol -tau - |xi|^2 + 2 i nu xi_n."""
-    tau_off = 0.5 * spec.dtau if offset_tau else 0.0
-    xin_off = 0.5 * spec.dxi if offset_xin else 0.0
-    tau, *xi = spec.meshgrid_freq(tau_off, xin_off)
-    return MultiplierPlan(spec, eval_p_nu(tau, xi, nu), tau_off, xin_off, nu)
+def plan_S_nu(spec: GridSpec, nu: float, offset_xin: bool = False) -> MultiplierPlan:
+    """Plan for the conjugated multiplier -tau - |xi|^2 + 2 i nu xi_n; tau is always offset."""
+    return MultiplierPlan(spec, nu, 0.5 * spec.dtau, 0.5 * spec.dxi if offset_xin else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +292,11 @@ def _s_node_sum(
     pts_space complex exps per chunk instead of k pts_space^n.
     """
     spec = plan.spec
-    xi = [spec.xi_axis()] * (spec.n - 1) + [spec.xi_axis(plan.xi_n_offset)]
-    tau = spec.tau_axis(plan.tau_offset)[:, None]
+    tau, *xi = plan.axes()
     factor = np.zeros((spec.pts_time, spec.pts_space**spec.n), dtype=np.complex128)
     for lo in range(0, len(nodes), _S_CHUNK):
         s = nodes[lo:lo + _S_CHUNK]
-        time_part = weights[lo:lo + _S_CHUNK] * np.exp(-1j * tau * s)
+        time_part = weights[lo:lo + _S_CHUNK] * np.exp(-1j * tau[:, None] * s)
         factor += time_part @ _u_s_block(s, xi)
     return factor.reshape(spec.shape)
 

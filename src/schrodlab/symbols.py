@@ -39,9 +39,9 @@ def as_exponent(p) -> "Fraction | float":
     """Coerce to an exact exponent: a Fraction in [1, oo) or INF."""
     if isinstance(p, bool):  # Fraction(True) would read YAML true as 1
         raise ValueError(f"Lebesgue exponent must be a number, got {p!r}")
-    if p in ("inf", "oo") or (isinstance(p, float) and math.isinf(p)):
+    if p in ("inf", "oo") or p == INF:
         return INF
-    q = Fraction(p)
+    q = -INF if p == -INF else Fraction(p)  # Fraction(-inf) raises OverflowError
     if q < 1:
         raise ValueError(f"Lebesgue exponent must be >= 1, got {q}")
     return q

@@ -33,7 +33,7 @@ def equation_residual(plan: MultiplierPlan, f: Field) -> float:
     Dropped modes of f are excluded (they cannot be inverted).
     """
     coeffs = plan.to_freq(f)
-    retained = np.where(plan.dropped, 0.0, coeffs)
+    retained = np.where(np.isinf(plan.denom), 0.0, coeffs)
     norm = float(np.linalg.norm(retained))
     if norm == 0.0:
         raise ValueError("f vanishes on retained modes")
@@ -171,9 +171,8 @@ def build_u_rho(rho: float, trace: LogLogTrace, spec: GridSpec) -> Field:
     m = trace.g.size
     ghat = np.fft.fftshift(np.fft.fft(trace.g)) * trace.dt / np.sqrt(2.0 * np.pi)
     sig = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(m, d=trace.dt))
-    mesh = spec.meshgrid_freq()
-    tau = mesh[0]
-    xis = mesh[1:]
+    tau, *xis = np.meshgrid(spec.tau_axis(), *[spec.xi_axis()] * n, indexing="ij",
+                            sparse=True)
     sq = sum(c**2 for c in xis)
     sigma = (tau - sq) / rho
     gr = np.interp(sigma.ravel(), sig, ghat.real, left=0.0, right=0.0)

@@ -90,7 +90,7 @@ def test_02_multiplier_inverts_conjugated_equation():
         fields = [random_band_limited(spec, rng, 4, 4) for _ in range(10)]
         for mag in (4.0, 16.0, 64.0):
             nu = mag
-            plan = plan_S_nu(spec, nu, offset_tau=True, offset_xin=True)
+            plan = plan_S_nu(spec, nu, offset_xin=True)
             for f in fields:
                 assert equation_residual(plan, f) <= 1e-8
 

@@ -25,7 +25,7 @@ from schrodlab.birman_schwinger import (
     split_W,
 )
 from schrodlab.grid import Field, GridSpec, l2_norm
-from schrodlab.multipliers import plan_S_nu
+from schrodlab.multipliers import MultiplierPlan
 
 from oracles import adjoint_plan_op_norm, dense_bs_matrix
 
@@ -114,10 +114,11 @@ class TestOperator:
     ], ids=["lattice_zeros", "offset_raised_floor"])
     def test_adjoint_pairing_with_floored_modes(self, monkeypatch, offsets, floor):
         monkeypatch.setattr(multipliers, "_EPS_FLOOR_REL", floor)
-        plan = plan_S_nu(SPEC, NU, offset_tau=offsets, offset_xin=offsets)
+        plan = plan_BS(SPEC, NU) if offsets else MultiplierPlan(SPEC, NU, 0.0, 0.0)
         assert plan.dropped_count > 0
         adj = plan.adjoint()
-        assert adj.dropped is plan.dropped
+        assert adj.dropped_count == plan.dropped_count
+        assert np.array_equal(np.isinf(adj.denom), np.isinf(plan.denom))
         assert adj.eps_floor == plan.eps_floor
         assert adj.modulation is plan.modulation
         W = build_W(gaussian_potential(SPEC))
@@ -211,21 +212,6 @@ class TestOperator:
         assert plan.modulation.size == spec.pts_time * spec.pts_space
         assert peak / (16 * spec.total_points) < 1.60 + 0.25
 
-    def test_op_norm_builds_no_demodulation(self):
-        # op_norm never demodulates, so its plan never builds conj(modulation); the
-        # transforms that do build it on first use, with the bits of np.conj
-        plan = plan_BS(SPEC, NU)
-        W = build_W(gaussian_potential(SPEC))
-        op_norm(W, W, plan)
-        assert "demodulation" not in plan.__dict__
-        apply_BS(rand_field(), W, W, plan)
-        assert np.array_equal(plan.__dict__["demodulation"], np.conj(plan.modulation))
-        plan = plan_BS(SPEC, NU)
-        coeffs = rand_field(seed=1).data
-        out = plan.from_freq(coeffs).data
-        assert np.array_equal(plan.__dict__["demodulation"], np.conj(plan.modulation))
-        assert np.array_equal(out, np.fft.ifftn(coeffs, norm="ortho") * np.conj(plan.modulation))
-
     @pytest.mark.parametrize("case", ["n1", "n2_cusp", "n3", "complex_W", "magnitude",
                                       "no_offsets", "floored"])
     def test_op_norm_matches_the_adjoint_plan_bit_for_bit(self, monkeypatch, case):
@@ -245,7 +231,7 @@ class TestOperator:
                           V.pair)
         W = build_W(V)
         W2 = Field(spec, np.abs(W.data).astype(complex)) if case == "magnitude" else W
-        plan = (plan_S_nu(spec, NU, offset_tau=False) if case == "no_offsets"
+        plan = (MultiplierPlan(spec, NU, 0.0, 0.0) if case == "no_offsets"
                 else plan_BS(spec, NU))
         assert (plan.dropped_count > 0) == (case in ("no_offsets", "floored"))
         assert np.any(V.field.data.imag != 0.0) == (case == "complex_W")

@@ -21,7 +21,7 @@ from schrodlab.cgo import (
     wave_packet_usharp,
 )
 from schrodlab.grid import Field, GridSpec, l2_norm
-from schrodlab.multipliers import apply_plan, apply_symbol, plan_S_nu
+from schrodlab.multipliers import MultiplierPlan, apply_plan, apply_symbol
 
 from oracles import fingerprint
 
@@ -56,7 +56,7 @@ class TestWavePacket:
         # xi_n = 0), so this check uses the offset-free plan
         packet = gaussian_packet_on_hyperplane(SPEC, NU)
         u = wave_packet_usharp(packet, SPEC)
-        plan = plan_S_nu(SPEC, NU, offset_tau=False, offset_xin=False)
+        plan = MultiplierPlan(SPEC, NU, 0.0, 0.0)
         resid = l2_norm(apply_symbol(plan, u)) / l2_norm(u)
         assert resid < 1e-10
 

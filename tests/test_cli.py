@@ -356,6 +356,17 @@ class TestExitCodes:
         ("potential-cutoff-negative", "bs-norm-sweep",
          GRID + "potential: {kind: cusp, cutoff: -1}\nnu_values: [4, 8]\n",
          "potential: cutoff must be > 0, got -1.0"),
+        ("potential-pair-minus-inf", "bs-norm-sweep",
+         GRID.replace("n: 2", "n: 3") + "potential: {kind: gaussian, pair: [-.inf, 1.5]}\n"
+         "nu_values: [4]\n", "potential: Lebesgue exponent must be >= 1, got -inf"),
+        ("pairs-minus-inf", "verify-strichartz", GRID + "pairs: [[-.inf, 2]]\n",
+         "pairs: bad entry [-inf, 2]: Lebesgue exponent must be >= 1, got -inf"),
+        ("cusp-alpha-pair-sup", "bs-norm-sweep",
+         GRID + "potential: {kind: cusp, pair: [1, .inf]}\nnu_values: [4]\n",
+         "potential: alpha must satisfy 0 < alpha * b < n = 2 for the pair's b = inf, got 0.75"),
+        ("cusp-alpha-not-L2", "bs-norm-sweep",
+         GRID + "potential: {kind: cusp, alpha: 1.5}\nnu_values: [4]\n",
+         "potential: alpha must satisfy 0 < alpha * b < n = 2 for the pair's b = 2, got 1.5"),
         ("initial-width-zero", "forward-evolve",
          GRID + POTENTIAL + "T: 0.1\ninitial: {width: 0}\n",
          "initial.width: width must be > 0, got 0.0"),
@@ -381,10 +392,13 @@ class TestExitCodes:
         # ZeroDivisionError and an overflowing rho^2 in OverflowError, and a single rho
         # passed a growth verdict that compares none (exit 0); nu = 0 ended in a ValueError
         # (exit 1) and a negative nu in bs-norm-sweep in a TypeError; a zero potential width
-        # or a negative cutoff ended in split_W's ValueError (exit 1), a zero initial width
-        # wrote a NaN state (exit 1); a tol <= 0 ran every power iteration to its cap
-        # (exit 3); T = 0 wrote a ratio of 1.0 or NaN (exit 1), and a negative freq_radius
-        # ended in a ValueError (exit 1);
+        # or a negative cutoff ended in split_W's ValueError (exit 1), a -inf exponent in a
+        # potential pair was read as +inf and passed (exit 0), and a -inf Strichartz exponent
+        # must not end in Fraction's OverflowError (exit 1, a traceback); a cusp checked
+        # 0 < alpha < 2 whatever n and its pair's b, so one in L^inf or with alpha = 1.5 in L^2
+        # ran (exit 0); a zero initial width wrote a NaN state (exit 1); a tol <= 0 ran every
+        # power iteration to its cap (exit 3); T = 0 wrote a ratio of 1.0 or NaN (exit 1), and
+        # a negative freq_radius ended in a ValueError (exit 1);
         # --dry-run stopped after reading and exited 0 on each of these
         cfg = write(tmp_path, "c.yaml", text)
         res = runner.invoke(main, [command, "--config", cfg, "--output", str(tmp_path)]

@@ -14,7 +14,7 @@ from schrodlab.symbols import ExponentPair
 SPEC = GridSpec(n=2, box_time=np.pi, box_space=np.pi, pts_time=16, pts_space=16)
 NU = 8.0
 # the gain sweep's lattice (tau and xi_n offsets) and the Strichartz sweep's (tau only)
-GAIN_PLAN = plan_S_nu(SPEC, NU, offset_tau=True, offset_xin=True)
+GAIN_PLAN = plan_S_nu(SPEC, NU, offset_xin=True)
 STRICHARTZ_PLAN = plan_S_nu(SPEC, NU)
 GRID_CFG = {"n": 2, "box_time": np.pi, "box_space": np.pi,
             "pts_time": 16, "pts_space": 16}

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from schrodlab.grid import Field, GridSpec, l2_norm, random_band_limited
 from schrodlab import multipliers
 from schrodlab.multipliers import (
+    MultiplierPlan,
     apply_S,
     apply_plan,
     apply_symbol,
@@ -25,7 +26,10 @@ NU = 8.0
 
 def node_loop(plan, nodes, weights):
     """Oracle for the batched s-node sum: one full-grid exp per node."""
-    tau, *xi = plan.spec.meshgrid_freq(plan.tau_offset, plan.xi_n_offset)
+    spec = plan.spec
+    xi_axis = spec.xi_axis()
+    tau, *xi = np.meshgrid(spec.tau_axis() + plan.tau_offset, *[xi_axis] * (spec.n - 1),
+                           xi_axis + plan.xi_n_offset, indexing="ij", sparse=True)
     phase = sum(c**2 for c in xi) - tau
     factor = np.zeros(plan.spec.shape, dtype=np.complex128)
     for s, w in zip(nodes, weights):
@@ -72,7 +76,7 @@ class TestPlans:
         assert plan.dropped_count > 0
 
     def test_offset_transform_is_unitary(self):
-        plan = plan_S_nu(SPEC, NU, offset_tau=True, offset_xin=True)
+        plan = plan_S_nu(SPEC, NU, offset_xin=True)
         f = rand_field(seed=1)
         coeffs = plan.to_freq(f)
         assert np.linalg.norm(coeffs) == pytest.approx(l2_norm(f), rel=1e-12)
@@ -98,10 +102,12 @@ class TestApply:
         assert plan.dropped_count > 0
         f = rand_field(seed=11)
         coeffs = plan.to_freq(f)
-        assert np.all((coeffs / plan.denom)[plan.dropped] == 0.0)
+        dropped = np.isinf(plan.denom)
+        assert np.array_equal(dropped, np.abs(plan.symbol) < plan.eps_floor)
+        assert np.all((coeffs / plan.denom)[dropped] == 0.0)
         out = apply_plan(plan, f)
         assert np.isfinite(out.data).all()
-        kept = np.where(plan.dropped, 0.0, coeffs / np.where(plan.dropped, 1.0, plan.symbol))
+        kept = np.where(dropped, 0.0, coeffs / np.where(dropped, 1.0, plan.symbol))
         assert np.array_equal(out.data, plan.from_freq(kept).data)
         assert plan.denom is not plan.symbol
 
@@ -249,11 +255,9 @@ class TestPropagator:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_batched_node_sum_matches_node_loop(self, n, conjugated, offset_tau, offset_xin):
         spec = GridSpec(n=n, box_time=np.pi, box_space=np.pi, pts_time=8, pts_space=8)
-        if conjugated:
-            plan = plan_S_nu(spec, 8.0,
-                             offset_tau=offset_tau, offset_xin=offset_xin)
-        else:
-            plan = plan_S(spec, offset_xin=offset_xin, offset_tau=offset_tau)
+        plan = MultiplierPlan(spec, 8.0 if conjugated else None,
+                              0.5 * spec.dtau if offset_tau else 0.0,
+                              0.5 * spec.dxi if offset_xin else 0.0)
         half, w = multipliers._s_panels(1e-9, 10.0, 150)
         nodes, weights = np.concatenate([half, -half]), np.concatenate([w, w])
         assert len(nodes) % multipliers._S_CHUNK != 0  # a partial last chunk

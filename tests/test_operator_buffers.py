@@ -35,7 +35,7 @@ from schrodlab.birman_schwinger import (
     plan_BS,
 )
 from schrodlab.grid import Field, GridSpec, l2_norm
-from schrodlab.multipliers import apply_plan, plan_S, plan_S_nu
+from schrodlab.multipliers import MultiplierPlan, apply_plan, plan_S, plan_S_nu
 
 # (pts_time, pts_space) with n = 2: 64 KiB, 256 KiB and 512 KiB of complex128
 SIZES = [(16, 16), (16, 32), (32, 32)]
@@ -186,8 +186,8 @@ def plans(spec):
     base = {
         "S_offset": plan_S(spec),
         "S_plain": plan_S(spec, offset_xin=False),
-        "S_nu_offset": plan_S_nu(spec, NU, offset_tau=True, offset_xin=True),
-        "S_nu_plain": plan_S_nu(spec, NU, offset_tau=False),
+        "S_nu_offset": plan_S_nu(spec, NU, offset_xin=True),
+        "S_nu_plain": MultiplierPlan(spec, NU, 0.0, 0.0),
     }
     return {**base, **{f"{k}_adjoint": p.adjoint() for k, p in base.items()}}
 
@@ -205,7 +205,7 @@ def test_apply_plan_bit_exact(pts):
 
 def test_transforms_keep_their_input():
     spec = grid(16, 32)
-    plan = plan_S_nu(spec, NU, offset_tau=True, offset_xin=True)
+    plan = plan_S_nu(spec, NU, offset_xin=True)
     f = random_field(spec, 4)
     before = f.data.copy()
     coeffs = plan.to_freq(f)
@@ -222,7 +222,7 @@ def test_apply_BS_bit_exact(pts):
     spec = grid(*pts)
     W = gaussian_W(spec, window=(-1.0, 0.5))
     absW = magnitude(gaussian_W(spec, window=(-2.0, 2.5)))
-    plan = plan_S_nu(spec, NU, offset_tau=True, offset_xin=True)
+    plan = plan_S_nu(spec, NU, offset_xin=True)
     v = random_field(spec, 1)
     got = apply_BS(v, W, absW, plan).data
     assert np.array_equal(got, oracle_hull_apply(v, W.data, absW.data, plan))
@@ -236,7 +236,7 @@ def test_apply_BS_bit_exact(pts):
 def test_op_norm_estimates_bit_exact(pts):
     spec = grid(*pts)
     W, absW = factors(spec)
-    plan = plan_S_nu(spec, NU, offset_tau=True, offset_xin=True)
+    plan = plan_S_nu(spec, NU, offset_xin=True)
     _, diag = op_norm(W, absW, plan, seed=5)
     estimates, steps = oracle_op_norm(W, absW, plan, seed=5)
     assert diag["estimates"] == estimates
@@ -264,7 +264,7 @@ MODULATED_CASES = {
     "different_windows": lambda: (gaussian_W(CUBE, window=(-1.0, 0.5)),
                                   magnitude(gaussian_W(CUBE, window=(-2.0, 2.5))),
                                   plan_BS(CUBE, NU)),
-    "no_offsets": lambda: sandwich(gaussian_W(CUBE), plan_S_nu(CUBE, NU, offset_tau=False)),
+    "no_offsets": lambda: sandwich(gaussian_W(CUBE), MultiplierPlan(CUBE, NU, 0.0, 0.0)),
     "n3_16^4": lambda: sandwich(gaussian_W(HYPERCUBE, pair=(2, 3)), plan_BS(HYPERCUBE, NU)),
 }
 
@@ -368,7 +368,6 @@ def full_grid_modulation(plan):
 def with_full_grid_modulation(plan):
     full = copy.copy(plan)
     full.modulation = full_grid_modulation(plan)
-    full.__dict__.pop("demodulation", None)
     return full
 
 

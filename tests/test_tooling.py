@@ -183,18 +183,33 @@ def call_sites() -> dict[str, list[ast.Call]]:
     return sites
 
 
-def passes(call: ast.Call, index: int | None, name: str) -> bool:
+def literal(node: ast.expr):
+    """The value of ``node`` if it is a literal, else a marker equal to nothing."""
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return object()
+
+
+def passes(call: ast.Call, index: int | None, name: str, default: ast.expr) -> bool:
     """Whether ``call`` passes the parameter ``name``, at position ``index`` (None when it is
-    keyword-only); a ``*`` or ``**`` argument may pass any."""
+    keyword-only), something other than a literal equal to its ``default``; a ``*`` or ``**``
+    argument may pass any."""
     if any(isinstance(a, ast.Starred) for a in call.args):
         return True
-    keywords = {k.arg for k in call.keywords}
-    return None in keywords or name in keywords or index is not None and index < len(call.args)
+    keywords = {k.arg: k.value for k in call.keywords}
+    if None in keywords:
+        return True
+    value = keywords.get(name)
+    if value is None and index is not None and index < len(call.args):
+        value = call.args[index]
+    return value is not None and literal(value) != literal(default)
 
 
 def test_every_defaulted_parameter_is_passed():
     # a default that no program path overrides is a constant in disguise: make it one, or
-    # say here why the parameter stays; a method's calls are matched by attribute name
+    # say here why the parameter stays; a method's calls are matched by attribute name, and
+    # a call that passes a literal equal to the default does not override it
     sites = call_sites()
     unpassed = set()
     for qualified, node in public_definitions().items():
@@ -203,12 +218,13 @@ def test_every_defaulted_parameter_is_passed():
         args = node.args
         positional = (args.posonlyargs + args.args)[1 if "." in qualified else 0:]  # no self
         first = len(positional) - len(args.defaults)
-        defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
-        defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+        defaulted = [(i, a.arg, args.defaults[i - first])
+                     for i, a in enumerate(positional) if i >= first]
+        defaulted += [(None, a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
                       if d is not None]
         calls = sites.get(qualified.rpartition(".")[2], [])
-        unpassed |= {f"{qualified}({name})" for index, name in defaulted
-                     if not any(passes(call, index, name) for call in calls)}
+        unpassed |= {f"{qualified}({name})" for index, name, default in defaulted
+                     if not any(passes(call, index, name, default) for call in calls)}
     assert sorted(unpassed - set(UNPASSED)) == []
     assert sorted(set(UNPASSED) - unpassed) == []  # the list is no longer than needed
 
