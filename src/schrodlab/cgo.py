@@ -39,11 +39,8 @@ PACKET_WIDTH = 2.0
 
 __all__ = [
     "NotContractive",
-    "NoConvergence",
-    "WavePacket",
     "CgoSolution",
-    "gaussian_packet_on_hyperplane",
-    "wave_packet_usharp",
+    "hyperplane_usharp",
     "solve_v_neumann",
     "build_cgo",
     "remainder_decay_sweep",
@@ -54,43 +51,14 @@ class NotContractive(RuntimeError):
     """The sandwiched operator norm is too large; |nu| is below threshold."""
 
 
-@dataclass
-class WavePacket:
-    """Frequency samples psi on the hyperplane lattice orthogonal to the drift nu e_n.
+def hyperplane_usharp(spec: GridSpec) -> tuple[Field, float]:
+    """The free conjugated solution u_sharp of the hyperplane packet psi, and ||psi||.
 
-    ``psi`` has shape (pts_space,) * (n - 1), indexed by the fft-ordered
-    frequency lattice of the first n - 1 spatial axes.
-    """
-
-    psi: np.ndarray
-    nu: float
-
-    def __post_init__(self):
-        self.psi = np.asarray(self.psi, dtype=complex)
-
-    def norm(self, spec: GridSpec) -> float:
-        """L2 norm on the hyperplane frequency lattice."""
-        w = spec.dxi ** self.psi.ndim
-        return float(np.sqrt((np.abs(self.psi) ** 2).sum() * w))
-
-
-def gaussian_packet_on_hyperplane(spec: GridSpec, nu: float) -> WavePacket:
-    """Gaussian profile of width ``PACKET_WIDTH`` in the hyperplane frequencies, centred at 0.
-
-    Modes with |xi'|^2 beyond the time-frequency Nyquist range are cut:
-    the superposed wave oscillates at tau = -|xi'|^2, and out-of-band
-    modes would alias onto the wrong dispersion branch.
-    """
-    xi = spec.xi_axis()
-    mesh = np.meshgrid(*([xi] * (spec.n - 1)), indexing="ij")
-    sq = sum(c**2 for c in mesh)
-    tau_max = np.pi / spec.dt
-    psi = np.exp(-sq / (2.0 * PACKET_WIDTH**2)) * (sq <= tau_max)
-    return WavePacket(psi.astype(complex), nu)
-
-
-def wave_packet_usharp(packet: WavePacket, spec: GridSpec) -> Field:
-    """Superpose hyperplane modes into the free conjugated solution.
+    psi is a Gaussian of width ``PACKET_WIDTH`` in the frequencies xi' of the first n - 1
+    spatial axes, centred at 0.  Modes with |xi'|^2 beyond the time-frequency Nyquist
+    range are cut: the superposed wave oscillates at tau = -|xi'|^2, and out-of-band
+    modes would alias onto the wrong dispersion branch.  ||psi|| is its L2 norm on the
+    hyperplane frequency lattice.
 
     u_sharp(t, x) = (2 pi)^{-(n-1)/2} sum_xi' e^{i x'.xi' - i t |xi'|^2}
     psi(xi') dsigma; it is constant along the nu direction, so the drift
@@ -98,16 +66,18 @@ def wave_packet_usharp(packet: WavePacket, spec: GridSpec) -> Field:
     full conjugated symbol vanish mode by mode.
     """
     n = spec.n
-    if packet.psi.shape != (spec.pts_space,) * (n - 1):
-        raise ValueError("packet lattice does not match the grid")
     xi = spec.xi_axis()
     mesh = np.meshgrid(*([xi] * (n - 1)), indexing="ij")
-    sq = sum(c**2 for c in mesh) if mesh else np.zeros(())
+    # a 0-d zero when n = 1; squares are >= 0, so adding 0.0 changes no bit for n >= 2
+    sq = sum((c**2 for c in mesh), np.zeros(()))
+    tau_max = np.pi / spec.dt
+    psi = np.asarray(np.exp(-sq / (2.0 * PACKET_WIDTH**2)) * (sq <= tau_max), dtype=complex)
+    psi_norm = float(np.sqrt((np.abs(psi) ** 2).sum() * spec.dxi ** (n - 1)))
     t = spec.t_axis().reshape((spec.pts_time,) + (1,) * (n - 1))
-    modes = packet.psi[None] * np.exp(-1j * t * sq[None])
+    modes = psi[None] * np.exp(-1j * t * sq[None])
     # sum_xi psi e^{i x . xi} on the lattice x_j = -L + j dx:
     # e^{i x . xi} = e^{-i L sum xi} e^{2 pi i j k / N}, an inverse DFT.
-    shift = np.ones_like(packet.psi, dtype=complex)
+    shift = np.ones_like(psi, dtype=complex)
     for c in mesh:
         shift = shift * np.exp(1j * (-spec.box_space) * c)
     spatial = np.fft.ifftn(modes * shift[None], axes=tuple(range(1, n))) * (
@@ -117,7 +87,7 @@ def wave_packet_usharp(packet: WavePacket, spec: GridSpec) -> Field:
     data = np.repeat(
         (amp * spatial)[..., None], spec.pts_space, axis=-1
     )
-    return Field(spec, data)
+    return Field(spec, data), psi_norm
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +152,8 @@ def solve_v_neumann(W: Field, usharp: Field, plan: MultiplierPlan) -> tuple[Fiel
                "fixed_point": l2_norm(v - av - rhs) / (rhs_norm or 1.0)}
 
 
-def build_cgo(V: Potential, packet: WavePacket) -> CgoSolution:
-    """Full pipeline: packet -> u_sharp -> v -> u_flat = S_nu(|W| v), with residuals.
+def build_cgo(V: Potential, nu: float) -> CgoSolution:
+    """Full pipeline at drift nu: u_sharp -> v -> u_flat = S_nu(|W| v), with residuals.
 
     Residuals recorded: the fixed-point defect of :func:`solve_v_neumann`,
     and the remainder-equation defect
@@ -191,10 +161,9 @@ def build_cgo(V: Potential, packet: WavePacket) -> CgoSolution:
     both normalized by ||W u_sharp||_2.
     """
     spec = V.field.spec
-    nu = packet.nu
     W = build_W(V)
     plan = plan_BS(spec, nu)
-    usharp = wave_packet_usharp(packet, spec)
+    usharp, _ = hyperplane_usharp(spec)
     v, diag = solve_v_neumann(W, usharp, plan)
     uflat = apply_plan(plan, Field(spec, np.abs(W.data).astype(complex) * v.data))
 
@@ -223,9 +192,9 @@ def remainder_decay_sweep(V: Potential, nu_list) -> EstimateReport:
 
     Also records the leading-term ratio ||W u_sharp||_2 / ||psi||, which
     should stay bounded across the sweep.  Each nu uses the packet, tolerance
-    and contraction cap of :func:`build_cgo`.  V is factored once, and each
-    nu runs only :func:`solve_v_neumann`, whose ``remainder_norm`` is
-    ||W u_flat||.
+    and contraction cap of :func:`build_cgo`.  V is factored and u_sharp built
+    once, and each nu runs only :func:`solve_v_neumann`, whose
+    ``remainder_norm`` is ||W u_flat||.
     """
     spec = V.field.spec
     report = EstimateReport(
@@ -235,10 +204,8 @@ def remainder_decay_sweep(V: Potential, nu_list) -> EstimateReport:
                 "tol": NEUMANN_TOL, "rho_cap": RHO_CAP},
     )
     W = build_W(V)
+    usharp, psi_norm = hyperplane_usharp(spec)
     for mag in nu_list:
-        packet = gaussian_packet_on_hyperplane(spec, mag)
-        psi_norm = packet.norm(spec)
-        usharp = wave_packet_usharp(packet, spec)
         _, diag = solve_v_neumann(W, usharp, plan_BS(spec, mag))
         report.samples.append(
             {

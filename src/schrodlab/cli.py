@@ -27,7 +27,7 @@ import yaml
 
 from . import __version__, cgo
 from .birman_schwinger import Potential, bs_decay_sweep, cusp_potential, gaussian_potential
-from .cgo import NotContractive, build_cgo, gaussian_packet_on_hyperplane, remainder_decay_sweep
+from .cgo import NotContractive, build_cgo, remainder_decay_sweep
 from .counterexample import (
     build_dispersion_profile,
     build_gaussian_trace,
@@ -319,8 +319,8 @@ def bs_norm_sweep(cfg, values, inputs):
 @command("cgo-build", {**WITH_POTENTIAL, "nu": (float, REQUIRED)})
 def cgo_build(cfg, values, inputs):
     """Construct a CGO solution and record its diagnostics."""
-    spec, V, nu = inputs["spec"], inputs["V"], values["nu"]
-    sol = build_cgo(V, gaussian_packet_on_hyperplane(spec, nu))
+    nu = values["nu"]
+    sol = build_cgo(inputs["V"], nu)
     report = EstimateReport(
         estimate="cgo_build",
         grid=dict(cfg["grid"]),

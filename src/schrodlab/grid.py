@@ -233,13 +233,9 @@ def boundary_mass_fraction(f: Field, margin: float = 0.1) -> float:
     should stay below the configured tolerance).
     """
     spec = f.spec
-    x = spec.x_axis()
-    interior = np.abs(x) <= (1.0 - margin) * spec.box_space
     mask = np.ones(spec.shape, dtype=bool)
-    for j in range(spec.n):
-        shape = [1] * (spec.n + 1)
-        shape[1 + j] = spec.pts_space
-        mask &= interior.reshape(shape)
+    for x in spec.spatial_mesh():
+        mask &= np.abs(x) <= (1.0 - margin) * spec.box_space
     total = float((np.abs(f.data) ** 2).sum())
     if total == 0.0:
         return 0.0
@@ -269,15 +265,9 @@ def gaussian_packet(
     t = spec.t_axis()
     env = np.exp(-((t - center_t) ** 2) / (2.0 * width_t**2) + 1j * mod_tau * t)
     out = env.reshape((-1,) + (1,) * spec.n).astype(np.complex128)
-    out = np.broadcast_to(out, spec.shape).copy()
-    x = spec.x_axis()
-    for j in range(spec.n):
-        shape = [1] * (spec.n + 1)
-        shape[1 + j] = spec.pts_space
-        fac = np.exp(
-            -((x - center_x[j]) ** 2) / (2.0 * width_x**2) + 1j * mod_xi[j] * x
-        )
-        out = out * fac.reshape(shape)
+    # each spatial factor broadcasts over the trailing axes, so out ends full-grid
+    for x, c, m in zip(spec.spatial_mesh(), center_x, mod_xi):
+        out = out * np.exp(-((x - c) ** 2) / (2.0 * width_x**2) + 1j * m * x)
     return Field(spec, out)
 
 
@@ -296,10 +286,8 @@ def random_band_limited(
     kx = np.fft.fftfreq(spec.pts_space) * spec.pts_space
     mask = (np.abs(kt) <= band_time).reshape((-1,) + (1,) * spec.n)
     mask = np.broadcast_to(mask, spec.shape).copy()
-    for j in range(spec.n):
-        shape = [1] * (spec.n + 1)
-        shape[1 + j] = spec.pts_space
-        mask &= (np.abs(kx) <= band_space).reshape(shape)
+    for k in np.meshgrid(*([kx] * spec.n), indexing="ij", sparse=True):
+        mask &= np.abs(k) <= band_space
     m = int(mask.sum())
     vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     coeffs[mask] = vals

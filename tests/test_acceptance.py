@@ -19,7 +19,7 @@ from schrodlab.birman_schwinger import (
     op_norm,
     plan_BS,
 )
-from schrodlab.cgo import build_cgo, gaussian_packet_on_hyperplane, remainder_decay_sweep
+from schrodlab.cgo import build_cgo, remainder_decay_sweep
 from schrodlab.cli import main as cli_main
 from schrodlab.counterexample import (
     build_dispersion_profile,
@@ -192,7 +192,7 @@ def test_07_cgo_contraction_and_remainder_decay():
     is at most half its value at nu = 16."""
     spec = grid(2, 16, 16)
     V = gaussian_potential(spec, amplitude=0.5, width=0.6)
-    sol = build_cgo(V, gaussian_packet_on_hyperplane(spec, 32.0))
+    sol = build_cgo(V, 32.0)
     assert sol.rho <= 0.9
     assert sol.residuals["fixed_point"] <= 1e-6
     report = remainder_decay_sweep(V, [16, 64])

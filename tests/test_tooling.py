@@ -148,7 +148,8 @@ NO_ALL = {
 
 def test_every_all_names_the_public_definitions():
     # __all__ is each module's public surface: it names every public top-level function and
-    # class, and nothing the module no longer binds (a deleted or renamed definition)
+    # class, and only what the module itself defines or assigns at top level: not a deleted
+    # or renamed definition, and not an import (a name re-exported from another module)
     missing, stale, without = {}, {}, set()
     for path in (ROOT / "src" / "schrodlab").glob("*.py"):
         module = importlib.import_module("schrodlab" if path.stem == "__init__"
@@ -158,13 +159,18 @@ def test_every_all_names_the_public_definitions():
             continue
         declared = module.__all__
         assert len(declared) == len(set(declared)), f"{path.stem}.__all__ repeats a name"
-        public = {node.name for node in ast.parse(path.read_text()).body
+        body = ast.parse(path.read_text()).body
+        public = {node.name for node in body
                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                   and not node.name.startswith("_")}
+        own = {node.name for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        own |= {name.id for node in body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                for name in ast.walk(target) if isinstance(name, ast.Name)}
         if public - set(declared):
             missing[path.stem] = sorted(public - set(declared))
-        if any(not hasattr(module, name) for name in declared):
-            stale[path.stem] = sorted(name for name in declared if not hasattr(module, name))
+        if set(declared) - own:
+            stale[path.stem] = sorted(set(declared) - own)
     assert missing == {}
     assert stale == {}
     assert without == set(NO_ALL)
